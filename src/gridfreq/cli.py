@@ -19,8 +19,11 @@ Every field has a default; command-line flags override scenario values.
 The output directory resolves, in order of precedence: ``--out`` flag,
 ``GRIDFREQ_OUT_DIR`` environment variable, scenario ``out_dir``, then the
 current directory.  Each command writes a ``manifest.json`` recording the
-resolved settings and a hash of the scenario content, so outputs are
-reproducible from the manifest alone.
+resolved settings and a SHA-256 digest of the resolved scenario (defaults,
+file and flags merged, events included), so two runs share a digest
+exactly when they ran the same scenario, however it was given.  Bad input
+and a run whose solver fails (``StepError``) print ``error: ...`` and exit
+with status 2.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .casefile import Case, CaseParseError, load_bundled_case, parse_case
-from .dae import Event, build_system, simulate
+from .dae import Event, StepError, build_system, simulate
 from .network import FaultOff, FaultOn, LoadScale, PowerFlowError, solve_power_flow
 from .smallsignal import (
     ModeIdentificationError,
@@ -78,7 +81,19 @@ class Scenario:
     output_dt: float = 0.02
     channels: list[str] | None = None
     out_dir: str = "."
-    digest: str = ""
+
+    @property
+    def digest(self) -> str:
+        """SHA-256 of the canonical JSON of everything that shapes the results.
+
+        The output directory is left out; the case enters by name or path.
+        """
+        doc = asdict(self)
+        del doc["out_dir"]
+        doc["events"] = [{"t": ev.time, "type": type(ev.action).__name__,
+                          **asdict(ev.action)} for ev in self.events]
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode()).hexdigest()
 
     def load_case(self) -> Case:
         p = Path(self.case)
@@ -107,11 +122,9 @@ def _parse_event(d: dict) -> Event:
 def load_scenario(path: str | None, overrides: dict) -> Scenario:
     """Merge defaults, scenario file, and CLI overrides (highest wins)."""
     merged = dict(_DEFAULTS)
-    raw = b""
     if path is not None:
-        raw = Path(path).read_bytes()
         try:
-            data = json.loads(raw)
+            data = json.loads(Path(path).read_bytes())
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
         unknown = set(data) - set(_DEFAULTS)
@@ -126,8 +139,7 @@ def load_scenario(path: str | None, overrides: dict) -> Scenario:
                 for e in merged["events"]],
         t_end=float(merged["t_end"]), h=float(merged["h"]),
         output_dt=float(merged["output_dt"]), channels=merged["channels"],
-        out_dir=str(merged["out_dir"]),
-        digest=hashlib.sha256(raw).hexdigest())
+        out_dir=str(merged["out_dir"]))
     if sc.control not in ("no_cig", "cig_omega", "cig_omega_tilde"):
         raise ScenarioError(f"unknown control mode {sc.control!r}")
     return sc
@@ -364,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_ksweep(sc, out, args.k_min, args.k_max, args.k_step)
         raise AssertionError(args.command)
     except (ScenarioError, CaseParseError, PowerFlowError,
-            ModeIdentificationError, ValueError, OSError) as exc:
+            ModeIdentificationError, StepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

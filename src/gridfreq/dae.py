@@ -476,10 +476,11 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
              channels: list[str] | None = None) -> TimeSeries:
     """Integrate over [t0, t_end], applying timed events.
 
-    Events are applied exactly at their times: the network is mutated,
-    the algebraic variables are re-solved with the differential states
-    frozen, and integration resumes.  Channels default to every
-    recordable trace.
+    Events are applied exactly at their times: the network is replaced by
+    the post-event copy, the algebraic variables are re-solved with the
+    differential states frozen, and integration resumes.  The caller's
+    model gets its pre-event network back when the run ends, however it
+    ends.  Channels default to every recordable trace.
     """
     if t_end <= state0.t:
         raise ValueError("empty simulation horizon")
@@ -500,24 +501,33 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     pending = list(events)
     eps = 1e-9
 
-    while state.t < t_end - eps:
-        t_stop = min(t0 + n_out * output_dt, t_end)
-        if pending:
-            t_stop = min(t_stop, pending[0].time)
-        while state.t < t_stop - eps:
-            rem = t_stop - state.t
-            dt = rem if rem <= h * (1.0 + 1e-6) else h
-            state = integ.step(state, dt)
-        state.t = t_stop
-        while pending and abs(state.t - pending[0].time) <= eps:
-            ev = pending.pop(0)
-            model.set_network(apply_event(model.net, ev.action))
-            integ.invalidate()
-            state.y = model.solve_algebraic(state.x, state.y)
-        if abs(state.t - (t0 + n_out * output_dt)) <= eps or state.t >= t_end - eps:
-            times.append(state.t)
-            rows.append(record(model, state))
-            n_out += 1
+    net0 = model.net
+    try:
+        while state.t < t_end - eps:
+            t_stop = min(t0 + n_out * output_dt, t_end)
+            if pending:
+                t_stop = min(t_stop, pending[0].time)
+            while state.t < t_stop - eps:
+                rem = t_stop - state.t
+                dt = rem if rem <= h * (1.0 + 1e-6) else h
+                state = integ.step(state, dt)
+            state.t = t_stop
+            while pending and abs(state.t - pending[0].time) <= eps:
+                ev = pending.pop(0)
+                model.set_network(apply_event(model.net, ev.action))
+                integ.invalidate()
+                try:
+                    state.y = model.solve_algebraic(state.x, state.y)
+                except StepError as exc:
+                    raise StepError(f"network re-solve after the event at "
+                                    f"t={ev.time:g}s failed: {exc}") from exc
+            if abs(state.t - (t0 + n_out * output_dt)) <= eps or state.t >= t_end - eps:
+                times.append(state.t)
+                rows.append(record(model, state))
+                n_out += 1
+    finally:
+        if model.net is not net0:
+            model.set_network(net0)
 
     data = {name: np.array([r[name] for r in rows]) for name in channels}
     return TimeSeries(times=np.array(times), channels=data)

@@ -11,7 +11,18 @@ by three criteria: it is global (all machine speeds participate), the
 machine-speed mode-shape components are mutually in phase, and its
 natural frequency lies in 0.02-0.1 Hz.  Geometric observability of a
 measured signal is the cosine alignment between the signal's output row
-and the mode's right eigenvector.
+and the mode's right eigenvector (Hamdan & Elabdalla, EPSR 1988).
+
+The output rows of rho and omega at the converter terminal bus are built
+in closed form from the same Jacobians.  The bus voltages move as
+ydot = -g_y^{-1} g_x f; at an equilibrium f = 0, so
+
+    d(ydot)/dx = -g_y^{-1} g_x A,    d(eta)/dx = d(vdot)/dx / v,
+
+with eta = vdot / v the complex frequency of the bus voltage v.  Then
+c_rho = Re(d eta/dx) / omega_b and c_omega = Im(d eta/dx) / omega_b plus
+the centre-of-inertia weights on the machine speeds (the network frame
+rotates at the COI speed).
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dae import SystemModel, SystemState, _fd_jacobian
+from .dae import SystemModel, SystemState
 
 
 class ModeIdentificationError(RuntimeError):
@@ -97,15 +108,21 @@ def _central_jacobians(model: SystemModel, eq: SystemState, eps: float):
     return f_x, f_y, g_x, g_y
 
 
-def linearize(model: SystemModel, eq: SystemState, eps: float = 1e-6) -> LinearModel:
-    """Reduced state matrix at an equilibrium (algebraic variables eliminated)."""
+def _reduction(model: SystemModel, eq: SystemState,
+               eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, g_y^{-1} g_x) at an equilibrium, from one Jacobian pass."""
     _check_equilibrium(model, eq)
     f_x, f_y, g_x, g_y = _central_jacobians(model, eq, eps)
     try:
         gy_inv_gx = np.linalg.solve(g_y, g_x)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("singular algebraic Jacobian g_y") from exc
-    a = f_x - f_y @ gy_inv_gx
+    return f_x - f_y @ gy_inv_gx, gy_inv_gx
+
+
+def linearize(model: SystemModel, eq: SystemState, eps: float = 1e-6) -> LinearModel:
+    """Reduced state matrix at an equilibrium (algebraic variables eliminated)."""
+    a, _ = _reduction(model, eq, eps)
     return LinearModel(a_sys=a, state_labels=list(model.state_labels),
                        speed_indices=list(model.speed_indices))
 
@@ -176,51 +193,24 @@ def identify_frequency_mode(modes: list[Mode],
 # Output rows and geometric observability
 # ---------------------------------------------------------------------------
 
-def _measured_signals(model: SystemModel, x: np.ndarray,
-                      y_guess: np.ndarray) -> tuple[float, float]:
-    """Exact (rho, omega) in pu at the converter terminal bus.
-
-    The algebraic voltage derivative is recovered by implicit
-    differentiation of the network equations, y' = -g_y^{-1} g_x f, so
-    the signals are the true logarithmic-derivative quantities rather
-    than their filtered estimates.
-    """
-    if model.cig_bus is None:
-        raise ValueError("output rows require a converter (measurement point) in the model")
-    y = model.solve_algebraic(x, y_guess)
-    g_x = _fd_jacobian(lambda xx: model.g(xx, y), x)
-    g_y = _fd_jacobian(lambda yy: model.g(x, yy), y)
-    ydot = -np.linalg.solve(g_y, g_x @ model.f(x, y))
-    i, n = model.cig_bus, model.n_bus
-    v = y[i] + 1j * y[i + n]
-    vdot = ydot[i] + 1j * ydot[i + n]
-    eta = vdot / v
-    rho = eta.real / model.omega_base
-    omega = model.coi_speed(x) + eta.imag / model.omega_base
-    return rho, omega
-
-
 def _base_rows(model: SystemModel, eq: SystemState,
                eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """(c_rho, c_omega) by central differences over the state vector."""
-    x0, y0 = eq.x, eq.y
-    c_rho = np.empty(model.n_x)
-    c_omega = np.empty(model.n_x)
-    for i in range(model.n_x):
-        d = eps * (1.0 + abs(x0[i]))
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += d
-        xm[i] -= d
-        rp, wp = _measured_signals(model, xp, y0)
-        rm, wm = _measured_signals(model, xm, y0)
-        c_rho[i] = (rp - rm) / (2 * d)
-        c_omega[i] = (wp - wm) / (2 * d)
+    """(c_rho, c_omega) at the converter terminal bus, in closed form."""
+    if model.cig_bus is None:
+        raise ValueError("output rows require a converter (measurement point) in the model")
+    a, gy_inv_gx = _reduction(model, eq, eps)
+    i, n = model.cig_bus, model.n_bus
+    dydot = -gy_inv_gx[[i, i + n]] @ a
+    deta = (dydot[0] + 1j * dydot[1]) / (eq.y[i] + 1j * eq.y[i + n])
+    c_rho = deta.real / model.omega_base
+    c_omega = deta.imag / model.omega_base
+    c_omega[model.speed_indices] += model._coi_w
     return c_rho, c_omega
 
 
 def output_row(model: SystemModel, eq: SystemState, signal: str,
                k: float = 0.0, eps: float = 1e-6) -> np.ndarray:
-    """d(signal)/dx by central differences, re-solving the network each time."""
+    """d(signal)/dx at an equilibrium (see the module docstring)."""
     if signal not in ("rho", "omega", "omega_tilde"):
         raise ValueError(f"unknown signal {signal!r}")
     c_rho, c_omega = _base_rows(model, eq, eps)
@@ -245,17 +235,14 @@ def k_sweep(model: SystemModel, eq: SystemState, mode: Mode,
     """Observability ratio go(omega_tilde(K)) / go(omega) over a gain grid.
 
     Uses the linearity of the compensated signal: its output row is
-    c(omega) - K c(rho), so the two base rows are differentiated once.
+    c(omega) - K c(rho), so the two base rows are computed once.
     """
     c_rho, c_omega = _base_rows(model, eq)
     go_omega = geometric_observability(c_omega, mode)
     go_rho = geometric_observability(c_rho, mode)
     ratio = np.empty(len(k_grid))
     for i, k in enumerate(k_grid):
-        if k == 0.0:
-            ratio[i] = 1.0
-        else:
-            ratio[i] = geometric_observability(c_omega - k * c_rho, mode) / go_omega
+        ratio[i] = geometric_observability(c_omega - k * c_rho, mode) / go_omega
     report = ObservabilityReport(k_grid=np.asarray(k_grid, dtype=float), ratio=ratio)
     report.go["omega"] = go_omega
     report.go["rho"] = go_rho

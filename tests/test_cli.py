@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import gridfreq.cli
 from gridfreq.cli import (
     OUT_DIR_ENV,
     Scenario,
@@ -14,6 +15,7 @@ from gridfreq.cli import (
     main,
     render_svg,
 )
+from gridfreq.dae import StepError
 
 
 def run_cli(args, tmp_path, monkeypatch, env_out=None):
@@ -62,6 +64,35 @@ def test_scenario_rejects_bad_event(tmp_path):
         load_scenario(str(p), {})
 
 
+def test_scenario_digest_covers_overrides():
+    base = load_scenario(None, {})
+    assert load_scenario(None, {}).digest == base.digest
+    d1 = load_scenario(None, {"k": 1.0}).digest
+    d2 = load_scenario(None, {"k": 2.0}).digest
+    assert len({base.digest, d1, d2}) == 3
+    assert load_scenario(None, {"t_end": 2.0}).digest != base.digest
+
+
+def test_scenario_digest_same_from_file_or_flags(tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"k": 1, "t_end": 2, "h": 0.01, "out_dir": "elsewhere"}))
+    from_flags = load_scenario(None, {"k": 1.0, "t_end": 2.0, "h": 0.01})
+    assert load_scenario(str(p), {}).digest == from_flags.digest
+
+
+def test_scenario_digest_covers_events(tmp_path):
+    def digest(events):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"events": events}))
+        return load_scenario(str(p), {}).digest
+
+    ev = {"t": 1.0, "type": "load_scale", "bus": 5, "factor": 0.5}
+    digests = {digest([]), digest([ev]), digest([{**ev, "t": 1.5}]),
+               digest([{"t": 1.0, "type": "fault_off", "bus": 5}])}
+    assert len(digests) == 4
+    assert digest([]) == load_scenario(None, {}).digest
+
+
 def test_scenario_bundled_case_loads():
     assert Scenario(case="wscc9").load_case().network.n_bus == 9
 
@@ -76,6 +107,7 @@ def test_pf_writes_nine_rows(tmp_path, monkeypatch):
     assert len(rows) == 10  # header + 9 buses
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["command"] == "pf"
+    assert man["scenario_sha256"] == load_scenario(None, {}).digest
     assert man["max_mismatch"] <= 1e-10
 
 
@@ -109,6 +141,16 @@ def test_run_is_deterministic(tmp_path, monkeypatch):
     csv_a = (tmp_path / "a" / "timeseries.csv").read_bytes()
     csv_b = (tmp_path / "b" / "timeseries.csv").read_bytes()
     assert csv_a == csv_b
+
+
+def test_run_step_error_exits_2(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise StepError("Newton failed at t=1.0000s with h=0.02s")
+
+    monkeypatch.setattr(gridfreq.cli, "simulate", fail)
+    rc = run_cli(["run", "--t-end", "1.0"], tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: Newton failed at t=1.0000s")
 
 
 def test_run_empty_horizon_fails(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 from gridfreq.casefile import load_bundled_case
 from gridfreq.dae import (
     Event,
+    StepError,
     SystemState,
     TrapezoidalIntegrator,
     build_system,
@@ -118,7 +119,8 @@ def test_event_changes_loads_and_resolves_network(case):
     model, st = build_system(case, "cig_omega_tilde")
     ev = [Event(0.5, LoadScale(bus=5, factor=0.5))]
     ts = simulate(model, st, ev, t_end=3.0, h=0.01, output_dt=0.01)
-    assert model.net.bus(5).p_load == pytest.approx(0.625)
+    # the event acted on a copy: the caller's model keeps its network
+    assert model.net.bus(5).p_load == pytest.approx(1.25)
     w = ts["omega_coi"]
     assert w[0] == pytest.approx(1.0, abs=1e-10)
     assert np.max(w) > 1.001  # load loss drives overfrequency
@@ -138,10 +140,8 @@ def test_output_grid_is_uniform(case):
 def test_timeseries_csv_roundtrip_and_determinism(case):
     model, st = build_system(case, "cig_omega_tilde")
     ev = [Event(0.2, LoadScale(bus=5, factor=0.8))]
-    a = simulate(model, st.copy(), ev, t_end=1.0, h=0.02, output_dt=0.1).to_csv()
-    # event mutated model.net; rebuild for a clean repeat
-    model2, st2 = build_system(case, "cig_omega_tilde")
-    b = simulate(model2, st2, ev, t_end=1.0, h=0.02, output_dt=0.1).to_csv()
+    a = simulate(model, st, ev, t_end=1.0, h=0.02, output_dt=0.1).to_csv()
+    b = simulate(model, st, ev, t_end=1.0, h=0.02, output_dt=0.1).to_csv()
     assert a == b
     header = a.splitlines()[0].split(",")
     assert header[0] == "t"
@@ -158,3 +158,19 @@ def test_ringdown_decays_to_new_equilibrium(case):
     # settled: last two samples essentially equal and above nominal
     assert abs(w[-1] - w[-2]) < 1e-7
     assert w[-1] > 1.0
+
+
+def test_failed_event_resolve_names_the_event_and_restores_network(case, monkeypatch):
+    model, st = build_system(case, "no_cig")
+    net0 = model.net
+
+    def stall(x, y):
+        raise StepError("algebraic solve stalled, residual 1.0e+00")
+
+    monkeypatch.setattr(model, "solve_algebraic", stall)
+    ev = [Event(0.3, LoadScale(bus=5, factor=0.5))]
+    with pytest.raises(StepError, match=r"event at t=0\.3s.*stalled"):
+        simulate(model, st, ev, t_end=1.0, h=0.02)
+    assert model.net is net0
+    r = model.g(st.x, st.y)
+    assert np.max(np.abs(r)) < 1e-10  # Ybus and loads are the pre-event ones

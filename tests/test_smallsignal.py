@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridfreq.casefile import load_bundled_case
-from gridfreq.dae import SystemState, build_system
+from gridfreq.dae import SystemState, _fd_jacobian, build_system
 from gridfreq.smallsignal import (
     LinearModel,
     Mode,
@@ -212,3 +212,65 @@ def test_k_sweep_properties(wscc, wscc_mode):
     assert np.max(np.abs(np.diff(rep.ratio))) < 0.05  # smooth in K
     assert rep.go["omega"] > 0.0
     assert rep.go["omega_tilde_k1"] > rep.go["omega"]
+
+
+# ---------------------------------------------------------------------------
+# closed-form output rows against a nested finite-difference reference
+# ---------------------------------------------------------------------------
+
+def _fd_measured_signals(model, x, y_guess):
+    """(rho, omega) at the converter bus for state x: the network is
+    re-solved and ydot = -g_y^{-1} g_x f recovered with FD Jacobians."""
+    y = model.solve_algebraic(x, y_guess)
+    g_x = _fd_jacobian(lambda xx: model.g(xx, y), x)
+    g_y = _fd_jacobian(lambda yy: model.g(x, yy), y)
+    ydot = -np.linalg.solve(g_y, g_x @ model.f(x, y))
+    i, n = model.cig_bus, model.n_bus
+    eta = (ydot[i] + 1j * ydot[i + n]) / (y[i] + 1j * y[i + n])
+    return eta.real / model.omega_base, model.coi_speed(x) + eta.imag / model.omega_base
+
+
+def _fd_rows(model, eq, eps=1e-6):
+    """(c_rho, c_omega) by central differences of the measured signals."""
+    c_rho = np.empty(model.n_x)
+    c_omega = np.empty(model.n_x)
+    for i in range(model.n_x):
+        d = eps * (1.0 + abs(eq.x[i]))
+        xp, xm = eq.x.copy(), eq.x.copy()
+        xp[i] += d
+        xm[i] -= d
+        rp, wp = _fd_measured_signals(model, xp, eq.y)
+        rm, wm = _fd_measured_signals(model, xm, eq.y)
+        c_rho[i] = (rp - rm) / (2 * d)
+        c_omega[i] = (wp - wm) / (2 * d)
+    return c_rho, c_omega
+
+
+@pytest.mark.parametrize("bus5_scale", [1.0, 1.15])
+def test_output_rows_match_finite_difference_reference(bus5_scale):
+    case = load_bundled_case()
+    bus = case.network.bus(5)
+    bus.p_load *= bus5_scale
+    bus.q_load *= bus5_scale
+    model, st = build_system(case, "cig_omega_tilde", freq_loop=False)
+    ref_rho, ref_omega = _fd_rows(model, st)
+    assert np.max(np.abs(output_row(model, st, "rho") - ref_rho)) < 1e-6
+    assert np.max(np.abs(output_row(model, st, "omega") - ref_omega)) < 1e-6
+
+
+def test_output_rows_reject_non_equilibrium(wscc, wscc_mode):
+    model, st = wscc
+    off = SystemState(x=st.x.copy(), y=st.y.copy(), t=0.0)
+    off.x[1] += 1e-3
+    with pytest.raises(ValueError, match="not an equilibrium"):
+        output_row(model, off, "omega")
+    with pytest.raises(ValueError, match="not an equilibrium"):
+        k_sweep(model, off, wscc_mode, np.array([0.0, 1.0]))
+
+
+def test_output_rows_require_a_converter(wscc_mode):
+    model, st = build_system(load_bundled_case(), "no_cig")
+    with pytest.raises(ValueError, match="require a converter"):
+        output_row(model, st, "rho")
+    with pytest.raises(ValueError, match="require a converter"):
+        k_sweep(model, st, wscc_mode, np.array([0.0, 1.0]))
