@@ -18,10 +18,8 @@ from .dae import (
     SystemModel,
     SystemState,
     TimeSeries,
-    assemble,
     build_system,
     simulate,
-    step_trapezoidal,
 )
 from .machines import coi_frequency, initialize_sm, sm_current_injection, sm_derivatives
 from .network import (

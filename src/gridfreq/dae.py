@@ -202,71 +202,72 @@ class SystemModel:
     def _cig_state(self, x: np.ndarray) -> cigmod.CIGState:
         return cigmod.CIGState.from_array(x[_SM_N * len(self.machines):])
 
-    def f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def residual(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                              dict[str, float]]:
+        """Every device and the network evaluated once at (x, y).
+
+        Returns (f, g, outputs): the state derivatives f; the nodal current
+        balance g = I_inj(x, y) - I_load(y) - Ybus V; and the converter's
+        measured signals omega_est, rho_est and omega_tilde (the
+        frequency-loop input) with its power output p_cig, q_cig, empty
+        without a converter.
+        """
         v = self.voltages(y)
         wcoi = self.coi_speed(x)
-        d_m, _ = self._machine_block(x, v, wcoi)
-        if not self.cig:
-            return d_m
-        st = self._cig_state(x)
-        vb = v[self.cig_bus]
-        d_c, _, _ = cigmod.cig_derivatives(st, ParkVector(vb.real, vb.imag),
-                                           self.cig.params, self.omega_base,
-                                           omega_frame=wcoi)
-        return np.concatenate([d_m, d_c])
-
-    def injections(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        wcoi = self.coi_speed(x)
-        _, inj_m = self._machine_block(x, v, wcoi)
+        f, inj_m = self._machine_block(x, v, wcoi)
         inj = np.zeros(self.n_bus, dtype=complex)
         np.add.at(inj, self.mach_bus, inj_m)
+        outputs: dict[str, float] = {}
         if self.cig:
-            st = self._cig_state(x)
             vb = v[self.cig_bus]
-            _, inj_c, _ = cigmod.cig_derivatives(st, ParkVector(vb.real, vb.imag),
-                                                 self.cig.params, self.omega_base,
-                                                 omega_frame=wcoi)
+            d_c, inj_c, sig = cigmod.cig_derivatives(
+                self._cig_state(x), ParkVector(vb.real, vb.imag), self.cig.params,
+                self.omega_base, omega_frame=wcoi)
+            f = np.concatenate([f, d_c])
             inj[self.cig_bus] += inj_c
-        return inj
+            s = vb * np.conj(inj_c)
+            outputs = {"omega_est": sig["omega_est"], "rho_est": sig["rho_est"],
+                       "omega_tilde": sig["signal"], "p_cig": s.real, "q_cig": s.imag}
+        i_bal = inj - np.conj(self.s_load / v) - self.ybus @ v
+        return f, np.concatenate([i_bal.real, i_bal.imag]), outputs
+
+    def f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Differential residual: the f part of `residual`."""
+        return self.residual(x, y)[0]
 
     def g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Nodal current balance I_inj(x, y) - I_load(y) - Ybus V = 0."""
-        v = self.voltages(y)
-        i_bal = self.injections(x, v) - np.conj(self.s_load / v) - self.ybus @ v
-        return np.concatenate([i_bal.real, i_bal.imag])
-
-    def cig_outputs(self, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
-        if not self.cig:
-            return {}
-        v = self.voltages(y)
-        st = self._cig_state(x)
-        vb = v[self.cig_bus]
-        wcoi = self.coi_speed(x)
-        _, inj, out = cigmod.cig_derivatives(st, ParkVector(vb.real, vb.imag),
-                                             self.cig.params, self.omega_base,
-                                             omega_frame=wcoi)
-        s = vb * np.conj(inj)
-        out = dict(out)
-        out["p_cig"] = s.real
-        out["q_cig"] = s.imag
-        return out
+        """Algebraic residual (nodal current balance): the g part of `residual`."""
+        return self.residual(x, y)[1]
 
     # -- algebraic solve ---------------------------------------------------
 
     def solve_algebraic(self, x: np.ndarray, y0: np.ndarray,
                         tol: float = 1e-10, max_iter: int = 30) -> np.ndarray:
-        """Newton on g(x, y) = 0 for fixed x, starting from y0."""
+        """Newton on g(x, y) = 0 for fixed x, starting from y0.
+
+        Raises StepError when Newton stalls or meets a non-finite residual.
+        """
         y = y0.copy()
-        for _ in range(max_iter):
+        with np.errstate(all="ignore"):
+            for _ in range(max_iter):
+                r = self.g(x, y)
+                worst = np.max(np.abs(r))
+                if worst < tol:
+                    return y
+                if not np.isfinite(worst):
+                    raise StepError("algebraic solve met a non-finite residual")
+                jac = _fd_jacobian(lambda yy: self.g(x, yy), y)
+                y = y - np.linalg.solve(jac, r)
             r = self.g(x, y)
-            if np.max(np.abs(r)) < tol:
-                return y
-            jac = _fd_jacobian(lambda yy: self.g(x, yy), y)
-            y = y - np.linalg.solve(jac, r)
-        r = self.g(x, y)
         if np.max(np.abs(r)) < 1e-6:
             return y
         raise StepError(f"algebraic solve stalled, residual {np.max(np.abs(r)):.3e}")
+
+
+def _stacked_residual(model: SystemModel, z: np.ndarray) -> np.ndarray:
+    """[f; g] at z = [x; y]."""
+    f, g, _ = model.residual(z[: model.n_x], z[model.n_x:])
+    return np.concatenate([f, g])
 
 
 def _fd_jacobian(fun, z0: np.ndarray, eps_rel: float = 1e-7) -> np.ndarray:
@@ -283,12 +284,6 @@ def _fd_jacobian(fun, z0: np.ndarray, eps_rel: float = 1e-7) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Assembly from a parsed case
 # ---------------------------------------------------------------------------
-
-def assemble(net: Network, machines: list[MachineSpec],
-             cig: CIGSpec | None = None) -> SystemModel:
-    """Build the coupled DAE model; devices must be initialized separately."""
-    return SystemModel(net, machines, cig)
-
 
 def build_system(case: Case, control: str = "no_cig",
                  k: float | None = None, freq_loop: bool = True,
@@ -375,7 +370,14 @@ def build_system(case: Case, control: str = "no_cig",
 # ---------------------------------------------------------------------------
 
 class TrapezoidalIntegrator:
-    """Implicit trapezoidal stepper with a cached finite-difference Jacobian."""
+    """Implicit trapezoidal stepper with a cached finite-difference Jacobian.
+
+    Each Newton iterate costs one `SystemModel.residual` pass.  The f of
+    the last accepted point is kept and reused as the next step's f0 when
+    the step starts from the same values of (x, y).  Call `invalidate()`
+    whenever anything other than (x, y) changes what the model returns
+    (network, set points, device parameters): it drops both caches.
+    """
 
     def __init__(self, model: SystemModel, tol: float = 1e-8, max_iter: int = 8):
         self.model = model
@@ -383,18 +385,21 @@ class TrapezoidalIntegrator:
         self.max_iter = max_iter
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
         self._lu = {}          # h -> LU factors of the step Jacobian
+        self._f_last = None    # (bytes of [x; y], f there): last step start or accepted point
 
     def invalidate(self) -> None:
         self._jfull = None
         self._lu.clear()
+        self._f_last = None
 
     def _factor(self, z: np.ndarray, h: float):
+        """LU factors of the step Jacobian, or None if d[f; g]/d[x; y] is not finite."""
         m = self.model
         if self._jfull is None:
-            def fg(zz):
-                return np.concatenate([m.f(zz[:m.n_x], zz[m.n_x:]),
-                                       m.g(zz[:m.n_x], zz[m.n_x:])])
-            self._jfull = _fd_jacobian(fg, z)
+            jfull = _fd_jacobian(lambda zz: _stacked_residual(m, zz), z)
+            if not np.isfinite(jfull).all():
+                return None
+            self._jfull = jfull
             self._lu.clear()
         if h not in self._lu:
             jac = np.vstack([-0.5 * h * self._jfull[: m.n_x], self._jfull[m.n_x:]])
@@ -402,42 +407,61 @@ class TrapezoidalIntegrator:
             self._lu[h] = scipy.linalg.lu_factor(jac)
         return self._lu[h]
 
-    def step(self, state: SystemState, h: float, _depth: int = 0) -> SystemState:
-        if h <= 0.0:
-            raise ValueError("step size must be positive")
+    def _f_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        key = x.tobytes() + y.tobytes()
+        if self._f_last is None or self._f_last[0] != key:
+            self._f_last = (key, self.model.f(x, y))
+        return self._f_last[1]
+
+    def _newton(self, state: SystemState, h: float) -> np.ndarray | None:
+        """[x; y] at t + h, or None when Newton fails.
+
+        A non-finite iterate, residual or Jacobian is a failure, as is a
+        residual still above tol after one Jacobian refresh.
+        """
         m = self.model
         x0, y0 = state.x, state.y
-        f0 = m.f(x0, y0)
+        f0 = self._f_at(x0, y0)
         base = x0 + 0.5 * h * f0
         z = np.concatenate([x0 + h * f0, y0])
-
-        def residual(z):
-            x, y = z[: m.n_x], z[m.n_x:]
-            return np.concatenate([x - base - 0.5 * h * m.f(x, y), m.g(x, y)])
-
-        for attempt in range(2):
+        for _ in range(2):
             lu = self._factor(z, h)
-            for _ in range(self.max_iter):
-                r = residual(z)
-                if np.max(np.abs(r)) < self.tol:
-                    return SystemState(x=z[: m.n_x], y=z[m.n_x:], t=state.t + h)
-                z = z - scipy.linalg.lu_solve(lu, r)
-            if np.max(np.abs(residual(z))) < self.tol:
-                return SystemState(x=z[: m.n_x], y=z[m.n_x:], t=state.t + h)
+            if lu is None:
+                return None
+            for it in range(self.max_iter + 1):
+                if not np.isfinite(z).all():
+                    return None
+                x, y = z[: m.n_x], z[m.n_x:]
+                f, g, _ = m.residual(x, y)
+                r = np.concatenate([x - base - 0.5 * h * f, g])
+                worst = np.max(np.abs(r))
+                if worst < self.tol:
+                    self._f_last = (z.tobytes(), f)
+                    return z
+                if not np.isfinite(worst):
+                    return None
+                if it < self.max_iter:
+                    z = z - scipy.linalg.lu_solve(lu, r)
             # refresh the Jacobian at the current iterate and retry once
-            self.invalidate()
-            self._factor(z, h)
+            self._jfull = None
+            if self._factor(z, h) is None:
+                return None
+        return None
 
+    def step(self, state: SystemState, h: float, _depth: int = 0) -> SystemState:
+        """state advanced by h; Newton failures halve the step, up to 4 times."""
+        if h <= 0.0:
+            raise ValueError("step size must be positive")
+        with np.errstate(all="ignore"):
+            z = self._newton(state, h)
+        if z is not None:
+            n_x = self.model.n_x
+            return SystemState(x=z[:n_x], y=z[n_x:], t=state.t + h)
         if _depth >= 4:
             raise StepError(f"Newton failed at t={state.t:.4f}s with h={h:.4g}s "
                             "after 4 halvings")
         half = self.step(state, 0.5 * h, _depth + 1)
         return self.step(half, 0.5 * h, _depth + 1)
-
-
-def step_trapezoidal(model: SystemModel, state: SystemState, h: float) -> SystemState:
-    """One trapezoidal step with a freshly built Jacobian (convenience form)."""
-    return TrapezoidalIntegrator(model).step(state, h)
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +477,31 @@ def _default_channels(model: SystemModel) -> list[str]:
     return ch
 
 
-def record(model: SystemModel, state: SystemState) -> dict[str, float]:
-    """All recordable channel values at one state."""
-    out: dict[str, float] = {"omega_coi": model.coi_speed(state.x)}
-    for i, idx in enumerate(model.speed_indices):
-        out[f"omega_sm{i+1}"] = float(state.x[idx])
-    v = model.voltages(state.y)
-    for b, vb in zip(model.net.buses, v):
-        out[f"v_bus{b.id}"] = float(abs(vb))
-    if model.cig:
-        c = model.cig_outputs(state.x, state.y)
-        out["p_cig"] = c["p_cig"]
-        out["q_cig"] = c["q_cig"]
-        out["omega_est"] = c["omega_est"]
-        out["rho_est"] = c["rho_est"]
-        out["omega_tilde"] = c["signal"]
+def record(model: SystemModel, state: SystemState,
+           channels: list[str] | None = None) -> dict[str, float]:
+    """Values of the named channels (default: every recordable one) at one state.
+
+    Only the requested channels are computed; the converter channels take
+    a residual pass, so a run that records none of them never evaluates
+    the converter here.
+    """
+    if channels is None:
+        channels = _default_channels(model)
+    out: dict[str, float] = {}
+    v = outputs = None
+    for name in channels:
+        if name == "omega_coi":
+            out[name] = model.coi_speed(state.x)
+        elif name.startswith("omega_sm"):
+            out[name] = float(state.x[model.speed_indices[int(name[8:]) - 1]])
+        elif name.startswith("v_bus"):
+            if v is None:
+                v = model.voltages(state.y)
+            out[name] = float(abs(v[model.net.bus_index(int(name[5:]))]))
+        else:
+            if outputs is None:
+                outputs = model.residual(state.x, state.y)[2]
+            out[name] = outputs[name]
     return out
 
 
@@ -480,12 +514,17 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     the post-event copy, the algebraic variables are re-solved with the
     differential states frozen, and integration resumes.  The caller's
     model gets its pre-event network back when the run ends, however it
-    ends.  Channels default to every recordable trace.
+    ends.  Channels default to every recordable trace; only the requested
+    ones are computed.
     """
     if t_end <= state0.t:
         raise ValueError("empty simulation horizon")
+    known = _default_channels(model)
     if channels is None:
-        channels = _default_channels(model)
+        channels = known
+    unknown = [c for c in channels if c not in known]
+    if unknown:
+        raise ValueError(f"unknown channels {unknown}; recordable: {known}")
 
     events = sorted(events, key=lambda e: e.time)
     for ev in events:
@@ -496,7 +535,7 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     state = state0.copy()
     t0 = state.t
     times = [state.t]
-    rows = [record(model, state)]
+    rows = [record(model, state, channels)]
     n_out = 1
     pending = list(events)
     eps = 1e-9
@@ -523,7 +562,7 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
                                     f"t={ev.time:g}s failed: {exc}") from exc
             if abs(state.t - (t0 + n_out * output_dt)) <= eps or state.t >= t_end - eps:
                 times.append(state.t)
-                rows.append(record(model, state))
+                rows.append(record(model, state, channels))
                 n_out += 1
     finally:
         if model.net is not net0:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dae import SystemModel, SystemState
+from .dae import SystemModel, SystemState, _stacked_residual
 
 
 class ModeIdentificationError(RuntimeError):
@@ -77,35 +77,23 @@ class ObservabilityReport:
 # ---------------------------------------------------------------------------
 
 def _check_equilibrium(model: SystemModel, eq: SystemState, tol: float = 1e-8) -> None:
-    r = np.concatenate([model.f(eq.x, eq.y), model.g(eq.x, eq.y)])
-    worst = np.max(np.abs(r))
+    worst = np.max(np.abs(_stacked_residual(model, np.concatenate([eq.x, eq.y]))))
     if worst > tol:
         raise ValueError(f"not an equilibrium: residual {worst:.3e} > {tol:g}")
 
 
 def _central_jacobians(model: SystemModel, eq: SystemState, eps: float):
-    """(f_x, f_y, g_x, g_y) by central finite differences."""
-    x0, y0 = eq.x, eq.y
-    n_x, n_y = model.n_x, model.n_y
-    f_x = np.empty((n_x, n_x))
-    g_x = np.empty((n_y, n_x))
-    for i in range(n_x):
-        d = eps * (1.0 + abs(x0[i]))
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += d
-        xm[i] -= d
-        f_x[:, i] = (model.f(xp, y0) - model.f(xm, y0)) / (2 * d)
-        g_x[:, i] = (model.g(xp, y0) - model.g(xm, y0)) / (2 * d)
-    f_y = np.empty((n_x, n_y))
-    g_y = np.empty((n_y, n_y))
-    for i in range(n_y):
-        d = eps * (1.0 + abs(y0[i]))
-        yp, ym = y0.copy(), y0.copy()
-        yp[i] += d
-        ym[i] -= d
-        f_y[:, i] = (model.f(x0, yp) - model.f(x0, ym)) / (2 * d)
-        g_y[:, i] = (model.g(x0, yp) - model.g(x0, ym)) / (2 * d)
-    return f_x, f_y, g_x, g_y
+    """(f_x, f_y, g_x, g_y) by central finite differences, one residual pass per side."""
+    z0 = np.concatenate([eq.x, eq.y])
+    jac = np.empty((z0.size, z0.size))
+    for i in range(z0.size):
+        d = eps * (1.0 + abs(z0[i]))
+        zp, zm = z0.copy(), z0.copy()
+        zp[i] += d
+        zm[i] -= d
+        jac[:, i] = (_stacked_residual(model, zp) - _stacked_residual(model, zm)) / (2 * d)
+    n_x = model.n_x
+    return jac[:n_x, :n_x], jac[:n_x, n_x:], jac[n_x:, :n_x], jac[n_x:, n_x:]
 
 
 def _reduction(model: SystemModel, eq: SystemState,

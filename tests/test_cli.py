@@ -153,6 +153,16 @@ def test_run_step_error_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: Newton failed at t=1.0000s")
 
 
+def test_run_double_load_step_exits_2(tmp_path, monkeypatch, capsys):
+    sc = tmp_path / "s.json"
+    sc.write_text(json.dumps({
+        "control": "no_cig", "t_end": 3.0, "h": 0.005, "output_dt": 0.005,
+        "events": [{"t": 1.0, "type": "load_scale", "bus": 5, "factor": 2.0}]}))
+    rc = run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: Newton failed at t=")
+
+
 def test_run_empty_horizon_fails(tmp_path, monkeypatch, capsys):
     rc = run_cli(["run", "--t-end", "0.0"], tmp_path, monkeypatch)
     assert rc != 0

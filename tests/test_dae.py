@@ -1,19 +1,23 @@
 """Tests for DAE assembly, initialization, and trapezoidal integration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import gridfreq.cig
 from gridfreq.casefile import load_bundled_case
 from gridfreq.dae import (
     Event,
     StepError,
+    SystemModel,
     SystemState,
     TrapezoidalIntegrator,
     build_system,
+    record,
     simulate,
-    step_trapezoidal,
 )
-from gridfreq.network import LoadScale
+from gridfreq.network import LoadScale, apply_event
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +49,7 @@ def test_build_system_synthesizes_converter_terminal(case):
 
 def test_build_system_moves_dispatch_to_converter(case):
     model, st = build_system(case, "cig_omega")
-    out = model.cig_outputs(st.x, st.y)
+    _, _, out = model.residual(st.x, st.y)
     assert out["p_cig"] == pytest.approx(1.0, abs=1e-6)  # 100 MW
     # unit 2 backed off by the converter dispatch
     assert model.net.bus(2).p_gen == pytest.approx(0.63)
@@ -103,7 +107,7 @@ def test_single_step_accuracy_against_reference(case):
 def test_step_rejects_bad_stepsize(case):
     model, st = build_system(case, "no_cig")
     with pytest.raises(ValueError):
-        step_trapezoidal(model, st, -0.1)
+        TrapezoidalIntegrator(model).step(st, -0.1)
 
 
 def test_simulate_validates_horizon_and_events(case):
@@ -113,6 +117,8 @@ def test_simulate_validates_horizon_and_events(case):
     ev = [Event(99.0, LoadScale(bus=5, factor=0.5))]
     with pytest.raises(ValueError):
         simulate(model, st, ev, t_end=10.0)
+    with pytest.raises(ValueError, match="unknown channels"):
+        simulate(model, st, [], t_end=0.1, h=0.02, channels=["omega_coi", "p_cig"])
 
 
 def test_event_changes_loads_and_resolves_network(case):
@@ -174,3 +180,120 @@ def test_failed_event_resolve_names_the_event_and_restores_network(case, monkeyp
     assert model.net is net0
     r = model.g(st.x, st.y)
     assert np.max(np.abs(r)) < 1e-10  # Ybus and loads are the pre-event ones
+
+
+# ---------------------------------------------------------------------------
+# One residual pass per Newton iterate
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count machine-block and converter evaluations while a test runs."""
+    counts = {"machines": 0, "cig": 0}
+    block = SystemModel._machine_block
+    derivs = gridfreq.cig.cig_derivatives
+
+    def counted_block(self, *args):
+        counts["machines"] += 1
+        return block(self, *args)
+
+    def counted_derivs(*args, **kwargs):
+        counts["cig"] += 1
+        return derivs(*args, **kwargs)
+
+    monkeypatch.setattr(SystemModel, "_machine_block", counted_block)
+    monkeypatch.setattr(gridfreq.cig, "cig_derivatives", counted_derivs)
+    return counts
+
+
+def test_load_loss_evaluates_each_device_at_most_five_times_per_step(case, call_counts):
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    h, t_end = 0.005, 2.0
+    call_counts.update(machines=0, cig=0)
+    simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))],
+             t_end=t_end, h=h, output_dt=h, channels=["omega_coi"])
+    steps = round(t_end / h)
+    assert call_counts["machines"] <= 5 * steps
+    assert call_counts["cig"] <= 5 * steps
+
+
+def test_f_and_g_are_the_parts_of_residual(case):
+    model, st = build_system(case, "cig_omega_tilde")
+    x, y = st.x.copy(), st.y.copy()
+    x[1] += 1e-3  # off the equilibrium, so f and g are nonzero
+    y[3] -= 1e-3
+    f, g, outputs = model.residual(x, y)
+    assert np.array_equal(model.f(x, y), f)
+    assert np.array_equal(model.g(x, y), g)
+    assert sorted(outputs) == ["omega_est", "omega_tilde", "p_cig", "q_cig", "rho_est"]
+    assert model.residual(x, y)[2] == outputs
+
+
+def test_record_computes_only_requested_channels(case, call_counts):
+    model, st = build_system(case, "cig_omega_tilde")
+    call_counts.update(machines=0, cig=0)
+    assert list(record(model, st, ["omega_coi"])) == ["omega_coi"]
+    assert call_counts["cig"] == 0
+    full = record(model, st)
+    assert call_counts["cig"] == 1
+    assert full["p_cig"] == model.residual(st.x, st.y)[2]["p_cig"]
+    assert record(model, st, ["v_bus7", "omega_sm2"]) == {
+        "v_bus7": full["v_bus7"], "omega_sm2": full["omega_sm2"]}
+
+
+# ---------------------------------------------------------------------------
+# The reused f0 never goes stale
+# ---------------------------------------------------------------------------
+
+def test_f0_reuse_follows_in_place_state_changes(case):
+    model, st = build_system(case, "cig_omega_tilde")
+    h = 0.01
+    integ, twin = TrapezoidalIntegrator(model), TrapezoidalIntegrator(model)
+    s1 = integ.step(st, h)
+    s1_twin = twin.step(st, h).copy()  # same Jacobian, new arrays
+    s1.x[1] += 0.01                    # in place, in the arrays the step returned
+    s1_twin.x[1] += 0.01
+    a, b = integ.step(s1, h), twin.step(s1_twin, h)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+def test_f0_reuse_is_dropped_by_invalidate(case):
+    model, st = build_system(case, "cig_omega_tilde")
+    h = 0.01
+    integ = TrapezoidalIntegrator(model)
+    s1 = integ.step(st, h)
+    # same (x, y), different model: network and governor set point
+    model.set_network(apply_event(model.net, LoadScale(bus=5, factor=0.9)))
+    model.machines[0].gov.p_ref += 0.05
+    model.refresh_setpoints()
+    integ.invalidate()
+    a = integ.step(s1, h)
+    b = TrapezoidalIntegrator(model).step(s1, h)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite residuals fail cleanly
+# ---------------------------------------------------------------------------
+
+def test_double_load_step_completes_or_raises_step_error(case):
+    """A x2 load at bus 5 drives Newton to non-finite iterates: those count
+    as Newton failures, so the run either completes or ends in a StepError
+    naming t and h, with no numpy warnings on the way."""
+    model, st = build_system(case, "no_cig")
+    ev = [Event(1.0, LoadScale(bus=5, factor=2.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ts = simulate(model, st, ev, t_end=3.0, h=0.005, output_dt=0.005)
+        except StepError as exc:
+            assert "t=" in str(exc) and "h=" in str(exc)
+        else:
+            assert np.all(np.isfinite(ts["omega_coi"]))
+
+
+def test_solve_algebraic_non_finite_residual_is_a_step_error(case):
+    model, st = build_system(case, "no_cig")
+    with warnings.catch_warnings(), pytest.raises(StepError, match="non-finite"):
+        warnings.simplefilter("error")
+        model.solve_algebraic(st.x, np.full_like(st.y, np.nan))

@@ -31,11 +31,8 @@ class LinearToy:
         self.state_labels = ["x1", "x2"]
         self.speed_indices = [0]
 
-    def f(self, x, y):
-        return self.A @ x + self.B @ y
-
-    def g(self, x, y):
-        return self.C @ x + self.D @ y
+    def residual(self, x, y):
+        return self.A @ x + self.B @ y, self.C @ x + self.D @ y, {}
 
     def reduced(self):
         return self.A - self.B @ np.linalg.solve(self.D, self.C)
