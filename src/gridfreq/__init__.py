@@ -21,7 +21,7 @@ from .dae import (
     build_system,
     simulate,
 )
-from .machines import coi_frequency, initialize_sm, sm_current_injection, sm_derivatives
+from .machines import coi_weights, initialize_sm, sm_kernel
 from .network import (
     Branch,
     Bus,

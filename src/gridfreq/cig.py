@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_frequency import ParkVector
 from .machines import InitializationError
 
 
@@ -32,18 +31,6 @@ from .machines import InitializationError
 class PLLParams:
     kp: float = 20.0
     ki: float = 150.0
-
-
-@dataclass
-class PLLState:
-    theta: float = 0.0  # tracked phase, rad (network frame)
-    xi: float = 0.0     # PI integrator, pu speed deviation
-
-
-@dataclass
-class RhoEstimatorState:
-    z: float = 0.0      # low-passed ln|v|
-    t_f: float = 0.02   # washout time constant, s
 
 
 @dataclass
@@ -88,43 +75,42 @@ class CIGState:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in STATE_NAMES])
 
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "CIGState":
-        return cls(*(float(v) for v in x))
-
 
 # ---------------------------------------------------------------------------
-# Component operations
+# Component operations, on floats: states and the bus voltage components
+# (vd, vq) with its magnitude vmag, in the frame the network uses
 # ---------------------------------------------------------------------------
 
-def pll_error(st: PLLState, vbus: ParkVector) -> float:
+def pll_error(theta: float, vd: float, vq: float, vmag: float) -> float:
     """Normalized q-axis voltage in the PLL frame (zero when locked)."""
-    v = vbus.mag
-    if v == 0.0:
+    if vmag == 0.0:
         raise ValueError("PLL input voltage is zero")
-    return (-vbus.d * math.sin(st.theta) + vbus.q * math.cos(st.theta)) / v
+    return (-vd * math.sin(theta) + vq * math.cos(theta)) / vmag
 
 
-def pll_derivatives(st: PLLState, vbus: ParkVector, p: PLLParams,
-                    omega_base: float, omega_frame: float = 1.0):
+def pll_derivatives(theta: float, xi: float, vd: float, vq: float, vmag: float,
+                    p: PLLParams, omega_base: float, omega_frame: float = 1.0):
     """PLL state derivatives and outputs.
 
-    omega_frame is the rotation speed (pu) of the frame in which vbus is
-    expressed; the tracked angle advances at omega_est relative to it.
+    theta is the tracked phase (rad, network frame) and xi the PI
+    integrator (pu speed deviation).  omega_frame is the rotation speed
+    (pu) of the frame in which the voltage is expressed; the tracked
+    angle advances at omega_est relative to it.
     Returns ((d_theta, d_xi), omega_est).
     """
-    err = pll_error(st, vbus)
-    omega_est = 1.0 + p.kp * err + st.xi
+    err = pll_error(theta, vd, vq, vmag)
+    omega_est = 1.0 + p.kp * err + xi
     d_theta = omega_base * (omega_est - omega_frame)
     d_xi = p.ki * err
     return (d_theta, d_xi), omega_est
 
 
-def estimate_rho(st: RhoEstimatorState, v_mag: float):
-    """Washout s/(1+sT_f) applied to ln(v); returns (dz, rho_est in 1/s)."""
+def estimate_rho(z: float, t_f: float, v_mag: float):
+    """Washout s/(1+sT_f) applied to ln(v), with z the low-passed ln(v);
+    returns (dz, rho_est in 1/s)."""
     if v_mag <= 0.0:
         raise ValueError("rho estimator needs a positive voltage magnitude")
-    dz = (math.log(v_mag) - st.z) / st.t_f
+    dz = (math.log(v_mag) - z) / t_f
     return dz, dz
 
 
@@ -143,36 +129,36 @@ def limit_currents(id_ref: float, iq_ref: float, i_max: float) -> tuple[float, f
     return i_d, i_q
 
 
-def outer_loops(st: CIGState, vbus: ParkVector, params: CIGControlParams,
+def outer_loops(w_wash: float, x_v: float, vmag: float, params: CIGControlParams,
                 signal: float) -> tuple[float, float]:
     """Current references from the frequency and voltage outer loops.
 
-    signal is the frequency-loop input in pu (omega_est or the
-    compensated omega-tilde).  With the frequency loop disconnected the
-    active reference is just the power set point.
+    w_wash and x_v are the washout and voltage-PI states.  signal is the
+    frequency-loop input in pu (omega_est or the compensated
+    omega-tilde).  With the frequency loop disconnected the active
+    reference is just the power set point.
     """
-    vmag = vbus.mag
     p_cmd = params.p_ref
     if params.freq_loop:
         p_cmd -= (signal - 1.0) / params.r_droop
-        p_cmd -= params.k_w * (signal - st.w_wash) / params.t_w
-    q_cmd = params.kp_v * (params.v_ref - vmag) + st.x_v
+        p_cmd -= params.k_w * (signal - w_wash) / params.t_w
+    q_cmd = params.kp_v * (params.v_ref - vmag) + x_v
     id_ref = p_cmd / vmag
     iq_ref = -q_cmd / vmag
     return limit_currents(id_ref, iq_ref, params.i_max)
 
 
-def inner_loop_and_injection(st: CIGState, refs: tuple[float, float],
-                             params: CIGControlParams):
+def inner_loop_and_injection(i_d: float, i_q: float, theta: float,
+                             refs: tuple[float, float], params: CIGControlParams):
     """First-order current tracking; returns ((d_id, d_iq), injection).
 
-    The injection is the converter current rotated into the network
-    frame by the PLL angle.
+    The injection is the converter current (i_d, i_q) rotated into the
+    network frame by the PLL angle theta.
     """
     id_ref, iq_ref = refs
-    d_id = (id_ref - st.i_d) / params.t_i
-    d_iq = (iq_ref - st.i_q) / params.t_i
-    inj = complex(st.i_d, st.i_q) * cmath.exp(1j * st.theta_pll)
+    d_id = (id_ref - i_d) / params.t_i
+    d_iq = (iq_ref - i_q) / params.t_i
+    inj = complex(i_d, i_q) * cmath.exp(1j * theta)
     return (d_id, d_iq), inj
 
 
@@ -180,30 +166,31 @@ def inner_loop_and_injection(st: CIGState, refs: tuple[float, float],
 # Assembled device
 # ---------------------------------------------------------------------------
 
-def cig_derivatives(st: CIGState, vbus: ParkVector, params: CIGControlParams,
+def cig_derivatives(x, vd: float, vq: float, params: CIGControlParams,
                     omega_base: float, omega_frame: float = 1.0):
-    """Full 7-state derivative vector, injection, and measured signals.
+    """Derivatives of the 7 states, injection, and measured signals.
 
-    Returns (xdot, injection, outputs) where outputs is a dict with
-    omega_est, rho_est (pu) and the frequency-loop signal.
+    x holds the states as floats in STATE_NAMES order; vd + j vq is the
+    bus voltage in the frame rotating at omega_frame.  Returns (xdot,
+    injection, (omega_est, rho_est, signal)): xdot a list in STATE_NAMES
+    order, rho_est in pu and signal the frequency-loop input.
     """
-    pll_st = PLLState(theta=st.theta_pll, xi=st.xi_pll)
-    (d_theta, d_xi), omega_est = pll_derivatives(pll_st, vbus, params.pll,
+    theta, xi, z, w_wash, x_v, i_d, i_q = x
+    vmag = math.hypot(vd, vq)
+    (d_theta, d_xi), omega_est = pll_derivatives(theta, xi, vd, vq, vmag, params.pll,
                                                  omega_base, omega_frame)
-    rho_st = RhoEstimatorState(z=st.z_rho, t_f=params.t_f)
-    d_z, rho_per_s = estimate_rho(rho_st, vbus.mag)
+    d_z, rho_per_s = estimate_rho(z, params.t_f, vmag)
     rho_pu = rho_per_s / omega_base
     signal = modified_signal(omega_est, rho_pu, params.K)
 
-    d_w = (signal - st.w_wash) / params.t_w
-    d_xv = params.ki_v * (params.v_ref - vbus.mag)
+    d_w = (signal - w_wash) / params.t_w
+    d_xv = params.ki_v * (params.v_ref - vmag)
 
-    refs = outer_loops(st, vbus, params, signal)
-    (d_id, d_iq), inj = inner_loop_and_injection(st, refs, params)
+    refs = outer_loops(w_wash, x_v, vmag, params, signal)
+    (d_id, d_iq), inj = inner_loop_and_injection(i_d, i_q, theta, refs, params)
 
-    xdot = np.array([d_theta, d_xi, d_z, d_w, d_xv, d_id, d_iq])
-    outputs = {"omega_est": omega_est, "rho_est": rho_pu, "signal": signal}
-    return xdot, inj, outputs
+    xdot = [d_theta, d_xi, d_z, d_w, d_xv, d_id, d_iq]
+    return xdot, inj, (omega_est, rho_pu, signal)
 
 
 def initialize_cig(v_terminal: complex, params: CIGControlParams) -> CIGState:

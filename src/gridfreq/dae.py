@@ -22,7 +22,6 @@ import scipy.linalg
 from . import cig as cigmod
 from . import machines as smmod
 from .casefile import Case, CIGSpec, MachineSpec
-from .complex_frequency import ParkVector
 from .network import (Branch, Bus, EventAction, Network, apply_event,
                       build_ybus, solve_power_flow)
 
@@ -88,33 +87,10 @@ class SystemModel:
         self.omega_base = net.omega_base
 
         self.mach_bus = np.array([net.bus_index(m.bus) for m in machines])
+        self._mach_bus = self.mach_bus.tolist()
         self.cig_bus = net.bus_index(cig.bus) if cig else None
 
-        p = machines
-        self._H = np.array([m.params.H for m in p])
-        self._D = np.array([m.params.D for m in p])
-        self._ra = np.array([m.params.ra for m in p])
-        self._xd = np.array([m.params.xd for m in p])
-        self._xq = np.array([m.params.xq for m in p])
-        self._xd1 = np.array([m.params.xd1 for m in p])
-        self._xq1 = np.array([m.params.xq1 for m in p])
-        self._td01 = np.array([m.params.td01 for m in p])
-        self._tq01 = np.array([m.params.tq01 for m in p])
-        self._coi_w = np.array([m.params.H * m.params.s_rated for m in p])
-        self._coi_w = self._coi_w / self._coi_w.sum()
-        self._ka = np.array([m.avr.ka for m in p])
-        self._ta = np.array([m.avr.ta for m in p])
-        self._ke = np.array([m.avr.ke for m in p])
-        self._te = np.array([m.avr.te for m in p])
-        self._kf = np.array([m.avr.kf for m in p])
-        self._tf = np.array([m.avr.tf for m in p])
-        self._vr_min = np.array([m.avr.vr_min for m in p])
-        self._vr_max = np.array([m.avr.vr_max for m in p])
-        self._droop = np.array([m.gov.droop for m in p])
-        self._tsv = np.array([m.gov.t_sv for m in p])
-        self._tch = np.array([m.gov.t_ch for m in p])
-        self._p_min = np.array([m.gov.p_min for m in p])
-        self._p_max = np.array([m.gov.p_max for m in p])
+        self._coi_w = smmod.coi_weights([m.params for m in machines])
         self.refresh_setpoints()
         self._refresh_network_arrays()
 
@@ -129,8 +105,9 @@ class SystemModel:
     # -- network / setpoint refresh -------------------------------------
 
     def refresh_setpoints(self) -> None:
-        self._v_ref = np.array([m.avr.v_ref for m in self.machines])
-        self._p_ref = np.array([m.gov.p_ref for m in self.machines])
+        """Re-read the machine parameters and set points into the kernel tuples."""
+        self._sm_prm = [smmod.sm_kernel_params(m.params, m.avr, m.gov)
+                        for m in self.machines]
 
     def _refresh_network_arrays(self) -> None:
         self.ybus = build_ybus(self.net)
@@ -162,45 +139,18 @@ class SystemModel:
     # -- residuals ---------------------------------------------------------
 
     def _machine_block(self, x: np.ndarray, v: np.ndarray, omega_coi: float):
-        nm = len(self.machines)
-        xm = x[: _SM_N * nm].reshape(nm, _SM_N)
-        delta, omega, eq1, ed1, efd, rf, vr, psv, pm = xm.T
-
-        vb = v[self.mach_bus]
-        vmag = np.abs(vb)
-        th = np.angle(vb)
-        vd = vmag * np.sin(delta - th)
-        vq = vmag * np.cos(delta - th)
-        det = self._ra ** 2 + self._xd1 * self._xq1
-        ed = ed1 - vd
-        eq = eq1 - vq
-        i_d = (self._ra * ed + self._xq1 * eq) / det
-        i_q = (-self._xd1 * ed + self._ra * eq) / det
-        pe = ed1 * i_d + eq1 * i_q + (self._xq1 - self._xd1) * i_d * i_q
-
-        d = np.empty_like(xm)
-        d[:, 0] = self.omega_base * (omega - omega_coi)
-        d[:, 1] = (pm - pe - self._D * (omega - omega_coi)) / (2.0 * self._H)
-        d[:, 2] = (-eq1 - (self._xd - self._xd1) * i_d + efd) / self._td01
-        d[:, 3] = (-ed1 + (self._xq - self._xq1) * i_q) / self._tq01
-        d[:, 4] = (vr - self._ke * efd) / self._te
-        d[:, 5] = (-rf + (self._kf / self._tf) * efd) / self._tf
-        dvr = (-vr + self._ka * rf - (self._ka * self._kf / self._tf) * efd
-               + self._ka * (self._v_ref - vmag)) / self._ta
-        dvr = np.where((vr >= self._vr_max) & (dvr > 0), 0.0, dvr)
-        dvr = np.where((vr <= self._vr_min) & (dvr < 0), 0.0, dvr)
-        d[:, 6] = dvr
-        dpsv = (-psv + self._p_ref + (1.0 - omega) / self._droop) / self._tsv
-        dpsv = np.where((psv >= self._p_max) & (dpsv > 0), 0.0, dpsv)
-        dpsv = np.where((psv <= self._p_min) & (dpsv < 0), 0.0, dpsv)
-        d[:, 7] = dpsv
-        d[:, 8] = (psv - pm) / self._tch
-
-        inj = (i_d + 1j * i_q) * np.exp(1j * (delta - np.pi / 2.0))
-        return d.ravel(), inj
-
-    def _cig_state(self, x: np.ndarray) -> cigmod.CIGState:
-        return cigmod.CIGState.from_array(x[_SM_N * len(self.machines):])
+        """Machine derivatives (a list, machine-major) and the per-bus
+        injections (a list of n_bus complex, machines on one bus summed)."""
+        xs = x[: _SM_N * len(self.machines)].tolist()
+        vb = v[self.mach_bus].tolist()
+        f: list[float] = []
+        inj = [0j] * self.n_bus
+        for i, (bus, prm) in enumerate(zip(self._mach_bus, self._sm_prm)):
+            d, i_m = smmod.sm_kernel(xs[_SM_N * i: _SM_N * (i + 1)], vb[i], prm,
+                                     omega_coi, self.omega_base)
+            f += d
+            inj[bus] += i_m
+        return f, inj
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                               dict[str, float]]:
@@ -214,22 +164,20 @@ class SystemModel:
         """
         v = self.voltages(y)
         wcoi = self.coi_speed(x)
-        f, inj_m = self._machine_block(x, v, wcoi)
-        inj = np.zeros(self.n_bus, dtype=complex)
-        np.add.at(inj, self.mach_bus, inj_m)
+        f, inj = self._machine_block(x, v, wcoi)
         outputs: dict[str, float] = {}
         if self.cig:
-            vb = v[self.cig_bus]
-            d_c, inj_c, sig = cigmod.cig_derivatives(
-                self._cig_state(x), ParkVector(vb.real, vb.imag), self.cig.params,
-                self.omega_base, omega_frame=wcoi)
-            f = np.concatenate([f, d_c])
+            vb = complex(v[self.cig_bus])
+            d_c, inj_c, (w_est, rho, sig) = cigmod.cig_derivatives(
+                x[_SM_N * len(self.machines):].tolist(), vb.real, vb.imag,
+                self.cig.params, self.omega_base, omega_frame=wcoi)
+            f += d_c
             inj[self.cig_bus] += inj_c
-            s = vb * np.conj(inj_c)
-            outputs = {"omega_est": sig["omega_est"], "rho_est": sig["rho_est"],
-                       "omega_tilde": sig["signal"], "p_cig": s.real, "q_cig": s.imag}
-        i_bal = inj - np.conj(self.s_load / v) - self.ybus @ v
-        return f, np.concatenate([i_bal.real, i_bal.imag]), outputs
+            s = vb * inj_c.conjugate()
+            outputs = {"omega_est": w_est, "rho_est": rho, "omega_tilde": sig,
+                       "p_cig": s.real, "q_cig": s.imag}
+        i_bal = np.array(inj) - np.conj(self.s_load / v) - self.ybus @ v
+        return np.array(f), np.concatenate([i_bal.real, i_bal.imag]), outputs
 
     def f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Differential residual: the f part of `residual`."""
@@ -372,11 +320,12 @@ def build_system(case: Case, control: str = "no_cig",
 class TrapezoidalIntegrator:
     """Implicit trapezoidal stepper with a cached finite-difference Jacobian.
 
-    Each Newton iterate costs one `SystemModel.residual` pass.  The f of
-    the last accepted point is kept and reused as the next step's f0 when
-    the step starts from the same values of (x, y).  Call `invalidate()`
-    whenever anything other than (x, y) changes what the model returns
-    (network, set points, device parameters): it drops both caches.
+    Each Newton iterate costs one `SystemModel.residual` pass.  The f and
+    the converter outputs of the last accepted point are kept: the next
+    step reuses f as its f0, and `simulate` records the outputs, when
+    they ask for the same values of (x, y).  Call `invalidate()` whenever
+    anything other than (x, y) changes what the model returns (network,
+    set points, device parameters): it drops both caches.
     """
 
     def __init__(self, model: SystemModel, tol: float = 1e-8, max_iter: int = 8):
@@ -385,7 +334,7 @@ class TrapezoidalIntegrator:
         self.max_iter = max_iter
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
         self._lu = {}          # h -> LU factors of the step Jacobian
-        self._f_last = None    # (bytes of [x; y], f there): last step start or accepted point
+        self._f_last = None    # (bytes of [x; y], f, outputs there): last evaluated point
 
     def invalidate(self) -> None:
         self._jfull = None
@@ -404,14 +353,18 @@ class TrapezoidalIntegrator:
         if h not in self._lu:
             jac = np.vstack([-0.5 * h * self._jfull[: m.n_x], self._jfull[m.n_x:]])
             jac[: m.n_x, : m.n_x] += np.eye(m.n_x)
-            self._lu[h] = scipy.linalg.lu_factor(jac)
+            # finite, since jfull is: the check above
+            self._lu[h] = scipy.linalg.lu_factor(jac, check_finite=False)
         return self._lu[h]
 
-    def _f_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def evaluate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+        """(f, outputs) of `SystemModel.residual` at (x, y), from the cache
+        when (x, y) has the values of the last evaluated point."""
         key = x.tobytes() + y.tobytes()
         if self._f_last is None or self._f_last[0] != key:
-            self._f_last = (key, self.model.f(x, y))
-        return self._f_last[1]
+            f, _, outputs = self.model.residual(x, y)
+            self._f_last = (key, f, outputs)
+        return self._f_last[1], self._f_last[2]
 
     def _newton(self, state: SystemState, h: float) -> np.ndarray | None:
         """[x; y] at t + h, or None when Newton fails.
@@ -421,7 +374,7 @@ class TrapezoidalIntegrator:
         """
         m = self.model
         x0, y0 = state.x, state.y
-        f0 = self._f_at(x0, y0)
+        f0 = self.evaluate(x0, y0)[0]
         base = x0 + 0.5 * h * f0
         z = np.concatenate([x0 + h * f0, y0])
         for _ in range(2):
@@ -432,16 +385,17 @@ class TrapezoidalIntegrator:
                 if not np.isfinite(z).all():
                     return None
                 x, y = z[: m.n_x], z[m.n_x:]
-                f, g, _ = m.residual(x, y)
+                f, g, outputs = m.residual(x, y)
                 r = np.concatenate([x - base - 0.5 * h * f, g])
                 worst = np.max(np.abs(r))
                 if worst < self.tol:
-                    self._f_last = (z.tobytes(), f)
+                    self._f_last = (z.tobytes(), f, outputs)
                     return z
                 if not np.isfinite(worst):
                     return None
                 if it < self.max_iter:
-                    z = z - scipy.linalg.lu_solve(lu, r)
+                    # r is finite: the check just above
+                    z = z - scipy.linalg.lu_solve(lu, r, check_finite=False)
             # refresh the Jacobian at the current iterate and retry once
             self._jfull = None
             if self._factor(z, h) is None:
@@ -477,13 +431,15 @@ def _default_channels(model: SystemModel) -> list[str]:
     return ch
 
 
-def record(model: SystemModel, state: SystemState,
-           channels: list[str] | None = None) -> dict[str, float]:
-    """Values of the named channels (default: every recordable one) at one state.
+def record(model: SystemModel, state: SystemState, channels: list[str] | None,
+           evaluate) -> dict[str, float]:
+    """Values of the named channels (None: every recordable one) at one state.
 
-    Only the requested channels are computed; the converter channels take
-    a residual pass, so a run that records none of them never evaluates
-    the converter here.
+    Only the requested channels are computed.  The converter channels come
+    from `evaluate(x, y) -> (f, outputs)`; `simulate` passes its
+    integrator's `TrapezoidalIntegrator.evaluate`, which returns the
+    outputs of the accepted Newton residual without a new pass.  A run
+    that records none of them never calls `evaluate`.
     """
     if channels is None:
         channels = _default_channels(model)
@@ -500,7 +456,7 @@ def record(model: SystemModel, state: SystemState,
             out[name] = float(abs(v[model.net.bus_index(int(name[5:]))]))
         else:
             if outputs is None:
-                outputs = model.residual(state.x, state.y)[2]
+                outputs = evaluate(state.x, state.y)[1]
             out[name] = outputs[name]
     return out
 
@@ -535,7 +491,7 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     state = state0.copy()
     t0 = state.t
     times = [state.t]
-    rows = [record(model, state, channels)]
+    rows = [record(model, state, channels, integ.evaluate)]
     n_out = 1
     pending = list(events)
     eps = 1e-9
@@ -562,7 +518,7 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
                                     f"t={ev.time:g}s failed: {exc}") from exc
             if abs(state.t - (t0 + n_out * output_dt)) <= eps or state.t >= t_end - eps:
                 times.append(state.t)
-                rows.append(record(model, state, channels))
+                rows.append(record(model, state, channels, integ.evaluate))
                 n_out += 1
     finally:
         if model.net is not net0:

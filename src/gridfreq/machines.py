@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_frequency import ParkVector
-
 
 class InitializationError(RuntimeError):
     """Dispatch infeasible for the machine limits at initialization."""
@@ -90,76 +88,72 @@ class SynMachineState:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in STATE_NAMES])
 
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "SynMachineState":
-        return cls(*(float(v) for v in x))
+
+def sm_kernel_params(p: SynMachineParams, avr: AVRParams, gov: GovParams) -> tuple:
+    """The constants `sm_kernel` reads, set points included, as one flat tuple.
+
+    Rebuild it whenever a parameter or set point changes.
+    """
+    return (2.0 * p.H, p.D, p.ra, p.xd1, p.xq1, p.ra * p.ra + p.xd1 * p.xq1,
+            p.xd - p.xd1, p.xq - p.xq1, p.td01, p.tq01,
+            avr.ka, avr.ta, avr.ke, avr.te, avr.kf / avr.tf, avr.ka * avr.kf / avr.tf,
+            avr.tf, avr.vr_min, avr.vr_max, avr.v_ref,
+            gov.droop, gov.t_sv, gov.t_ch, gov.p_min, gov.p_max, gov.p_ref)
 
 
-def _machine_frame(vbus: ParkVector, delta: float) -> tuple[float, float]:
-    """Bus voltage components on the machine dq axes."""
-    vmag = vbus.mag
-    th = vbus.angle
-    return vmag * math.sin(delta - th), vmag * math.cos(delta - th)
+def sm_kernel(x, v: complex, prm: tuple, omega_coi: float,
+              omega_base: float) -> tuple[list[float], complex]:
+    """Time derivatives of one machine's 9 states and its stator current.
 
+    x holds the states as floats in STATE_NAMES order, v is the bus
+    voltage in the network frame and prm is `sm_kernel_params(...)`.
+    Returns (xdot in STATE_NAMES order, network-frame current injection).
+    The regulator output vr and the valve position psv are held at their
+    limits (anti-windup) while the derivative points outwards.
+    """
+    delta, omega, eq1, ed1, efd, rf, vr, psv, pm = x
+    (h2, d, ra, xd1, xq1, det, xd_xd1, xq_xq1, td01, tq01,
+     ka, ta, ke, te, kf_tf, ka_kf_tf, tf, vr_min, vr_max, v_ref,
+     droop, t_sv, t_ch, p_min, p_max, p_ref) = prm
 
-def stator_currents(st: SynMachineState, vbus: ParkVector, p: SynMachineParams) -> tuple[float, float]:
-    """Solve the stator algebraic equations for (i_d, i_q) in the machine frame."""
-    vd, vq = _machine_frame(vbus, st.delta)
-    det = p.ra * p.ra + p.xd1 * p.xq1
-    if det == 0.0:
-        raise ZeroDivisionError("singular stator impedance")
-    ed = st.ed1 - vd
-    eq = st.eq1 - vq
-    i_d = (p.ra * ed + p.xq1 * eq) / det
-    i_q = (-p.xd1 * ed + p.ra * eq) / det
-    return i_d, i_q
+    # stator algebraic equations on the machine dq axes: the network frame
+    # maps to them through e^{-j(delta - pi/2)} = sin(delta) + j cos(delta),
+    # and the current maps back through its conjugate
+    s, c = math.sin(delta), math.cos(delta)
+    vd = v.real * s - v.imag * c
+    vq = v.real * c + v.imag * s
+    ed = ed1 - vd
+    eq = eq1 - vq
+    i_d = (ra * ed + xq1 * eq) / det
+    i_q = (-xd1 * ed + ra * eq) / det
+    pe = ed1 * i_d + eq1 * i_q + (xq1 - xd1) * i_d * i_q
+    slip = omega - omega_coi
 
-
-def electrical_power(st: SynMachineState, i_d: float, i_q: float, p: SynMachineParams) -> float:
-    return st.ed1 * i_d + st.eq1 * i_q + (p.xq1 - p.xd1) * i_d * i_q
-
-
-def sm_derivatives(st: SynMachineState, vbus: ParkVector, p: SynMachineParams,
-                   avr: AVRParams, gov: GovParams, omega_coi: float,
-                   omega_base: float) -> np.ndarray:
-    """Time derivatives of the 9 machine states (order of STATE_NAMES)."""
-    i_d, i_q = stator_currents(st, vbus, p)
-    pe = electrical_power(st, i_d, i_q, p)
-    vmag = vbus.mag
-
-    d_delta = omega_base * (st.omega - omega_coi)
-    d_omega = (st.pm - pe - p.D * (st.omega - omega_coi)) / (2.0 * p.H)
-    d_eq1 = (-st.eq1 - (p.xd - p.xd1) * i_d + st.efd) / p.td01
-    d_ed1 = (-st.ed1 + (p.xq - p.xq1) * i_q) / p.tq01
-
-    d_efd = (st.vr - avr.ke * st.efd) / avr.te
-    d_rf = (-st.rf + (avr.kf / avr.tf) * st.efd) / avr.tf
-    d_vr = (-st.vr + avr.ka * st.rf - (avr.ka * avr.kf / avr.tf) * st.efd
-            + avr.ka * (avr.v_ref - vmag)) / avr.ta
-    # anti-windup on regulator output
-    if (st.vr >= avr.vr_max and d_vr > 0.0) or (st.vr <= avr.vr_min and d_vr < 0.0):
+    d_vr = (-vr + ka * rf - ka_kf_tf * efd + ka * (v_ref - abs(v))) / ta
+    if (vr >= vr_max and d_vr > 0.0) or (vr <= vr_min and d_vr < 0.0):
         d_vr = 0.0
-
-    d_psv = (-st.psv + gov.p_ref + (1.0 - st.omega) / gov.droop) / gov.t_sv
-    if (st.psv >= gov.p_max and d_psv > 0.0) or (st.psv <= gov.p_min and d_psv < 0.0):
+    d_psv = (-psv + p_ref + (1.0 - omega) / droop) / t_sv
+    if (psv >= p_max and d_psv > 0.0) or (psv <= p_min and d_psv < 0.0):
         d_psv = 0.0
-    d_pm = (st.psv - st.pm) / gov.t_ch
 
-    return np.array([d_delta, d_omega, d_eq1, d_ed1, d_efd, d_rf, d_vr, d_psv, d_pm])
+    xdot = [omega_base * slip,
+            (pm - pe - d * slip) / h2,
+            (-eq1 - xd_xd1 * i_d + efd) / td01,
+            (-ed1 + xq_xq1 * i_q) / tq01,
+            (vr - ke * efd) / te,
+            (-rf + kf_tf * efd) / tf,
+            d_vr,
+            d_psv,
+            (psv - pm) / t_ch]
+    return xdot, complex(i_d * s + i_q * c, i_q * s - i_d * c)
 
 
-def sm_current_injection(st: SynMachineState, vbus: ParkVector, p: SynMachineParams) -> complex:
-    """Stator current as a network-frame complex phasor."""
-    i_d, i_q = stator_currents(st, vbus, p)
-    return complex(i_d, i_q) * cmath.exp(1j * (st.delta - math.pi / 2.0))
-
-
-def coi_frequency(speeds, params) -> float:
-    """Inertia-weighted average speed sum(H_i S_i w_i) / sum(H_i S_i)."""
-    if len(speeds) == 0:
+def coi_weights(params: list[SynMachineParams]) -> np.ndarray:
+    """Centre-of-inertia weights H_i S_i / sum(H_j S_j)."""
+    if not params:
         raise ValueError("COI of an empty machine set")
     w = np.array([p.H * p.s_rated for p in params])
-    return float(np.dot(w, np.asarray(speeds, dtype=float)) / np.sum(w))
+    return w / w.sum()
 
 
 def initialize_sm(v_terminal: complex, p_gen: float, q_gen: float,
@@ -187,12 +181,9 @@ def initialize_sm(v_terminal: complex, p_gen: float, q_gen: float,
     avr.v_ref = abs(v_terminal) + vr / avr.ka
     rf = (avr.kf / avr.tf) * efd
 
-    st = SynMachineState(delta=delta, omega=1.0, eq1=eq1, ed1=ed1, efd=efd,
-                         rf=rf, vr=vr, psv=0.0, pm=0.0)
-    pe = electrical_power(st, i_d, i_q, p)
+    pe = ed1 * i_d + eq1 * i_q + (p.xq1 - p.xd1) * i_d * i_q  # air-gap power
     if not (gov.p_min <= pe <= gov.p_max):
         raise InitializationError(f"mechanical power {pe:.3f} outside governor limits")
-    st.pm = pe
-    st.psv = pe
     gov.p_ref = pe
-    return st
+    return SynMachineState(delta=delta, omega=1.0, eq1=eq1, ed1=ed1, efd=efd,
+                           rf=rf, vr=vr, psv=pe, pm=pe)

@@ -30,8 +30,6 @@ class Bus:
     q_load: float = 0.0
     p_gen: float = 0.0
     q_gen: float = 0.0
-    v_mag: float = 1.0
-    v_ang: float = 0.0
     shunt_g: float = 0.0
     shunt_b: float = 0.0
 

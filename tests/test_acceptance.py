@@ -15,7 +15,7 @@ from scipy.optimize import curve_fit
 from scipy.signal import savgol_filter
 
 from gridfreq.casefile import load_bundled_case
-from gridfreq.cig import PLLParams, PLLState, RhoEstimatorState, estimate_rho, pll_derivatives
+from gridfreq.cig import PLLParams, estimate_rho, pll_derivatives
 from gridfreq.complex_frequency import (
     AnalyticExampleParams,
     ParkVector,
@@ -300,7 +300,7 @@ def test_criterion_9_estimator_fidelity():
     for i in range(int(3.0 / h)):
         t = i * h
         v = ParkVector(math.cos(dw * OMEGA_B * t), math.sin(dw * OMEGA_B * t))
-        (d_th, d_xi), omega_est = pll_derivatives(PLLState(th, xi), v, p, OMEGA_B)
+        (d_th, d_xi), omega_est = pll_derivatives(th, xi, v.d, v.q, v.mag, p, OMEGA_B)
         th += h * d_th
         xi += h * d_xi
     pll_err = abs(omega_est - (1.0 + dw)) / dw
@@ -312,8 +312,7 @@ def test_criterion_9_estimator_fidelity():
     tt, rho = [], []
     for i in range(int(5.0 / h)):
         t = i * h
-        dz, r = estimate_rho(RhoEstimatorState(z=z, t_f=t_f),
-                             math.exp(a * math.sin(w * t)))
+        dz, r = estimate_rho(z, t_f, math.exp(a * math.sin(w * t)))
         z += h * dz
         if t >= 4.0:
             tt.append(t)

@@ -1,11 +1,20 @@
 """Tests for the grid-following converter: PLL, estimators, outer/inner
-loops, current limiting, and initialization."""
+loops, current limiting, and initialization.
+
+Every test calls the float component functions that `cig_derivatives`
+composes, as the simulator runs them.  The dataclass composition they
+replaced is kept below as the reference for `cig_derivatives`.
+"""
 
 import cmath
 import math
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import solve_ivp
 
 from gridfreq.complex_frequency import ParkVector
@@ -13,8 +22,6 @@ from gridfreq.cig import (
     CIGControlParams,
     CIGState,
     PLLParams,
-    PLLState,
-    RhoEstimatorState,
     cig_derivatives,
     estimate_rho,
     initialize_cig,
@@ -43,14 +50,13 @@ def default_params(**kw) -> CIGControlParams:
 # ---------------------------------------------------------------------------
 
 def test_pll_error_zero_when_locked():
-    v = ParkVector(math.cos(0.4), math.sin(0.4))
-    assert pll_error(PLLState(theta=0.4, xi=0.0), v) == pytest.approx(0.0, abs=1e-15)
+    assert pll_error(0.4, math.cos(0.4), math.sin(0.4), 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pll_locked_state_is_stationary():
-    st = PLLState(theta=0.25, xi=0.0)
-    v = ParkVector(1.02 * math.cos(0.25), 1.02 * math.sin(0.25))
-    (d_theta, d_xi), omega_est = pll_derivatives(st, v, PLLParams(), OMEGA_B)
+    vd, vq = 1.02 * math.cos(0.25), 1.02 * math.sin(0.25)
+    (d_theta, d_xi), omega_est = pll_derivatives(0.25, 0.0, vd, vq, 1.02,
+                                                 PLLParams(), OMEGA_B)
     assert d_theta == pytest.approx(0.0, abs=1e-12)
     assert d_xi == pytest.approx(0.0, abs=1e-12)
     assert omega_est == pytest.approx(1.0)
@@ -64,22 +70,22 @@ def test_pll_tracks_offset_frequency():
 
     def rhs(t, s):
         th_v = dw * OMEGA_B * t
-        v = ParkVector(math.cos(th_v), math.sin(th_v))
-        (d_th, d_xi), _ = pll_derivatives(PLLState(*s), v, p, OMEGA_B)
+        (d_th, d_xi), _ = pll_derivatives(*s, math.cos(th_v), math.sin(th_v), 1.0,
+                                          p, OMEGA_B)
         return [d_th, d_xi]
 
     sol = solve_ivp(rhs, (0.0, 3.0), [0.0, 0.0], max_step=1e-3,
                     dense_output=True)
     th, xi = sol.y[:, -1]
-    v = ParkVector(math.cos(dw * OMEGA_B * 3.0), math.sin(dw * OMEGA_B * 3.0))
-    _, omega_est = pll_derivatives(PLLState(th, xi), v, p, OMEGA_B)
+    th_v = dw * OMEGA_B * 3.0
+    _, omega_est = pll_derivatives(th, xi, math.cos(th_v), math.sin(th_v), 1.0, p, OMEGA_B)
     assert omega_est == pytest.approx(1.0 + dw, rel=0.02 * dw / (1 + dw) + 1e-4,
                                       abs=0.02 * dw)
 
 
 def test_pll_rejects_zero_voltage():
     with pytest.raises(ValueError):
-        pll_error(PLLState(0.0, 0.0), ParkVector(0.0, 0.0))
+        pll_error(0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +93,7 @@ def test_pll_rejects_zero_voltage():
 # ---------------------------------------------------------------------------
 
 def test_rho_estimator_zero_at_settled_magnitude():
-    st = RhoEstimatorState(z=math.log(1.03), t_f=0.02)
-    dz, rho = estimate_rho(st, 1.03)
+    dz, rho = estimate_rho(math.log(1.03), 0.02, 1.03)
     assert dz == pytest.approx(0.0, abs=1e-15)
     assert rho == pytest.approx(0.0, abs=1e-15)
 
@@ -99,12 +104,11 @@ def test_rho_estimator_tracks_exponential_ramp():
     s, t_f = 0.4, 0.02
 
     def rhs(t, z):
-        dz, _ = estimate_rho(RhoEstimatorState(z=z[0], t_f=t_f), math.exp(s * t))
+        dz, _ = estimate_rho(z[0], t_f, math.exp(s * t))
         return [dz]
 
     sol = solve_ivp(rhs, (0.0, 1.0), [0.0], max_step=1e-4)
-    _, rho = estimate_rho(RhoEstimatorState(z=sol.y[0, -1], t_f=t_f),
-                          math.exp(s * 1.0))
+    _, rho = estimate_rho(sol.y[0, -1], t_f, math.exp(s * 1.0))
     assert rho == pytest.approx(s, rel=1e-3)
 
 
@@ -114,14 +118,12 @@ def test_rho_estimator_phase_lag_matches_time_constant():
     a, w, t_f = 0.01, 2.0 * math.pi * 1.0, 0.02
 
     def rhs(t, z):
-        dz, _ = estimate_rho(RhoEstimatorState(z=z[0], t_f=t_f),
-                             math.exp(a * math.sin(w * t)))
+        dz, _ = estimate_rho(z[0], t_f, math.exp(a * math.sin(w * t)))
         return [dz]
 
     tt = np.linspace(4.0, 5.0, 2001)
     sol = solve_ivp(rhs, (0.0, 5.0), [0.0], t_eval=tt, max_step=2e-4)
-    rho = np.array([estimate_rho(RhoEstimatorState(z=z, t_f=t_f),
-                                 math.exp(a * math.sin(w * t)))[1]
+    rho = np.array([estimate_rho(z, t_f, math.exp(a * math.sin(w * t)))[1]
                     for t, z in zip(tt, sol.y[0])])
     # fit phase of the settled sinusoid against cos(w t)
     c = 2 * np.trapezoid(rho * np.cos(w * tt), tt)
@@ -159,9 +161,7 @@ def test_limit_currents_active_priority():
 def test_outer_loops_scheduled_point():
     p = default_params()
     p.v_ref = 1.0
-    st = CIGState(theta_pll=0.0, xi_pll=0.0, z_rho=0.0, w_wash=1.0,
-                  x_v=p.q_ref, i_d=0.0, i_q=0.0)
-    id_ref, iq_ref = outer_loops(st, ParkVector(1.0, 0.0), p, signal=1.0)
+    id_ref, iq_ref = outer_loops(w_wash=1.0, x_v=p.q_ref, vmag=1.0, params=p, signal=1.0)
     assert id_ref == pytest.approx(p.p_ref)
     assert iq_ref == pytest.approx(-p.q_ref)
 
@@ -170,31 +170,25 @@ def test_outer_loops_droop_arithmetic():
     # signal 0.01 pu above nominal with R = 0.05 trims 0.2 pu of power
     p = default_params(k_w=0.0)
     p.v_ref = 1.0
-    st = CIGState(theta_pll=0.0, xi_pll=0.0, z_rho=0.0, w_wash=1.01,
-                  x_v=0.0, i_d=0.0, i_q=0.0)
-    id_ref, _ = outer_loops(st, ParkVector(1.0, 0.0), p, signal=1.01)
+    id_ref, _ = outer_loops(w_wash=1.01, x_v=0.0, vmag=1.0, params=p, signal=1.01)
     assert id_ref == pytest.approx(p.p_ref - 0.2)
 
 
 def test_outer_loops_disconnected_frequency_loop():
     p = default_params(freq_loop=False)
     p.v_ref = 1.0
-    st = CIGState(theta_pll=0.0, xi_pll=0.0, z_rho=0.0, w_wash=1.0,
-                  x_v=0.0, i_d=0.0, i_q=0.0)
-    id_ref, _ = outer_loops(st, ParkVector(1.0, 0.0), p, signal=1.05)
+    id_ref, _ = outer_loops(w_wash=1.0, x_v=0.0, vmag=1.0, params=p, signal=1.05)
     assert id_ref == pytest.approx(p.p_ref)  # signal ignored
 
 
 def test_inner_loop_first_order_tracking():
     p = default_params()
-    st = CIGState(theta_pll=0.3, xi_pll=0.0, z_rho=0.0, w_wash=1.0,
-                  x_v=0.0, i_d=0.2, i_q=0.0)
-    (d_id, d_iq), inj = inner_loop_and_injection(st, (1.0, -0.1), p)
+    (d_id, d_iq), inj = inner_loop_and_injection(0.2, 0.0, 0.3, (1.0, -0.1), p)
     assert d_id == pytest.approx((1.0 - 0.2) / p.t_i)
     assert d_iq == pytest.approx(-0.1 / p.t_i)
     assert inj == pytest.approx(complex(0.2, 0.0) * cmath.exp(0.3j))
     # reference equal to state -> fixed point
-    (d_id, d_iq), _ = inner_loop_and_injection(st, (0.2, 0.0), p)
+    (d_id, d_iq), _ = inner_loop_and_injection(0.2, 0.0, 0.3, (0.2, 0.0), p)
     assert d_id == 0.0 and d_iq == 0.0
 
 
@@ -206,13 +200,14 @@ def test_initialize_cig_is_an_equilibrium():
     p = default_params()
     v = 1.02 * cmath.exp(0.2j)
     st = initialize_cig(v, p)
-    xdot, inj, out = cig_derivatives(st, ParkVector(v.real, v.imag), p, OMEGA_B)
+    xdot, inj, (omega_est, rho_est, _) = cig_derivatives(
+        st.as_array().tolist(), v.real, v.imag, p, OMEGA_B)
     assert np.max(np.abs(xdot)) < 1e-12
     s = v * inj.conjugate()
     assert s.real == pytest.approx(p.p_ref, abs=1e-10)
     assert s.imag == pytest.approx(p.q_ref, abs=1e-10)
-    assert out["omega_est"] == pytest.approx(1.0)
-    assert out["rho_est"] == pytest.approx(0.0, abs=1e-15)
+    assert omega_est == pytest.approx(1.0)
+    assert rho_est == pytest.approx(0.0, abs=1e-15)
 
 
 def test_initialize_cig_rejects_overcurrent_dispatch():
@@ -226,3 +221,91 @@ def test_parameter_validation():
         default_params(i_max=0.0)
     with pytest.raises(ValueError):
         default_params(t_f=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# The float path against the dataclass composition it replaced
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RefPLLState:
+    theta: float
+    xi: float
+
+
+def reference_cig_derivatives(st: CIGState, vbus: ParkVector, params: CIGControlParams,
+                              omega_base: float, omega_frame: float = 1.0):
+    """`cig_derivatives` as it was composed from state dataclasses and a
+    ParkVector, with each component inlined: (xdot, injection, signals)."""
+    pll_st = RefPLLState(theta=st.theta_pll, xi=st.xi_pll)
+    err = (-vbus.d * math.sin(pll_st.theta) + vbus.q * math.cos(pll_st.theta)) / vbus.mag
+    omega_est = 1.0 + params.pll.kp * err + pll_st.xi
+    d_theta = omega_base * (omega_est - omega_frame)
+    d_xi = params.pll.ki * err
+    d_z = (math.log(vbus.mag) - st.z_rho) / params.t_f
+    rho_pu = d_z / omega_base
+    signal = omega_est - params.K * rho_pu
+
+    d_w = (signal - st.w_wash) / params.t_w
+    d_xv = params.ki_v * (params.v_ref - vbus.mag)
+
+    p_cmd = params.p_ref
+    if params.freq_loop:
+        p_cmd -= (signal - 1.0) / params.r_droop
+        p_cmd -= params.k_w * (signal - st.w_wash) / params.t_w
+    q_cmd = params.kp_v * (params.v_ref - vbus.mag) + st.x_v
+    id_ref, iq_ref = p_cmd / vbus.mag, -q_cmd / vbus.mag
+    if math.hypot(id_ref, iq_ref) > params.i_max:
+        id_ref = max(-params.i_max, min(params.i_max, id_ref))
+        room = math.sqrt(max(params.i_max ** 2 - id_ref ** 2, 0.0))
+        iq_ref = max(-room, min(room, iq_ref))
+
+    d_id = (id_ref - st.i_d) / params.t_i
+    d_iq = (iq_ref - st.i_q) / params.t_i
+    inj = complex(st.i_d, st.i_q) * cmath.exp(1j * st.theta_pll)
+    xdot = np.array([d_theta, d_xi, d_z, d_w, d_xv, d_id, d_iq])
+    return xdot, inj, (omega_est, rho_pu, signal)
+
+
+def assert_float_path_matches_reference(st: CIGState, v: complex, p: CIGControlParams,
+                                        omega_frame: float):
+    xdot, inj, sig = cig_derivatives(st.as_array().tolist(), v.real, v.imag, p,
+                                     OMEGA_B, omega_frame)
+    ref_xdot, ref_inj, ref_sig = reference_cig_derivatives(
+        st, ParkVector(v.real, v.imag), p, OMEGA_B, omega_frame)
+    scale = max(1.0, np.max(np.abs(ref_xdot)))
+    assert np.max(np.abs(np.array(xdot) - ref_xdot)) <= 1e-13 * scale
+    assert abs(inj - ref_inj) <= 1e-13
+    assert np.max(np.abs(np.array(sig) - ref_sig)) <= 1e-13
+
+
+CIG_STATE = hst.builds(
+    CIGState,
+    theta_pll=hst.floats(-math.pi, math.pi), xi_pll=hst.floats(-0.05, 0.05),
+    z_rho=hst.floats(-0.5, 0.3), w_wash=hst.floats(0.95, 1.05),
+    x_v=hst.floats(-1.0, 1.0), i_d=hst.floats(-1.5, 1.5), i_q=hst.floats(-1.5, 1.5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st=CIG_STATE, vmag=hst.floats(0.3, 1.3), vang=hst.floats(-math.pi, math.pi),
+       omega_frame=hst.floats(0.97, 1.03), freq_loop=hst.booleans(),
+       i_max=hst.floats(0.5, 2.0))
+def test_float_path_matches_dataclass_reference(st, vmag, vang, omega_frame, freq_loop,
+                                                i_max):
+    p = default_params(freq_loop=freq_loop, i_max=i_max)
+    p.v_ref = 1.02
+    assert_float_path_matches_reference(st, cmath.rect(vmag, vang), p, omega_frame)
+
+
+@pytest.mark.parametrize("vmag, active", [(1.0, False), (0.5, True)])
+def test_float_path_matches_reference_with_limiter(vmag, active):
+    """The current limiter inactive at nominal voltage and active in a dip,
+    where the same power needs twice the current."""
+    p = default_params(p_ref=1.0, i_max=1.5)
+    v = cmath.rect(vmag, 0.2)
+    st = initialize_cig(cmath.rect(1.0, 0.2), p)
+    xdot, _, (_, _, signal) = cig_derivatives(st.as_array().tolist(), v.real, v.imag,
+                                              p, OMEGA_B)
+    id_ref, iq_ref = outer_loops(st.w_wash, st.x_v, vmag, p, signal)
+    assert (math.hypot(id_ref, iq_ref) == pytest.approx(p.i_max)) == active
+    assert_float_path_matches_reference(st, v, p, 1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gridfreq.cig
+import gridfreq.dae
 from gridfreq.casefile import load_bundled_case
 from gridfreq.dae import (
     Event,
@@ -231,14 +232,44 @@ def test_f_and_g_are_the_parts_of_residual(case):
 
 def test_record_computes_only_requested_channels(case, call_counts):
     model, st = build_system(case, "cig_omega_tilde")
+    evaluate = TrapezoidalIntegrator(model).evaluate
     call_counts.update(machines=0, cig=0)
-    assert list(record(model, st, ["omega_coi"])) == ["omega_coi"]
+    assert list(record(model, st, ["omega_coi"], evaluate)) == ["omega_coi"]
     assert call_counts["cig"] == 0
-    full = record(model, st)
+    full = record(model, st, None, evaluate)
     assert call_counts["cig"] == 1
     assert full["p_cig"] == model.residual(st.x, st.y)[2]["p_cig"]
-    assert record(model, st, ["v_bus7", "omega_sm2"]) == {
+    assert record(model, st, ["v_bus7", "omega_sm2"], evaluate) == {
         "v_bus7": full["v_bus7"], "omega_sm2": full["omega_sm2"]}
+
+
+def test_record_reads_the_accepted_newton_outputs(case, call_counts, monkeypatch):
+    """With the default channels, `simulate` records the converter outputs
+    of the integrator's last evaluation: no more machine-block calls than a
+    run recording omega_coi alone, and the traces of recomputing them."""
+    ev = [Event(1.0, LoadScale(bus=5, factor=0.5))]
+
+    def run(channels=None):
+        model, st = build_system(case, "cig_omega_tilde", k=1.2)
+        call_counts.update(machines=0, cig=0)
+        ts = simulate(model, st, ev, t_end=2.0, h=0.005, output_dt=0.005,
+                      channels=channels)
+        return ts, call_counts["machines"]
+
+    ts, n_default = run()
+    _, n_coi = run(["omega_coi"])
+    assert n_default <= n_coi
+
+    def record_recomputing(model, state, channels, evaluate):
+        return record(model, state, channels,
+                      lambda x, y: (None, model.residual(x, y)[2]))
+
+    monkeypatch.setattr(gridfreq.dae, "record", record_recomputing)
+    fresh, n_fresh = run()
+    assert n_fresh > n_default
+    assert list(fresh.channels) == list(ts.channels)
+    for name in ts.channels:
+        assert fresh[name].tobytes() == ts[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
