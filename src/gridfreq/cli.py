@@ -245,7 +245,7 @@ def cmd_run(sc: Scenario, out: Path) -> int:
         svg = render_svg(ts.times, {name: y}, title=name)
         (out / f"{name}.svg").write_text(svg)
     _write_manifest(out, "run", sc, {"channels": list(ts.channels),
-                                     "n_steps": len(ts.times)})
+                                     "n_steps": len(ts.times), "stats": ts.stats})
     print(f"wrote {len(ts.times)} output steps, "
           f"{len(ts.channels)} channels to {out}")
     return 0

@@ -14,10 +14,11 @@ changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from . import cig as cigmod
 from . import machines as smmod
@@ -54,6 +55,8 @@ class Event:
 class TimeSeries:
     times: np.ndarray
     channels: dict[str, np.ndarray]
+    # solver counts of the run: `TrapezoidalIntegrator.stats`
+    stats: dict[str, int] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
@@ -90,7 +93,7 @@ class SystemModel:
         self._mach_bus = self.mach_bus.tolist()
         self.cig_bus = net.bus_index(cig.bus) if cig else None
 
-        self._coi_w = smmod.coi_weights([m.params for m in machines])
+        self._coi_w = smmod.coi_weights([m.params for m in machines]).tolist()
         self.refresh_setpoints()
         self._refresh_network_arrays()
 
@@ -110,8 +113,17 @@ class SystemModel:
                         for m in self.machines]
 
     def _refresh_network_arrays(self) -> None:
-        self.ybus = build_ybus(self.net)
-        self.s_load = np.array([complex(b.p_load, b.q_load) for b in self.net.buses])
+        """Y as the real matrix [[G, -B], [B, G]], which maps y = [Re v; Im v]
+        to [Re Yv; Im Yv], and conj(S) of every bus that carries a load."""
+        ybus = build_ybus(self.net)
+        n = self.n_bus
+        y_real = np.empty((2 * n, 2 * n))
+        y_real[:n, :n] = y_real[n:, n:] = ybus.real
+        y_real[:n, n:] = -ybus.imag
+        y_real[n:, :n] = ybus.imag
+        self._y_real = y_real
+        self._loads = [(i, complex(b.p_load, -b.q_load))
+                       for i, b in enumerate(self.net.buses) if b.p_load or b.q_load]
 
     def set_network(self, net: Network) -> None:
         self.net = net
@@ -133,20 +145,23 @@ class SystemModel:
     def pack_voltages(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate([v.real, v.imag])
 
-    def coi_speed(self, x: np.ndarray) -> float:
-        return float(self._coi_w @ x[self.speed_indices])
+    def coi_speed(self, x) -> float:
+        """Centre-of-inertia speed sum(w_i omega_i) of the states x, a list or an array."""
+        w_coi = 0.0
+        for w, i in zip(self._coi_w, self.speed_indices):
+            w_coi += w * x[i]
+        return float(w_coi)
 
     # -- residuals ---------------------------------------------------------
 
-    def _machine_block(self, x: np.ndarray, v: np.ndarray, omega_coi: float):
+    def _machine_block(self, xl: list[float], vl: list[complex], omega_coi: float):
         """Machine derivatives (a list, machine-major) and the per-bus
-        injections (a list of n_bus complex, machines on one bus summed)."""
-        xs = x[: _SM_N * len(self.machines)].tolist()
-        vb = v[self.mach_bus].tolist()
+        injections (a list of n_bus complex, machines on one bus summed),
+        from the states xl and the bus voltages vl as Python lists."""
         f: list[float] = []
         inj = [0j] * self.n_bus
         for i, (bus, prm) in enumerate(zip(self._mach_bus, self._sm_prm)):
-            d, i_m = smmod.sm_kernel(xs[_SM_N * i: _SM_N * (i + 1)], vb[i], prm,
+            d, i_m = smmod.sm_kernel(xl[_SM_N * i: _SM_N * (i + 1)], vl[bus], prm,
                                      omega_coi, self.omega_base)
             f += d
             inj[bus] += i_m
@@ -160,24 +175,29 @@ class SystemModel:
         balance g = I_inj(x, y) - I_load(y) - Ybus V; and the converter's
         measured signals omega_est, rho_est and omega_tilde (the
         frequency-loop input) with its power output p_cig, q_cig, empty
-        without a converter.
+        without a converter.  Everything but Ybus V is computed on Python
+        floats and complex numbers.
         """
-        v = self.voltages(y)
-        wcoi = self.coi_speed(x)
-        f, inj = self._machine_block(x, v, wcoi)
+        n = self.n_bus
+        xl, yl = x.tolist(), y.tolist()
+        v = list(map(complex, yl[:n], yl[n:]))
+        wcoi = self.coi_speed(xl)
+        f, inj = self._machine_block(xl, v, wcoi)
         outputs: dict[str, float] = {}
         if self.cig:
-            vb = complex(v[self.cig_bus])
+            vb = v[self.cig_bus]
             d_c, inj_c, (w_est, rho, sig) = cigmod.cig_derivatives(
-                x[_SM_N * len(self.machines):].tolist(), vb.real, vb.imag,
+                xl[_SM_N * len(self.machines):], vb.real, vb.imag,
                 self.cig.params, self.omega_base, omega_frame=wcoi)
             f += d_c
             inj[self.cig_bus] += inj_c
             s = vb * inj_c.conjugate()
             outputs = {"omega_est": w_est, "rho_est": rho, "omega_tilde": sig,
                        "p_cig": s.real, "q_cig": s.imag}
-        i_bal = np.array(inj) - np.conj(self.s_load / v) - self.ybus @ v
-        return np.array(f), np.concatenate([i_bal.real, i_bal.imag]), outputs
+        for i, s_conj in self._loads:
+            inj[i] -= s_conj / v[i].conjugate()
+        g = [c.real for c in inj] + [c.imag for c in inj]
+        return np.array(f), np.array(g) - self._y_real @ y, outputs
 
     def f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Differential residual: the f part of `residual`."""
@@ -320,12 +340,17 @@ def build_system(case: Case, control: str = "no_cig",
 class TrapezoidalIntegrator:
     """Implicit trapezoidal stepper with a cached finite-difference Jacobian.
 
-    Each Newton iterate costs one `SystemModel.residual` pass.  The f and
-    the converter outputs of the last accepted point are kept: the next
-    step reuses f as its f0, and `simulate` records the outputs, when
-    they ask for the same values of (x, y).  Call `invalidate()` whenever
-    anything other than (x, y) changes what the model returns (network,
-    set points, device parameters): it drops both caches.
+    Each Newton iterate costs one `SystemModel.residual` pass and one
+    LAPACK `getrs` solve on the cached LU factors.  The f and the
+    converter outputs of the last accepted point are kept: the next step
+    reuses f as its f0, and `simulate` records the outputs, when they ask
+    for the same values of (x, y).  Call `invalidate()` whenever anything
+    other than (x, y) changes what the model returns (network, set points,
+    device parameters): it drops both caches.
+
+    `stats` counts what the integrator did: accepted steps (halves of a
+    halved step each count), Newton iterations (linear solves), Jacobian
+    builds, LU factorizations and step halvings.
     """
 
     def __init__(self, model: SystemModel, tol: float = 1e-8, max_iter: int = 8):
@@ -335,6 +360,8 @@ class TrapezoidalIntegrator:
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
         self._lu = {}          # h -> LU factors of the step Jacobian
         self._f_last = None    # (bytes of [x; y], f, outputs there): last evaluated point
+        self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
+                      "lu_factorizations": 0, "step_halvings": 0}
 
     def invalidate(self) -> None:
         self._jfull = None
@@ -345,6 +372,7 @@ class TrapezoidalIntegrator:
         """LU factors of the step Jacobian, or None if d[f; g]/d[x; y] is not finite."""
         m = self.model
         if self._jfull is None:
+            self.stats["jacobian_builds"] += 1
             jfull = _fd_jacobian(lambda zz: _stacked_residual(m, zz), z)
             if not np.isfinite(jfull).all():
                 return None
@@ -353,6 +381,7 @@ class TrapezoidalIntegrator:
         if h not in self._lu:
             jac = np.vstack([-0.5 * h * self._jfull[: m.n_x], self._jfull[m.n_x:]])
             jac[: m.n_x, : m.n_x] += np.eye(m.n_x)
+            self.stats["lu_factorizations"] += 1
             # finite, since jfull is: the check above
             self._lu[h] = scipy.linalg.lu_factor(jac, check_finite=False)
         return self._lu[h]
@@ -370,32 +399,40 @@ class TrapezoidalIntegrator:
         """[x; y] at t + h, or None when Newton fails.
 
         A non-finite iterate, residual or Jacobian is a failure, as is a
-        residual still above tol after one Jacobian refresh.
+        nonzero `getrs` info or a residual still above tol after one
+        Jacobian refresh.
         """
         m = self.model
+        n_x = m.n_x
         x0, y0 = state.x, state.y
         f0 = self.evaluate(x0, y0)[0]
-        base = x0 + 0.5 * h * f0
+        hh = 0.5 * h
+        base = x0 + hh * f0
         z = np.concatenate([x0 + h * f0, y0])
         for _ in range(2):
-            lu = self._factor(z, h)
-            if lu is None:
+            factors = self._factor(z, h)
+            if factors is None:
                 return None
+            lu, piv = factors
             for it in range(self.max_iter + 1):
                 if not np.isfinite(z).all():
                     return None
-                x, y = z[: m.n_x], z[m.n_x:]
+                x, y = z[:n_x], z[n_x:]
                 f, g, outputs = m.residual(x, y)
-                r = np.concatenate([x - base - 0.5 * h * f, g])
-                worst = np.max(np.abs(r))
+                r = np.concatenate([x - base - hh * f, g])
+                worst = np.abs(r).max()
                 if worst < self.tol:
                     self._f_last = (z.tobytes(), f, outputs)
                     return z
                 if not np.isfinite(worst):
                     return None
                 if it < self.max_iter:
+                    self.stats["newton_iterations"] += 1
                     # r is finite: the check just above
-                    z = z - scipy.linalg.lu_solve(lu, r, check_finite=False)
+                    dz, info = lapack.dgetrs(lu, piv, r)
+                    if info:
+                        return None
+                    z = z - dz
             # refresh the Jacobian at the current iterate and retry once
             self._jfull = None
             if self._factor(z, h) is None:
@@ -409,11 +446,13 @@ class TrapezoidalIntegrator:
         with np.errstate(all="ignore"):
             z = self._newton(state, h)
         if z is not None:
+            self.stats["steps"] += 1
             n_x = self.model.n_x
             return SystemState(x=z[:n_x], y=z[n_x:], t=state.t + h)
         if _depth >= 4:
             raise StepError(f"Newton failed at t={state.t:.4f}s with h={h:.4g}s "
                             "after 4 halvings")
+        self.stats["step_halvings"] += 1
         half = self.step(state, 0.5 * h, _depth + 1)
         return self.step(half, 0.5 * h, _depth + 1)
 
@@ -525,4 +564,4 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
             model.set_network(net0)
 
     data = {name: np.array([r[name] for r in rows]) for name in channels}
-    return TimeSeries(times=np.array(times), channels=data)
+    return TimeSeries(times=np.array(times), channels=data, stats=integ.stats)

@@ -121,8 +121,15 @@ EventAction = LoadScale | FaultOn | FaultOff
 
 
 def apply_event(net: Network, event: EventAction) -> Network:
-    """Return a copy of net with the event applied."""
-    out = copy.deepcopy(net)
+    """Return a copy of net with the event applied.
+
+    Buses and branches hold only scalars, so a shallow copy of each, with
+    a new fault-shunt dict, leaves net untouched.
+    """
+    out = Network(buses=[copy.copy(b) for b in net.buses],
+                  branches=[copy.copy(br) for br in net.branches],
+                  s_base=net.s_base, f_base=net.f_base,
+                  fault_shunts=dict(net.fault_shunts))
     i = out.bus_index(event.bus)
     if isinstance(event, LoadScale):
         out.buses[i].p_load *= event.factor

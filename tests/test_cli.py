@@ -129,6 +129,9 @@ def test_run_emits_csv_and_svg(tmp_path, monkeypatch):
     assert run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch) == 0
     header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
     assert header == "t,omega_coi,v_bus7,p_cig,q_cig"
+    stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
+    assert stats["steps"] == 100 and stats["newton_iterations"] > 0
+    assert stats["jacobian_builds"] >= 1 and stats["lu_factorizations"] >= 1
     for ch in ("omega_coi", "v_bus7", "p_cig", "q_cig"):
         svg = (tmp_path / f"{ch}.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg

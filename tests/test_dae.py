@@ -1,9 +1,14 @@
 """Tests for DAE assembly, initialization, and trapezoidal integration."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import gridfreq.cig
 import gridfreq.dae
@@ -18,7 +23,7 @@ from gridfreq.dae import (
     record,
     simulate,
 )
-from gridfreq.network import LoadScale, apply_event
+from gridfreq.network import FaultOn, LoadScale, apply_event, build_ybus
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +275,113 @@ def test_record_reads_the_accepted_newton_outputs(case, call_counts, monkeypatch
     assert list(fresh.channels) == list(ts.channels)
     for name in ts.channels:
         assert fresh[name].tobytes() == ts[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Solver counts
+# ---------------------------------------------------------------------------
+
+def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
+    """TimeSeries.stats against counted calls of the full [f; g] Jacobian
+    (the event re-solve also builds g_y, which is not the integrator's),
+    of LU factorization and of the getrs solve."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    n_z = model.n_x + model.n_y
+    counts = {"jacobian": 0, "lu": 0, "getrs": 0}
+    fd, lu_factor = gridfreq.dae._fd_jacobian, scipy.linalg.lu_factor
+    dgetrs = scipy.linalg.lapack.dgetrs
+
+    def counted_fd(fun, z0, *args):
+        counts["jacobian"] += z0.size == n_z
+        return fd(fun, z0, *args)
+
+    def counted_lu(*args, **kwargs):
+        counts["lu"] += 1
+        return lu_factor(*args, **kwargs)
+
+    def counted_getrs(*args, **kwargs):
+        counts["getrs"] += 1
+        return dgetrs(*args, **kwargs)
+
+    monkeypatch.setattr(gridfreq.dae, "_fd_jacobian", counted_fd)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted_lu)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", counted_getrs)
+    h, t_end = 0.005, 2.0
+    ts = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))],
+                  t_end=t_end, h=h, output_dt=h, channels=["omega_coi"])
+    assert ts.stats == {"steps": round(t_end / h),
+                        "newton_iterations": counts["getrs"],
+                        "jacobian_builds": counts["jacobian"],
+                        "lu_factorizations": counts["lu"],
+                        "step_halvings": 0}
+    assert counts["getrs"] > 0 and counts["jacobian"] >= 2  # start, and after the event
+
+
+def test_stats_report_step_halvings(case, monkeypatch):
+    """A step whose Newton fails once is taken as two halves: one halving,
+    two accepted steps in its place."""
+    model, st = build_system(case, "no_cig")
+    newton = TrapezoidalIntegrator._newton
+    calls = []
+
+    def fail_first(self, state, h):
+        calls.append(h)
+        return None if len(calls) == 1 else newton(self, state, h)
+
+    monkeypatch.setattr(TrapezoidalIntegrator, "_newton", fail_first)
+    ts = simulate(model, st, [], t_end=0.1, h=0.02, output_dt=0.02)
+    assert calls[:3] == [0.02, 0.01, 0.01]
+    assert ts.stats["step_halvings"] == 1
+    assert ts.stats["steps"] == 6
+
+
+# ---------------------------------------------------------------------------
+# The network balance against the complex formula it replaced
+# ---------------------------------------------------------------------------
+
+def reference_network_balance(model: SystemModel, x: np.ndarray, y: np.ndarray):
+    """g as `SystemModel.residual` computed it before the float network
+    balance: complex numpy arrays over every bus, loads as conj(S / v)."""
+    v = model.voltages(y)
+    wcoi = model.coi_speed(x)
+    _, inj = model._machine_block(x.tolist(), v.tolist(), wcoi)
+    if model.cig:
+        vb = complex(v[model.cig_bus])
+        _, inj_c, _ = gridfreq.cig.cig_derivatives(
+            x[model.n_x - gridfreq.cig.N_STATES:].tolist(), vb.real, vb.imag,
+            model.cig.params, model.omega_base, omega_frame=wcoi)
+        inj[model.cig_bus] += inj_c
+    s_load = np.array([complex(b.p_load, b.q_load) for b in model.net.buses])
+    ybus = build_ybus(model.net)
+    i_bal = np.array(inj) - np.conj(s_load / v) - ybus @ v
+    return np.concatenate([i_bal.real, i_bal.imag])
+
+
+@pytest.fixture(scope="module")
+def balance_models(case):
+    """The converter system on its base network, after a load scaling and
+    with a fault shunt in Y, and its equilibrium state."""
+    base, st = build_system(case, "cig_omega_tilde", k=1.2)
+    scaled, _ = build_system(case, "cig_omega_tilde", k=1.2)
+    scaled.set_network(apply_event(scaled.net, LoadScale(bus=5, factor=0.6)))
+    faulted, _ = build_system(case, "cig_omega_tilde", k=1.2)
+    faulted.set_network(apply_event(faulted.net, FaultOn(bus=7, g=20.0, b=-5.0)))
+    return {"base": base, "scaled": scaled, "faulted": faulted}, st
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(which=hst.sampled_from(["base", "scaled", "faulted"]),
+       dx=hst.lists(hst.floats(-0.05, 0.05), min_size=34, max_size=34),
+       vmag=hst.lists(hst.floats(0.5, 1.3), min_size=10, max_size=10),
+       vang=hst.lists(hst.floats(-math.pi, math.pi), min_size=10, max_size=10))
+def test_network_balance_matches_complex_reference(balance_models, which, dx, vmag, vang):
+    models, st = balance_models
+    model = models[which]
+    x = st.x + np.array(dx)
+    v = np.array(vmag) * np.exp(1j * np.array(vang))
+    y = model.pack_voltages(v)
+    g = model.residual(x, y)[1]
+    assert np.max(np.abs(g - reference_network_balance(model, x, y))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

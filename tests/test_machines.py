@@ -190,6 +190,7 @@ def test_coi_frequency_weighting():
     x = st.x.copy()
     x[model.speed_indices] = [1.03, 1.0, 0.99]
     assert model.coi_speed(x) == pytest.approx(float(w @ [1.03, 1.0, 0.99]), abs=1e-15)
+    assert model.coi_speed(x.tolist()) == model.coi_speed(x)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ def shared_bus_model():
 
 
 def assert_matches_reference(model, x, v, omega_coi):
-    f, inj = model._machine_block(x, v, omega_coi)
+    f, inj = model._machine_block(x.tolist(), v.tolist(), omega_coi)
     f_ref, inj_ref = reference_machine_block(model, x, v, omega_coi)
     assert np.max(np.abs(np.array(f) - f_ref)) <= 1e-13
     assert np.max(np.abs(np.array(inj) - inj_ref)) <= 1e-13

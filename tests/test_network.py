@@ -180,6 +180,21 @@ def test_load_scale_event_copies():
     assert net.bus(2).p_load == pytest.approx(0.5)  # original untouched
 
 
+def test_event_copy_shares_no_mutable_part_with_the_source():
+    net = two_bus()
+    net.fault_shunts[1] = complex(2.0, 0.5)
+    out = apply_event(net, FaultOn(bus=2, g=20.0))
+    out.buses[0].shunt_b = 9.0
+    out.buses[1].p_load = 7.0
+    out.branches[0].x = 0.3
+    out.fault_shunts[1] = 0j
+    assert net.buses[0].shunt_b == 0.0 and net.buses[1].p_load == 0.5
+    assert net.branches[0].x == 0.1
+    assert net.fault_shunts == {1: complex(2.0, 0.5)}
+    assert out.bus_index(2) == net.bus_index(2)
+    assert (out.s_base, out.f_base) == (net.s_base, net.f_base)
+
+
 def test_fault_on_off_roundtrip():
     net = two_bus()
     faulted = apply_event(net, FaultOn(bus=2, g=1e4))
