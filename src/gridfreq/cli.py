@@ -33,13 +33,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .casefile import Case, CaseParseError, load_bundled_case, parse_case
-from .dae import Event, StepError, build_system, simulate
+from .dae import CONTROLS, Event, StepError, build_system, simulate
 from .network import FaultOff, FaultOn, LoadScale, PowerFlowError, solve_power_flow
 from .smallsignal import (
     ModeIdentificationError,
@@ -50,19 +50,6 @@ from .smallsignal import (
 )
 
 OUT_DIR_ENV = "GRIDFREQ_OUT_DIR"
-
-_DEFAULTS = {
-    "case": "wscc9",
-    "control": "cig_omega_tilde",
-    "k": None,
-    "events": [],
-    "t_end": 10.0,
-    "h": 0.02,
-    "output_dt": 0.02,
-    "channels": None,
-    "out_dir": ".",
-}
-
 
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario description."""
@@ -100,6 +87,10 @@ class Scenario:
         if p.suffix == ".case" or p.exists():
             return parse_case(p.read_text())
         return load_bundled_case(self.case)
+
+
+_DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
+             for f in fields(Scenario)}
 
 
 def _parse_event(d: dict) -> Event:
@@ -140,7 +131,7 @@ def load_scenario(path: str | None, overrides: dict) -> Scenario:
         t_end=float(merged["t_end"]), h=float(merged["h"]),
         output_dt=float(merged["output_dt"]), channels=merged["channels"],
         out_dir=str(merged["out_dir"]))
-    if sc.control not in ("no_cig", "cig_omega", "cig_omega_tilde"):
+    if sc.control not in CONTROLS:
         raise ScenarioError(f"unknown control mode {sc.control!r}")
     return sc
 

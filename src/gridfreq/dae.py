@@ -9,12 +9,14 @@ steady state is a true equilibrium of the DAE.
 Integration is simultaneous (monolithic) Newton on the coupled
 trapezoidal/algebraic equations with a finite-difference Jacobian that
 is cached and refactorized only when Newton struggles or the network
-changes.
+changes.  The same Newton re-solves the network after an event, as the
+step at h = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -72,6 +74,9 @@ class TimeSeries:
 
 _SM_N = smmod.N_STATES
 _CIG_N = cigmod.N_STATES
+
+# converter control modes accepted by `build_system`
+CONTROLS = ("no_cig", "cig_omega", "cig_omega_tilde")
 
 
 class SystemModel:
@@ -209,27 +214,10 @@ class SystemModel:
 
     # -- algebraic solve ---------------------------------------------------
 
-    def solve_algebraic(self, x: np.ndarray, y0: np.ndarray,
-                        tol: float = 1e-10, max_iter: int = 30) -> np.ndarray:
-        """Newton on g(x, y) = 0 for fixed x, starting from y0.
-
-        Raises StepError when Newton stalls or meets a non-finite residual.
-        """
-        y = y0.copy()
-        with np.errstate(all="ignore"):
-            for _ in range(max_iter):
-                r = self.g(x, y)
-                worst = np.max(np.abs(r))
-                if worst < tol:
-                    return y
-                if not np.isfinite(worst):
-                    raise StepError("algebraic solve met a non-finite residual")
-                jac = _fd_jacobian(lambda yy: self.g(x, yy), y)
-                y = y - np.linalg.solve(jac, r)
-            r = self.g(x, y)
-        if np.max(np.abs(r)) < 1e-6:
-            return y
-        raise StepError(f"algebraic solve stalled, residual {np.max(np.abs(r)):.3e}")
+    def solve_algebraic(self, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
+        """y with g(x, y) = 0 for fixed x, from y0: a fresh integrator's
+        `TrapezoidalIntegrator.resolve`.  Raises StepError when Newton fails."""
+        return TrapezoidalIntegrator(self).resolve(SystemState(x, y0, 0.0)).y
 
 
 def _stacked_residual(model: SystemModel, z: np.ndarray) -> np.ndarray:
@@ -274,18 +262,19 @@ def build_system(case: Case, control: str = "no_cig",
     its frequency-control loop (measurements stay live), as used by the
     small-signal observability analysis.
     """
-    import copy
-
-    if control not in ("no_cig", "cig_omega", "cig_omega_tilde"):
+    if control not in CONTROLS:
         raise ValueError(f"unknown control mode {control!r}")
-    case = copy.deepcopy(case)
-    net = case.network
+    # the model owns copies of everything it or the build may mutate
+    net = case.network.copy()
+    machines = [MachineSpec(m.bus, copy.copy(m.params), copy.copy(m.avr), copy.copy(m.gov))
+                for m in case.machines]
     cig_spec = None
     if control != "no_cig":
         if not case.cigs:
             raise AssemblyError("case has no CIG record")
-        cig_spec = case.cigs[0]
-        cp = cig_spec.params
+        c = case.cigs[0]
+        cp = replace(c.params, pll=copy.copy(c.params.pll))
+        cig_spec = CIGSpec(c.bus, cp)
         cp.freq_loop = freq_loop
         if control == "cig_omega":
             cp.K = 0.0
@@ -299,7 +288,6 @@ def build_system(case: Case, control: str = "no_cig",
                                                 to_bus=term_id,
                                                 r=0.0, x=cp.x_t)],
                 s_base=net.s_base, f_base=net.f_base)
-            case.network = net
             cig_spec.bus = term_id
         cbus = net.bus(cig_spec.bus)
         cbus.p_gen += cp.p_ref
@@ -311,7 +299,7 @@ def build_system(case: Case, control: str = "no_cig",
     vsol = pf.v_complex()
 
     sm_states = []
-    for m in case.machines:
+    for m in machines:
         i = net.bus_index(m.bus)
         p_disp = pf.p_inj[i] + net.buses[i].p_load
         q_disp = pf.q_inj[i] + net.buses[i].q_load
@@ -326,8 +314,7 @@ def build_system(case: Case, control: str = "no_cig",
         cig_state = cigmod.initialize_cig(vsol[net.bus_index(cig_spec.bus)],
                                           cig_spec.params)
 
-    model = SystemModel(net, case.machines, cig_spec)
-    model.refresh_setpoints()
+    model = SystemModel(net, machines, cig_spec)
     x0 = model.pack(sm_states, cig_state)
     y0 = model.pack_voltages(vsol)
     return model, SystemState(x=x0, y=y0, t=0.0)
@@ -346,11 +333,12 @@ class TrapezoidalIntegrator:
     reuses f as its f0, and `simulate` records the outputs, when they ask
     for the same values of (x, y).  Call `invalidate()` whenever anything
     other than (x, y) changes what the model returns (network, set points,
-    device parameters): it drops both caches.
+    device parameters): it drops both caches.  After a network event,
+    `resolve` re-solves the algebraic variables instead.
 
     `stats` counts what the integrator did: accepted steps (halves of a
     halved step each count), Newton iterations (linear solves), Jacobian
-    builds, LU factorizations and step halvings.
+    builds, LU factorizations, step halvings and network re-solves.
     """
 
     def __init__(self, model: SystemModel, tol: float = 1e-8, max_iter: int = 8):
@@ -361,7 +349,7 @@ class TrapezoidalIntegrator:
         self._lu = {}          # h -> LU factors of the step Jacobian
         self._f_last = None    # (bytes of [x; y], f, outputs there): last evaluated point
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
-                      "lu_factorizations": 0, "step_halvings": 0}
+                      "lu_factorizations": 0, "step_halvings": 0, "resolves": 0}
 
     def invalidate(self) -> None:
         self._jfull = None
@@ -456,6 +444,29 @@ class TrapezoidalIntegrator:
         half = self.step(state, 0.5 * h, _depth + 1)
         return self.step(half, 0.5 * h, _depth + 1)
 
+    def resolve(self, state: SystemState) -> SystemState:
+        """state with y re-solved for g(x, y) = 0 after the model changed.
+
+        This is the step at h = 0: its residual is [x - x0; g] and its
+        Jacobian [[I, 0], [g_x, g_y]], so x moves only by the rounding of the
+        pivoted solve (below 1e-16); the returned state carries a copy of the
+        given x, so x is held bitwise.  Newton starts on the Jacobian of
+        the last step (chord Newton converges on the true residual) and
+        refreshes it if that stalls.  The cached f0 is dropped first; the
+        Jacobian and its factors afterwards, so the next step builds one at
+        its own point.  The accepted point stays cached.  Raises StepError
+        when Newton fails.
+        """
+        self._f_last = None
+        with np.errstate(all="ignore"):
+            z = self._newton(state, 0.0)
+        self._jfull = None
+        self._lu.clear()
+        if z is None:
+            raise StepError(f"Newton failed at t={state.t:.4f}s with h=0")
+        self.stats["resolves"] += 1
+        return SystemState(x=state.x.copy(), y=z[self.model.n_x:], t=state.t)
+
 
 # ---------------------------------------------------------------------------
 # Scenario simulation
@@ -549,9 +560,8 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
             while pending and abs(state.t - pending[0].time) <= eps:
                 ev = pending.pop(0)
                 model.set_network(apply_event(model.net, ev.action))
-                integ.invalidate()
                 try:
-                    state.y = model.solve_algebraic(state.x, state.y)
+                    state = integ.resolve(state)
                 except StepError as exc:
                     raise StepError(f"network re-solve after the event at "
                                     f"t={ev.time:g}s failed: {exc}") from exc

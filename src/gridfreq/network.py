@@ -94,6 +94,17 @@ class Network:
     def omega_base(self) -> float:
         return 2.0 * np.pi * self.f_base
 
+    def copy(self) -> "Network":
+        """A copy sharing no mutable part with self.
+
+        Buses and branches hold only scalars, so a shallow copy of each,
+        with a new fault-shunt dict, is enough.
+        """
+        return Network(buses=[copy.copy(b) for b in self.buses],
+                       branches=[copy.copy(br) for br in self.branches],
+                       s_base=self.s_base, f_base=self.f_base,
+                       fault_shunts=dict(self.fault_shunts))
+
 
 # ---------------------------------------------------------------------------
 # Events
@@ -121,15 +132,8 @@ EventAction = LoadScale | FaultOn | FaultOff
 
 
 def apply_event(net: Network, event: EventAction) -> Network:
-    """Return a copy of net with the event applied.
-
-    Buses and branches hold only scalars, so a shallow copy of each, with
-    a new fault-shunt dict, leaves net untouched.
-    """
-    out = Network(buses=[copy.copy(b) for b in net.buses],
-                  branches=[copy.copy(br) for br in net.branches],
-                  s_base=net.s_base, f_base=net.f_base,
-                  fault_shunts=dict(net.fault_shunts))
+    """Return a copy of net (`Network.copy`) with the event applied."""
+    out = net.copy()
     i = out.bus_index(event.bus)
     if isinstance(event, LoadScale):
         out.buses[i].p_load *= event.factor

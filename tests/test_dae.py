@@ -1,5 +1,6 @@
 """Tests for DAE assembly, initialization, and trapezoidal integration."""
 
+import copy
 import math
 import warnings
 
@@ -14,6 +15,7 @@ import gridfreq.cig
 import gridfreq.dae
 from gridfreq.casefile import load_bundled_case
 from gridfreq.dae import (
+    CONTROLS,
     Event,
     StepError,
     SystemModel,
@@ -23,7 +25,7 @@ from gridfreq.dae import (
     record,
     simulate,
 )
-from gridfreq.network import FaultOn, LoadScale, apply_event, build_ybus
+from gridfreq.network import FaultOff, FaultOn, LoadScale, apply_event, build_ybus
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,28 @@ def test_build_system_synthesizes_converter_terminal(case):
     assert model.cig_bus == 9  # index of the synthesized bus
     r = np.concatenate([model.f(st.x, st.y), model.g(st.x, st.y)])
     assert np.max(np.abs(r)) < 1e-10
+
+
+def _mutable_parts(net, machines, cigs) -> set[int]:
+    """ids of every mutable object reachable from a network and device specs."""
+    parts = [net, net.buses, net.branches, net.fault_shunts, *net.buses, *net.branches,
+             machines, cigs]
+    for m in machines:
+        parts += [m, m.params, m.avr, m.gov]
+    for c in cigs:
+        parts += [c, c.params, c.params.pll]
+    return {id(p) for p in parts}
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_build_system_leaves_the_case_alone(control):
+    case = load_bundled_case()
+    before = copy.deepcopy(case)
+    model, _ = build_system(case, control, k=0.7, freq_loop=False)
+    assert case == before
+    ours = _mutable_parts(model.net, model.machines, [model.cig] if model.cig else [])
+    theirs = _mutable_parts(case.network, case.machines, case.cigs)
+    assert not ours & theirs
 
 
 def test_build_system_moves_dispatch_to_converter(case):
@@ -176,10 +200,10 @@ def test_failed_event_resolve_names_the_event_and_restores_network(case, monkeyp
     model, st = build_system(case, "no_cig")
     net0 = model.net
 
-    def stall(x, y):
+    def stall(self, state):
         raise StepError("algebraic solve stalled, residual 1.0e+00")
 
-    monkeypatch.setattr(model, "solve_algebraic", stall)
+    monkeypatch.setattr(TrapezoidalIntegrator, "resolve", stall)
     ev = [Event(0.3, LoadScale(bus=5, factor=0.5))]
     with pytest.raises(StepError, match=r"event at t=0\.3s.*stalled"):
         simulate(model, st, ev, t_end=1.0, h=0.02)
@@ -282,19 +306,17 @@ def test_record_reads_the_accepted_newton_outputs(case, call_counts, monkeypatch
 # ---------------------------------------------------------------------------
 
 def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
-    """TimeSeries.stats against counted calls of the full [f; g] Jacobian
-    (the event re-solve also builds g_y, which is not the integrator's),
-    of LU factorization and of the getrs solve."""
+    """TimeSeries.stats against counted calls of the finite-difference
+    Jacobian, of LU factorization and of the getrs solve: the event
+    re-solve runs through the same Newton, so every call is the integrator's."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
-    n_z = model.n_x + model.n_y
     counts = {"jacobian": 0, "lu": 0, "getrs": 0}
     fd, lu_factor = gridfreq.dae._fd_jacobian, scipy.linalg.lu_factor
     dgetrs = scipy.linalg.lapack.dgetrs
 
-    def counted_fd(fun, z0, *args):
-        if z0.size == n_z:
-            counts["jacobian"] += 1
-        return fd(fun, z0, *args)
+    def counted_fd(*args):
+        counts["jacobian"] += 1
+        return fd(*args)
 
     def counted_lu(*args, **kwargs):
         counts["lu"] += 1
@@ -314,7 +336,8 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
                         "newton_iterations": counts["getrs"],
                         "jacobian_builds": counts["jacobian"],
                         "lu_factorizations": counts["lu"],
-                        "step_halvings": 0}
+                        "step_halvings": 0,
+                        "resolves": 1}
     assert counts["getrs"] > 0 and counts["jacobian"] >= 2  # start, and after the event
 
 
@@ -438,6 +461,78 @@ def test_double_load_step_completes_or_raises_step_error(case):
 
 def test_solve_algebraic_non_finite_residual_is_a_step_error(case):
     model, st = build_system(case, "no_cig")
-    with warnings.catch_warnings(), pytest.raises(StepError, match="non-finite"):
+    with warnings.catch_warnings(), pytest.raises(StepError, match=r"t=0\.0000s with h=0"):
         warnings.simplefilter("error")
         model.solve_algebraic(st.x, np.full_like(st.y, np.nan))
+
+
+# ---------------------------------------------------------------------------
+# The post-event network re-solve is the step at h = 0
+# ---------------------------------------------------------------------------
+
+def test_resolve_holds_x_and_leaves_the_accepted_point_cached(case, monkeypatch):
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    integ = TrapezoidalIntegrator(model)
+    s1 = integ.step(st, 0.01)
+    model.set_network(apply_event(model.net, LoadScale(bus=5, factor=0.5)))
+    s2 = integ.resolve(s1)
+    assert np.array_equal(s2.x, s1.x) and s2.t == s1.t
+    assert integ.stats["resolves"] == 1
+    f, g, outputs = model.residual(s2.x, s2.y)
+    assert np.max(np.abs(g)) < integ.tol
+    passes = []
+    residual = model.residual
+    monkeypatch.setattr(model, "residual", lambda x, y: passes.append(1) or residual(x, y))
+    rec = record(model, s2, ["omega_coi", "p_cig", "rho_est"], integ.evaluate)
+    assert passes == []  # record at the event time reads the cached outputs
+    assert rec["p_cig"] == outputs["p_cig"] and rec["rho_est"] == outputs["rho_est"]
+    assert np.array_equal(integ.evaluate(s2.x, s2.y)[0], f)  # the next step's f0
+    # the pre-event Jacobian is gone: the next step builds its own, as a fresh
+    # integrator does from the same point
+    a, b = integ.step(s2, 0.01), TrapezoidalIntegrator(model).step(s2, 0.01)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_cleared_fault_runs_through(case, control):
+    """A 5 pu conductance at bus 7, cleared after 100 ms, for each control."""
+    model, st = build_system(case, control, k=1.2)
+    ev = [Event(0.2, FaultOn(bus=7, g=5.0)), Event(0.3, FaultOff(bus=7))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = simulate(model, st, ev, t_end=1.0, h=0.01, output_dt=0.01,
+                      channels=["omega_coi", "v_bus7"])
+    assert ts.stats["resolves"] == 2
+    v7 = ts["v_bus7"]
+    assert np.all(np.isfinite(ts["omega_coi"]))
+    assert np.min(v7[21:30]) < 0.9 < v7[-1]  # the dip of the fault, then recovery
+
+
+def test_stiff_fault_fails_cleanly_at_the_event(case):
+    model, st = build_system(case, "no_cig")
+    ev = [Event(0.2, FaultOn(bus=7, g=20.0)), Event(0.3, FaultOff(bus=7))]
+    with warnings.catch_warnings(), pytest.raises(
+            StepError, match=r"event at t=0\.2s failed: Newton failed at t=0\.2000s with h=0"):
+        warnings.simplefilter("error")
+        simulate(model, st, ev, t_end=1.0, h=0.01)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(control=hst.sampled_from(CONTROLS),
+       steps=hst.lists(hst.tuples(hst.integers(1, 9), hst.sampled_from([5, 6, 8]),
+                                  hst.floats(0.2, 2.5)), min_size=1, max_size=4))
+def test_random_load_steps_complete_or_raise_step_error(case, control, steps):
+    """Load scalings at random times, buses and factors: the run ends or
+    raises StepError, never anything else, and no float warning leaks."""
+    model, st = build_system(case, control, k=1.2)
+    ev = [Event(0.1 * i, LoadScale(bus=b, factor=f)) for i, b, f in steps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ts = simulate(model, st, ev, t_end=1.0, h=0.01, output_dt=0.05,
+                          channels=["omega_coi"])
+        except StepError as exc:
+            assert "t=" in str(exc)
+        else:
+            assert np.all(np.isfinite(ts["omega_coi"]))
+            assert ts.stats["resolves"] == len(ev)
