@@ -159,9 +159,9 @@ def _write_manifest(out: Path, command: str, sc: Scenario, extra: dict) -> None:
 # SVG line plots
 # ---------------------------------------------------------------------------
 
-def render_svg(t: np.ndarray, series: dict[str, np.ndarray],
-               title: str = "", width: int = 640, height: int = 400) -> str:
+def render_svg(t: np.ndarray, series: dict[str, np.ndarray], title: str = "") -> str:
     """Minimal static SVG line chart of one or more series against t."""
+    width, height = 640, 400
     ml, mr, mt, mb = 60, 15, 30, 40
     pw, ph = width - ml - mr, height - mt - mb
     ys = np.concatenate(list(series.values()))

@@ -226,11 +226,15 @@ def _stacked_residual(model: SystemModel, z: np.ndarray) -> np.ndarray:
     return np.concatenate([f, g])
 
 
-def _fd_jacobian(fun, z0: np.ndarray, eps_rel: float = 1e-7) -> np.ndarray:
+# relative forward-difference step of the integrator's Jacobian
+_FD_EPS_REL = 1e-7
+
+
+def _fd_jacobian(fun, z0: np.ndarray) -> np.ndarray:
     f0 = fun(z0)
     jac = np.empty((f0.size, z0.size))
     for i in range(z0.size):
-        eps = eps_rel * (1.0 + abs(z0[i]))
+        eps = _FD_EPS_REL * (1.0 + abs(z0[i]))
         z = z0.copy()
         z[i] += eps
         jac[:, i] = (fun(z) - f0) / eps
@@ -242,8 +246,8 @@ def _fd_jacobian(fun, z0: np.ndarray, eps_rel: float = 1e-7) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_system(case: Case, control: str = "no_cig",
-                 k: float | None = None, freq_loop: bool = True,
-                 pf_tol: float = 1e-8) -> tuple[SystemModel, SystemState]:
+                 k: float | None = None,
+                 freq_loop: bool = True) -> tuple[SystemModel, SystemState]:
     """Power flow, device initialization, and model assembly in one go.
 
     control selects the converter setup:
@@ -295,7 +299,7 @@ def build_system(case: Case, control: str = "no_cig",
         donor = max((b for b in net.buses if b.kind == "pv"), key=lambda b: b.p_gen)
         donor.p_gen -= cp.p_ref
 
-    pf = solve_power_flow(net, tol=pf_tol)
+    pf = solve_power_flow(net)
     vsol = pf.v_complex()
 
     sm_states = []
@@ -338,22 +342,26 @@ class TrapezoidalIntegrator:
 
     `stats` counts what the integrator did: accepted steps (halves of a
     halved step each count), Newton iterations (linear solves), Jacobian
-    builds, LU factorizations, step halvings and network re-solves.
+    builds, LU factorizations, step halvings and network re-solves.  One
+    LU factorization is cached, for the step size of the last step: a run
+    on an exact step grid factors once per Jacobian and step size in use.
     """
 
-    def __init__(self, model: SystemModel, tol: float = 1e-8, max_iter: int = 8):
+    tol = 1e-8       # Newton convergence: max |residual| of the step
+    max_iter = 8     # Newton iterations per attempt; a stalled attempt
+                     # refreshes the Jacobian and tries once more
+
+    def __init__(self, model: SystemModel):
         self.model = model
-        self.tol = tol
-        self.max_iter = max_iter
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
-        self._lu = {}          # h -> LU factors of the step Jacobian
+        self._lu = None        # (h, LU factors of the step Jacobian for h)
         self._f_last = None    # (bytes of [x; y], f, outputs there): last evaluated point
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
                       "lu_factorizations": 0, "step_halvings": 0, "resolves": 0}
 
     def invalidate(self) -> None:
         self._jfull = None
-        self._lu.clear()
+        self._lu = None
         self._f_last = None
 
     def _factor(self, z: np.ndarray, h: float):
@@ -365,14 +373,14 @@ class TrapezoidalIntegrator:
             if not np.isfinite(jfull).all():
                 return None
             self._jfull = jfull
-            self._lu.clear()
-        if h not in self._lu:
+            self._lu = None
+        if self._lu is None or self._lu[0] != h:
             jac = np.vstack([-0.5 * h * self._jfull[: m.n_x], self._jfull[m.n_x:]])
             jac[: m.n_x, : m.n_x] += np.eye(m.n_x)
             self.stats["lu_factorizations"] += 1
             # finite, since jfull is: the check above
-            self._lu[h] = scipy.linalg.lu_factor(jac, check_finite=False)
-        return self._lu[h]
+            self._lu = (h, scipy.linalg.lu_factor(jac, check_finite=False))
+        return self._lu[1]
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         """(f, outputs) of `SystemModel.residual` at (x, y), from the cache
@@ -388,16 +396,20 @@ class TrapezoidalIntegrator:
 
         A non-finite iterate, residual or Jacobian is a failure, as is a
         nonzero `getrs` info or a residual still above tol after one
-        Jacobian refresh.
+        Jacobian refresh.  f0 only enters as h f0, so at h = 0 (`resolve`)
+        it is not evaluated.
         """
         m = self.model
         n_x = m.n_x
         x0, y0 = state.x, state.y
-        f0 = self.evaluate(x0, y0)[0]
+        f0 = self.evaluate(x0, y0)[0] if h else 0.0
         hh = 0.5 * h
         base = x0 + hh * f0
         z = np.concatenate([x0 + h * f0, y0])
-        for _ in range(2):
+        for attempt in range(2):
+            if attempt:
+                # refresh the Jacobian at the current iterate and retry once
+                self._jfull = None
             factors = self._factor(z, h)
             if factors is None:
                 return None
@@ -421,10 +433,6 @@ class TrapezoidalIntegrator:
                     if info:
                         return None
                     z = z - dz
-            # refresh the Jacobian at the current iterate and retry once
-            self._jfull = None
-            if self._factor(z, h) is None:
-                return None
         return None
 
     def step(self, state: SystemState, h: float, _depth: int = 0) -> SystemState:
@@ -461,7 +469,7 @@ class TrapezoidalIntegrator:
         with np.errstate(all="ignore"):
             z = self._newton(state, 0.0)
         self._jfull = None
-        self._lu.clear()
+        self._lu = None
         if z is None:
             raise StepError(f"Newton failed at t={state.t:.4f}s with h=0")
         self.stats["resolves"] += 1
@@ -520,8 +528,10 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     the post-event copy, the algebraic variables are re-solved with the
     differential states frozen, and integration resumes.  The caller's
     model gets its pre-event network back when the run ends, however it
-    ends.  Channels default to every recordable trace; only the requested
-    ones are computed.
+    ends.  Steps are exactly h: only a step that ends at an output time,
+    an event or t_end is shorter, and a remainder within 1e-6 h of h is
+    taken as h.  Channels default to every recordable trace; only the
+    requested ones are computed.
     """
     if t_end <= state0.t:
         raise ValueError("empty simulation horizon")
@@ -554,8 +564,12 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
                 t_stop = min(t_stop, pending[0].time)
             while state.t < t_stop - eps:
                 rem = t_stop - state.t
-                dt = rem if rem <= h * (1.0 + 1e-6) else h
-                state = integ.step(state, dt)
+                if abs(rem - h) <= 1e-6 * h:
+                    # the rounding of the time grid: step exactly h, so
+                    # every full step shares one LU factorization
+                    state = integ.step(state, h)
+                    break
+                state = integ.step(state, min(rem, h))
             state.t = t_stop
             while pending and abs(state.t - pending[0].time) <= eps:
                 ev = pending.pop(0)

@@ -193,7 +193,11 @@ class PFSolution:
         return self.v_mag * np.exp(1j * self.v_ang)
 
 
-def solve_power_flow(net: Network, tol: float = 1e-8, max_iter: int = 30) -> PFSolution:
+# Newton iterations before the power flow gives up
+_PF_MAX_ITER = 30
+
+
+def solve_power_flow(net: Network, tol: float = 1e-8) -> PFSolution:
     """Full-Newton power flow in polar coordinates from a flat start.
 
     Scheduled injections are p_gen - p_load (and q for PQ buses); the
@@ -231,8 +235,9 @@ def solve_power_flow(net: Network, tol: float = 1e-8, max_iter: int = 30) -> PFS
         max_mis = float(np.max(np.abs(mis))) if mis.size else 0.0
         if max_mis <= tol:
             break
-        if it >= max_iter:
-            raise PowerFlowError(f"no convergence after {max_iter} iterations, mismatch {max_mis:.3e}")
+        if it >= _PF_MAX_ITER:
+            raise PowerFlowError(f"no convergence after {_PF_MAX_ITER} iterations, "
+                                 f"mismatch {max_mis:.3e}")
         jac = _pf_jacobian(ybus, vm, va, non_slack, pq)
         dx = np.linalg.solve(jac, mis)
         va[non_slack] += dx[: len(non_slack)]

@@ -39,6 +39,19 @@ class ModeIdentificationError(RuntimeError):
     pass
 
 
+# central-difference step of the Jacobians, relative to 1 + |z_i|
+_FD_EPS = 1e-6
+# max |[f; g]| at a point that `linearize` and the output rows accept
+_EQ_TOL = 1e-8
+# max ||A phi - lambda phi|| / ||phi||, relative to ||A||_F (at least 1)
+_EIG_RESIDUAL_TOL = 1e-8
+
+# criteria of `identify_frequency_mode`
+FREQ_MODE_BAND_HZ = (0.02, 0.1)   # natural frequency
+FREQ_MODE_PHASE_TOL_DEG = 30.0    # pairwise phase of the speed shape
+FREQ_MODE_SPREAD_MIN = 0.2        # min/max magnitude of the speed shape
+
+
 @dataclass
 class LinearModel:
     a_sys: np.ndarray
@@ -76,10 +89,10 @@ class ObservabilityReport:
 
 # ---------------------------------------------------------------------------
 
-def _check_equilibrium(model: SystemModel, eq: SystemState, tol: float = 1e-8) -> None:
+def _check_equilibrium(model: SystemModel, eq: SystemState) -> None:
     worst = np.max(np.abs(_stacked_residual(model, np.concatenate([eq.x, eq.y]))))
-    if worst > tol:
-        raise ValueError(f"not an equilibrium: residual {worst:.3e} > {tol:g}")
+    if worst > _EQ_TOL:
+        raise ValueError(f"not an equilibrium: residual {worst:.3e} > {_EQ_TOL:g}")
 
 
 def _central_jacobians(model: SystemModel, eq: SystemState, eps: float):
@@ -108,14 +121,14 @@ def _reduction(model: SystemModel, eq: SystemState,
     return f_x - f_y @ gy_inv_gx, gy_inv_gx
 
 
-def linearize(model: SystemModel, eq: SystemState, eps: float = 1e-6) -> LinearModel:
+def linearize(model: SystemModel, eq: SystemState, eps: float = _FD_EPS) -> LinearModel:
     """Reduced state matrix at an equilibrium (algebraic variables eliminated)."""
     a, _ = _reduction(model, eq, eps)
     return LinearModel(a_sys=a, state_labels=list(model.state_labels),
                        speed_indices=list(model.speed_indices))
 
 
-def eigensolve(lm: LinearModel, residual_tol: float = 1e-8) -> list[Mode]:
+def eigensolve(lm: LinearModel) -> list[Mode]:
     """Full spectrum with right/left eigenvectors, residual-checked."""
     a = lm.a_sys
     if not np.all(np.isfinite(a)):
@@ -126,9 +139,9 @@ def eigensolve(lm: LinearModel, residual_tol: float = 1e-8) -> list[Mode]:
     for i in range(len(w)):
         phi = vr[:, i]
         res = np.linalg.norm(a @ phi - w[i] * phi) / np.linalg.norm(phi)
-        if res > residual_tol * scale:
+        if res > _EIG_RESIDUAL_TOL * scale:
             raise RuntimeError(
-                f"eigenpair residual {res:.2e} exceeds {residual_tol:g}*||A||; "
+                f"eigenpair residual {res:.2e} exceeds {_EIG_RESIDUAL_TOL:g}*||A||; "
                 f"cond(A) = {np.linalg.cond(a):.2e}")
         shape = phi[lm.speed_indices]
         peak = np.max(np.abs(shape))
@@ -142,17 +155,16 @@ def eigensolve(lm: LinearModel, residual_tol: float = 1e-8) -> list[Mode]:
     return modes
 
 
-def identify_frequency_mode(modes: list[Mode],
-                            f_lo: float = 0.02, f_hi: float = 0.1,
-                            phase_tol_deg: float = 30.0,
-                            spread_min: float = 0.2) -> Mode:
+def identify_frequency_mode(modes: list[Mode]) -> Mode:
     """Select the primary-frequency-control mode.
 
     Criteria: oscillatory (positive imaginary part of the pair),
-    natural frequency in [f_lo, f_hi] Hz, machine-speed shape components
-    pairwise in phase within phase_tol_deg, and global participation
-    (min/max speed-shape magnitude >= spread_min).
+    natural frequency in FREQ_MODE_BAND_HZ (0.02-0.1 Hz), machine-speed
+    shape components pairwise in phase within FREQ_MODE_PHASE_TOL_DEG
+    (30 degrees), and global participation (min/max speed-shape magnitude
+    at least FREQ_MODE_SPREAD_MIN, 0.2).  Exactly one mode must qualify.
     """
+    f_lo, f_hi = FREQ_MODE_BAND_HZ
     cands = []
     for m in modes:
         if m.eigenvalue.imag <= 0:
@@ -160,11 +172,11 @@ def identify_frequency_mode(modes: list[Mode],
         if not (f_lo <= m.natural_frequency_hz <= f_hi):
             continue
         mags = np.abs(m.speed_shape)
-        if np.min(mags) / np.max(mags) < spread_min:
+        if np.min(mags) / np.max(mags) < FREQ_MODE_SPREAD_MIN:
             continue
         ang = np.angle(m.speed_shape)
         rel = np.angle(np.exp(1j * (ang[:, None] - ang[None, :])))
-        if np.max(np.abs(rel)) > np.deg2rad(phase_tol_deg):
+        if np.max(np.abs(rel)) > np.deg2rad(FREQ_MODE_PHASE_TOL_DEG):
             continue
         cands.append(m)
     if not cands:
@@ -181,12 +193,11 @@ def identify_frequency_mode(modes: list[Mode],
 # Output rows and geometric observability
 # ---------------------------------------------------------------------------
 
-def _base_rows(model: SystemModel, eq: SystemState,
-               eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def _base_rows(model: SystemModel, eq: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """(c_rho, c_omega) at the converter terminal bus, in closed form."""
     if model.cig_bus is None:
         raise ValueError("output rows require a converter (measurement point) in the model")
-    a, gy_inv_gx = _reduction(model, eq, eps)
+    a, gy_inv_gx = _reduction(model, eq, _FD_EPS)
     i, n = model.cig_bus, model.n_bus
     dydot = -gy_inv_gx[[i, i + n]] @ a
     deta = (dydot[0] + 1j * dydot[1]) / (eq.y[i] + 1j * eq.y[i + n])
@@ -197,11 +208,11 @@ def _base_rows(model: SystemModel, eq: SystemState,
 
 
 def output_row(model: SystemModel, eq: SystemState, signal: str,
-               k: float = 0.0, eps: float = 1e-6) -> np.ndarray:
+               k: float = 0.0) -> np.ndarray:
     """d(signal)/dx at an equilibrium (see the module docstring)."""
     if signal not in ("rho", "omega", "omega_tilde"):
         raise ValueError(f"unknown signal {signal!r}")
-    c_rho, c_omega = _base_rows(model, eq, eps)
+    c_rho, c_omega = _base_rows(model, eq)
     if signal == "rho":
         return c_rho
     if signal == "omega":

@@ -359,6 +359,41 @@ def test_stats_report_step_halvings(case, monkeypatch):
     assert ts.stats["steps"] == 6
 
 
+def test_steps_are_exactly_h_and_share_one_factorization(case, monkeypatch):
+    """On a time grid of h = output_dt every top-level step is exactly h,
+    not h up to the rounding of the grid: one LU factorization per Jacobian
+    (start, before and after the event) plus the event re-solve's."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    step = TrapezoidalIntegrator.step
+    sizes = []
+
+    def recorded(self, state, h, _depth=0):
+        if _depth == 0:
+            sizes.append(h)
+        return step(self, state, h, _depth)
+
+    monkeypatch.setattr(TrapezoidalIntegrator, "step", recorded)
+    h = 0.005
+    ts = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))],
+                  t_end=2.0, h=h, output_dt=h, channels=["omega_coi"])
+    assert len(sizes) == 400 and set(sizes) == {h}
+    assert ts.stats["lu_factorizations"] == 4
+
+
+def test_failed_newton_builds_one_jacobian(case):
+    """A Newton call that fails from a cached Jacobian refreshes it once,
+    between its two attempts, and builds none after the second."""
+    model, st = build_system(case, "no_cig")
+    integ = TrapezoidalIntegrator(model)
+    s1 = integ.step(st, 0.01)
+    builds, iters = integ.stats["jacobian_builds"], integ.stats["newton_iterations"]
+    model.set_network(apply_event(model.net, FaultOn(bus=7, g=20.0)))
+    with np.errstate(all="ignore"):
+        assert integ._newton(s1, 0.0) is None
+    assert integ.stats["jacobian_builds"] - builds == 1
+    assert integ.stats["newton_iterations"] - iters == 2 * integ.max_iter
+
+
 # ---------------------------------------------------------------------------
 # The network balance against the complex formula it replaced
 # ---------------------------------------------------------------------------
@@ -491,6 +526,18 @@ def test_resolve_holds_x_and_leaves_the_accepted_point_cached(case, monkeypatch)
     # integrator does from the same point
     a, b = integ.step(s2, 0.01), TrapezoidalIntegrator(model).step(s2, 0.01)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+def test_resolve_does_not_evaluate_f0(case, call_counts):
+    """At h = 0, f0 would only enter as h f0: a re-solve on the unchanged
+    network is one residual pass, the converged check at the start point."""
+    model, st = build_system(case, "no_cig")
+    integ = TrapezoidalIntegrator(model)
+    s1 = integ.step(st, 0.01)
+    call_counts.update(machines=0, cig=0)
+    s2 = integ.resolve(s1)
+    assert call_counts["machines"] == 1
+    assert np.array_equal(s2.y, s1.y)
 
 
 @pytest.mark.parametrize("control", CONTROLS)
