@@ -19,11 +19,13 @@ Every field has a default; command-line flags override scenario values.
 The output directory resolves, in order of precedence: ``--out`` flag,
 ``GRIDFREQ_OUT_DIR`` environment variable, scenario ``out_dir``, then the
 current directory.  Each command writes a ``manifest.json`` recording the
-resolved settings and a SHA-256 digest of the resolved scenario (defaults,
-file and flags merged, events included), so two runs share a digest
-exactly when they ran the same scenario, however it was given.  Bad input
-and a run whose solver fails (``StepError``) print ``error: ...`` and exit
-with status 2.
+resolved settings, the versions of gridfreq, numpy, scipy and Python, and
+a SHA-256 digest of the resolved scenario (defaults, file and flags
+merged, events included), so two runs share a digest exactly when they
+ran the same scenario, however it was given.  Bad input (a K grid of
+``ksweep`` with a non-positive step or k_max < k_min included) and a run
+whose solver fails (``StepError``) print ``error: ...`` and exit with
+status 2.
 """
 
 from __future__ import annotations
@@ -31,13 +33,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import platform
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .casefile import Case, CaseParseError, load_bundled_case, parse_case
 from .dae import CONTROLS, Event, StepError, build_system, simulate
 from .network import FaultOff, FaultOn, LoadScale, PowerFlowError, solve_power_flow
@@ -150,6 +156,8 @@ def _write_manifest(out: Path, command: str, sc: Scenario, extra: dict) -> None:
         "case": sc.case, "control": sc.control, "k": sc.k,
         "t_end": sc.t_end, "h": sc.h, "output_dt": sc.output_dt,
         "n_events": len(sc.events),
+        "versions": {"gridfreq": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__, "python": platform.python_version()},
     }
     doc.update(extra)
     (out / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
@@ -284,6 +292,12 @@ def cmd_eig(sc: Scenario, out: Path, mode_shapes: bool,
 
 def cmd_ksweep(sc: Scenario, out: Path, k_min: float, k_max: float,
                k_step: float) -> int:
+    if not all(map(math.isfinite, (k_min, k_max, k_step))):
+        raise ScenarioError("--k-min, --k-max and --k-step must be finite")
+    if k_step <= 0.0:
+        raise ScenarioError(f"--k-step must be positive, got {k_step:g}")
+    if k_max < k_min:
+        raise ScenarioError(f"--k-max {k_max:g} is below --k-min {k_min:g}")
     case = sc.load_case()
     model, st = build_system(case, "cig_omega_tilde", k=sc.k, freq_loop=False)
     mode = identify_frequency_mode(eigensolve(linearize(model, st)))

@@ -11,6 +11,15 @@ trapezoidal/algebraic equations with a finite-difference Jacobian that
 is cached and refactorized only when Newton struggles or the network
 changes.  The same Newton re-solves the network after an event, as the
 step at h = 0.
+
+The Jacobian is differenced from the residual the simulator runs, in
+column groups: `SystemModel.jacobian_structure` knows which rows each
+column of [x; y] can touch (a device's rows read its own states, its bus
+voltage and the COI speed; a bus's rows read its Y-neighbours), and
+columns with disjoint rows are perturbed in one residual pass.  Every
+row is then computed exactly as with one pass per column, so the result
+is bitwise the same; the WSCC case needs 15 groups, 16 passes per build
+in place of 46 (55 with the converter).
 """
 
 from __future__ import annotations
@@ -99,6 +108,8 @@ class SystemModel:
         self.cig_bus = net.bus_index(cig.bus) if cig else None
 
         self._coi_w = smmod.coi_weights([m.params for m in machines]).tolist()
+        self._jac_structure = None   # (pattern, groups), built on first use
+        self._y_nonzero = None       # nonzero structure of _y_real it was built for
         self.refresh_setpoints()
         self._refresh_network_arrays()
 
@@ -127,12 +138,50 @@ class SystemModel:
         y_real[:n, n:] = -ybus.imag
         y_real[n:, :n] = ybus.imag
         self._y_real = y_real
+        nonzero = y_real != 0.0
+        if not np.array_equal(nonzero, self._y_nonzero):
+            self._y_nonzero = nonzero
+            self._jac_structure = None
         self._loads = [(i, complex(b.p_load, -b.q_load))
                        for i, b in enumerate(self.net.buses) if b.p_load or b.q_load]
 
     def set_network(self, net: Network) -> None:
         self.net = net
         self._refresh_network_arrays()
+
+    # -- Jacobian structure ---------------------------------------------
+
+    def jacobian_structure(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(pattern, groups) of d[f; g]/d[x; y], built on the first call and
+        kept until the nonzero structure of Y changes.
+
+        pattern is the bool matrix of the entries that can be nonzero:
+        every value a residual row reads.  groups partitions the columns
+        so that two columns of one group touch disjoint rows; perturbing
+        a whole group in one residual pass then gives each of its
+        columns exactly the residual rows a pass of its own would
+        (Curtis, Powell & Reid, IMA J. Appl. Math. 1974).
+        """
+        if self._jac_structure is not None:
+            return self._jac_structure
+        n_x, n = self.n_x, self.n_bus
+        pattern = np.zeros((n_x + 2 * n, n_x + 2 * n), dtype=bool)
+        # the network: Y y, plus the Re/Im pair of each bus that its
+        # loads and device injections read
+        pattern[n_x:, n_x:] = self._y_nonzero | np.tile(np.eye(n, dtype=bool), (2, 2))
+        # each device: its states, and its bus voltage, against its state
+        # rows and the current balance of its bus
+        devices = [(range(_SM_N * i, _SM_N * (i + 1)), b)
+                   for i, b in enumerate(self._mach_bus)]
+        if self.cig:
+            devices.append((range(n_x - _CIG_N, n_x), self.cig_bus))
+        for states, b in devices:
+            rows = [*states, n_x + b, n_x + n + b]
+            pattern[np.ix_(rows, rows)] = True
+        # every machine speed enters every f row through omega_coi
+        pattern[:n_x, self.speed_indices] = True
+        self._jac_structure = (pattern, _column_groups(pattern))
+        return self._jac_structure
 
     # -- state packing ----------------------------------------------------
 
@@ -226,18 +275,42 @@ def _stacked_residual(model: SystemModel, z: np.ndarray) -> np.ndarray:
     return np.concatenate([f, g])
 
 
+def _column_groups(pattern: np.ndarray) -> list[np.ndarray]:
+    """Greedy first-fit partition of the columns of pattern into groups
+    whose columns touch disjoint rows; row sets are Python-int bitmasks."""
+    packed = np.packbits(pattern.T, axis=1, bitorder="little")
+    rows_of: list[int] = []
+    members: list[list[int]] = []
+    for col, bits in enumerate(packed):
+        mask = int.from_bytes(bits.tobytes(), "little")
+        for k, taken in enumerate(rows_of):
+            if not taken & mask:
+                rows_of[k] = taken | mask
+                members[k].append(col)
+                break
+        else:
+            rows_of.append(mask)
+            members.append([col])
+    return [np.array(m) for m in members]
+
+
 # relative forward-difference step of the integrator's Jacobian
 _FD_EPS_REL = 1e-7
 
 
-def _fd_jacobian(fun, z0: np.ndarray) -> np.ndarray:
-    f0 = fun(z0)
-    jac = np.empty((f0.size, z0.size))
-    for i in range(z0.size):
-        eps = _FD_EPS_REL * (1.0 + abs(z0[i]))
+def _fd_jacobian(model: SystemModel, z0: np.ndarray) -> np.ndarray:
+    """d[f; g]/d[x; y] at z0 by forward differences, one residual pass per
+    column group of `SystemModel.jacobian_structure`: equal bitwise to one
+    pass per column."""
+    pattern, groups = model.jacobian_structure()
+    r0 = _stacked_residual(model, z0)
+    eps = _FD_EPS_REL * (1.0 + np.abs(z0))
+    jac = np.empty((r0.size, z0.size))
+    for cols in groups:
         z = z0.copy()
-        z[i] += eps
-        jac[:, i] = (fun(z) - f0) / eps
+        z[cols] += eps[cols]
+        d = _stacked_residual(model, z) - r0
+        jac[:, cols] = np.where(pattern[:, cols], d[:, None], 0.0) / eps[cols]
     return jac
 
 
@@ -369,7 +442,7 @@ class TrapezoidalIntegrator:
         m = self.model
         if self._jfull is None:
             self.stats["jacobian_builds"] += 1
-            jfull = _fd_jacobian(lambda zz: _stacked_residual(m, zz), z)
+            jfull = _fd_jacobian(m, z)
             if not np.isfinite(jfull).all():
                 return None
             self._jfull = jfull

@@ -1,8 +1,10 @@
 """Linearization, eigenanalysis, and geometric observability.
 
 The assembled DAE is linearized at an equilibrium by central finite
-differences; the algebraic variables are eliminated through the network
-Jacobian, giving the reduced state matrix
+differences, perturbing each column group of
+`SystemModel.jacobian_structure` in one pair of residual passes (equal
+bitwise to a pair per column); the algebraic variables are eliminated
+through the network Jacobian, giving the reduced state matrix
 
     A = f_x - f_y g_y^{-1} g_x.
 
@@ -96,15 +98,18 @@ def _check_equilibrium(model: SystemModel, eq: SystemState) -> None:
 
 
 def _central_jacobians(model: SystemModel, eq: SystemState, eps: float):
-    """(f_x, f_y, g_x, g_y) by central finite differences, one residual pass per side."""
+    """(f_x, f_y, g_x, g_y) by central finite differences, one residual pass
+    per side and column group of `SystemModel.jacobian_structure`."""
+    pattern, groups = model.jacobian_structure()
     z0 = np.concatenate([eq.x, eq.y])
+    step = eps * (1.0 + np.abs(z0))
     jac = np.empty((z0.size, z0.size))
-    for i in range(z0.size):
-        d = eps * (1.0 + abs(z0[i]))
+    for cols in groups:
         zp, zm = z0.copy(), z0.copy()
-        zp[i] += d
-        zm[i] -= d
-        jac[:, i] = (_stacked_residual(model, zp) - _stacked_residual(model, zm)) / (2 * d)
+        zp[cols] += step[cols]
+        zm[cols] -= step[cols]
+        diff = _stacked_residual(model, zp) - _stacked_residual(model, zm)
+        jac[:, cols] = np.where(pattern[:, cols], diff[:, None], 0.0) / (2 * step[cols])
     n_x = model.n_x
     return jac[:n_x, :n_x], jac[:n_x, n_x:], jac[n_x:, :n_x], jac[n_x:, n_x:]
 

@@ -1,9 +1,18 @@
-"""Shared pytest hooks: echo acceptance-criterion summary lines.
+"""Shared pytest hooks and fixtures.
 
 The acceptance tests register one "criterion N: PASS/FAIL" line each via
 ``record_criterion``; they are replayed in the terminal summary so they
 stay visible even when output capture hides prints from passing tests.
 """
+
+import copy
+
+import numpy as np
+import pytest
+
+from gridfreq.casefile import load_bundled_case
+from gridfreq.dae import SystemModel, build_system
+from gridfreq.machines import N_STATES
 
 _CRITERION_LINES: list[str] = []
 
@@ -18,3 +27,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in sorted(_CRITERION_LINES):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="module")
+def shared_bus_model():
+    """The WSCC machines plus a second unit on bus 2, sharing its bus:
+    (model, x, bus voltages)."""
+    model, st = build_system(load_bundled_case(), "no_cig")
+    extra = copy.deepcopy(model.machines[1])
+    extra.params.H = 2.5
+    extra.avr.v_ref += 0.01
+    extra.gov.p_ref = 0.4
+    shared = SystemModel(model.net, model.machines + [extra])
+    x = np.concatenate([st.x, st.x[N_STATES: 2 * N_STATES]])
+    return shared, x, model.voltages(st.y)

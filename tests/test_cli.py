@@ -2,10 +2,13 @@
 manifests, and exit codes."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+import gridfreq
 import gridfreq.cli
 from gridfreq.cli import (
     OUT_DIR_ENV,
@@ -109,6 +112,13 @@ def test_pf_writes_nine_rows(tmp_path, monkeypatch):
     assert man["command"] == "pf"
     assert man["scenario_sha256"] == load_scenario(None, {}).digest
     assert man["max_mismatch"] <= 1e-10
+    assert_versions(man)
+
+
+def assert_versions(man):
+    assert man["versions"] == {"gridfreq": gridfreq.__version__, "numpy": np.__version__,
+                               "scipy": scipy.__version__,
+                               "python": platform.python_version()}
 
 
 def test_pf_broken_case_nonzero_exit(tmp_path, monkeypatch, capsys):
@@ -129,7 +139,9 @@ def test_run_emits_csv_and_svg(tmp_path, monkeypatch):
     assert run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch) == 0
     header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
     assert header == "t,omega_coi,v_bus7,p_cig,q_cig"
-    stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert_versions(man)
+    stats = man["stats"]
     assert stats["steps"] == 100 and stats["newton_iterations"] > 0
     assert stats["jacobian_builds"] >= 1 and stats["lu_factorizations"] >= 1
     for ch in ("omega_coi", "v_bus7", "p_cig", "q_cig"):
@@ -183,6 +195,7 @@ def test_eig_flags_frequency_mode(tmp_path, monkeypatch):
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["frequency_mode"] is not None
     assert man["any_unstable"] is False
+    assert_versions(man)
 
 
 def test_ksweep_grid_and_ratio(tmp_path, monkeypatch):
@@ -195,6 +208,20 @@ def test_ksweep_grid_and_ratio(tmp_path, monkeypatch):
             (ln.split(",") for ln in lines[1:])}
     assert data[0.0] == 1.0
     assert (tmp_path / "ksweep.svg").exists()
+    assert_versions(json.loads((tmp_path / "manifest.json").read_text()))
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--k-step", "0"], "--k-step must be positive"),
+    (["--k-step", "-0.05"], "--k-step must be positive"),
+    (["--k-min", "1", "--k-max", "0"], "--k-max 0 is below --k-min 1"),
+    (["--k-max", "inf"], "--k-min, --k-max and --k-step must be finite"),
+])
+def test_ksweep_bad_grid_exits_2(tmp_path, monkeypatch, capsys, grid, message):
+    rc = run_cli(["ksweep"] + grid, tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import random
 import warnings
 
 import numpy as np
@@ -21,11 +22,13 @@ from gridfreq.dae import (
     SystemModel,
     SystemState,
     TrapezoidalIntegrator,
+    _stacked_residual,
     build_system,
     record,
     simulate,
 )
-from gridfreq.network import FaultOff, FaultOn, LoadScale, apply_event, build_ybus
+from gridfreq.network import Branch, FaultOff, FaultOn, LoadScale, apply_event, build_ybus
+from gridfreq.smallsignal import _central_jacobians, linearize
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +395,121 @@ def test_failed_newton_builds_one_jacobian(case):
         assert integ._newton(s1, 0.0) is None
     assert integ.stats["jacobian_builds"] - builds == 1
     assert integ.stats["newton_iterations"] - iters == 2 * integ.max_iter
+
+
+# ---------------------------------------------------------------------------
+# Grouped finite-difference Jacobians against one pass per column
+# ---------------------------------------------------------------------------
+
+def dense_fd_jacobian(model, z0):
+    """The integrator's forward difference, one residual pass per column."""
+    r0 = _stacked_residual(model, z0)
+    jac = np.empty((r0.size, z0.size))
+    for i in range(z0.size):
+        eps = 1e-7 * (1.0 + abs(z0[i]))
+        z = z0.copy()
+        z[i] += eps
+        jac[:, i] = (_stacked_residual(model, z) - r0) / eps
+    return jac
+
+
+def dense_central_jacobian(model, z0, eps=1e-6):
+    """The small-signal central difference, one pair of passes per column."""
+    jac = np.empty((z0.size, z0.size))
+    for i in range(z0.size):
+        d = eps * (1.0 + abs(z0[i]))
+        zp, zm = z0.copy(), z0.copy()
+        zp[i] += d
+        zm[i] -= d
+        jac[:, i] = (_stacked_residual(model, zp) - _stacked_residual(model, zm)) / (2 * d)
+    return jac
+
+
+JACOBIAN_POINTS = [(c, fault) for c in CONTROLS for fault in (False, True)] + [("shared_bus", False)]
+
+
+@pytest.fixture(scope="module")
+def jacobian_points(case, shared_bus_model):
+    """(label, faulted) -> (model, [x; y]): each control at its equilibrium,
+    with and without a 5 pu shunt at bus 7, and the shared-bus model (two
+    machines on bus 2) at its test point."""
+    points = {}
+    for control, fault in JACOBIAN_POINTS[:-1]:
+        model, st = build_system(case, control, k=1.2)
+        if fault:
+            model.set_network(apply_event(model.net, FaultOn(bus=7, g=5.0)))
+        points[control, fault] = (model, np.concatenate([st.x, st.y]))
+    shared, x, v = shared_bus_model
+    points["shared_bus", False] = (shared, np.concatenate([x, v.real, v.imag]))
+    return points
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(which=hst.sampled_from(JACOBIAN_POINTS),
+       dz=hst.lists(hst.floats(-0.1, 0.1), min_size=54, max_size=54))
+def test_grouped_jacobians_equal_one_pass_per_column(jacobian_points, which, dz):
+    """Forward and central differences over the column groups are bitwise
+    the dense ones, at points around each equilibrium."""
+    model, z_eq = jacobian_points[which]
+    z = z_eq + np.array(dz[: z_eq.size])
+    assert np.array_equal(gridfreq.dae._fd_jacobian(model, z), dense_fd_jacobian(model, z))
+    n_x = model.n_x
+    f_x, f_y, g_x, g_y = _central_jacobians(model, SystemState(z[:n_x], z[n_x:], 0.0), 1e-6)
+    assert np.array_equal(np.block([[f_x, f_y], [g_x, g_y]]), dense_central_jacobian(model, z))
+
+
+def test_jacobian_structure_follows_the_nonzero_structure_of_y(case):
+    """Load and fault events keep the structure; a new branch rebuilds it,
+    and the Jacobian on the new network is still the dense one."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    structure = model.jacobian_structure()
+    for action in (LoadScale(bus=5, factor=0.5), FaultOn(bus=7, g=5.0), FaultOff(bus=7)):
+        model.set_network(apply_event(model.net, action))
+        assert model.jacobian_structure() is structure
+    net = model.net.copy()
+    net.branches.append(Branch(from_bus=5, to_bus=6, r=0.01, x=0.1))
+    model.set_network(net)
+    pattern, groups = model.jacobian_structure()
+    i, j = model.n_x + net.bus_index(5), model.n_x + net.bus_index(6)
+    assert pattern[i, j] and not structure[0][i, j]
+    assert sorted(np.concatenate(groups)) == list(range(pattern.shape[1]))
+    z = np.concatenate([st.x, st.y])
+    assert np.array_equal(gridfreq.dae._fd_jacobian(model, z), dense_fd_jacobian(model, z))
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_jacobians_take_one_residual_pass_per_group(case, call_counts, control):
+    """A forward-difference build is len(groups) + 1 passes, at most 16 on
+    the WSCC case (46 or 55 with one per column); `linearize` is the
+    equilibrium check plus two passes per group."""
+    model, st = build_system(case, control, k=1.2)
+    groups = model.jacobian_structure()[1]
+    call_counts.update(machines=0, cig=0)
+    gridfreq.dae._fd_jacobian(model, np.concatenate([st.x, st.y]))
+    assert call_counts["machines"] == len(groups) + 1 <= 16
+    assert call_counts["cig"] == (0 if control == "no_cig" else len(groups) + 1)
+    call_counts.update(machines=0, cig=0)
+    linearize(model, st)
+    assert call_counts["machines"] == 2 * len(groups) + 1
+
+
+def test_jacobian_structure_is_built_once_across_load_steps(case, monkeypatch):
+    """91 load changes, each followed by a Jacobian build: one structure."""
+    builds = []
+    groups = gridfreq.dae._column_groups
+    monkeypatch.setattr(gridfreq.dae, "_column_groups",
+                        lambda pattern: builds.append(1) or groups(pattern))
+    rng = random.Random(0)
+    level = {b: 1.0 for b in (5, 6, 8)}
+    ev = []
+    for i in range(91):
+        bus, target = rng.choice((5, 6, 8)), rng.uniform(0.85, 1.15)
+        ev.append(Event(round(0.5 + 0.1 * i, 9), LoadScale(bus=bus, factor=target / level[bus])))
+        level[bus] = target
+    model, st = build_system(case, "no_cig")
+    ts = simulate(model, st, ev, t_end=10.0, h=0.01, output_dt=0.01, channels=["omega_coi"])
+    assert ts.stats["resolves"] == 91 and ts.stats["jacobian_builds"] > 91
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ block it replaced is kept below as the reference for the kernel.
 """
 
 import cmath
-import copy
 import math
 
 import numpy as np
@@ -251,19 +250,6 @@ def reference_machine_block(model: SystemModel, x: np.ndarray, v: np.ndarray,
     inj = np.zeros(model.n_bus, dtype=complex)
     np.add.at(inj, model.mach_bus, inj_m)
     return d.ravel(), inj
-
-
-@pytest.fixture(scope="module")
-def shared_bus_model():
-    """The WSCC machines plus a second unit on bus 2, sharing its bus."""
-    model, st = build_system(load_bundled_case(), "no_cig")
-    extra = copy.deepcopy(model.machines[1])
-    extra.params.H = 2.5
-    extra.avr.v_ref += 0.01
-    extra.gov.p_ref = 0.4
-    shared = SystemModel(model.net, model.machines + [extra])
-    x = np.concatenate([st.x, st.x[N_STATES: 2 * N_STATES]])
-    return shared, x, model.voltages(st.y)
 
 
 def assert_matches_reference(model, x, v, omega_coi):

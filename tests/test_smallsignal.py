@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridfreq.casefile import load_bundled_case
-from gridfreq.dae import SystemState, _fd_jacobian, build_system
+from gridfreq.dae import SystemState, build_system
 from gridfreq.smallsignal import (
     LinearModel,
     Mode,
@@ -33,6 +33,11 @@ class LinearToy:
 
     def residual(self, x, y):
         return self.A @ x + self.B @ y, self.C @ x + self.D @ y, {}
+
+    def jacobian_structure(self):
+        """A full pattern, one column per group."""
+        n = self.n_x + self.n_y
+        return np.ones((n, n), dtype=bool), [np.array([i]) for i in range(n)]
 
     def reduced(self):
         return self.A - self.B @ np.linalg.solve(self.D, self.C)
@@ -215,12 +220,25 @@ def test_k_sweep_properties(wscc, wscc_mode):
 # closed-form output rows against a nested finite-difference reference
 # ---------------------------------------------------------------------------
 
+def _dense_fd(fun, z0):
+    """d fun/dz at z0 by forward differences, one pass per column, with the
+    integrator's step 1e-7 (1 + |z_i|)."""
+    f0 = fun(z0)
+    jac = np.empty((f0.size, z0.size))
+    for i in range(z0.size):
+        eps = 1e-7 * (1.0 + abs(z0[i]))
+        z = z0.copy()
+        z[i] += eps
+        jac[:, i] = (fun(z) - f0) / eps
+    return jac
+
+
 def _fd_measured_signals(model, x, y_guess):
     """(rho, omega) at the converter bus for state x: the network is
     re-solved and ydot = -g_y^{-1} g_x f recovered with FD Jacobians."""
     y = model.solve_algebraic(x, y_guess)
-    g_x = _fd_jacobian(lambda xx: model.g(xx, y), x)
-    g_y = _fd_jacobian(lambda yy: model.g(x, yy), y)
+    g_x = _dense_fd(lambda xx: model.g(xx, y), x)
+    g_y = _dense_fd(lambda yy: model.g(x, yy), y)
     ydot = -np.linalg.solve(g_y, g_x @ model.f(x, y))
     i, n = model.cig_bus, model.n_bus
     eta = (ydot[i] + 1j * ydot[i + n]) / (y[i] + 1j * y[i + n])
