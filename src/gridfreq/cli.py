@@ -25,7 +25,9 @@ merged, events included), so two runs share a digest exactly when they
 ran the same scenario, however it was given.  Bad input (a K grid of
 ``ksweep`` with a non-positive step or k_max < k_min included) and a run
 whose solver fails (``StepError``) print ``error: ...`` and exit with
-status 2.
+status 2; such a ``run`` still writes its manifest, with the error, the
+time of the last accepted state (``t_last``) and the solver stats up to
+the failure.
 """
 
 from __future__ import annotations
@@ -237,8 +239,13 @@ def cmd_pf(sc: Scenario, out: Path, tol: float) -> int:
 def cmd_run(sc: Scenario, out: Path) -> int:
     case = sc.load_case()
     model, st = build_system(case, sc.control, k=sc.k)
-    ts = simulate(model, st, sc.events, t_end=sc.t_end, h=sc.h,
-                  output_dt=sc.output_dt, channels=sc.channels)
+    try:
+        ts = simulate(model, st, sc.events, t_end=sc.t_end, h=sc.h,
+                      output_dt=sc.output_dt, channels=sc.channels)
+    except StepError as exc:
+        _write_manifest(out, "run", sc, {"error": str(exc), "t_last": exc.t_last,
+                                         "stats": exc.stats})
+        raise
     (out / "timeseries.csv").write_text(ts.to_csv())
     for name, y in ts.channels.items():
         svg = render_svg(ts.times, {name: y}, title=name)

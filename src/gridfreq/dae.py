@@ -7,10 +7,13 @@ frame rotates at the centre-of-inertia speed, so a post-disturbance
 steady state is a true equilibrium of the DAE.
 
 Integration is simultaneous (monolithic) Newton on the coupled
-trapezoidal/algebraic equations with a finite-difference Jacobian that
-is cached and refactorized only when Newton struggles or the network
-changes.  The same Newton re-solves the network after an event, as the
-step at h = 0.
+trapezoidal/algebraic equations.  Newton starts from a polynomial
+extrapolation of the last accepted points (DASSL's predictor: Brenan,
+Campbell & Petzold, ch. 5) and iterates on a cached finite-difference
+Jacobian, which is rebuilt after a network change, when the measured
+contraction of a step predicts more than two solves and the Jacobian has
+paid for its build, or when Newton stalls.  The same Newton re-solves the
+network after an event, as the step at h = 0.
 
 The Jacobian is differenced from the residual the simulator runs, in
 column groups: `SystemModel.jacobian_structure` knows which rows each
@@ -43,7 +46,13 @@ class AssemblyError(ValueError):
 
 
 class StepError(RuntimeError):
-    """Newton failed to converge even after step halving."""
+    """Newton failed to converge even after step halving.
+
+    Raised out of `simulate`, it carries the time of the last accepted
+    state (`t_last`) and the integrator's `stats` up to the failure."""
+
+    t_last: float | None = None
+    stats: dict | None = None
 
 
 @dataclass
@@ -67,7 +76,7 @@ class TimeSeries:
     times: np.ndarray
     channels: dict[str, np.ndarray]
     # solver counts of the run: `TrapezoidalIntegrator.stats`
-    stats: dict[str, int] = field(default_factory=dict)
+    stats: dict[str, int | dict[int, int]] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
@@ -405,19 +414,36 @@ class TrapezoidalIntegrator:
     """Implicit trapezoidal stepper with a cached finite-difference Jacobian.
 
     Each Newton iterate costs one `SystemModel.residual` pass and one
-    LAPACK `getrs` solve on the cached LU factors.  The f and the
-    converter outputs of the last accepted point are kept: the next step
-    reuses f as its f0, and `simulate` records the outputs, when they ask
-    for the same values of (x, y).  Call `invalidate()` whenever anything
-    other than (x, y) changes what the model returns (network, set points,
-    device parameters): it drops both caches.  After a network event,
-    `resolve` re-solves the algebraic variables instead.
+    LAPACK `getrs` solve on the cached LU factors.  Newton starts from an
+    extrapolation of the last accepted points: quadratic through three,
+    linear through two, when they are steps of the same h taken one after
+    the other since the last `resolve` or `invalidate()`; otherwise from the
+    explicit Euler point with y held.  The f and the converter outputs of
+    the last accepted point are kept: the next step reuses f as its f0,
+    and `simulate` records the outputs, when they ask for the same values
+    of (x, y); the same match tells that a step continues the extrapolated
+    history.  Call `invalidate()` whenever anything other than (x, y)
+    changes what the model returns (network, set points, device
+    parameters): it drops the caches and the history.  After a network
+    event, `resolve` re-solves the algebraic variables instead.
+
+    The Jacobian is kept across steps (chord Newton).  From the ratio of
+    the last two updates of a step, theta = |dz_k| / |dz_k-1|, the residual
+    r1 left by its first solve predicts the residual after the second,
+    r1 theta; when that is not below tol, the step predicts more than two
+    solves, and the Jacobian is dropped so that the next step builds one at
+    its start, but only once it has served as many steps as a build costs
+    residual passes (`len(groups) + 1`): a rebuild then costs at most one
+    pass per step.  A stalled Newton refreshes it at once (Hairer & Wanner,
+    Solving ODEs II, sec. IV.8).
 
     `stats` counts what the integrator did: accepted steps (halves of a
     halved step each count), Newton iterations (linear solves), Jacobian
-    builds, LU factorizations, step halvings and network re-solves.  One
-    LU factorization is cached, for the step size of the last step: a run
-    on an exact step grid factors once per Jacobian and step size in use.
+    builds, LU factorizations, step halvings, network re-solves, residual
+    passes (Jacobian builds and cache misses of `evaluate` included), and
+    `newton_histogram`, the accepted steps counted by the solves each took.
+    One LU factorization is cached, for the step size of the last step: a
+    run on an exact step grid factors once per Jacobian and step size in use.
     """
 
     tol = 1e-8       # Newton convergence: max |residual| of the step
@@ -428,24 +454,31 @@ class TrapezoidalIntegrator:
         self.model = model
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
         self._lu = None        # (h, LU factors of the step Jacobian for h)
+        self._jac_steps = 0    # steps accepted on _jfull
         self._f_last = None    # (bytes of [x; y], f, outputs there): last evaluated point
+        self._past = None      # (h, _f_last entry of the last step, copies of its
+                               # last <= 3 points: callers may edit states in place)
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
-                      "lu_factorizations": 0, "step_halvings": 0, "resolves": 0}
+                      "lu_factorizations": 0, "step_halvings": 0, "resolves": 0,
+                      "residual_passes": 0, "newton_histogram": {}}
 
     def invalidate(self) -> None:
         self._jfull = None
         self._lu = None
         self._f_last = None
+        self._past = None
 
     def _factor(self, z: np.ndarray, h: float):
         """LU factors of the step Jacobian, or None if d[f; g]/d[x; y] is not finite."""
         m = self.model
         if self._jfull is None:
             self.stats["jacobian_builds"] += 1
+            self.stats["residual_passes"] += len(m.jacobian_structure()[1]) + 1
             jfull = _fd_jacobian(m, z)
             if not np.isfinite(jfull).all():
                 return None
             self._jfull = jfull
+            self._jac_steps = 0
             self._lu = None
         if self._lu is None or self._lu[0] != h:
             jac = np.vstack([-0.5 * h * self._jfull[: m.n_x], self._jfull[m.n_x:]])
@@ -460,6 +493,7 @@ class TrapezoidalIntegrator:
         when (x, y) has the values of the last evaluated point."""
         key = x.tobytes() + y.tobytes()
         if self._f_last is None or self._f_last[0] != key:
+            self.stats["residual_passes"] += 1
             f, _, outputs = self.model.residual(x, y)
             self._f_last = (key, f, outputs)
         return self._f_last[1], self._f_last[2]
@@ -470,7 +504,8 @@ class TrapezoidalIntegrator:
         A non-finite iterate, residual or Jacobian is a failure, as is a
         nonzero `getrs` info or a residual still above tol after one
         Jacobian refresh.  f0 only enters as h f0, so at h = 0 (`resolve`)
-        it is not evaluated.
+        it is not evaluated, and the step history is neither read nor
+        extended.
         """
         m = self.model
         n_x = m.n_x
@@ -478,7 +513,19 @@ class TrapezoidalIntegrator:
         f0 = self.evaluate(x0, y0)[0] if h else 0.0
         hh = 0.5 * h
         base = x0 + hh * f0
-        z = np.concatenate([x0 + h * f0, y0])
+        # the history continues only from the very point it ended on:
+        # `evaluate` kept its cache entry when (x0, y0) has those values
+        past = self._past
+        points = past[2] if past and past[0] == h and past[1] is self._f_last else ()
+        if len(points) == 3:
+            z = 3.0 * (points[2] - points[1]) + points[0]
+        elif len(points) == 2:
+            z = 2.0 * points[1] - points[0]
+        else:
+            z = np.concatenate([x0 + h * f0, y0])
+        stats = self.stats
+        solves0 = stats["newton_iterations"]
+        r1 = theta2 = 0.0
         for attempt in range(2):
             if attempt:
                 # refresh the Jacobian at the current iterate and retry once
@@ -487,26 +534,55 @@ class TrapezoidalIntegrator:
             if factors is None:
                 return None
             lu, piv = factors
+            last = 0.0   # |dz|^2 of the previous update of this attempt
             for it in range(self.max_iter + 1):
                 if not np.isfinite(z).all():
                     return None
                 x, y = z[:n_x], z[n_x:]
+                stats["residual_passes"] += 1
                 f, g, outputs = m.residual(x, y)
                 r = np.concatenate([x - base - hh * f, g])
                 worst = np.abs(r).max()
                 if worst < self.tol:
                     self._f_last = (z.tobytes(), f, outputs)
+                    if h:
+                        self._accept(z, h, points, stats["newton_iterations"] - solves0,
+                                     r1 * theta2 ** 0.5)
                     return z
                 if not np.isfinite(worst):
                     return None
+                if it == 1 and not attempt:
+                    r1 = worst
                 if it < self.max_iter:
-                    self.stats["newton_iterations"] += 1
+                    stats["newton_iterations"] += 1
                     # r is finite: the check just above
                     dz, info = lapack.dgetrs(lu, piv, r)
                     if info:
                         return None
+                    size = dz @ dz
+                    if last:
+                        theta2 = size / last
+                    last = size
                     z = z - dz
         return None
+
+    def _accept(self, z: np.ndarray, h: float, points: tuple, solves: int,
+                predicted: float) -> None:
+        """Book an accepted step to z from the history `points`: its solve
+        count, the extended history, and the refresh of a Jacobian that has
+        paid for its build when `predicted` (r1 theta, the residual two
+        solves would leave) is not below tol."""
+        hist = self.stats["newton_histogram"]
+        if solves in hist:
+            hist[solves] += 1
+        else:   # keep the keys in order
+            self.stats["newton_histogram"] = dict(sorted({**hist, solves: 1}.items()))
+        self._past = (h, self._f_last, points[-2:] + (z.copy(),))
+        self._jac_steps += 1
+        if (predicted >= self.tol
+                and self._jac_steps > len(self.model.jacobian_structure()[1])):
+            self._jfull = None
+            self._lu = None
 
     def step(self, state: SystemState, h: float, _depth: int = 0) -> SystemState:
         """state advanced by h; Newton failures halve the step, up to 4 times."""
@@ -539,6 +615,7 @@ class TrapezoidalIntegrator:
         when Newton fails.
         """
         self._f_last = None
+        self._past = None
         with np.errstate(all="ignore"):
             z = self._newton(state, 0.0)
         self._jfull = None
@@ -656,6 +733,9 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
                 times.append(state.t)
                 rows.append(record(model, state, channels, integ.evaluate))
                 n_out += 1
+    except StepError as exc:
+        exc.t_last, exc.stats = state.t, integ.stats
+        raise
     finally:
         if model.net is not net0:
             model.set_network(net0)

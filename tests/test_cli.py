@@ -169,13 +169,23 @@ def test_run_step_error_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_run_double_load_step_exits_2(tmp_path, monkeypatch, capsys):
+    """The x2 load at bus 5 fails after the event: exit 2, and a manifest
+    with the error, the last accepted time and the solver stats so far."""
     sc = tmp_path / "s.json"
     sc.write_text(json.dumps({
         "control": "no_cig", "t_end": 3.0, "h": 0.005, "output_dt": 0.005,
         "events": [{"t": 1.0, "type": "load_scale", "bus": 5, "factor": 2.0}]}))
     rc = run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch)
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: Newton failed at t=")
+    err = capsys.readouterr().err
+    assert err.startswith("error: Newton failed at t=")
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    assert doc["command"] == "run" and f"error: {doc['error']}\n" == err
+    assert 1.0 <= doc["t_last"] < 3.0
+    stats = doc["stats"]
+    assert stats["resolves"] == 1 and stats["step_halvings"] >= 4
+    assert sum(stats["newton_histogram"].values()) == stats["steps"]
+    assert not (tmp_path / "timeseries.csv").exists()
 
 
 def test_run_empty_horizon_fails(tmp_path, monkeypatch, capsys):
