@@ -449,7 +449,7 @@ def test_first_step_after_resolve_or_invalidate_is_a_fresh_integrators(case):
 def test_load_loss_takes_at_most_3_1_residual_passes_per_step(case, control):
     """The paper's 10 s load-loss run at h = 5 ms: the extrapolated start
     and the contraction-gated refresh keep Newton near two solves a step
-    (4.36 / 4.08 / 4.08 passes per step from an Euler start on a Jacobian
+    (4.36 / 4.09 / 4.09 passes per step from an Euler start on a Jacobian
     kept from the event on)."""
     model, st = build_system(case, control, k=1.2)
     stats = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))], t_end=10.0,
