@@ -76,7 +76,7 @@ class TimeSeries:
     times: np.ndarray
     channels: dict[str, np.ndarray]
     # solver counts of the run: `TrapezoidalIntegrator.stats`
-    stats: dict[str, int | dict[int, int]] = field(default_factory=dict)
+    stats: dict[str, int | float | dict[int, int]] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
@@ -440,8 +440,10 @@ class TrapezoidalIntegrator:
     `stats` counts what the integrator did: accepted steps (halves of a
     halved step each count), Newton iterations (linear solves), Jacobian
     builds, LU factorizations, step halvings, network re-solves, residual
-    passes (Jacobian builds and cache misses of `evaluate` included), and
-    `newton_histogram`, the accepted steps counted by the solves each took.
+    passes (Jacobian builds and cache misses of `evaluate` included),
+    `newton_histogram`, the accepted steps counted by the solves each took,
+    and `max_residual`, the largest final max |residual| of an accepted
+    step or re-solve.
     One LU factorization is cached, for the step size of the last step: a
     run on an exact step grid factors once per Jacobian and step size in use.
     """
@@ -460,7 +462,7 @@ class TrapezoidalIntegrator:
                                # last <= 3 points: callers may edit states in place)
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
                       "lu_factorizations": 0, "step_halvings": 0, "resolves": 0,
-                      "residual_passes": 0, "newton_histogram": {}}
+                      "residual_passes": 0, "newton_histogram": {}, "max_residual": 0.0}
 
     def invalidate(self) -> None:
         self._jfull = None
@@ -544,6 +546,8 @@ class TrapezoidalIntegrator:
                 r = np.concatenate([x - base - hh * f, g])
                 worst = np.abs(r).max()
                 if worst < self.tol:
+                    if worst > stats["max_residual"]:
+                        stats["max_residual"] = float(worst)
                     self._f_last = (z.tobytes(), f, outputs)
                     if h:
                         self._accept(z, h, points, stats["newton_iterations"] - solves0,
@@ -610,15 +614,18 @@ class TrapezoidalIntegrator:
         given x, so x is held bitwise.  Newton starts on the Jacobian of
         the last step (chord Newton converges on the true residual) and
         refreshes it if that stalls.  The cached f0 is dropped first; the
-        Jacobian and its factors afterwards, so the next step builds one at
-        its own point.  The accepted point stays cached.  Raises StepError
-        when Newton fails.
+        factors afterwards, and the Jacobian too unless the re-solve built
+        it (then it is the post-event network's, taken near the accepted
+        point); otherwise the next step builds one at its own point.  The
+        accepted point stays cached.  Raises StepError when Newton fails.
         """
         self._f_last = None
         self._past = None
+        builds = self.stats["jacobian_builds"]
         with np.errstate(all="ignore"):
             z = self._newton(state, 0.0)
-        self._jfull = None
+        if self.stats["jacobian_builds"] == builds:
+            self._jfull = None
         self._lu = None
         if z is None:
             raise StepError(f"Newton failed at t={state.t:.4f}s with h=0")

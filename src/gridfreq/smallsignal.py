@@ -25,6 +25,16 @@ with eta = vdot / v the complex frequency of the bus voltage v.  Then
 c_rho = Re(d eta/dx) / omega_b and c_omega = Im(d eta/dx) / omega_b plus
 the centre-of-inertia weights on the machine speeds (the network frame
 rotates at the COI speed).
+
+One linearization serves an operating point: `linearize` also computes
+the two rows when the model has a converter, and records the point it
+was taken at (model, bytes of [x; y], eps); `eigensolve` links each mode
+to that `LinearModel`.  `k_sweep` reuses the mode's rows when they were
+linearized from the same model at bitwise the same [x; y] with the
+default step, after its own equilibrium check (one residual pass), and
+otherwise reduces the model again.  The sweep evaluates every gain of the
+grid in one column-wise formula, in which go(omega) is the K = 0 column,
+so the ratio at K = 0 is exactly 1.
 """
 
 from __future__ import annotations
@@ -59,6 +69,10 @@ class LinearModel:
     a_sys: np.ndarray
     state_labels: list[str]
     speed_indices: list[int]
+    # (c_rho, c_omega) at the converter bus; None without a converter
+    rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    # (model, bytes of [x; y], eps) that `linearize` took; None when hand-built
+    point: tuple | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -67,6 +81,8 @@ class Mode:
     right: np.ndarray
     left: np.ndarray
     speed_shape: np.ndarray  # machine-speed components, normalized to max |.| = 1
+    # the linearization the mode was computed from; None when hand-built
+    linear_model: LinearModel | None = field(default=None, repr=False, compare=False)
 
     @property
     def natural_frequency_hz(self) -> float:
@@ -126,11 +142,19 @@ def _reduction(model: SystemModel, eq: SystemState,
     return f_x - f_y @ gy_inv_gx, gy_inv_gx
 
 
+def _point(model: SystemModel, eq: SystemState, eps: float) -> tuple:
+    """The key of a linearization: (model, bytes of [x; y], eps)."""
+    return model, np.concatenate([eq.x, eq.y]).tobytes(), eps
+
+
 def linearize(model: SystemModel, eq: SystemState, eps: float = _FD_EPS) -> LinearModel:
-    """Reduced state matrix at an equilibrium (algebraic variables eliminated)."""
-    a, _ = _reduction(model, eq, eps)
+    """Reduced state matrix at an equilibrium (algebraic variables
+    eliminated), with the output rows when the model has a converter."""
+    a, gy_inv_gx = _reduction(model, eq, eps)
+    rows = None if model.cig_bus is None else _output_rows(model, eq, a, gy_inv_gx)
     return LinearModel(a_sys=a, state_labels=list(model.state_labels),
-                       speed_indices=list(model.speed_indices))
+                       speed_indices=list(model.speed_indices), rows=rows,
+                       point=_point(model, eq, eps))
 
 
 def eigensolve(lm: LinearModel) -> list[Mode]:
@@ -140,22 +164,24 @@ def eigensolve(lm: LinearModel) -> list[Mode]:
         raise ValueError("non-finite entries in the state matrix")
     w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
     scale = max(np.linalg.norm(a, ord="fro"), 1.0)
-    modes = []
-    for i in range(len(w)):
-        phi = vr[:, i]
-        res = np.linalg.norm(a @ phi - w[i] * phi) / np.linalg.norm(phi)
-        if res > _EIG_RESIDUAL_TOL * scale:
-            raise RuntimeError(
-                f"eigenpair residual {res:.2e} exceeds {_EIG_RESIDUAL_TOL:g}*||A||; "
-                f"cond(A) = {np.linalg.cond(a):.2e}")
-        shape = phi[lm.speed_indices]
-        peak = np.max(np.abs(shape))
-        if peak > 0:
-            # rotate so the largest component is real-positive, then scale
-            k = int(np.argmax(np.abs(shape)))
-            shape = shape * np.exp(-1j * np.angle(shape[k])) / peak
-        modes.append(Mode(eigenvalue=complex(w[i]), right=phi,
-                          left=vl[:, i], speed_shape=shape))
+    res = np.linalg.norm(a @ vr - vr * w, axis=0) / np.linalg.norm(vr, axis=0)
+    bad = np.flatnonzero(res > _EIG_RESIDUAL_TOL * scale)
+    if bad.size:
+        raise RuntimeError(
+            f"eigenpair residual {res[bad[0]]:.2e} exceeds {_EIG_RESIDUAL_TOL:g}*||A||; "
+            f"cond(A) = {np.linalg.cond(a):.2e}")
+    # speed shapes: rotate each so its largest component is real-positive,
+    # then scale it to 1 (an all-zero shape stays as it is)
+    shapes = vr[lm.speed_indices]
+    mags = np.abs(shapes)
+    cols = np.arange(len(w))
+    lead = np.argmax(mags, axis=0)
+    peak = mags[lead, cols]
+    nonzero = peak > 0
+    rotate = np.where(nonzero, np.exp(-1j * np.angle(shapes[lead, cols])), 1.0)
+    shapes = shapes * rotate / np.where(nonzero, peak, 1.0)
+    modes = [Mode(eigenvalue=complex(w[i]), right=vr[:, i], left=vl[:, i],
+                  speed_shape=shapes[:, i], linear_model=lm) for i in cols]
     modes.sort(key=lambda m: (m.eigenvalue.real, abs(m.eigenvalue.imag)))
     return modes
 
@@ -198,11 +224,10 @@ def identify_frequency_mode(modes: list[Mode]) -> Mode:
 # Output rows and geometric observability
 # ---------------------------------------------------------------------------
 
-def _base_rows(model: SystemModel, eq: SystemState) -> tuple[np.ndarray, np.ndarray]:
-    """(c_rho, c_omega) at the converter terminal bus, in closed form."""
-    if model.cig_bus is None:
-        raise ValueError("output rows require a converter (measurement point) in the model")
-    a, gy_inv_gx = _reduction(model, eq, _FD_EPS)
+def _output_rows(model: SystemModel, eq: SystemState, a: np.ndarray,
+                 gy_inv_gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c_rho, c_omega) at the converter terminal bus, in closed form from
+    the reduction (A, g_y^{-1} g_x) at eq."""
     i, n = model.cig_bus, model.n_bus
     dydot = -gy_inv_gx[[i, i + n]] @ a
     deta = (dydot[0] + 1j * dydot[1]) / (eq.y[i] + 1j * eq.y[i + n])
@@ -210,6 +235,19 @@ def _base_rows(model: SystemModel, eq: SystemState) -> tuple[np.ndarray, np.ndar
     c_omega = deta.imag / model.omega_base
     c_omega[model.speed_indices] += model._coi_w
     return c_rho, c_omega
+
+
+def _base_rows(model: SystemModel, eq: SystemState,
+               lm: LinearModel | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(c_rho, c_omega) at the converter terminal bus of an equilibrium:
+    those of `lm` when it was linearized from model at eq with the default
+    step, else from a new reduction."""
+    if model.cig_bus is None:
+        raise ValueError("output rows require a converter (measurement point) in the model")
+    if lm is not None and lm.point == _point(model, eq, _FD_EPS):
+        _check_equilibrium(model, eq)
+        return lm.rows
+    return _output_rows(model, eq, *_reduction(model, eq, _FD_EPS))
 
 
 def output_row(model: SystemModel, eq: SystemState, signal: str,
@@ -239,16 +277,22 @@ def k_sweep(model: SystemModel, eq: SystemState, mode: Mode,
     """Observability ratio go(omega_tilde(K)) / go(omega) over a gain grid.
 
     Uses the linearity of the compensated signal: its output row is
-    c(omega) - K c(rho), so the two base rows are computed once.
+    c(omega) - K c(rho), so the two base rows are computed once, or taken
+    from the mode's own linearization (see the module docstring).  The
+    rows of the grid are the columns of one array, led by K = 0, and every
+    column is reduced in the same order, so ratio(K = 0) is exactly 1.
     """
-    c_rho, c_omega = _base_rows(model, eq)
-    go_omega = geometric_observability(c_omega, mode)
-    go_rho = geometric_observability(c_rho, mode)
-    ratio = np.empty(len(k_grid))
-    for i, k in enumerate(k_grid):
-        ratio[i] = geometric_observability(c_omega - k * c_rho, mode) / go_omega
-    report = ObservabilityReport(k_grid=np.asarray(k_grid, dtype=float), ratio=ratio)
-    report.go["omega"] = go_omega
-    report.go["rho"] = go_rho
-    report.go["omega_tilde_k1"] = geometric_observability(c_omega - c_rho, mode)
-    return report
+    c_rho, c_omega = _base_rows(model, eq, mode.linear_model)
+    go = {"omega": geometric_observability(c_omega, mode),
+          "rho": geometric_observability(c_rho, mode),
+          "omega_tilde_k1": geometric_observability(c_omega - c_rho, mode)}
+    k_grid = np.asarray(k_grid, dtype=float)
+    # column j: the output row at the gain [0, *k_grid][j]
+    c = c_omega[:, None] - c_rho[:, None] * np.concatenate([[0.0], k_grid])
+    phi = mode.right[:, None]
+    dot = np.sum(c * phi.real, axis=0) + 1j * np.sum(c * phi.imag, axis=0)
+    norm = np.sqrt(np.sum(c * c, axis=0))
+    if not np.all(norm > 0.0):
+        raise ValueError("zero vector in observability computation")
+    cos = np.abs(dot) / norm   # go times ||phi||, which cancels in the ratio
+    return ObservabilityReport(k_grid=k_grid, ratio=cos[1:] / cos[0], go=go)

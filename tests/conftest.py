@@ -10,6 +10,7 @@ import copy
 import numpy as np
 import pytest
 
+import gridfreq.cig
 from gridfreq.casefile import load_bundled_case
 from gridfreq.dae import SystemModel, build_system
 from gridfreq.machines import N_STATES
@@ -41,3 +42,23 @@ def shared_bus_model():
     shared = SystemModel(model.net, model.machines + [extra])
     x = np.concatenate([st.x, st.x[N_STATES: 2 * N_STATES]])
     return shared, x, model.voltages(st.y)
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count machine-block and converter evaluations while a test runs."""
+    counts = {"machines": 0, "cig": 0}
+    block = SystemModel._machine_block
+    derivs = gridfreq.cig.cig_derivatives
+
+    def counted_block(self, *args):
+        counts["machines"] += 1
+        return block(self, *args)
+
+    def counted_derivs(*args, **kwargs):
+        counts["cig"] += 1
+        return derivs(*args, **kwargs)
+
+    monkeypatch.setattr(SystemModel, "_machine_block", counted_block)
+    monkeypatch.setattr(gridfreq.cig, "cig_derivatives", counted_derivs)
+    return counts

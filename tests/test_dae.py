@@ -219,26 +219,6 @@ def test_failed_event_resolve_names_the_event_and_restores_network(case, monkeyp
 # One residual pass per Newton iterate
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def call_counts(monkeypatch):
-    """Count machine-block and converter evaluations while a test runs."""
-    counts = {"machines": 0, "cig": 0}
-    block = SystemModel._machine_block
-    derivs = gridfreq.cig.cig_derivatives
-
-    def counted_block(self, *args):
-        counts["machines"] += 1
-        return block(self, *args)
-
-    def counted_derivs(*args, **kwargs):
-        counts["cig"] += 1
-        return derivs(*args, **kwargs)
-
-    monkeypatch.setattr(SystemModel, "_machine_block", counted_block)
-    monkeypatch.setattr(gridfreq.cig, "cig_derivatives", counted_derivs)
-    return counts
-
-
 def test_load_loss_evaluates_each_device_at_most_five_times_per_step(case, call_counts):
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
     h, t_end = 0.005, 2.0
@@ -312,7 +292,8 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     """TimeSeries.stats against counted calls of the finite-difference
     Jacobian, of LU factorization, of the getrs solve and of the residual:
     the event re-solve runs through the same Newton, so every call is the
-    integrator's.  The histogram holds every step, by the solves it took."""
+    integrator's.  The histogram holds every step, by the solves it took,
+    and the worst final residual lies below Newton's tolerance."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
     counts = {"jacobian": 0, "lu": 0, "getrs": 0, "residual": 0, "resolve_getrs": 0}
     fd, lu_factor = gridfreq.dae._fd_jacobian, scipy.linalg.lu_factor
@@ -352,6 +333,7 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
                   t_end=t_end, h=h, output_dt=h, channels=["omega_coi"])
     steps = round(t_end / h)
     hist = ts.stats["newton_histogram"]
+    assert 0.0 < ts.stats["max_residual"] < TrapezoidalIntegrator.tol
     assert ts.stats == {"steps": steps,
                         "newton_iterations": counts["getrs"],
                         "jacobian_builds": counts["jacobian"],
@@ -359,7 +341,8 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
                         "step_halvings": 0,
                         "resolves": 1,
                         "residual_passes": counts["residual"],
-                        "newton_histogram": hist}
+                        "newton_histogram": hist,
+                        "max_residual": ts.stats["max_residual"]}
     assert sum(hist.values()) == steps and list(hist) == sorted(hist)
     assert sum(k * n for k, n in hist.items()) == counts["getrs"] - counts["resolve_getrs"]
     assert counts["getrs"] > 0 and counts["jacobian"] >= 2  # start, and after the event
@@ -385,8 +368,9 @@ def test_stats_report_step_halvings(case, monkeypatch):
 
 def test_steps_are_exactly_h_and_share_one_factorization(case, monkeypatch):
     """On a time grid of h = output_dt every top-level step is exactly h,
-    not h up to the rounding of the grid: one LU factorization per Jacobian
-    plus the event re-solve's on the pre-event Jacobian."""
+    not h up to the rounding of the grid: one LU factorization per Jacobian,
+    plus the event re-solve's on the pre-event Jacobian, plus the first
+    step's of the Jacobian the re-solve built (factored there for h = 0)."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
     step = TrapezoidalIntegrator.step
     sizes = []
@@ -401,7 +385,7 @@ def test_steps_are_exactly_h_and_share_one_factorization(case, monkeypatch):
     ts = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))],
                   t_end=2.0, h=h, output_dt=h, channels=["omega_coi"])
     assert len(sizes) == 400 and set(sizes) == {h}
-    assert ts.stats["lu_factorizations"] == ts.stats["jacobian_builds"] + 1
+    assert ts.stats["lu_factorizations"] == ts.stats["jacobian_builds"] + 2
 
 
 def test_failed_newton_builds_one_jacobian(case):
@@ -423,9 +407,10 @@ def test_failed_newton_builds_one_jacobian(case):
 # ---------------------------------------------------------------------------
 
 def test_first_step_after_resolve_or_invalidate_is_a_fresh_integrators(case):
-    """An event re-solve and `invalidate()` end the step history and drop
-    the Jacobian: the next step, whose start point is the last accepted
-    one and whose h is the history's, is bitwise a fresh integrator's."""
+    """An event re-solve and `invalidate()` end the step history;
+    `invalidate()` drops the Jacobian and a re-solve keeps only one it built:
+    the next step, whose start point is the last accepted one and whose h
+    is the history's, is bitwise a fresh integrator's holding that Jacobian."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
     h = 0.005
     integ = TrapezoidalIntegrator(model)
@@ -434,7 +419,9 @@ def test_first_step_after_resolve_or_invalidate_is_a_fresh_integrators(case):
         s = integ.step(s, h)
     model.set_network(apply_event(model.net, LoadScale(bus=5, factor=0.5)))
     s = integ.resolve(s)
-    a, b = integ.step(s, h), TrapezoidalIntegrator(model).step(s, h)
+    fresh = TrapezoidalIntegrator(model)
+    fresh._jfull = integ._jfull
+    a, b = integ.step(s, h), fresh.step(s, h)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     for _ in range(5):
         a = integ.step(a, h)
@@ -704,10 +691,24 @@ def test_resolve_holds_x_and_leaves_the_accepted_point_cached(case, monkeypatch)
     assert passes == []  # record at the event time reads the cached outputs
     assert rec["p_cig"] == outputs["p_cig"] and rec["rho_est"] == outputs["rho_est"]
     assert np.array_equal(integ.evaluate(s2.x, s2.y)[0], f)  # the next step's f0
-    # the pre-event Jacobian is gone: the next step builds its own, as a fresh
-    # integrator does from the same point
-    a, b = integ.step(s2, 0.01), TrapezoidalIntegrator(model).step(s2, 0.01)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+@pytest.mark.parametrize("bus, factor, kept", [(5, 0.5, True), (5, 1.15, False),
+                                               (8, 0.85, False)])
+def test_resolve_keeps_only_a_jacobian_it_built(case, bus, factor, kept):
+    """The 50 % load loss stalls the re-solve on the pre-event Jacobian, which
+    then builds one on the post-event network: the first step keeps it and
+    builds none.  A 15 % load step re-solves on the pre-event Jacobian, which
+    is then dropped: the first step builds its own."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    integ = TrapezoidalIntegrator(model)
+    s = integ.step(integ.step(st, 0.005), 0.005)
+    builds = integ.stats["jacobian_builds"]
+    model.set_network(apply_event(model.net, LoadScale(bus=bus, factor=factor)))
+    s = integ.resolve(s)
+    assert integ.stats["jacobian_builds"] - builds == kept
+    integ.step(s, 0.005)
+    assert integ.stats["jacobian_builds"] - builds == 1
 
 
 def test_resolve_does_not_evaluate_f0(case, call_counts):

@@ -3,6 +3,7 @@ geometric observability."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gridfreq.casefile import load_bundled_case
 from gridfreq.dae import SystemState, build_system
@@ -30,6 +31,7 @@ class LinearToy:
         self.n_x, self.n_y = 2, 1
         self.state_labels = ["x1", "x2"]
         self.speed_indices = [0]
+        self.cig_bus = None  # no converter: no output rows
 
     def residual(self, x, y):
         return self.A @ x + self.B @ y, self.C @ x + self.D @ y, {}
@@ -123,6 +125,22 @@ def test_eigensolve_rejects_nonfinite():
         eigensolve(_lm(np.array([[np.nan, 0.0], [0.0, -1.0]])))
 
 
+def test_eigensolve_rejects_a_wrong_eigenpair(monkeypatch):
+    """A right eigenvector that LAPACK got wrong fails the residual check of
+    every pair at once, with the residual of the first bad pair."""
+    eig = scipy.linalg.eig
+
+    def corrupted(a, **kwargs):
+        w, vl, vr = eig(a, **kwargs)
+        vr = vr.copy()
+        vr[:, 1] = vr[:, 0]   # the eigenvector of another eigenvalue
+        return w, vl, vr
+
+    monkeypatch.setattr(scipy.linalg, "eig", corrupted)
+    with pytest.raises(RuntimeError, match=r"eigenpair residual 1\.00e\+00 exceeds 1e-08"):
+        eigensolve(_lm(np.diag([-1.0, -2.0, -3.0])))
+
+
 def test_modes_come_in_conjugate_pairs(wscc):
     model, st = wscc
     w = np.array([m.eigenvalue for m in eigensolve(linearize(model, st))])
@@ -214,6 +232,105 @@ def test_k_sweep_properties(wscc, wscc_mode):
     assert np.max(np.abs(np.diff(rep.ratio))) < 0.05  # smooth in K
     assert rep.go["omega"] > 0.0
     assert rep.go["omega_tilde_k1"] > rep.go["omega"]
+
+
+@pytest.mark.parametrize("bus5_scale", [1.0, 1.2])
+def test_k_sweep_ratio_is_exactly_one_at_k_zero(bus5_scale):
+    """go(omega) and the K = 0 row come out of the same arithmetic, also
+    on a grid where K = 0 is not the first gain."""
+    case = load_bundled_case()
+    bus = case.network.bus(5)
+    bus.p_load *= bus5_scale
+    bus.q_load *= bus5_scale
+    model, st = build_system(case, "cig_omega_tilde", freq_loop=False)
+    mode = identify_frequency_mode(eigensolve(linearize(model, st)))
+    grid = np.arange(-10, 61) / 20.0
+    rep = k_sweep(model, st, mode, grid)
+    assert rep.ratio[grid == 0.0].tolist() == [1.0]
+    assert k_sweep(model, st, mode, np.array([0.0])).ratio.tolist() == [1.0]
+
+
+def test_vectorized_sweep_and_shapes_match_the_loop_references(wscc, wscc_mode):
+    """The sweep against go(row) / go(omega) gain by gain (summed in another
+    order: within 1e-14), and the speed shapes against the normalization of
+    one mode at a time (the same arithmetic: bitwise)."""
+    model, st = wscc
+    c_rho, c_omega = output_row(model, st, "rho"), output_row(model, st, "omega")
+    grid = np.arange(-10, 61) / 20.0
+    go_omega = geometric_observability(c_omega, wscc_mode)
+    ref = [geometric_observability(c_omega - k * c_rho, wscc_mode) / go_omega for k in grid]
+    assert np.max(np.abs(k_sweep(model, st, wscc_mode, grid).ratio - ref)) < 1e-14
+    for m in eigensolve(linearize(model, st)):
+        shape = m.right[model.speed_indices]
+        peak = np.max(np.abs(shape))
+        if peak > 0:
+            k = int(np.argmax(np.abs(shape)))
+            shape = shape * np.exp(-1j * np.angle(shape[k])) / peak
+        assert m.speed_shape.tobytes() == shape.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one linearization per operating point
+# ---------------------------------------------------------------------------
+
+def test_linearize_and_k_sweep_share_one_reduction(wscc, call_counts):
+    """`linearize` is the equilibrium check plus two passes per column group;
+    `k_sweep` on the mode it gave adds only its own equilibrium check."""
+    model, st = wscc
+    groups = model.jacobian_structure()[1]
+    call_counts.update(machines=0, cig=0)
+    mode = identify_frequency_mode(eigensolve(linearize(model, st)))
+    k_sweep(model, st, mode, np.arange(-10, 61) / 20.0)
+    assert call_counts["machines"] == 2 * len(groups) + 2
+
+
+def test_k_sweep_reuses_the_rows_of_a_fresh_linearization(wscc, wscc_mode):
+    """The rows `linearize` carries are bitwise those of a new reduction, and
+    the sweep on them is bitwise the sweep that recomputes them."""
+    model, st = wscc
+    lm = wscc_mode.linear_model
+    assert lm.rows[0].tobytes() == output_row(model, st, "rho").tobytes()
+    assert lm.rows[1].tobytes() == output_row(model, st, "omega").tobytes()
+    grid = np.arange(-10, 61) / 20.0
+    reused = k_sweep(model, st, wscc_mode, grid)
+    unlinked = Mode(wscc_mode.eigenvalue, wscc_mode.right, wscc_mode.left,
+                    wscc_mode.speed_shape)
+    recomputed = k_sweep(model, st, unlinked, grid)
+    assert reused.ratio.tobytes() == recomputed.ratio.tobytes()
+    assert reused.go == recomputed.go
+
+
+def _linked_mode(model, st, eps=1e-6):
+    return identify_frequency_mode(eigensolve(linearize(model, st, eps=eps)))
+
+
+@pytest.mark.parametrize("source", ["nudged point", "other model", "other eps",
+                                    "same point"])
+def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source):
+    """Rows are reused only from the same model at bitwise the same [x; y]
+    with the default step; otherwise `k_sweep` reduces the model again.  The
+    nudged point is still an equilibrium within tolerance."""
+    model, st = wscc
+    groups = model.jacobian_structure()[1]
+    eq = st
+    if source == "nudged point":
+        eq = SystemState(x=st.x.copy(), y=st.y.copy(), t=0.0)
+        eq.x[1] += 1e-12
+        mode = _linked_mode(model, st)
+    elif source == "other model":
+        mode = _linked_mode(*build_system(load_bundled_case(), "cig_omega_tilde",
+                                          freq_loop=False))
+        assert mode.linear_model.point[1] == np.concatenate([st.x, st.y]).tobytes()
+    elif source == "other eps":
+        mode = _linked_mode(model, st, eps=1e-5)
+    else:
+        mode = _linked_mode(model, st)
+    grid = np.array([0.0, 1.0])
+    call_counts.update(machines=0, cig=0)
+    rep = k_sweep(model, eq, mode, grid)
+    assert call_counts["machines"] == (1 if source == "same point" else 2 * len(groups) + 1)
+    unlinked = Mode(mode.eigenvalue, mode.right, mode.left, mode.speed_shape)
+    assert rep.ratio.tobytes() == k_sweep(model, eq, unlinked, grid).ratio.tobytes()
 
 
 # ---------------------------------------------------------------------------
