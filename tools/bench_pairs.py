@@ -143,8 +143,9 @@ def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int,
                 "pairs": pairs, "metrics": compare(runs),
                 "fail_frac": {s: statistics.fmean(r["details"]["fail_frac"]["value"]
                                                   for r in runs[s]) for s in runs},
-                "max_dev": {s: max((r["details"]["max_dev"]["value"] or 0.0)
-                                   for r in runs[s]) for s in runs},
+                "max_dev": {s: max((r["details"]["max_dev"]["value"] for r in runs[s]
+                                    if r["details"]["max_dev"]["value"] is not None),
+                                   default=None) for s in runs},
                 "stats": {s: {w: solver_stats(checkouts[s], w, seed)} for s in runs}}
         return result
 
