@@ -119,6 +119,7 @@ class SystemModel:
         self._coi_w = smmod.coi_weights([m.params for m in machines]).tolist()
         self._jac_structure = None   # (pattern, groups), built on first use
         self._y_nonzero = None       # nonzero structure of _y_real it was built for
+        self.revision = 0            # bumped by refresh_setpoints and set_network
         self.refresh_setpoints()
         self._refresh_network_arrays()
 
@@ -134,6 +135,7 @@ class SystemModel:
 
     def refresh_setpoints(self) -> None:
         """Re-read the machine parameters and set points into the kernel tuples."""
+        self.revision += 1
         self._sm_prm = [smmod.sm_kernel_params(m.params, m.avr, m.gov)
                         for m in self.machines]
 
@@ -155,6 +157,7 @@ class SystemModel:
                        for i, b in enumerate(self.net.buses) if b.p_load or b.q_load]
 
     def set_network(self, net: Network) -> None:
+        self.revision += 1
         self.net = net
         self._refresh_network_arrays()
 

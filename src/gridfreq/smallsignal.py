@@ -28,13 +28,15 @@ rotates at the COI speed).
 
 One linearization serves an operating point: `linearize` also computes
 the two rows when the model has a converter, and records the point it
-was taken at (model, bytes of [x; y], eps); `eigensolve` links each mode
-to that `LinearModel`.  `k_sweep` reuses the mode's rows when they were
-linearized from the same model at bitwise the same [x; y] with the
-default step, after its own equilibrium check (one residual pass), and
-otherwise reduces the model again.  The sweep evaluates every gain of the
-grid in one column-wise formula, in which go(omega) is the K = 0 column,
-so the ratio at K = 0 is exactly 1.
+was taken at (model, its `revision`, bytes of [x; y], eps); `eigensolve`
+links each mode to that `LinearModel`.  `k_sweep` reuses the mode's rows
+when they were linearized from the same model, unchanged since (no
+`refresh_setpoints` or `set_network` in between), at bitwise the same
+[x; y] with the default step, after its own equilibrium check (one
+residual pass), and otherwise reduces the model again.  The sweep
+evaluates go for every gain of the grid, and for rho, in one call of
+`geometric_observability` on the columns of one array; go(omega) is its
+K = 0 column, so the ratio at K = 0 is exactly 1.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ class LinearModel:
     speed_indices: list[int]
     # (c_rho, c_omega) at the converter bus; None without a converter
     rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    # (model, bytes of [x; y], eps) that `linearize` took; None when hand-built
+    # (model, its revision, bytes of [x; y], eps) that `linearize` took;
+    # None when hand-built
     point: tuple | None = field(default=None, repr=False)
 
 
@@ -143,8 +146,8 @@ def _reduction(model: SystemModel, eq: SystemState,
 
 
 def _point(model: SystemModel, eq: SystemState, eps: float) -> tuple:
-    """The key of a linearization: (model, bytes of [x; y], eps)."""
-    return model, np.concatenate([eq.x, eq.y]).tobytes(), eps
+    """The key of a linearization: (model, its revision, bytes of [x; y], eps)."""
+    return model, model.revision, np.concatenate([eq.x, eq.y]).tobytes(), eps
 
 
 def linearize(model: SystemModel, eq: SystemState, eps: float = _FD_EPS) -> LinearModel:
@@ -240,8 +243,8 @@ def _output_rows(model: SystemModel, eq: SystemState, a: np.ndarray,
 def _base_rows(model: SystemModel, eq: SystemState,
                lm: LinearModel | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(c_rho, c_omega) at the converter terminal bus of an equilibrium:
-    those of `lm` when it was linearized from model at eq with the default
-    step, else from a new reduction."""
+    those of `lm` when it was linearized from model at its current revision,
+    at eq and with the default step, else from a new reduction."""
     if model.cig_bus is None:
         raise ValueError("output rows require a converter (measurement point) in the model")
     if lm is not None and lm.point == _point(model, eq, _FD_EPS):
@@ -263,13 +266,20 @@ def output_row(model: SystemModel, eq: SystemState, signal: str,
     return c_omega - k * c_rho
 
 
-def geometric_observability(c: np.ndarray, mode: Mode) -> float:
-    """Cosine alignment |c . phi| / (||c|| ||phi||) in [0, 1]."""
-    cn = np.linalg.norm(c)
+def geometric_observability(c: np.ndarray, mode: Mode) -> float | np.ndarray:
+    """Cosine alignment |c . phi| / (||c|| ||phi||) in [0, 1] of a real
+    output row c; for a 2-D c, one value per column.  Each column is
+    reduced along axis 0 in the same order, so equal columns give equal
+    values bitwise."""
+    cols = np.asarray(c, dtype=float).reshape(len(c), -1)
+    phi = mode.right[:, None]
+    dot = np.sum(cols * phi.real, axis=0) + 1j * np.sum(cols * phi.imag, axis=0)
+    cn = np.sqrt(np.sum(cols * cols, axis=0))
     pn = np.linalg.norm(mode.right)
-    if cn == 0.0 or pn == 0.0:
+    if pn == 0.0 or not np.all(cn > 0.0):
         raise ValueError("zero vector in observability computation")
-    return float(abs(np.dot(c.astype(complex), mode.right)) / (cn * pn))
+    go = np.abs(dot) / (cn * pn)
+    return float(go[0]) if np.ndim(c) == 1 else go
 
 
 def k_sweep(model: SystemModel, eq: SystemState, mode: Mode,
@@ -278,21 +288,17 @@ def k_sweep(model: SystemModel, eq: SystemState, mode: Mode,
 
     Uses the linearity of the compensated signal: its output row is
     c(omega) - K c(rho), so the two base rows are computed once, or taken
-    from the mode's own linearization (see the module docstring).  The
-    rows of the grid are the columns of one array, led by K = 0, and every
-    column is reduced in the same order, so ratio(K = 0) is exactly 1.
+    from the mode's own linearization, which holds the rows of the model
+    as it was then (see the module docstring).  The rows of rho and of
+    every gain, led by K = 0 and K = 1, are the columns of one array that
+    one `geometric_observability` call reduces, so go(omega) is the K = 0
+    column and ratio(K = 0) is exactly 1.
     """
     c_rho, c_omega = _base_rows(model, eq, mode.linear_model)
-    go = {"omega": geometric_observability(c_omega, mode),
-          "rho": geometric_observability(c_rho, mode),
-          "omega_tilde_k1": geometric_observability(c_omega - c_rho, mode)}
     k_grid = np.asarray(k_grid, dtype=float)
-    # column j: the output row at the gain [0, *k_grid][j]
-    c = c_omega[:, None] - c_rho[:, None] * np.concatenate([[0.0], k_grid])
-    phi = mode.right[:, None]
-    dot = np.sum(c * phi.real, axis=0) + 1j * np.sum(c * phi.imag, axis=0)
-    norm = np.sqrt(np.sum(c * c, axis=0))
-    if not np.all(norm > 0.0):
-        raise ValueError("zero vector in observability computation")
-    cos = np.abs(dot) / norm   # go times ||phi||, which cancels in the ratio
-    return ObservabilityReport(k_grid=k_grid, ratio=cos[1:] / cos[0], go=go)
+    gains = np.concatenate([[0.0, 1.0], k_grid])
+    go = geometric_observability(
+        np.column_stack([c_rho, c_omega[:, None] - c_rho[:, None] * gains]), mode)
+    return ObservabilityReport(
+        k_grid=k_grid, ratio=go[3:] / go[1],
+        go={"omega": float(go[1]), "rho": float(go[0]), "omega_tilde_k1": float(go[2])})

@@ -432,6 +432,23 @@ def test_first_step_after_resolve_or_invalidate_is_a_fresh_integrators(case):
     assert np.array_equal(c.x, d.x) and np.array_equal(c.y, d.y)
 
 
+def test_first_step_after_a_resolve_that_dropped_its_jacobian_is_a_fresh_integrators(case):
+    """A 15 % load step re-solves on the pre-event Jacobian and drops it: the
+    next step is bitwise that of an integrator that never stepped."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    h = 0.005
+    integ = TrapezoidalIntegrator(model)
+    s = st
+    for _ in range(5):
+        s = integ.step(s, h)
+    builds = integ.stats["jacobian_builds"]
+    model.set_network(apply_event(model.net, LoadScale(bus=5, factor=1.15)))
+    s = integ.resolve(s)
+    assert integ.stats["jacobian_builds"] == builds and integ._jfull is None
+    a, b = integ.step(s, h), TrapezoidalIntegrator(model).step(s, h)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
 @pytest.mark.parametrize("control", CONTROLS)
 def test_load_loss_takes_at_most_3_1_residual_passes_per_step(case, control):
     """The paper's 10 s load-loss run at h = 5 ms: the extrapolated start

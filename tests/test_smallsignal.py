@@ -32,6 +32,7 @@ class LinearToy:
         self.state_labels = ["x1", "x2"]
         self.speed_indices = [0]
         self.cig_bus = None  # no converter: no output rows
+        self.revision = 0
 
     def residual(self, x, y):
         return self.A @ x + self.B @ y, self.C @ x + self.D @ y, {}
@@ -320,7 +321,7 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
     elif source == "other model":
         mode = _linked_mode(*build_system(load_bundled_case(), "cig_omega_tilde",
                                           freq_loop=False))
-        assert mode.linear_model.point[1] == np.concatenate([st.x, st.y]).tobytes()
+        assert mode.linear_model.point[2] == np.concatenate([st.x, st.y]).tobytes()
     elif source == "other eps":
         mode = _linked_mode(model, st, eps=1e-5)
     else:
@@ -331,6 +332,46 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
     assert call_counts["machines"] == (1 if source == "same point" else 2 * len(groups) + 1)
     unlinked = Mode(mode.eigenvalue, mode.right, mode.left, mode.speed_shape)
     assert rep.ratio.tobytes() == k_sweep(model, eq, unlinked, grid).ratio.tobytes()
+
+
+@pytest.mark.parametrize("edit", ["time constant", "network"])
+def test_k_sweep_recomputes_rows_after_the_model_changed(call_counts, edit):
+    """A new T'd0 leaves the equilibrium one (it divides a derivative that
+    is zero there) but changes A and the rows.  Editing it and calling
+    `refresh_setpoints`, or handing `set_network` a network, bumps the
+    model's revision: the sweep on the mode linearized before reduces the
+    model as it is now."""
+    model, st = build_system(load_bundled_case(), "cig_omega_tilde", freq_loop=False)
+    mode = _linked_mode(model, st)
+    if edit == "time constant":
+        model.machines[0].params.td01 *= 2.0
+        model.refresh_setpoints()
+    else:
+        model.set_network(model.net)
+    groups = model.jacobian_structure()[1]
+    grid = np.array([0.0, 1.0])
+    call_counts.update(machines=0, cig=0)
+    rep = k_sweep(model, st, mode, grid)
+    assert call_counts["machines"] == 2 * len(groups) + 1
+    c_rho, c_omega = output_row(model, st, "rho"), output_row(model, st, "omega")
+    if edit == "time constant":
+        assert not np.array_equal(c_omega, mode.linear_model.rows[1])
+    go = geometric_observability(np.column_stack([c_omega, c_omega - c_rho]), mode)
+    assert rep.go["omega"] == go[0] and rep.go["omega_tilde_k1"] == go[1]
+    assert rep.ratio.tolist() == [1.0, go[1] / go[0]]
+
+
+def test_observability_of_columns_is_that_of_each_row(wscc, wscc_mode):
+    """A 2-D c gives one go per column: the column-wise sums of a 1-D row
+    and of a column agree within 1e-15, and equal columns give equal go."""
+    model, st = wscc
+    c_rho, c_omega = output_row(model, st, "rho"), output_row(model, st, "omega")
+    go = geometric_observability(np.column_stack([c_omega, c_rho, c_omega]), wscc_mode)
+    assert go.shape == (3,) and go[0] == go[2]
+    assert abs(go[0] - geometric_observability(c_omega, wscc_mode)) < 1e-15
+    assert abs(go[1] - geometric_observability(c_rho, wscc_mode)) < 1e-15
+    with pytest.raises(ValueError, match="zero vector"):
+        geometric_observability(np.column_stack([c_omega, 0.0 * c_rho]), wscc_mode)
 
 
 # ---------------------------------------------------------------------------

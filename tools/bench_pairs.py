@@ -7,7 +7,8 @@ From the root of a checkout:
 
 Each commit is extracted with `git archive` into a fresh directory, and
 `python3 bench/run.py --workload W --seed S --seconds T --trace 0` runs
-there, one run at a time.  Pair i runs the parent first when i is odd and
+there, one run at a time, with T the benchmark's run length (`run_seconds`
+of BENCHMARK.json).  Pair i runs the parent first when i is odd and
 the change first when i is even.  Each side's end-to-end metrics are
 summarized over its runs (median, quartiles, IQR, min, max and the
 samples), with the number of pairs the change won and the ratio of the
@@ -16,8 +17,7 @@ deviation from bench/reference.json, and solver stats from one untimed
 pass of every operation: `TimeSeries.stats` and the counted
 `SystemModel.residual` calls.
 
-The result goes to BENCH_<short change sha>.json at the repo root (or
---out).  When that file already holds the same two commits, a run with
+The result goes to BENCH_<short change sha>.json at the repo root.  When that file already holds the same two commits, a run with
 another seed is added under "other_seeds" and one with the same seed
 replaces the workloads it ran.
 """
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("loadloss", "load_steps", "smallsig")
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 # One untimed pass of every operation of a workload, run in a checkout:
@@ -87,11 +88,11 @@ def extract(sha: str, dest: Path) -> Path:
     return dest
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     """The result and details lines of one bench/run.py run."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(RUN_SECONDS), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True)
     details, result = proc.stdout.strip().splitlines()[-2:]
     return {"details": json.loads(details)["details"], "result": json.loads(result)}
@@ -125,8 +126,7 @@ def compare(runs: dict[str, list[dict]]) -> dict:
     return metrics
 
 
-def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int,
-              seconds: float) -> dict:
+def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts = {side: extract(sha, Path(tmp) / side) for side, sha in shas.items()}
         result = {}
@@ -135,7 +135,7 @@ def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int,
             for i in range(1, pairs + 1):
                 order = ("parent", "change") if i % 2 else ("change", "parent")
                 for side in order:
-                    runs[side].append(bench_run(checkouts[side], w, seed, seconds))
+                    runs[side].append(bench_run(checkouts[side], w, seed))
                 print(f"{w} pair {i}/{pairs}: " + ", ".join(
                     f"{s} {runs[s][-1]['result']['metrics']['wall_s']['value']:.4g} s"
                     for s in order), file=sys.stderr)
@@ -164,25 +164,23 @@ def main(argv=None) -> int:
     ap.add_argument("change")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="repeatable; default: every workload")
-    ap.add_argument("--out", type=Path, help="default: BENCH_<short change sha>.json")
     args = ap.parse_args(argv)
-    if args.pairs < 2 or args.seconds <= 0:
-        ap.error("--pairs must be at least 2 (for quartiles), --seconds positive")
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 (for quartiles)")
 
     shas = {"parent": resolve_commit(args.parent), "change": resolve_commit(args.change)}
-    out = args.out or ROOT / f"BENCH_{shas['change'][:7]}.json"
+    out = ROOT / f"BENCH_{shas['change'][:7]}.json"
     workloads = args.workload or list(WORKLOADS)
     method = (f"python3 bench/run.py --workload W --seed {args.seed} "
-              f"--seconds {args.seconds:g} --trace 0, run in fresh `git archive` "
+              f"--seconds {RUN_SECONDS} --trace 0, run in fresh `git archive` "
               f"checkouts of each commit; {args.pairs} pairs per workload, the parent "
               "first in odd pairs and the change first in even pairs, one run at a "
               "time. Times are the benchmark's scaled seconds (host-speed corrected), "
               "medians of one run's repetitions; the per-workload summaries are over "
               "the runs of each side.")
-    result = run_pairs(shas, workloads, args.seed, args.pairs, args.seconds)
+    result = run_pairs(shas, workloads, args.seed, args.pairs)
 
     doc = json.loads(out.read_text()) if out.exists() else {}
     if doc.get("parent") != shas["parent"] or doc.get("change") != shas["change"]:
