@@ -134,7 +134,8 @@ class SystemModel:
     # -- network / setpoint refresh -------------------------------------
 
     def refresh_setpoints(self) -> None:
-        """Re-read the machine parameters and set points into the kernel tuples."""
+        """Re-read the machine parameters and set points into the kernel tuples,
+        and bump `revision`, which marks linearizations of the model stale."""
         self.revision += 1
         self._sm_prm = [smmod.sm_kernel_params(m.params, m.avr, m.gov)
                         for m in self.machines]

@@ -306,13 +306,16 @@ def _linked_mode(model, st, eps=1e-6):
 
 
 @pytest.mark.parametrize("source", ["nudged point", "other model", "other eps",
+                                    "new time constant", "network set again",
                                     "same point"])
 def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source):
-    """Rows are reused only from the same model at bitwise the same [x; y]
-    with the default step; otherwise `k_sweep` reduces the model again.  The
-    nudged point is still an equilibrium within tolerance."""
+    """Rows are reused only from the same model, unchanged since, at bitwise
+    the same [x; y] with the default step; otherwise `k_sweep` reduces the
+    model as it is now.  The nudged point is still an equilibrium within
+    tolerance.  A new T'd0 leaves the equilibrium one (it divides a
+    derivative that is zero there) but changes A and the rows;
+    `refresh_setpoints` after it, or `set_network`, bumps the revision."""
     model, st = wscc
-    groups = model.jacobian_structure()[1]
     eq = st
     if source == "nudged point":
         eq = SystemState(x=st.x.copy(), y=st.y.copy(), t=0.0)
@@ -324,41 +327,26 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
         assert mode.linear_model.point[2] == np.concatenate([st.x, st.y]).tobytes()
     elif source == "other eps":
         mode = _linked_mode(model, st, eps=1e-5)
+    elif source in ("new time constant", "network set again"):
+        model, eq = build_system(load_bundled_case(), "cig_omega_tilde", freq_loop=False)
+        mode = _linked_mode(model, eq)
+        if source == "new time constant":
+            model.machines[0].params.td01 *= 2.0
+            model.refresh_setpoints()
+            assert not np.array_equal(output_row(model, eq, "omega"),
+                                      mode.linear_model.rows[1])
+        else:
+            model.set_network(model.net)
     else:
         mode = _linked_mode(model, st)
+    groups = model.jacobian_structure()[1]
     grid = np.array([0.0, 1.0])
     call_counts.update(machines=0, cig=0)
     rep = k_sweep(model, eq, mode, grid)
     assert call_counts["machines"] == (1 if source == "same point" else 2 * len(groups) + 1)
     unlinked = Mode(mode.eigenvalue, mode.right, mode.left, mode.speed_shape)
     assert rep.ratio.tobytes() == k_sweep(model, eq, unlinked, grid).ratio.tobytes()
-
-
-@pytest.mark.parametrize("edit", ["time constant", "network"])
-def test_k_sweep_recomputes_rows_after_the_model_changed(call_counts, edit):
-    """A new T'd0 leaves the equilibrium one (it divides a derivative that
-    is zero there) but changes A and the rows.  Editing it and calling
-    `refresh_setpoints`, or handing `set_network` a network, bumps the
-    model's revision: the sweep on the mode linearized before reduces the
-    model as it is now."""
-    model, st = build_system(load_bundled_case(), "cig_omega_tilde", freq_loop=False)
-    mode = _linked_mode(model, st)
-    if edit == "time constant":
-        model.machines[0].params.td01 *= 2.0
-        model.refresh_setpoints()
-    else:
-        model.set_network(model.net)
-    groups = model.jacobian_structure()[1]
-    grid = np.array([0.0, 1.0])
-    call_counts.update(machines=0, cig=0)
-    rep = k_sweep(model, st, mode, grid)
-    assert call_counts["machines"] == 2 * len(groups) + 1
-    c_rho, c_omega = output_row(model, st, "rho"), output_row(model, st, "omega")
-    if edit == "time constant":
-        assert not np.array_equal(c_omega, mode.linear_model.rows[1])
-    go = geometric_observability(np.column_stack([c_omega, c_omega - c_rho]), mode)
-    assert rep.go["omega"] == go[0] and rep.go["omega_tilde_k1"] == go[1]
-    assert rep.ratio.tolist() == [1.0, go[1] / go[0]]
+    assert rep.go == k_sweep(model, eq, unlinked, grid).go
 
 
 def test_observability_of_columns_is_that_of_each_row(wscc, wscc_mode):
