@@ -43,7 +43,6 @@ from .smallsignal import (
     identify_frequency_mode,
     k_sweep,
     linearize,
-    output_row,
 )
 
 __version__ = "0.1.0"

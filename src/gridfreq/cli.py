@@ -22,12 +22,13 @@ current directory.  Each command writes a ``manifest.json`` recording the
 resolved settings, the versions of gridfreq, numpy, scipy and Python, and
 a SHA-256 digest of the resolved scenario (defaults, file and flags
 merged, events included), so two runs share a digest exactly when they
-ran the same scenario, however it was given.  Bad input (a K grid of
-``ksweep`` with a non-positive step or k_max < k_min included) and a run
-whose solver fails (``StepError``) print ``error: ...`` and exit with
-status 2; such a ``run`` still writes its manifest, with the error, the
-time of the last accepted state (``t_last``) and the solver stats up to
-the failure.
+ran the same scenario, however it was given.  Bad input (a scenario that
+is not an object or has a field of the wrong type, and a K grid of
+``ksweep`` with a non-positive step, k_max < k_min or more than
+``K_GRID_MAX`` gains included) and a run whose solver fails
+(``StepError``) print ``error: ...`` and exit with status 2; such a
+``run`` still writes its manifest, with the error, the time of the last
+accepted state (``t_last``) and the solver stats up to the failure.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ from .smallsignal import (
 )
 
 OUT_DIR_ENV = "GRIDFREQ_OUT_DIR"
+# most gains a `ksweep` grid may hold
+K_GRID_MAX = 10_001
 
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario description."""
@@ -101,7 +104,16 @@ _DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
              for f in fields(Scenario)}
 
 
+def _number(doc: dict, name: str) -> float:
+    try:
+        return float(doc[name])
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be a number, got {doc[name]!r}") from exc
+
+
 def _parse_event(d: dict) -> Event:
+    if not isinstance(d, dict):
+        raise ScenarioError(f"event {d!r} is not an object")
     kind = d.get("type")
     try:
         if kind == "load_scale":
@@ -116,6 +128,8 @@ def _parse_event(d: dict) -> Event:
         return Event(time=float(d["t"]), action=act)
     except KeyError as exc:
         raise ScenarioError(f"event missing field {exc}") from exc
+    except TypeError as exc:
+        raise ScenarioError(f"event {d!r}: {exc}") from exc
 
 
 def load_scenario(path: str | None, overrides: dict) -> Scenario:
@@ -126,18 +140,25 @@ def load_scenario(path: str | None, overrides: dict) -> Scenario:
             data = json.loads(Path(path).read_bytes())
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ScenarioError(f"{path}: a scenario is a JSON object, got {data!r}")
         unknown = set(data) - set(_DEFAULTS)
         if unknown:
             raise ScenarioError(f"{path}: unknown fields {sorted(unknown)}")
         merged.update(data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
+    if not isinstance(merged["case"], str):
+        raise ScenarioError(f"case must be a string, got {merged['case']!r}")
+    if not isinstance(merged["events"], list):
+        raise ScenarioError(f"events must be a list, got {merged['events']!r}")
+    if not isinstance(merged["channels"], (list, type(None))):
+        raise ScenarioError(f"channels must be a list, got {merged['channels']!r}")
     sc = Scenario(
         case=merged["case"], control=merged["control"],
-        k=None if merged["k"] is None else float(merged["k"]),
-        events=[_parse_event(e) if isinstance(e, dict) else e
-                for e in merged["events"]],
-        t_end=float(merged["t_end"]), h=float(merged["h"]),
-        output_dt=float(merged["output_dt"]), channels=merged["channels"],
+        k=None if merged["k"] is None else _number(merged, "k"),
+        events=[_parse_event(e) for e in merged["events"]],
+        t_end=_number(merged, "t_end"), h=_number(merged, "h"),
+        output_dt=_number(merged, "output_dt"), channels=merged["channels"],
         out_dir=str(merged["out_dir"]))
     if sc.control not in CONTROLS:
         raise ScenarioError(f"unknown control mode {sc.control!r}")
@@ -305,10 +326,13 @@ def cmd_ksweep(sc: Scenario, out: Path, k_min: float, k_max: float,
         raise ScenarioError(f"--k-step must be positive, got {k_step:g}")
     if k_max < k_min:
         raise ScenarioError(f"--k-max {k_max:g} is below --k-min {k_min:g}")
+    span = (k_max - k_min) / k_step
+    n = int(round(min(span, K_GRID_MAX))) + 1   # an infinite span included
+    if n > K_GRID_MAX:
+        raise ScenarioError(f"the K grid holds {span + 1:.3g} gains, more than {K_GRID_MAX}")
     case = sc.load_case()
     model, st = build_system(case, "cig_omega_tilde", k=sc.k, freq_loop=False)
     mode = identify_frequency_mode(eigensolve(linearize(model, st)))
-    n = int(round((k_max - k_min) / k_step)) + 1
     grid = k_min + k_step * np.arange(n)
     rep = k_sweep(model, st, mode, grid)
     lines = ["k,ratio"]

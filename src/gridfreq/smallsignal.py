@@ -26,17 +26,16 @@ c_rho = Re(d eta/dx) / omega_b and c_omega = Im(d eta/dx) / omega_b plus
 the centre-of-inertia weights on the machine speeds (the network frame
 rotates at the COI speed).
 
-One linearization serves an operating point: `linearize` also computes
-the two rows when the model has a converter, and records the point it
-was taken at (model, its `revision`, bytes of [x; y], eps); `eigensolve`
-links each mode to that `LinearModel`.  `k_sweep` reuses the mode's rows
-when they were linearized from the same model, unchanged since (no
-`refresh_setpoints` or `set_network` in between), at bitwise the same
-[x; y] with the default step, after its own equilibrium check (one
-residual pass), and otherwise reduces the model again.  The sweep
-evaluates go for every gain of the grid, and for rho, in one call of
-`geometric_observability` on the columns of one array; go(omega) is its
-K = 0 column, so the ratio at K = 0 is exactly 1.
+`linearize` is the one source of the rows: it computes them with A when
+the model has a converter, and records the point it was taken at (model,
+its `revision`, bytes of [x; y]); `eigensolve` links each mode to that
+`LinearModel`.  `k_sweep` takes the rows of its mode's linearization and
+accepts only a mode linearized from the same model, unchanged since (no
+`refresh_setpoints` or `set_network`, which `simulate` calls on events),
+at bitwise the same [x; y]; it checks the equilibrium in one residual
+pass.  The sweep evaluates go for every gain of the grid, and for rho,
+in one call of `geometric_observability` on the columns of one array;
+go(omega) is its K = 0 column, so the ratio at K = 0 is exactly 1.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ class ModeIdentificationError(RuntimeError):
 
 # central-difference step of the Jacobians, relative to 1 + |z_i|
 _FD_EPS = 1e-6
-# max |[f; g]| at a point that `linearize` and the output rows accept
+# max |[f; g]| at a point that `linearize` and `k_sweep` accept
 _EQ_TOL = 1e-8
 # max ||A phi - lambda phi|| / ||phi||, relative to ||A||_F (at least 1)
 _EIG_RESIDUAL_TOL = 1e-8
@@ -73,7 +72,7 @@ class LinearModel:
     speed_indices: list[int]
     # (c_rho, c_omega) at the converter bus; None without a converter
     rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    # (model, its revision, bytes of [x; y], eps) that `linearize` took;
+    # (model, its revision, bytes of [x; y]) that `linearize` took;
     # None when hand-built
     point: tuple | None = field(default=None, repr=False)
 
@@ -116,12 +115,12 @@ def _check_equilibrium(model: SystemModel, eq: SystemState) -> None:
         raise ValueError(f"not an equilibrium: residual {worst:.3e} > {_EQ_TOL:g}")
 
 
-def _central_jacobians(model: SystemModel, eq: SystemState, eps: float):
+def _central_jacobians(model: SystemModel, eq: SystemState):
     """(f_x, f_y, g_x, g_y) by central finite differences, one residual pass
     per side and column group of `SystemModel.jacobian_structure`."""
     pattern, groups = model.jacobian_structure()
     z0 = np.concatenate([eq.x, eq.y])
-    step = eps * (1.0 + np.abs(z0))
+    step = _FD_EPS * (1.0 + np.abs(z0))
     jac = np.empty((z0.size, z0.size))
     for cols in groups:
         zp, zm = z0.copy(), z0.copy()
@@ -133,31 +132,25 @@ def _central_jacobians(model: SystemModel, eq: SystemState, eps: float):
     return jac[:n_x, :n_x], jac[:n_x, n_x:], jac[n_x:, :n_x], jac[n_x:, n_x:]
 
 
-def _reduction(model: SystemModel, eq: SystemState,
-               eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A, g_y^{-1} g_x) at an equilibrium, from one Jacobian pass."""
+def _point(model: SystemModel, eq: SystemState) -> tuple:
+    """The key of a linearization: (model, its revision, bytes of [x; y])."""
+    return model, model.revision, np.concatenate([eq.x, eq.y]).tobytes()
+
+
+def linearize(model: SystemModel, eq: SystemState) -> LinearModel:
+    """Reduced state matrix at an equilibrium (algebraic variables
+    eliminated), with the output rows when the model has a converter."""
     _check_equilibrium(model, eq)
-    f_x, f_y, g_x, g_y = _central_jacobians(model, eq, eps)
+    f_x, f_y, g_x, g_y = _central_jacobians(model, eq)
     try:
         gy_inv_gx = np.linalg.solve(g_y, g_x)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("singular algebraic Jacobian g_y") from exc
-    return f_x - f_y @ gy_inv_gx, gy_inv_gx
-
-
-def _point(model: SystemModel, eq: SystemState, eps: float) -> tuple:
-    """The key of a linearization: (model, its revision, bytes of [x; y], eps)."""
-    return model, model.revision, np.concatenate([eq.x, eq.y]).tobytes(), eps
-
-
-def linearize(model: SystemModel, eq: SystemState, eps: float = _FD_EPS) -> LinearModel:
-    """Reduced state matrix at an equilibrium (algebraic variables
-    eliminated), with the output rows when the model has a converter."""
-    a, gy_inv_gx = _reduction(model, eq, eps)
+    a = f_x - f_y @ gy_inv_gx
     rows = None if model.cig_bus is None else _output_rows(model, eq, a, gy_inv_gx)
     return LinearModel(a_sys=a, state_labels=list(model.state_labels),
                        speed_indices=list(model.speed_indices), rows=rows,
-                       point=_point(model, eq, eps))
+                       point=_point(model, eq))
 
 
 def eigensolve(lm: LinearModel) -> list[Mode]:
@@ -240,32 +233,6 @@ def _output_rows(model: SystemModel, eq: SystemState, a: np.ndarray,
     return c_rho, c_omega
 
 
-def _base_rows(model: SystemModel, eq: SystemState,
-               lm: LinearModel | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(c_rho, c_omega) at the converter terminal bus of an equilibrium:
-    those of `lm` when it was linearized from model at its current revision,
-    at eq and with the default step, else from a new reduction."""
-    if model.cig_bus is None:
-        raise ValueError("output rows require a converter (measurement point) in the model")
-    if lm is not None and lm.point == _point(model, eq, _FD_EPS):
-        _check_equilibrium(model, eq)
-        return lm.rows
-    return _output_rows(model, eq, *_reduction(model, eq, _FD_EPS))
-
-
-def output_row(model: SystemModel, eq: SystemState, signal: str,
-               k: float = 0.0) -> np.ndarray:
-    """d(signal)/dx at an equilibrium (see the module docstring)."""
-    if signal not in ("rho", "omega", "omega_tilde"):
-        raise ValueError(f"unknown signal {signal!r}")
-    c_rho, c_omega = _base_rows(model, eq)
-    if signal == "rho":
-        return c_rho
-    if signal == "omega":
-        return c_omega
-    return c_omega - k * c_rho
-
-
 def geometric_observability(c: np.ndarray, mode: Mode) -> float | np.ndarray:
     """Cosine alignment |c . phi| / (||c|| ||phi||) in [0, 1] of a real
     output row c; for a 2-D c, one value per column.  Each column is
@@ -286,15 +253,22 @@ def k_sweep(model: SystemModel, eq: SystemState, mode: Mode,
             k_grid: np.ndarray) -> ObservabilityReport:
     """Observability ratio go(omega_tilde(K)) / go(omega) over a gain grid.
 
-    Uses the linearity of the compensated signal: its output row is
-    c(omega) - K c(rho), so the two base rows are computed once, or taken
-    from the mode's own linearization, which holds the rows of the model
-    as it was then (see the module docstring).  The rows of rho and of
-    every gain, led by K = 0 and K = 1, are the columns of one array that
-    one `geometric_observability` call reduces, so go(omega) is the K = 0
-    column and ratio(K = 0) is exactly 1.
+    The rows are those of the mode's own linearization, so the mode must
+    come from `eigensolve(linearize(model, eq))` with model unchanged since
+    (see the module docstring); any other mode raises ValueError.  The
+    output row of the compensated signal is c(omega) - K c(rho), linear in
+    K.  The rows of rho and of every gain, led by K = 0 and K = 1, are the
+    columns of one array that one `geometric_observability` call reduces,
+    so go(omega) is the K = 0 column and ratio(K = 0) is exactly 1.
     """
-    c_rho, c_omega = _base_rows(model, eq, mode.linear_model)
+    if model.cig_bus is None:
+        raise ValueError("output rows require a converter (measurement point) in the model")
+    _check_equilibrium(model, eq)
+    lm = mode.linear_model
+    if lm is None or lm.point != _point(model, eq):
+        raise ValueError("the mode was not linearized from this model, as it is now, "
+                         "at eq: take it from eigensolve(linearize(model, eq))")
+    c_rho, c_omega = lm.rows
     k_grid = np.asarray(k_grid, dtype=float)
     gains = np.concatenate([[0.0, 1.0], k_grid])
     go = geometric_observability(
