@@ -1,8 +1,10 @@
-"""Shared pytest hooks and fixtures.
+"""Shared pytest hooks, fixtures and reference helpers.
 
 The acceptance tests register one "criterion N: PASS/FAIL" line each via
 ``record_criterion``; they are replayed in the terminal summary so they
 stay visible even when output capture hides prints from passing tests.
+``fd_output_rows`` is the nested finite-difference reference of the
+closed-form observability rows, shared by the unit and acceptance tests.
 """
 
 import copy
@@ -12,7 +14,7 @@ import pytest
 
 import gridfreq.cig
 from gridfreq.casefile import load_bundled_case
-from gridfreq.dae import SystemModel, build_system
+from gridfreq.dae import SystemModel, SystemState, TrapezoidalIntegrator, build_system
 from gridfreq.machines import N_STATES
 
 _CRITERION_LINES: list[str] = []
@@ -62,3 +64,47 @@ def call_counts(monkeypatch):
     monkeypatch.setattr(SystemModel, "_machine_block", counted_block)
     monkeypatch.setattr(gridfreq.cig, "cig_derivatives", counted_derivs)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Output rows by nested finite differences
+# ---------------------------------------------------------------------------
+
+def _dense_fd(fun, z0):
+    """d fun/dz at z0 by forward differences, one pass per column, with the
+    integrator's step 1e-7 (1 + |z_i|)."""
+    f0 = fun(z0)
+    jac = np.empty((f0.size, z0.size))
+    for i in range(z0.size):
+        eps = 1e-7 * (1.0 + abs(z0[i]))
+        z = z0.copy()
+        z[i] += eps
+        jac[:, i] = (fun(z) - f0) / eps
+    return jac
+
+
+def _fd_measured_signals(model, x, y_guess):
+    """(rho, omega) at the converter bus for state x: the network is
+    re-solved and ydot = -g_y^{-1} g_x f recovered with FD Jacobians."""
+    y = TrapezoidalIntegrator(model).resolve(SystemState(x, y_guess, 0.0)).y
+    g_x = _dense_fd(lambda xx: model.residual(xx, y)[1], x)
+    g_y = _dense_fd(lambda yy: model.residual(x, yy)[1], y)
+    ydot = -np.linalg.solve(g_y, g_x @ model.residual(x, y)[0])
+    i, n = model.cig_bus, model.n_bus
+    eta = (ydot[i] + 1j * ydot[i + n]) / (y[i] + 1j * y[i + n])
+    return eta.real / model.omega_base, model.coi_speed(x) + eta.imag / model.omega_base
+
+
+def fd_output_rows(model, eq, signals, eps=1e-6):
+    """d signals(rho, omega)/dx at eq, one column per value that
+    `signals` returns, by central differences of the measured signals."""
+    rows = []
+    for i in range(model.n_x):
+        d = eps * (1.0 + abs(eq.x[i]))
+        xp, xm = eq.x.copy(), eq.x.copy()
+        xp[i] += d
+        xm[i] -= d
+        sp = np.array(signals(*_fd_measured_signals(model, xp, eq.y)))
+        sm = np.array(signals(*_fd_measured_signals(model, xm, eq.y)))
+        rows.append((sp - sm) / (2 * d))
+    return np.array(rows)

@@ -189,6 +189,19 @@ def test_run_double_load_step_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "timeseries.csv").exists()
 
 
+@pytest.mark.parametrize("doc", ['5', '{"events": [5]}', '{"events": "ab"}', '{"case": 5}',
+                                 '{"h": null}', '{"t_end": [1]}', '{"channels": 5}'])
+def test_run_malformed_scenario_exits_2(tmp_path, monkeypatch, capsys, doc):
+    """A scenario that is not an object, or has a field of the wrong type,
+    is bad input: exit 2 with an error line, before anything runs."""
+    sc = tmp_path / "s.json"
+    sc.write_text(doc)
+    rc = run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_run_empty_horizon_fails(tmp_path, monkeypatch, capsys):
     rc = run_cli(["run", "--t-end", "0.0"], tmp_path, monkeypatch)
     assert rc != 0
@@ -227,6 +240,7 @@ def test_ksweep_grid_and_ratio(tmp_path, monkeypatch):
     (["--k-step", "-0.05"], "--k-step must be positive"),
     (["--k-min", "1", "--k-max", "0"], "--k-max 0 is below --k-min 1"),
     (["--k-max", "inf"], "--k-min, --k-max and --k-step must be finite"),
+    (["--k-step", "1e-9"], "the K grid holds 3.5e+09 gains, more than 10001"),
 ])
 def test_ksweep_bad_grid_exits_2(tmp_path, monkeypatch, capsys, grid, message):
     rc = run_cli(["ksweep"] + grid, tmp_path, monkeypatch)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import gridfreq.smallsignal
 from gridfreq.casefile import load_bundled_case
 from gridfreq.dae import SystemState, build_system
 from gridfreq.smallsignal import (
@@ -16,8 +17,9 @@ from gridfreq.smallsignal import (
     identify_frequency_mode,
     k_sweep,
     linearize,
-    output_row,
 )
+
+from conftest import fd_output_rows
 
 
 class LinearToy:
@@ -77,11 +79,12 @@ def test_linearize_rejects_non_equilibrium():
         linearize(toy, eq)
 
 
-def test_linearize_perturbation_robustness(wscc):
-    """Eigenvalues from eps = 1e-5 and 1e-6 agree to 4 significant digits."""
+def test_linearize_perturbation_robustness(wscc, monkeypatch):
+    """Eigenvalues from steps 1e-5 and 1e-6 agree to 4 significant digits."""
     model, st = wscc
-    w1 = np.sort_complex(np.linalg.eigvals(linearize(model, st, eps=1e-5).a_sys))
-    w2 = np.sort_complex(np.linalg.eigvals(linearize(model, st, eps=1e-6).a_sys))
+    w2 = np.sort_complex(np.linalg.eigvals(linearize(model, st).a_sys))
+    monkeypatch.setattr(gridfreq.smallsignal, "_FD_EPS", 1e-5)
+    w1 = np.sort_complex(np.linalg.eigvals(linearize(model, st).a_sys))
     scale = np.maximum(np.abs(w2), 1e-3)
     assert np.max(np.abs(w1 - w2) / scale) < 1e-4
 
@@ -188,9 +191,8 @@ def test_observability_alignment_extremes():
         geometric_observability(np.zeros(2), _mode_with_shape(phi))
 
 
-def test_observability_scale_invariance(wscc, wscc_mode):
-    model, st = wscc
-    c = output_row(model, st, "omega")
+def test_observability_scale_invariance(wscc_mode):
+    c = wscc_mode.linear_model.rows[1]
     rng = np.random.default_rng(3)
     base = geometric_observability(c, wscc_mode)
     for _ in range(5):
@@ -199,29 +201,13 @@ def test_observability_scale_invariance(wscc, wscc_mode):
             base, abs=1e-12)
 
 
-def test_observability_same_for_conjugate_mode(wscc, wscc_mode):
-    model, st = wscc
-    c = output_row(model, st, "omega")
+def test_observability_same_for_conjugate_mode(wscc_mode):
+    c = wscc_mode.linear_model.rows[1]
     conj = Mode(eigenvalue=np.conj(wscc_mode.eigenvalue),
                 right=np.conj(wscc_mode.right), left=np.conj(wscc_mode.left),
                 speed_shape=np.conj(wscc_mode.speed_shape))
     assert geometric_observability(c, conj) == pytest.approx(
         geometric_observability(c, wscc_mode), abs=1e-12)
-
-
-def test_output_row_superposition(wscc):
-    model, st = wscc
-    c_omega = output_row(model, st, "omega")
-    c_rho = output_row(model, st, "rho")
-    for k in (0.0, 1.0, 1.2, -0.03):
-        c_t = output_row(model, st, "omega_tilde", k=k)
-        assert np.max(np.abs(c_t - (c_omega - k * c_rho))) < 1e-6
-
-
-def test_output_row_unknown_signal(wscc):
-    model, st = wscc
-    with pytest.raises(ValueError):
-        output_row(model, st, "bogus")
 
 
 def test_k_sweep_properties(wscc, wscc_mode):
@@ -256,7 +242,7 @@ def test_vectorized_sweep_and_shapes_match_the_loop_references(wscc, wscc_mode):
     order: within 1e-14), and the speed shapes against the normalization of
     one mode at a time (the same arithmetic: bitwise)."""
     model, st = wscc
-    c_rho, c_omega = output_row(model, st, "rho"), output_row(model, st, "omega")
+    c_rho, c_omega = wscc_mode.linear_model.rows
     grid = np.arange(-10, 61) / 20.0
     go_omega = geometric_observability(c_omega, wscc_mode)
     ref = [geometric_observability(c_omega - k * c_rho, wscc_mode) / go_omega for k in grid]
@@ -286,35 +272,36 @@ def test_linearize_and_k_sweep_share_one_reduction(wscc, call_counts):
 
 
 def test_k_sweep_reuses_the_rows_of_a_fresh_linearization(wscc, wscc_mode):
-    """The rows `linearize` carries are bitwise those of a new reduction, and
-    the sweep on them is bitwise the sweep that recomputes them."""
+    """The rows a mode carries are bitwise those of a second linearization
+    at the same point, and the sweeps on the two modes are bitwise equal."""
     model, st = wscc
-    lm = wscc_mode.linear_model
-    assert lm.rows[0].tobytes() == output_row(model, st, "rho").tobytes()
-    assert lm.rows[1].tobytes() == output_row(model, st, "omega").tobytes()
+    again = identify_frequency_mode(eigensolve(linearize(model, st)))
+    assert again.linear_model is not wscc_mode.linear_model
+    for row, row_again in zip(wscc_mode.linear_model.rows, again.linear_model.rows):
+        assert row.tobytes() == row_again.tobytes()
     grid = np.arange(-10, 61) / 20.0
-    reused = k_sweep(model, st, wscc_mode, grid)
-    unlinked = Mode(wscc_mode.eigenvalue, wscc_mode.right, wscc_mode.left,
-                    wscc_mode.speed_shape)
-    recomputed = k_sweep(model, st, unlinked, grid)
-    assert reused.ratio.tobytes() == recomputed.ratio.tobytes()
-    assert reused.go == recomputed.go
+    rep, rep_again = k_sweep(model, st, wscc_mode, grid), k_sweep(model, st, again, grid)
+    assert rep.ratio.tobytes() == rep_again.ratio.tobytes()
+    assert rep.go == rep_again.go
 
 
-def _linked_mode(model, st, eps=1e-6):
-    return identify_frequency_mode(eigensolve(linearize(model, st, eps=eps)))
+def _linked_mode(model, st):
+    return identify_frequency_mode(eigensolve(linearize(model, st)))
 
 
-@pytest.mark.parametrize("source", ["nudged point", "other model", "other eps",
-                                    "new time constant", "network set again",
+@pytest.mark.parametrize("source", ["nudged point", "other model", "new time constant",
+                                    "network set again", "hand-built mode",
                                     "same point"])
 def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source):
-    """Rows are reused only from the same model, unchanged since, at bitwise
-    the same [x; y] with the default step; otherwise `k_sweep` reduces the
-    model as it is now.  The nudged point is still an equilibrium within
-    tolerance.  A new T'd0 leaves the equilibrium one (it divides a
-    derivative that is zero there) but changes A and the rows;
-    `refresh_setpoints` after it, or `set_network`, bumps the revision."""
+    """`k_sweep` recomputes no rows: it sweeps those of its mode's
+    linearization, taken from the same model, unchanged since, at bitwise
+    the same [x; y], and rejects any other mode with ValueError after its
+    equilibrium check (one residual pass, all a sweep at the same point
+    costs).  The nudged point is still an equilibrium within tolerance,
+    and the other model has bitwise the same [x; y].  A new T'd0 leaves
+    the equilibrium one (it divides a derivative that is zero there) but
+    changes A and the rows; `refresh_setpoints` after it, or
+    `set_network`, bumps the revision."""
     model, st = wscc
     eq = st
     if source == "nudged point":
@@ -325,35 +312,34 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
         mode = _linked_mode(*build_system(load_bundled_case(), "cig_omega_tilde",
                                           freq_loop=False))
         assert mode.linear_model.point[2] == np.concatenate([st.x, st.y]).tobytes()
-    elif source == "other eps":
-        mode = _linked_mode(model, st, eps=1e-5)
     elif source in ("new time constant", "network set again"):
         model, eq = build_system(load_bundled_case(), "cig_omega_tilde", freq_loop=False)
         mode = _linked_mode(model, eq)
         if source == "new time constant":
             model.machines[0].params.td01 *= 2.0
             model.refresh_setpoints()
-            assert not np.array_equal(output_row(model, eq, "omega"),
+            assert not np.array_equal(linearize(model, eq).rows[1],
                                       mode.linear_model.rows[1])
         else:
             model.set_network(model.net)
     else:
         mode = _linked_mode(model, st)
-    groups = model.jacobian_structure()[1]
+        if source == "hand-built mode":
+            mode = Mode(mode.eigenvalue, mode.right, mode.left, mode.speed_shape)
     grid = np.array([0.0, 1.0])
     call_counts.update(machines=0, cig=0)
-    rep = k_sweep(model, eq, mode, grid)
-    assert call_counts["machines"] == (1 if source == "same point" else 2 * len(groups) + 1)
-    unlinked = Mode(mode.eigenvalue, mode.right, mode.left, mode.speed_shape)
-    assert rep.ratio.tobytes() == k_sweep(model, eq, unlinked, grid).ratio.tobytes()
-    assert rep.go == k_sweep(model, eq, unlinked, grid).go
+    if source == "same point":
+        assert k_sweep(model, eq, mode, grid).ratio[0] == 1.0
+    else:
+        with pytest.raises(ValueError, match=r"take it from eigensolve\(linearize\(model, eq\)\)"):
+            k_sweep(model, eq, mode, grid)
+    assert call_counts["machines"] == 1
 
 
-def test_observability_of_columns_is_that_of_each_row(wscc, wscc_mode):
+def test_observability_of_columns_is_that_of_each_row(wscc_mode):
     """A 2-D c gives one go per column: the column-wise sums of a 1-D row
     and of a column agree within 1e-15, and equal columns give equal go."""
-    model, st = wscc
-    c_rho, c_omega = output_row(model, st, "rho"), output_row(model, st, "omega")
+    c_rho, c_omega = wscc_mode.linear_model.rows
     go = geometric_observability(np.column_stack([c_omega, c_rho, c_omega]), wscc_mode)
     assert go.shape == (3,) and go[0] == go[2]
     assert abs(go[0] - geometric_observability(c_omega, wscc_mode)) < 1e-15
@@ -366,47 +352,6 @@ def test_observability_of_columns_is_that_of_each_row(wscc, wscc_mode):
 # closed-form output rows against a nested finite-difference reference
 # ---------------------------------------------------------------------------
 
-def _dense_fd(fun, z0):
-    """d fun/dz at z0 by forward differences, one pass per column, with the
-    integrator's step 1e-7 (1 + |z_i|)."""
-    f0 = fun(z0)
-    jac = np.empty((f0.size, z0.size))
-    for i in range(z0.size):
-        eps = 1e-7 * (1.0 + abs(z0[i]))
-        z = z0.copy()
-        z[i] += eps
-        jac[:, i] = (fun(z) - f0) / eps
-    return jac
-
-
-def _fd_measured_signals(model, x, y_guess):
-    """(rho, omega) at the converter bus for state x: the network is
-    re-solved and ydot = -g_y^{-1} g_x f recovered with FD Jacobians."""
-    y = model.solve_algebraic(x, y_guess)
-    g_x = _dense_fd(lambda xx: model.g(xx, y), x)
-    g_y = _dense_fd(lambda yy: model.g(x, yy), y)
-    ydot = -np.linalg.solve(g_y, g_x @ model.f(x, y))
-    i, n = model.cig_bus, model.n_bus
-    eta = (ydot[i] + 1j * ydot[i + n]) / (y[i] + 1j * y[i + n])
-    return eta.real / model.omega_base, model.coi_speed(x) + eta.imag / model.omega_base
-
-
-def _fd_rows(model, eq, eps=1e-6):
-    """(c_rho, c_omega) by central differences of the measured signals."""
-    c_rho = np.empty(model.n_x)
-    c_omega = np.empty(model.n_x)
-    for i in range(model.n_x):
-        d = eps * (1.0 + abs(eq.x[i]))
-        xp, xm = eq.x.copy(), eq.x.copy()
-        xp[i] += d
-        xm[i] -= d
-        rp, wp = _fd_measured_signals(model, xp, eq.y)
-        rm, wm = _fd_measured_signals(model, xm, eq.y)
-        c_rho[i] = (rp - rm) / (2 * d)
-        c_omega[i] = (wp - wm) / (2 * d)
-    return c_rho, c_omega
-
-
 @pytest.mark.parametrize("bus5_scale", [1.0, 1.15])
 def test_output_rows_match_finite_difference_reference(bus5_scale):
     case = load_bundled_case()
@@ -414,9 +359,10 @@ def test_output_rows_match_finite_difference_reference(bus5_scale):
     bus.p_load *= bus5_scale
     bus.q_load *= bus5_scale
     model, st = build_system(case, "cig_omega_tilde", freq_loop=False)
-    ref_rho, ref_omega = _fd_rows(model, st)
-    assert np.max(np.abs(output_row(model, st, "rho") - ref_rho)) < 1e-6
-    assert np.max(np.abs(output_row(model, st, "omega") - ref_omega)) < 1e-6
+    ref = fd_output_rows(model, st, lambda rho, omega: [rho, omega])
+    c_rho, c_omega = linearize(model, st).rows
+    assert np.max(np.abs(c_rho - ref[:, 0])) < 1e-6
+    assert np.max(np.abs(c_omega - ref[:, 1])) < 1e-6
 
 
 def test_output_rows_reject_non_equilibrium(wscc, wscc_mode):
@@ -424,14 +370,13 @@ def test_output_rows_reject_non_equilibrium(wscc, wscc_mode):
     off = SystemState(x=st.x.copy(), y=st.y.copy(), t=0.0)
     off.x[1] += 1e-3
     with pytest.raises(ValueError, match="not an equilibrium"):
-        output_row(model, off, "omega")
+        linearize(model, off)
     with pytest.raises(ValueError, match="not an equilibrium"):
         k_sweep(model, off, wscc_mode, np.array([0.0, 1.0]))
 
 
 def test_output_rows_require_a_converter(wscc_mode):
     model, st = build_system(load_bundled_case(), "no_cig")
-    with pytest.raises(ValueError, match="require a converter"):
-        output_row(model, st, "rho")
+    assert linearize(model, st).rows is None
     with pytest.raises(ValueError, match="require a converter"):
         k_sweep(model, st, wscc_mode, np.array([0.0, 1.0]))
