@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gridfreq.cli import write_csv
 from gridfreq.complex_frequency import AnalyticExampleParams, analytic_example
 
 
@@ -31,9 +32,8 @@ def main(outdir: str = ".") -> None:
     data = np.array(rows)
 
     out = Path(outdir) / "analytic_signal.csv"
-    np.savetxt(out, data, delimiter=",", fmt="%.12g",
-               header="t,v_mag,rho_exact,omega_exact,rho_approx,omega_approx",
-               comments="")
+    write_csv(out, ["t", "v_mag", "rho_exact", "omega_exact", "rho_approx", "omega_approx"],
+              list(data.T))
 
     err_rho = np.max(np.abs(data[:, 2] - data[:, 4]))
     err_omega = np.max(np.abs(data[:, 3] - data[:, 5]))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from gridfreq.casefile import load_bundled_case
-from gridfreq.cli import render_svg
+from gridfreq.cli import render_svg, write_csv
 from gridfreq.dae import Event, build_system, simulate
 from gridfreq.network import LoadScale
 
@@ -41,10 +41,8 @@ def main(outdir: str = ".") -> None:
         print(f"{label:18s} peak omega_coi = {np.max(ts['omega_coi']):.6f} pu")
 
     out = Path(outdir)
-    cols = [times] + [traces[lb] for lb, _, _ in CONTROLS]
-    header = "t," + ",".join(lb.replace(" ", "_") for lb, _, _ in CONTROLS)
-    np.savetxt(out / "load_loss.csv", np.column_stack(cols), delimiter=",",
-               fmt="%.12g", header=header, comments="")
+    write_csv(out / "load_loss.csv", ["t", *(lb.replace(" ", "_") for lb in traces)],
+              [times, *traces.values()])
     (out / "load_loss_omega_coi.svg").write_text(
         render_svg(times, traces, title="omega_coi after 50% load loss at bus 5"))
     (out / "load_loss_p_cig.svg").write_text(

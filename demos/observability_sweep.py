@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from gridfreq.casefile import load_bundled_case
-from gridfreq.cli import render_svg
+from gridfreq.cli import render_svg, write_csv
 from gridfreq.dae import build_system
 from gridfreq.smallsignal import (
     eigensolve,
@@ -44,8 +44,7 @@ def main(outdir: str = ".") -> None:
           f"peak {np.max(rep.ratio):.3f} at K = {grid[np.argmax(rep.ratio)]:.2f}")
 
     out = Path(outdir)
-    np.savetxt(out / "ksweep.csv", np.column_stack([grid, rep.ratio]),
-               delimiter=",", fmt="%.12g", header="k,ratio", comments="")
+    write_csv(out / "ksweep.csv", ["k", "ratio"], [grid, rep.ratio])
     (out / "ksweep.svg").write_text(
         render_svg(grid, {"ratio": rep.ratio},
                    title="go(omega_tilde(K)) / go(omega)"))

@@ -23,11 +23,14 @@ resolved settings, the versions of gridfreq, numpy, scipy and Python, and
 a SHA-256 digest of the resolved scenario (defaults, file and flags
 merged, events included), so two runs share a digest exactly when they
 ran the same scenario, however it was given.  Bad input (a scenario that
-is not an object or has a field of the wrong type, and a K grid of
-``ksweep`` with a non-positive step, k_max < k_min or more than
-``K_GRID_MAX`` gains included) and a run whose solver fails
-(``StepError``) print ``error: ...`` and exit with status 2; such a
-``run`` still writes its manifest, with the error, the time of the last
+is not an object or has a field of the wrong type; a number that is NaN
+or infinite, ``k``, ``t_end``, ``h``, ``output_dt`` and the ``t``,
+``factor``, ``g`` and ``b`` of an event included; a ``run`` whose ``h``,
+``output_dt`` or horizon is not positive; and a K grid of ``ksweep`` with
+a non-positive step, k_max < k_min or more than ``K_GRID_MAX`` gains
+included) and a run whose solver fails (``StepError``) print
+``error: ...`` and exit with status 2.  Bad input writes no manifest; a
+failed ``run`` still writes one, with the error, the time of the last
 accepted state (``t_last``) and the solver stats up to the failure.
 """
 
@@ -105,10 +108,14 @@ _DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
 
 
 def _number(doc: dict, name: str) -> float:
+    """doc[name] as a finite float (KeyError when it is missing)."""
     try:
-        return float(doc[name])
+        value = float(doc[name])
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{name} must be a number, got {doc[name]!r}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _parse_event(d: dict) -> Event:
@@ -117,18 +124,18 @@ def _parse_event(d: dict) -> Event:
     kind = d.get("type")
     try:
         if kind == "load_scale":
-            act = LoadScale(bus=int(d["bus"]), factor=float(d["factor"]))
+            act = LoadScale(bus=int(d["bus"]), factor=_number(d, "factor"))
         elif kind == "fault_on":
-            act = FaultOn(bus=int(d["bus"]), g=float(d.get("g", 1e4)),
-                          b=float(d.get("b", 0.0)))
+            act = FaultOn(bus=int(d["bus"]), g=_number(d, "g") if "g" in d else 1e4,
+                          b=_number(d, "b") if "b" in d else 0.0)
         elif kind == "fault_off":
             act = FaultOff(bus=int(d["bus"]))
         else:
             raise ScenarioError(f"unknown event type {kind!r}")
-        return Event(time=float(d["t"]), action=act)
+        return Event(time=_number(d, "t"), action=act)
     except KeyError as exc:
         raise ScenarioError(f"event missing field {exc}") from exc
-    except TypeError as exc:
+    except (ScenarioError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"event {d!r}: {exc}") from exc
 
 
@@ -187,8 +194,15 @@ def _write_manifest(out: Path, command: str, sc: Scenario, extra: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# SVG line plots
+# CSV tables and SVG line plots
 # ---------------------------------------------------------------------------
+
+def write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Comma-separated table of equal-length columns, each value in %.12g,
+    under a plain header line of the column names."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.12g", delimiter=",",
+               header=",".join(header), comments="")
+
 
 def render_svg(t: np.ndarray, series: dict[str, np.ndarray], title: str = "") -> str:
     """Minimal static SVG line chart of one or more series against t."""
@@ -245,11 +259,8 @@ def render_svg(t: np.ndarray, series: dict[str, np.ndarray], title: str = "") ->
 def cmd_pf(sc: Scenario, out: Path, tol: float) -> int:
     case = sc.load_case()
     pf = solve_power_flow(case.network, tol=tol)
-    lines = ["bus,v_mag,v_ang,p_inj,q_inj"]
-    for i, b in enumerate(case.network.buses):
-        lines.append(f"{b.id},{pf.v_mag[i]:.12g},{pf.v_ang[i]:.12g},"
-                     f"{pf.p_inj[i]:.12g},{pf.q_inj[i]:.12g}")
-    (out / "powerflow.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "powerflow.csv", ["bus", "v_mag", "v_ang", "p_inj", "q_inj"],
+              [[b.id for b in case.network.buses], pf.v_mag, pf.v_ang, pf.p_inj, pf.q_inj])
     _write_manifest(out, "pf", sc, {"tol": tol, "iterations": pf.iterations,
                                     "max_mismatch": pf.max_mismatch})
     print(f"converged in {pf.iterations} iterations, "
@@ -267,7 +278,7 @@ def cmd_run(sc: Scenario, out: Path) -> int:
         _write_manifest(out, "run", sc, {"error": str(exc), "t_last": exc.t_last,
                                          "stats": exc.stats})
         raise
-    (out / "timeseries.csv").write_text(ts.to_csv())
+    write_csv(out / "timeseries.csv", ["t", *ts.channels], [ts.times, *ts.channels.values()])
     for name, y in ts.channels.items():
         svg = render_svg(ts.times, {name: y}, title=name)
         (out / f"{name}.svg").write_text(svg)
@@ -287,22 +298,17 @@ def cmd_eig(sc: Scenario, out: Path, mode_shapes: bool,
         fmode = identify_frequency_mode(modes)
     except ModeIdentificationError:
         fmode = None
-    any_unstable = False
-    lines = ["real,imag,f_natural_hz,damping_ratio,frequency_mode,unstable"]
-    for m in modes:
-        ev = m.eigenvalue
-        is_f = fmode is not None and abs(ev - fmode.eigenvalue) < 1e-12
-        unstable = ev.real > 1e-9
-        any_unstable = any_unstable or unstable
-        lines.append(f"{ev.real:.12g},{ev.imag:.12g},"
-                     f"{m.natural_frequency_hz:.12g},{m.damping_ratio:.12g},"
-                     f"{int(is_f)},{int(unstable)}")
-    (out / "eigenvalues.csv").write_text("\n".join(lines) + "\n")
+    lam = np.array([m.eigenvalue for m in modes])
+    unstable = lam.real > 1e-9
+    any_unstable = bool(unstable.any())
+    write_csv(out / "eigenvalues.csv",
+              ["real", "imag", "f_natural_hz", "damping_ratio", "frequency_mode", "unstable"],
+              [lam.real, lam.imag, [m.natural_frequency_hz for m in modes],
+               [m.damping_ratio for m in modes], [m is fmode for m in modes], unstable])
     if mode_shapes and fmode is not None:
-        rows = ["machine,magnitude,angle_deg"]
-        for i, s in enumerate(fmode.speed_shape, start=1):
-            rows.append(f"{i},{abs(s):.12g},{np.degrees(np.angle(s)):.12g}")
-        (out / "mode_shapes.csv").write_text("\n".join(rows) + "\n")
+        shape = fmode.speed_shape
+        write_csv(out / "mode_shapes.csv", ["machine", "magnitude", "angle_deg"],
+                  [np.arange(1, len(shape) + 1), np.abs(shape), np.degrees(np.angle(shape))])
     _write_manifest(out, "eig", sc, {
         "freq_loop": freq_loop,
         "frequency_mode": None if fmode is None else
@@ -335,10 +341,7 @@ def cmd_ksweep(sc: Scenario, out: Path, k_min: float, k_max: float,
     mode = identify_frequency_mode(eigensolve(linearize(model, st)))
     grid = k_min + k_step * np.arange(n)
     rep = k_sweep(model, st, mode, grid)
-    lines = ["k,ratio"]
-    for k, r in zip(rep.k_grid, rep.ratio):
-        lines.append(f"{k:.12g},{r:.12g}")
-    (out / "ksweep.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "ksweep.csv", ["k", "ratio"], [rep.k_grid, rep.ratio])
     svg = render_svg(rep.k_grid, {"go(omega_tilde)/go(omega)": rep.ratio},
                      title="observability ratio vs K")
     (out / "ksweep.svg").write_text(svg)

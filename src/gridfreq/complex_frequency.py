@@ -12,6 +12,10 @@ satisfies ``dv/dt = eta * v`` in the measuring frame.
 
 All functions here are pure and unit-agnostic: angles in radians, speeds
 in rad/s (or per-unit, as long as caller is consistent).
+
+In ``rho_of``, ``omega_of`` and ``eta_of``, ``v`` is one vector, but the
+components of ``vdot`` may be equal-shape arrays (one entry per state, as
+`smallsignal.linearize` passes them); each entry equals the scalar call.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ in place of 46 (55 with the converter).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,14 +81,6 @@ class TimeSeries:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
-
-    def to_csv(self) -> str:
-        names = list(self.channels)
-        lines = [",".join(["t"] + names)]
-        for i, t in enumerate(self.times):
-            row = [f"{t:.12g}"] + [f"{self.channels[n][i]:.12g}" for n in names]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
 
 
 _SM_N = smmod.N_STATES
@@ -421,15 +414,14 @@ class TrapezoidalIntegrator:
     LAPACK `getrs` solve on the cached LU factors.  Newton starts from an
     extrapolation of the last accepted points: quadratic through three,
     linear through two, when they are steps of the same h taken one after
-    the other since the last `resolve` or `invalidate()`; otherwise from the
-    explicit Euler point with y held.  The f and the converter outputs of
-    the last accepted point are kept: the next step reuses f as its f0,
-    and `simulate` records the outputs, when they ask for the same values
-    of (x, y); the same match tells that a step continues the extrapolated
-    history.  Call `invalidate()` whenever anything other than (x, y)
-    changes what the model returns (network, set points, device
-    parameters): it drops the caches and the history.  After a network
-    event, `resolve` re-solves the algebraic variables instead.
+    the other since the last `resolve`; otherwise from the explicit Euler
+    point with y held.  The f and the converter outputs of the last
+    accepted point are kept: the next step reuses f as its f0, and
+    `simulate` records the outputs, when they ask for the same values of
+    (x, y); the same match tells that a step continues the extrapolated
+    history.  After a network event, `resolve` re-solves the algebraic
+    variables and ends the history; after any other change to what the
+    model returns (set points, device parameters), build a new integrator.
 
     The Jacobian is kept across steps (chord Newton).  From the ratio of
     the last two updates of a step, theta = |dz_k| / |dz_k-1|, the residual
@@ -467,12 +459,6 @@ class TrapezoidalIntegrator:
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
                       "lu_factorizations": 0, "step_halvings": 0, "resolves": 0,
                       "residual_passes": 0, "newton_histogram": {}, "max_residual": 0.0}
-
-    def invalidate(self) -> None:
-        self._jfull = None
-        self._lu = None
-        self._f_last = None
-        self._past = None
 
     def _factor(self, z: np.ndarray, h: float):
         """LU factors of the step Jacobian, or None if d[f; g]/d[x; y] is not finite."""
@@ -594,8 +580,8 @@ class TrapezoidalIntegrator:
 
     def step(self, state: SystemState, h: float, _depth: int = 0) -> SystemState:
         """state advanced by h; Newton failures halve the step, up to 4 times."""
-        if h <= 0.0:
-            raise ValueError("step size must be positive")
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"step size must be finite and positive, got {h:g}")
         with np.errstate(all="ignore"):
             z = self._newton(state, h)
         if z is not None:
@@ -692,10 +678,12 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     ends.  Steps are exactly h: only a step that ends at an output time,
     an event or t_end is shorter, and a remainder within 1e-6 h of h is
     taken as h.  Channels default to every recordable trace; only the
-    requested ones are computed.
+    requested ones are computed.  Raises ValueError, before any step, when
+    h, output_dt or the horizon t_end - t0 is not finite and positive.
     """
-    if t_end <= state0.t:
-        raise ValueError("empty simulation horizon")
+    for name, value in (("h", h), ("output_dt", output_dt), ("t_end - t0", t_end - state0.t)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value:g}")
     known = _default_channels(model)
     if channels is None:
         channels = known

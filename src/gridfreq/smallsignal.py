@@ -21,10 +21,11 @@ ydot = -g_y^{-1} g_x f; at an equilibrium f = 0, so
 
     d(ydot)/dx = -g_y^{-1} g_x A,    d(eta)/dx = d(vdot)/dx / v,
 
-with eta = vdot / v the complex frequency of the bus voltage v.  Then
-c_rho = Re(d eta/dx) / omega_b and c_omega = Im(d eta/dx) / omega_b plus
-the centre-of-inertia weights on the machine speeds (the network frame
-rotates at the COI speed).
+with eta = vdot / v the complex frequency of the bus voltage v.  The
+rows are `complex_frequency.eta_of(v, d(vdot)/dx, 0)` over omega_b, plus
+the centre-of-inertia weights on the machine speeds in c_omega (the
+network frame rotates at the COI speed); the converter's own
+`cig.modified_signal` gives the row of omega - K rho.
 
 `linearize` is the one source of the rows: it computes them with A when
 the model has a converter, and records the point it was taken at (model,
@@ -45,6 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .cig import modified_signal
+from .complex_frequency import ParkVector, eta_of
 from .dae import SystemModel, SystemState, _stacked_residual
 
 
@@ -89,10 +92,6 @@ class Mode:
     @property
     def natural_frequency_hz(self) -> float:
         return abs(self.eigenvalue) / (2.0 * np.pi)
-
-    @property
-    def damped_frequency_hz(self) -> float:
-        return abs(self.eigenvalue.imag) / (2.0 * np.pi)
 
     @property
     def damping_ratio(self) -> float:
@@ -225,10 +224,10 @@ def _output_rows(model: SystemModel, eq: SystemState, a: np.ndarray,
     """(c_rho, c_omega) at the converter terminal bus, in closed form from
     the reduction (A, g_y^{-1} g_x) at eq."""
     i, n = model.cig_bus, model.n_bus
-    dydot = -gy_inv_gx[[i, i + n]] @ a
-    deta = (dydot[0] + 1j * dydot[1]) / (eq.y[i] + 1j * eq.y[i + n])
-    c_rho = deta.real / model.omega_base
-    c_omega = deta.imag / model.omega_base
+    eta = eta_of(ParkVector(eq.y[i], eq.y[i + n]),
+                 ParkVector(*(-gy_inv_gx[[i, i + n]] @ a)), 0.0)
+    c_rho = eta.rho / model.omega_base
+    c_omega = eta.omega / model.omega_base
     c_omega[model.speed_indices] += model._coi_w
     return c_rho, c_omega
 
@@ -256,8 +255,8 @@ def k_sweep(model: SystemModel, eq: SystemState, mode: Mode,
     The rows are those of the mode's own linearization, so the mode must
     come from `eigensolve(linearize(model, eq))` with model unchanged since
     (see the module docstring); any other mode raises ValueError.  The
-    output row of the compensated signal is c(omega) - K c(rho), linear in
-    K.  The rows of rho and of every gain, led by K = 0 and K = 1, are the
+    output row of the compensated signal is `modified_signal(c_omega, c_rho,
+    K)`.  The rows of rho and of every gain, led by K = 0 and K = 1, are the
     columns of one array that one `geometric_observability` call reduces,
     so go(omega) is the K = 0 column and ratio(K = 0) is exactly 1.
     """
@@ -271,8 +270,8 @@ def k_sweep(model: SystemModel, eq: SystemState, mode: Mode,
     c_rho, c_omega = lm.rows
     k_grid = np.asarray(k_grid, dtype=float)
     gains = np.concatenate([[0.0, 1.0], k_grid])
-    go = geometric_observability(
-        np.column_stack([c_rho, c_omega[:, None] - c_rho[:, None] * gains]), mode)
+    rows = np.column_stack([c_rho, modified_signal(c_omega[:, None], c_rho[:, None], gains)])
+    go = geometric_observability(rows, mode)
     return ObservabilityReport(
         k_grid=k_grid, ratio=go[3:] / go[1],
         go={"omega": float(go[1]), "rho": float(go[0]), "omega_tilde_k1": float(go[2])})

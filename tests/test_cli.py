@@ -10,6 +10,7 @@ import scipy
 
 import gridfreq
 import gridfreq.cli
+import gridfreq.dae
 from gridfreq.cli import (
     OUT_DIR_ENV,
     Scenario,
@@ -17,8 +18,24 @@ from gridfreq.cli import (
     load_scenario,
     main,
     render_svg,
+    write_csv,
 )
 from gridfreq.dae import StepError
+
+
+def read_manifest(out):
+    """The manifest.json in out, parsed as strict JSON: NaN and Infinity raise."""
+    def reject(name):
+        raise ValueError(f"{name} in {out / 'manifest.json'} is not JSON")
+
+    return json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+
+
+@pytest.fixture(autouse=True)
+def manifests_are_strict_json(tmp_path):
+    yield
+    for path in tmp_path.rglob("manifest.json"):
+        read_manifest(path.parent)
 
 
 def run_cli(args, tmp_path, monkeypatch, env_out=None):
@@ -108,7 +125,7 @@ def test_pf_writes_nine_rows(tmp_path, monkeypatch):
     assert run_cli(["pf", "--tol", "1e-10"], tmp_path, monkeypatch) == 0
     rows = (tmp_path / "powerflow.csv").read_text().strip().splitlines()
     assert len(rows) == 10  # header + 9 buses
-    man = json.loads((tmp_path / "manifest.json").read_text())
+    man = read_manifest(tmp_path)
     assert man["command"] == "pf"
     assert man["scenario_sha256"] == load_scenario(None, {}).digest
     assert man["max_mismatch"] <= 1e-10
@@ -139,7 +156,7 @@ def test_run_emits_csv_and_svg(tmp_path, monkeypatch):
     assert run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch) == 0
     header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
     assert header == "t,omega_coi,v_bus7,p_cig,q_cig"
-    man = json.loads((tmp_path / "manifest.json").read_text())
+    man = read_manifest(tmp_path)
     assert_versions(man)
     stats = man["stats"]
     assert stats["steps"] == 100 and stats["newton_iterations"] > 0
@@ -157,6 +174,7 @@ def test_run_is_deterministic(tmp_path, monkeypatch):
     csv_a = (tmp_path / "a" / "timeseries.csv").read_bytes()
     csv_b = (tmp_path / "b" / "timeseries.csv").read_bytes()
     assert csv_a == csv_b
+    assert read_manifest(tmp_path / "a")["stats"] == read_manifest(tmp_path / "b")["stats"]
 
 
 def test_run_step_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -167,6 +185,7 @@ def test_run_step_error_exits_2(tmp_path, monkeypatch, capsys):
     rc = run_cli(["run", "--t-end", "1.0"], tmp_path, monkeypatch)
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: Newton failed at t=1.0000s")
+    assert read_manifest(tmp_path)["error"].startswith("Newton failed at t=1.0000s")
 
 
 def test_run_double_load_step_exits_2(tmp_path, monkeypatch, capsys):
@@ -180,7 +199,7 @@ def test_run_double_load_step_exits_2(tmp_path, monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Newton failed at t=")
-    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc = read_manifest(tmp_path)
     assert doc["command"] == "run" and f"error: {doc['error']}\n" == err
     assert 1.0 <= doc["t_last"] < 3.0
     stats = doc["stats"]
@@ -202,6 +221,33 @@ def test_run_malformed_scenario_exits_2(tmp_path, monkeypatch, capsys, doc):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("doc, field", [
+    ('{"output_dt": 0}', "output_dt"),
+    ('{"output_dt": -0.1}', "output_dt"),
+    ('{"t_end": Infinity}', "t_end"),
+    ('{"h": NaN}', "h"),
+    ('{"t_end": NaN}', "t_end"),
+    ('{"k": NaN}', "k"),
+    ('{"events": [{"t": 1.0, "type": "load_scale", "bus": 5, "factor": Infinity}]}', "factor"),
+])
+def test_run_bad_number_exits_2(tmp_path, monkeypatch, capsys, doc, field):
+    """A NaN or infinite number, or a step, output interval or horizon that
+    is not positive, is bad input: exit 2 with an error naming the field,
+    no manifest, and no integrator built (a missed check fails here
+    instead of hanging the run)."""
+    def built(model):
+        raise AssertionError("an integrator was built")
+
+    monkeypatch.setattr(gridfreq.dae, "TrapezoidalIntegrator", built)
+    sc = tmp_path / "s.json"
+    sc.write_text(doc)
+    rc = run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be finite" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_run_empty_horizon_fails(tmp_path, monkeypatch, capsys):
     rc = run_cli(["run", "--t-end", "0.0"], tmp_path, monkeypatch)
     assert rc != 0
@@ -216,7 +262,7 @@ def test_eig_flags_frequency_mode(tmp_path, monkeypatch):
     assert len(flagged) == 1
     shapes = (tmp_path / "mode_shapes.csv").read_text().strip().splitlines()
     assert len(shapes) == 4  # header + 3 machines
-    man = json.loads((tmp_path / "manifest.json").read_text())
+    man = read_manifest(tmp_path)
     assert man["frequency_mode"] is not None
     assert man["any_unstable"] is False
     assert_versions(man)
@@ -232,7 +278,7 @@ def test_ksweep_grid_and_ratio(tmp_path, monkeypatch):
             (ln.split(",") for ln in lines[1:])}
     assert data[0.0] == 1.0
     assert (tmp_path / "ksweep.svg").exists()
-    assert_versions(json.loads((tmp_path / "manifest.json").read_text()))
+    assert_versions(read_manifest(tmp_path))
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -256,8 +302,13 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# SVG rendering
+# CSV and SVG rendering
 # ---------------------------------------------------------------------------
+
+def test_write_csv_text(tmp_path):
+    write_csv(tmp_path / "t.csv", ["i", "x"], [np.arange(1, 4), [-0.0, 1e-300, 1 / 3]])
+    assert (tmp_path / "t.csv").read_text() == "i,x\n1,-0\n2,1e-300\n3,0.333333333333\n"
+
 
 def test_render_svg_well_formed():
     t = np.linspace(0, 1, 20)

@@ -63,6 +63,24 @@ def test_eta_reconstructs_derivative():
         assert rec.imag == pytest.approx(vdot.q, abs=1e-12)
 
 
+def test_array_vdot_equals_scalar_calls_bitwise():
+    """v is one vector; vdot's components may be equal-shape arrays, one
+    entry per direction, as `smallsignal.linearize` passes them."""
+    rng = np.random.default_rng(11)
+    v = ParkVector(*rng.normal(size=2))
+    dd, dq = rng.normal(size=(2, 40)) * np.logspace(-8, 3, 40)
+    dd[:2] = [0.0, -0.0]
+    vdot = ParkVector(dd, dq)
+    rho, omega, eta = rho_of(v, vdot), omega_of(v, vdot, 1.0), eta_of(v, vdot, 1.0)
+    for j in range(dd.size):
+        one = ParkVector(float(dd[j]), float(dq[j]))
+        assert rho[j].tobytes() == np.float64(rho_of(v, one)).tobytes()
+        assert omega[j].tobytes() == np.float64(omega_of(v, one, 1.0)).tobytes()
+        s = eta_of(v, one, 1.0)
+        assert eta.rho[j].tobytes() == np.float64(s.rho).tobytes()
+        assert eta.omega[j].tobytes() == np.float64(s.omega).tobytes()
+
+
 def test_zero_magnitude_raises():
     z = ParkVector(0.0, 0.0)
     with pytest.raises(ZeroMagnitudeError):
