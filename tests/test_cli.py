@@ -174,7 +174,6 @@ def test_run_is_deterministic(tmp_path, monkeypatch):
     csv_a = (tmp_path / "a" / "timeseries.csv").read_bytes()
     csv_b = (tmp_path / "b" / "timeseries.csv").read_bytes()
     assert csv_a == csv_b
-    assert read_manifest(tmp_path / "a")["stats"] == read_manifest(tmp_path / "b")["stats"]
 
 
 def test_run_step_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -185,7 +184,6 @@ def test_run_step_error_exits_2(tmp_path, monkeypatch, capsys):
     rc = run_cli(["run", "--t-end", "1.0"], tmp_path, monkeypatch)
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: Newton failed at t=1.0000s")
-    assert read_manifest(tmp_path)["error"].startswith("Newton failed at t=1.0000s")
 
 
 def test_run_double_load_step_exits_2(tmp_path, monkeypatch, capsys):
