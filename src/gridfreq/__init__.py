@@ -15,6 +15,7 @@ from .complex_frequency import (
 )
 from .dae import (
     Event,
+    StepError,
     SystemModel,
     SystemState,
     TimeSeries,

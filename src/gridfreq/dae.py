@@ -7,13 +7,14 @@ frame rotates at the centre-of-inertia speed, so a post-disturbance
 steady state is a true equilibrium of the DAE.
 
 Integration is simultaneous (monolithic) Newton on the coupled
-trapezoidal/algebraic equations.  Newton starts from a polynomial
-extrapolation of the last accepted points (DASSL's predictor: Brenan,
-Campbell & Petzold, ch. 5) and iterates on a cached finite-difference
-Jacobian, which is rebuilt after a network change, when the measured
-contraction of a step predicts more than two solves and the Jacobian has
-paid for its build, or when Newton stalls.  The same Newton re-solves the
-network after an event, as the step at h = 0.
+trapezoidal/algebraic equations.  Newton starts from the polynomial
+through the last accepted points of one step size, up to five of them
+(a quartic; DASSL's predictor: Brenan, Campbell & Petzold, ch. 5), and
+iterates on a cached finite-difference Jacobian, which is rebuilt after a
+network change, when the measured contraction of a step predicts more
+than two solves and the Jacobian has paid for its build, or when Newton
+stalls.  The same Newton re-solves the network after an event, as the
+step at h = 0.
 
 The Jacobian is differenced from the residual the simulator runs, in
 column groups: `SystemModel.jacobian_structure` knows which rows each
@@ -407,15 +408,30 @@ def build_system(case: Case, control: str = "no_cig",
 # Trapezoidal integration
 # ---------------------------------------------------------------------------
 
+# accepted points of one h that the Newton predictor extrapolates through:
+# the quartic through five took fewer residual passes on the paper's load
+# loss than the cubic through four or the quintic through six
+_HISTORY = 5
+
+# weights of the extrapolation through k equally spaced points, oldest
+# first: the polynomial of degree k - 1 through them, one spacing on, is
+# the point whose k-th backward difference is zero
+_PREDICTOR_WEIGHTS = {k: np.array([(-1) ** (k - 1 - i) * math.comb(k, i) for i in range(k)],
+                                   dtype=float)
+                      for k in range(2, _HISTORY + 1)}
+
+
 class TrapezoidalIntegrator:
     """Implicit trapezoidal stepper with a cached finite-difference Jacobian.
 
     Each Newton iterate costs one `SystemModel.residual` pass and one
     LAPACK `getrs` solve on the cached LU factors.  Newton starts from an
-    extrapolation of the last accepted points: quadratic through three,
-    linear through two, when they are steps of the same h taken one after
-    the other since the last `resolve`; otherwise from the explicit Euler
-    point with y held.  The f and the converter outputs of the last
+    extrapolation of the last k <= 5 accepted points (`_HISTORY`) when
+    k >= 2 and they are steps of the same h taken one after the other
+    since the last `resolve`: the polynomial of degree k - 1 through them,
+    one formula for every k (`_PREDICTOR_WEIGHTS`), so a quartic once five
+    steps of one h are behind it.  Otherwise it starts from the explicit
+    Euler point with y held.  The f and the converter outputs of the last
     accepted point are kept: the next step reuses f as its f0, and
     `simulate` records the outputs, when they ask for the same values of
     (x, y); the same match tells that a step continues the extrapolated
@@ -497,7 +513,8 @@ class TrapezoidalIntegrator:
         nonzero `getrs` info or a residual still above tol after one
         Jacobian refresh.  f0 only enters as h f0, so at h = 0 (`resolve`)
         it is not evaluated, and the step history is neither read nor
-        extended.
+        extended.  The start point of each attempt is checked to be
+        finite, and then every update: an iterate is finite when both are.
         """
         m = self.model
         n_x = m.n_x
@@ -509,10 +526,8 @@ class TrapezoidalIntegrator:
         # `evaluate` kept its cache entry when (x0, y0) has those values
         past = self._past
         points = past[2] if past and past[0] == h and past[1] is self._f_last else ()
-        if len(points) == 3:
-            z = 3.0 * (points[2] - points[1]) + points[0]
-        elif len(points) == 2:
-            z = 2.0 * points[1] - points[0]
+        if len(points) >= 2:
+            z = _PREDICTOR_WEIGHTS[len(points)] @ np.array(points)
         else:
             z = np.concatenate([x0 + h * f0, y0])
         stats = self.stats
@@ -522,14 +537,14 @@ class TrapezoidalIntegrator:
             if attempt:
                 # refresh the Jacobian at the current iterate and retry once
                 self._jfull = None
+            if not np.isfinite(z).all():
+                return None
             factors = self._factor(z, h)
             if factors is None:
                 return None
             lu, piv = factors
             last = 0.0   # |dz|^2 of the previous update of this attempt
             for it in range(self.max_iter + 1):
-                if not np.isfinite(z).all():
-                    return None
                 x, y = z[:n_x], z[n_x:]
                 stats["residual_passes"] += 1
                 f, g, outputs = m.residual(x, y)
@@ -554,6 +569,8 @@ class TrapezoidalIntegrator:
                     if info:
                         return None
                     size = dz @ dz
+                    if not size < math.inf:
+                        return None
                     if last:
                         theta2 = size / last
                     last = size
@@ -571,7 +588,7 @@ class TrapezoidalIntegrator:
             hist[solves] += 1
         else:   # keep the keys in order
             self.stats["newton_histogram"] = dict(sorted({**hist, solves: 1}.items()))
-        self._past = (h, self._f_last, points[-2:] + (z.copy(),))
+        self._past = (h, self._f_last, points[1 - _HISTORY:] + (z.copy(),))
         self._jac_steps += 1
         if (predicted >= self.tol
                 and self._jac_steps > len(self.model.jacobian_structure()[1])):

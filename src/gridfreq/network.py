@@ -8,6 +8,7 @@ copy, so a solved base case can be shared across scenario runs.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,8 +202,11 @@ def solve_power_flow(net: Network, tol: float = 1e-8) -> PFSolution:
     """Full-Newton power flow in polar coordinates from a flat start.
 
     Scheduled injections are p_gen - p_load (and q for PQ buses); the
-    slack absorbs the balance and PV buses hold v_set.
+    slack absorbs the balance and PV buses hold v_set.  Raises ValueError
+    when tol, the mismatch tolerance, is not finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"power-flow tolerance tol must be finite and positive, got {tol:g}")
     n = net.n_bus
     ybus = build_ybus(net)
     g, b = ybus.real, ybus.imag

@@ -1,0 +1,53 @@
+"""The pairs verdict of `tools/bench_pairs.py` on synthetic samples; no
+benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def verdict():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.verdict
+
+
+# median 1.005, quartiles 0.9925 and 1.0175: IQR 0.025
+PARENT = [1.00, 1.02, 0.99, 1.01, 1.03, 0.98, 1.00, 1.01, 0.99, 1.02]
+# median 1.25, IQR 0.5
+WIDE = [1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 1.0, 1.5, 1.0, 1.5]
+
+
+@pytest.mark.parametrize("parent, change, bound, call, share", [
+    # 10 of 10 pairs won, medians 0.2 apart against a parent IQR of 0.025
+    (PARENT, [0.8 * p for p in PARENT], 0.2, "gain", 1.0),
+    # 8 of 10 won: short of nine tenths however large the gap
+    (PARENT, [0.8 * p for p in PARENT[:8]] + [1.1, 1.1], 0.2, "within bound", 0.8),
+    # every pair won, but by less than the parent's IQR
+    (PARENT, [p - 0.005 for p in PARENT], 0.2, "within bound", 1.0),
+    # ties count for neither side
+    (PARENT, PARENT, 0.2, "within bound", 0.0),
+    (PARENT, [1.3 * p for p in PARENT], 0.2, "worse", 0.0),
+    (PARENT, [1.05 * p for p in PARENT], 0.2, "within bound", 0.0),
+    (PARENT, [1.05 * p for p in PARENT], 0.01, "worse", 0.0),
+    # a spread wider than the bound leaves a small move unresolved ...
+    (WIDE, [p - 0.05 for p in WIDE], 0.1, "unresolved", 1.0),
+    # ... unless every run of the change beats every run of the parent
+    (WIDE, [0.95] * 10, 0.1, "within bound", 1.0),
+])
+def test_verdict_on_synthetic_pairs(verdict, parent, change, bound, call, share):
+    v = verdict(parent, change, bound)
+    assert v["verdict"] == call
+    assert v["win_share"] == share
+
+
+def test_verdict_gap_in_parent_iqrs(verdict):
+    v = verdict(PARENT, [p - 0.1 for p in PARENT], 0.2)
+    assert v["median_gap"] == pytest.approx(0.1)
+    assert v["gap_over_parent_iqr"] == pytest.approx(0.1 / 0.025)
+    assert verdict([1.0] * 4, [0.9] * 4, 0.2)["gap_over_parent_iqr"] is None

@@ -132,6 +132,15 @@ def test_pf_writes_nine_rows(tmp_path, monkeypatch):
     assert_versions(man)
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_pf_bad_tolerance_exits_2(tmp_path, monkeypatch, capsys, tol):
+    rc = run_cli(["pf", "--tol", tol], tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: power-flow tolerance tol must be finite and positive, got {float(tol):g}")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def assert_versions(man):
     assert man["versions"] == {"gridfreq": gridfreq.__version__, "numpy": np.__version__,
                                "scipy": scipy.__version__,

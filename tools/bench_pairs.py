@@ -11,15 +11,19 @@ there, one run at a time, with T the benchmark's run length (`run_seconds`
 of BENCHMARK.json).  Pair i runs the parent first when i is odd and
 the change first when i is even.  Each side's end-to-end metrics are
 summarized over its runs (median, quartiles, IQR, min, max and the
-samples), with the number of pairs the change won and the ratio of the
-medians; the document also holds each side's failure fraction, largest
-deviation from bench/reference.json, and solver stats from one untimed
-pass of every operation: `TimeSeries.stats` and the counted
-`SystemModel.residual` calls.
+samples), with the ratio of the medians and the `verdict` against the
+metric's bound in BENCHMARK.json (the share of pairs the change won, the
+gap of the medians in parent IQRs, and "gain", "worse", "unresolved" or
+"within bound"), which is also printed as one line per workload; the
+document also holds each side's failure fraction, largest deviation from
+bench/reference.json, and solver stats from one untimed pass of every
+operation: `TimeSeries.stats` and the counted `SystemModel.residual`
+calls.
 
-The result goes to BENCH_<short change sha>.json at the repo root.  When that file already holds the same two commits, a run with
-another seed is added under "other_seeds" and one with the same seed
-replaces the workloads it ran.
+The result goes to BENCH_<short change sha>.json at the repo root.  When
+that file already holds the same two commits, a run with another seed is
+added under "other_seeds" and one with the same seed replaces the
+workloads it ran.
 """
 
 from __future__ import annotations
@@ -36,8 +40,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("loadloss", "load_steps", "smallsig")
-RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
+# each end-to-end metric (all lower-is-better), with the fraction of the
+# parent's median by which the change's median may exceed it
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 # One untimed pass of every operation of a workload, run in a checkout:
 # prints {label: stats} as JSON.  The program's own counters where it
@@ -110,20 +117,58 @@ def summary(samples: list[float]) -> dict:
             "min": min(samples), "max": max(samples)}
 
 
+def verdict(parent: list[float], change: list[float], bound: float) -> dict:
+    """The rule of choosing-metrics sec. 8 for one lower-is-better metric,
+    where parent[i] and change[i] are the runs of pair i.
+
+    "gain": the change won at least nine tenths of the pairs (ties count
+    for neither side) and its median is below the parent's by more than
+    the parent's IQR.  "worse": the change's median exceeds the parent's
+    by more than bound times the parent's median.  Otherwise "unresolved"
+    when either side's IQR is wider than that bound, unless every run of
+    the change reads better than every run of the parent, and "within
+    bound" when it is not.
+    """
+    p, c = summary(parent), summary(change)
+    wins = sum(b < a for a, b in zip(parent, change))
+    gap = p["median"] - c["median"]
+    if c["median"] > (1.0 + bound) * p["median"]:
+        call = "worse"
+    elif wins >= 0.9 * len(parent) and gap > p["iqr"]:
+        call = "gain"
+    elif max(p["iqr"], c["iqr"]) > bound * p["median"] and not max(change) < min(parent):
+        call = "unresolved"
+    else:
+        call = "within bound"
+    return {"verdict": call, "win_share": wins / len(parent), "median_gap": gap,
+            "gap_over_parent_iqr": gap / p["iqr"] if p["iqr"] else None}
+
+
 def compare(runs: dict[str, list[dict]]) -> dict:
-    """Per-metric summaries of both sides, change wins and the median ratio."""
+    """Per-metric summaries of both sides, the median ratio, and the
+    `verdict` against the metric's bound with its share of pairs won."""
     metrics = {}
-    for name in METRICS:
+    for name, bound in BOUNDS.items():
         vals = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]]
                 for side in runs}
         metrics[name] = {
             "parent": summary(vals["parent"]), "change": summary(vals["change"]),
-            # every metric here is lower-is-better
-            "change_wins": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
             "median_ratio": statistics.median(vals["change"])
             / statistics.median(vals["parent"]),
+            "bound": bound, **verdict(vals["parent"], vals["change"], bound),
             "parent_samples": vals["parent"], "change_samples": vals["change"]}
     return metrics
+
+
+def summary_line(workload: str, metrics: dict) -> str:
+    """One line: each metric's verdict, pairs won, medians and gap in parent IQRs."""
+    parts = []
+    for name, m in metrics.items():
+        iqrs = m["gap_over_parent_iqr"]
+        parts.append(f"{name} {m['verdict']} (won {m['win_share']:.0%}, median "
+                     f"{m['parent']['median']:.4g} -> {m['change']['median']:.4g}, gap "
+                     + ("n/a" if iqrs is None else f"{iqrs:.3g}") + " parent IQR)")
+    return f"{workload}: " + "; ".join(parts)
 
 
 def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int) -> dict:
@@ -139,8 +184,10 @@ def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int)
                 print(f"{w} pair {i}/{pairs}: " + ", ".join(
                     f"{s} {runs[s][-1]['result']['metrics']['wall_s']['value']:.4g} s"
                     for s in order), file=sys.stderr)
+            metrics = compare(runs)
+            print(summary_line(w, metrics))
             result[w] = {
-                "pairs": pairs, "metrics": compare(runs),
+                "pairs": pairs, "metrics": metrics,
                 "fail_frac": {s: statistics.fmean(r["details"]["fail_frac"]["value"]
                                                   for r in runs[s]) for s in runs},
                 "max_dev": {s: max((r["details"]["max_dev"]["value"] for r in runs[s]
