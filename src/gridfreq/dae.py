@@ -471,7 +471,8 @@ class TrapezoidalIntegrator:
         self._jac_steps = 0    # steps accepted on _jfull
         self._f_last = None    # (bytes of [x; y], f, outputs there): last evaluated point
         self._past = None      # (h, _f_last entry of the last step, copies of its
-                               # last <= 3 points: callers may edit states in place)
+                               # last <= _HISTORY points: callers may edit states
+                               # in place)
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
                       "lu_factorizations": 0, "step_halvings": 0, "resolves": 0,
                       "residual_passes": 0, "newton_histogram": {}, "max_residual": 0.0}

@@ -472,8 +472,8 @@ def test_predictor_weights_extrapolate_polynomials(k, spacing):
 
 
 def started_steps(model, monkeypatch):
-    """An integrator after a 50 % load loss and its re-solve, and the list
-    its Newton start points go to: the point of each attempt's `_factor`."""
+    """An integrator on model, and the list its Newton start points go to:
+    the point each attempt passes to `_factor`."""
     integ = TrapezoidalIntegrator(model)
     starts = []
     factor = integ._factor
