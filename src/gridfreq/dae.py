@@ -20,10 +20,10 @@ The Jacobian is differenced from the residual the simulator runs, in
 column groups: `SystemModel.jacobian_structure` knows which rows each
 column of [x; y] can touch (a device's rows read its own states, its bus
 voltage and the COI speed; a bus's rows read its Y-neighbours), and
-columns with disjoint rows are perturbed in one residual pass.  Every
-row is then computed exactly as with one pass per column, so the result
-is bitwise the same; the WSCC case needs 15 groups, 16 passes per build
-in place of 46 (55 with the converter).
+columns with disjoint rows are perturbed in one residual pass
+(`group_residuals`, which `linearize` differences too): every row is
+exactly that of one pass per column; the WSCC case needs 15 groups, 16
+passes per build in place of 46 (55 with the converter).
 """
 
 from __future__ import annotations
@@ -102,15 +102,13 @@ class SystemModel:
         self.machines = machines
         self.cig = cig
         self.n_bus = net.n_bus
-        self.n_y = 2 * self.n_bus
         self.n_x = _SM_N * len(machines) + (_CIG_N if cig else 0)
         self.omega_base = net.omega_base
 
-        self.mach_bus = np.array([net.bus_index(m.bus) for m in machines])
-        self._mach_bus = self.mach_bus.tolist()
+        self.mach_bus = [net.bus_index(m.bus) for m in machines]
         self.cig_bus = net.bus_index(cig.bus) if cig else None
 
-        self._coi_w = smmod.coi_weights([m.params for m in machines]).tolist()
+        self.coi_weights = smmod.coi_weights([m.params for m in machines]).tolist()
         self._jac_structure = None   # (pattern, groups), built on first use
         self._y_nonzero = None       # nonzero structure of _y_real it was built for
         self.revision = 0            # bumped by refresh_setpoints and set_network
@@ -179,7 +177,7 @@ class SystemModel:
         # each device: its states, and its bus voltage, against its state
         # rows and the current balance of its bus
         devices = [(range(_SM_N * i, _SM_N * (i + 1)), b)
-                   for i, b in enumerate(self._mach_bus)]
+                   for i, b in enumerate(self.mach_bus)]
         if self.cig:
             devices.append((range(n_x - _CIG_N, n_x), self.cig_bus))
         for states, b in devices:
@@ -209,7 +207,7 @@ class SystemModel:
     def coi_speed(self, x) -> float:
         """Centre-of-inertia speed sum(w_i omega_i) of the states x, a list or an array."""
         w_coi = 0.0
-        for w, i in zip(self._coi_w, self.speed_indices):
+        for w, i in zip(self.coi_weights, self.speed_indices):
             w_coi += w * x[i]
         return float(w_coi)
 
@@ -221,23 +219,23 @@ class SystemModel:
         from the states xl and the bus voltages vl as Python lists."""
         f: list[float] = []
         inj = [0j] * self.n_bus
-        for i, (bus, prm) in enumerate(zip(self._mach_bus, self._sm_prm)):
+        for i, (bus, prm) in enumerate(zip(self.mach_bus, self._sm_prm)):
             d, i_m = smmod.sm_kernel(xl[_SM_N * i: _SM_N * (i + 1)], vl[bus], prm,
                                      omega_coi, self.omega_base)
             f += d
             inj[bus] += i_m
         return f, inj
 
-    def residual(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                              dict[str, float]]:
+    def residual(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         """Every device and the network evaluated once at (x, y).
 
-        Returns (f, g, outputs): the state derivatives f; the nodal current
-        balance g = I_inj(x, y) - I_load(y) - Ybus V; and the converter's
-        measured signals omega_est, rho_est and omega_tilde (the
-        frequency-loop input) with its power output p_cig, q_cig, empty
-        without a converter.  Everything but Ybus V is computed on Python
-        floats and complex numbers.
+        Returns ([f; g], outputs): one vector of the state derivatives f
+        (its first n_x entries) and the nodal current balance
+        g = I_inj(x, y) - I_load(y) - Ybus V; and the converter's measured
+        signals omega_est, rho_est and omega_tilde (the frequency-loop
+        input) with its power output p_cig, q_cig, empty without a
+        converter.  Everything but Ybus V is computed on Python floats and
+        complex numbers.
         """
         n = self.n_bus
         xl, yl = x.tolist(), y.tolist()
@@ -257,16 +255,17 @@ class SystemModel:
                        "p_cig": s.real, "q_cig": s.imag}
         for i, s_conj in self._loads:
             inj[i] -= s_conj / v[i].conjugate()
-        g = [c.real for c in inj] + [c.imag for c in inj]
-        return np.array(f), np.array(g) - self._y_real @ y, outputs
+        r = np.array(f + [c.real for c in inj] + [c.imag for c in inj])
+        r[self.n_x:] -= self._y_real @ y
+        return r, outputs
 
     def f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Differential residual: the f part of `residual`."""
-        return self.residual(x, y)[0]
+        return self.residual(x, y)[0][: self.n_x]
 
     def g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Algebraic residual (nodal current balance): the g part of `residual`."""
-        return self.residual(x, y)[1]
+        return self.residual(x, y)[0][self.n_x:]
 
     # -- algebraic solve ---------------------------------------------------
 
@@ -274,12 +273,6 @@ class SystemModel:
         """y with g(x, y) = 0 for fixed x, from y0: a fresh integrator's
         `TrapezoidalIntegrator.resolve`.  Raises StepError when Newton fails."""
         return TrapezoidalIntegrator(self).resolve(SystemState(x, y0, 0.0)).y
-
-
-def _stacked_residual(model: SystemModel, z: np.ndarray) -> np.ndarray:
-    """[f; g] at z = [x; y]."""
-    f, g, _ = model.residual(z[: model.n_x], z[model.n_x:])
-    return np.concatenate([f, g])
 
 
 def _column_groups(pattern: np.ndarray) -> list[np.ndarray]:
@@ -305,20 +298,30 @@ def _column_groups(pattern: np.ndarray) -> list[np.ndarray]:
 _FD_EPS_REL = 1e-7
 
 
-def _fd_jacobian(model: SystemModel, z0: np.ndarray) -> np.ndarray:
-    """d[f; g]/d[x; y] at z0 by forward differences, one residual pass per
-    column group of `SystemModel.jacobian_structure`: equal bitwise to one
-    pass per column."""
+def group_residuals(model: SystemModel, z0: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """[f; g] at z0 + step on each column group of `jacobian_structure`, one
+    pass per group: entry (i, j) is row i of the pass that moved column j
+    where the pattern has (i, j), else 0.  A difference of two over a step
+    is the Jacobian, bitwise that of one pass per column."""
     pattern, groups = model.jacobian_structure()
-    r0 = _stacked_residual(model, z0)
-    eps = _FD_EPS_REL * (1.0 + np.abs(z0))
-    jac = np.empty((r0.size, z0.size))
+    n_x = model.n_x
+    out = np.empty(pattern.shape)
     for cols in groups:
         z = z0.copy()
-        z[cols] += eps[cols]
-        d = _stacked_residual(model, z) - r0
-        jac[:, cols] = np.where(pattern[:, cols], d[:, None], 0.0) / eps[cols]
-    return jac
+        z[cols] += step[cols]
+        r = model.residual(z[:n_x], z[n_x:])[0]
+        out[:, cols] = np.where(pattern[:, cols], r[:, None], 0.0)
+    return out
+
+
+def _fd_jacobian(model: SystemModel, z0: np.ndarray) -> np.ndarray:
+    """d[f; g]/d[x; y] at z0, the forward difference of `group_residuals`:
+    len(groups) + 1 residual passes."""
+    n_x = model.n_x
+    r0 = model.residual(z0[:n_x], z0[n_x:])[0]
+    eps = _FD_EPS_REL * (1.0 + np.abs(z0))
+    r0_cols = np.where(model.jacobian_structure()[0], r0[:, None], 0.0)
+    return (group_residuals(model, z0, eps) - r0_cols) / eps
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +506,8 @@ class TrapezoidalIntegrator:
         key = x.tobytes() + y.tobytes()
         if self._f_last is None or self._f_last[0] != key:
             self.stats["residual_passes"] += 1
-            f, _, outputs = self.model.residual(x, y)
-            self._f_last = (key, f, outputs)
+            r, outputs = self.model.residual(x, y)
+            self._f_last = (key, r[: self.model.n_x], outputs)
         return self._f_last[1], self._f_last[2]
 
     def _newton(self, state: SystemState, h: float) -> np.ndarray | None:
@@ -548,8 +551,9 @@ class TrapezoidalIntegrator:
             for it in range(self.max_iter + 1):
                 x, y = z[:n_x], z[n_x:]
                 stats["residual_passes"] += 1
-                f, g, outputs = m.residual(x, y)
-                r = np.concatenate([x - base - hh * f, g])
+                r, outputs = m.residual(x, y)
+                f = r[:n_x].copy()   # for the cache: r becomes [x - base - hh f; g]
+                r[:n_x] = x - base - hh * f
                 worst = np.abs(r).max()
                 if worst < self.tol:
                     if worst > stats["max_residual"]:
@@ -689,15 +693,16 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
              channels: list[str] | None = None) -> TimeSeries:
     """Integrate over [t0, t_end], applying timed events.
 
-    Events are applied exactly at their times: the network is replaced by
-    the post-event copy, the algebraic variables are re-solved with the
-    differential states frozen, and integration resumes.  The caller's
-    model gets its pre-event network back when the run ends, however it
-    ends.  Steps are exactly h: only a step that ends at an output time,
-    an event or t_end is shorter, and a remainder within 1e-6 h of h is
-    taken as h.  Channels default to every recordable trace; only the
-    requested ones are computed.  Raises ValueError, before any step, when
-    h, output_dt or the horizon t_end - t0 is not finite and positive.
+    Events are applied exactly at their times, to a copy of the model: its
+    network is replaced by the post-event copy, the algebraic variables are
+    re-solved with the differential states frozen, and integration resumes.
+    The caller's model, its `revision` and so its linearizations are left
+    as they were, however the run ends.  Steps are exactly h: only a step
+    that ends at an output time, an event or t_end is shorter, and a
+    remainder within 1e-6 h of h is taken as h.  Channels default to every
+    recordable trace; only the requested ones are computed.  Raises
+    ValueError, before any step, when h, output_dt or the horizon
+    t_end - t0 is not finite and positive.
     """
     for name, value in (("h", h), ("output_dt", output_dt), ("t_end - t0", t_end - state0.t)):
         if not 0.0 < value < math.inf:
@@ -714,6 +719,8 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
         if not (state0.t <= ev.time <= t_end):
             raise ValueError(f"event at t={ev.time} outside the horizon")
 
+    # a shallow copy suffices: `set_network` rebinds every array it derives
+    model = copy.copy(model)
     integ = TrapezoidalIntegrator(model)
     state = state0.copy()
     t0 = state.t
@@ -723,7 +730,6 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     pending = list(events)
     eps = 1e-9
 
-    net0 = model.net
     try:
         while state.t < t_end - eps:
             t_stop = min(t0 + n_out * output_dt, t_end)
@@ -753,9 +759,6 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     except StepError as exc:
         exc.t_last, exc.stats = state.t, integ.stats
         raise
-    finally:
-        if model.net is not net0:
-            model.set_network(net0)
 
     data = {name: np.array([r[name] for r in rows]) for name in channels}
     return TimeSeries(times=np.array(times), channels=data, stats=integ.stats)

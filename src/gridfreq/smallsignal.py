@@ -1,10 +1,11 @@
 """Linearization, eigenanalysis, and geometric observability.
 
 The assembled DAE is linearized at an equilibrium by central finite
-differences, perturbing each column group of
-`SystemModel.jacobian_structure` in one pair of residual passes (equal
-bitwise to a pair per column); the algebraic variables are eliminated
-through the network Jacobian, giving the reduced state matrix
+differences of the residual [f; g], (G(+s) - G(-s)) / 2s with G the
+integrator's `dae.group_residuals`: one pair of residual passes per
+column group of `SystemModel.jacobian_structure` (equal bitwise to a pair
+per column).  The algebraic variables are eliminated through the network
+Jacobian, giving the reduced state matrix
 
     A = f_x - f_y g_y^{-1} g_x.
 
@@ -32,11 +33,12 @@ the model has a converter, and records the point it was taken at (model,
 its `revision`, bytes of [x; y]); `eigensolve` links each mode to that
 `LinearModel`.  `k_sweep` takes the rows of its mode's linearization and
 accepts only a mode linearized from the same model, unchanged since (no
-`refresh_setpoints` or `set_network`, which `simulate` calls on events),
-at bitwise the same [x; y]; it checks the equilibrium in one residual
-pass.  The sweep evaluates go for every gain of the grid, and for rho,
-in one call of `geometric_observability` on the columns of one array;
-go(omega) is its K = 0 column, so the ratio at K = 0 is exactly 1.
+`refresh_setpoints` or `set_network`; `simulate` applies its events to a
+copy and leaves the model alone), at bitwise the same [x; y]; it checks
+the equilibrium in one residual pass.  The sweep evaluates go for every
+gain of the grid, and for rho, in one call of `geometric_observability`
+on the columns of one array; go(omega) is its K = 0 column, so the ratio
+at K = 0 is exactly 1.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import scipy.linalg
 
 from .cig import modified_signal
 from .complex_frequency import ParkVector, eta_of
-from .dae import SystemModel, SystemState, _stacked_residual
+from .dae import SystemModel, SystemState, group_residuals
 
 
 class ModeIdentificationError(RuntimeError):
@@ -109,24 +111,16 @@ class ObservabilityReport:
 # ---------------------------------------------------------------------------
 
 def _check_equilibrium(model: SystemModel, eq: SystemState) -> None:
-    worst = np.max(np.abs(_stacked_residual(model, np.concatenate([eq.x, eq.y]))))
+    worst = np.max(np.abs(model.residual(eq.x, eq.y)[0]))
     if worst > _EQ_TOL:
         raise ValueError(f"not an equilibrium: residual {worst:.3e} > {_EQ_TOL:g}")
 
 
 def _central_jacobians(model: SystemModel, eq: SystemState):
-    """(f_x, f_y, g_x, g_y) by central finite differences, one residual pass
-    per side and column group of `SystemModel.jacobian_structure`."""
-    pattern, groups = model.jacobian_structure()
+    """(f_x, f_y, g_x, g_y) by central differences of `group_residuals`."""
     z0 = np.concatenate([eq.x, eq.y])
     step = _FD_EPS * (1.0 + np.abs(z0))
-    jac = np.empty((z0.size, z0.size))
-    for cols in groups:
-        zp, zm = z0.copy(), z0.copy()
-        zp[cols] += step[cols]
-        zm[cols] -= step[cols]
-        diff = _stacked_residual(model, zp) - _stacked_residual(model, zm)
-        jac[:, cols] = np.where(pattern[:, cols], diff[:, None], 0.0) / (2 * step[cols])
+    jac = (group_residuals(model, z0, step) - group_residuals(model, z0, -step)) / (2 * step)
     n_x = model.n_x
     return jac[:n_x, :n_x], jac[:n_x, n_x:], jac[n_x:, :n_x], jac[n_x:, n_x:]
 
@@ -138,7 +132,8 @@ def _point(model: SystemModel, eq: SystemState) -> tuple:
 
 def linearize(model: SystemModel, eq: SystemState) -> LinearModel:
     """Reduced state matrix at an equilibrium (algebraic variables
-    eliminated), with the output rows when the model has a converter."""
+    eliminated) from the central difference of `group_residuals`, with the
+    output rows when the model has a converter."""
     _check_equilibrium(model, eq)
     f_x, f_y, g_x, g_y = _central_jacobians(model, eq)
     try:
@@ -228,7 +223,7 @@ def _output_rows(model: SystemModel, eq: SystemState, a: np.ndarray,
                  ParkVector(*(-gy_inv_gx[[i, i + n]] @ a)), 0.0)
     c_rho = eta.rho / model.omega_base
     c_omega = eta.omega / model.omega_base
-    c_omega[model.speed_indices] += model._coi_w
+    c_omega[model.speed_indices] += model.coi_weights
     return c_rho, c_omega
 
 

@@ -87,9 +87,10 @@ def _fd_measured_signals(model, x, y_guess):
     """(rho, omega) at the converter bus for state x: the network is
     re-solved and ydot = -g_y^{-1} g_x f recovered with FD Jacobians."""
     y = TrapezoidalIntegrator(model).resolve(SystemState(x, y_guess, 0.0)).y
-    g_x = _dense_fd(lambda xx: model.residual(xx, y)[1], x)
-    g_y = _dense_fd(lambda yy: model.residual(x, yy)[1], y)
-    ydot = -np.linalg.solve(g_y, g_x @ model.residual(x, y)[0])
+    n_x = model.n_x
+    g_x = _dense_fd(lambda xx: model.residual(xx, y)[0][n_x:], x)
+    g_y = _dense_fd(lambda yy: model.residual(x, yy)[0][n_x:], y)
+    ydot = -np.linalg.solve(g_y, g_x @ model.residual(x, y)[0][:n_x])
     i, n = model.cig_bus, model.n_bus
     eta = (ydot[i] + 1j * ydot[i + n]) / (y[i] + 1j * y[i + n])
     return eta.real / model.omega_base, model.coi_speed(x) + eta.imag / model.omega_base

@@ -7,7 +7,8 @@ import scipy.linalg
 
 import gridfreq.smallsignal
 from gridfreq.casefile import load_bundled_case
-from gridfreq.dae import SystemState, build_system
+from gridfreq.dae import Event, StepError, SystemState, build_system, simulate
+from gridfreq.network import FaultOn, LoadScale
 from gridfreq.smallsignal import (
     LinearModel,
     Mode,
@@ -37,7 +38,7 @@ class LinearToy:
         self.revision = 0
 
     def residual(self, x, y):
-        return self.A @ x + self.B @ y, self.C @ x + self.D @ y, {}
+        return np.concatenate([self.A @ x + self.B @ y, self.C @ x + self.D @ y]), {}
 
     def jacobian_structure(self):
         """A full pattern, one column per group."""
@@ -334,6 +335,27 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
         with pytest.raises(ValueError, match=r"take it from eigensolve\(linearize\(model, eq\)\)"):
             k_sweep(model, eq, mode, grid)
     assert call_counts["machines"] == 1
+
+
+def test_a_run_leaves_the_model_and_its_linearizations_alone():
+    """`simulate` applies its events to a copy of the model: a mode
+    linearized before a run with an event is still accepted by `k_sweep`
+    after it, with the same result, and the caller's network and revision
+    are those of before, also after a run whose event re-solve fails."""
+    model, st = build_system(load_bundled_case(), "cig_omega_tilde", freq_loop=False)
+    mode = _linked_mode(model, st)
+    net, revision = model.net, model.revision
+    grid = np.array([0.0, 0.6, 1.2])
+    swept = k_sweep(model, st, mode, grid).ratio
+    simulate(model, st, [Event(0.1, LoadScale(bus=5, factor=0.5))], t_end=0.2, h=0.02,
+             channels=["omega_coi"])
+    assert model.net is net and model.revision == revision
+    assert k_sweep(model, st, mode, grid).ratio.tobytes() == swept.tobytes()
+    with pytest.raises(StepError, match=r"event at t=0\.1s failed"):
+        simulate(model, st, [Event(0.1, FaultOn(bus=7, g=20.0))], t_end=0.2, h=0.02,
+                 channels=["omega_coi"])
+    assert model.net is net and model.revision == revision
+    assert k_sweep(model, st, mode, grid).ratio.tobytes() == swept.tobytes()
 
 
 def test_observability_of_columns_is_that_of_each_row(wscc_mode):
