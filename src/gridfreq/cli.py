@@ -8,8 +8,8 @@ Scenario files are JSON with the schema::
       "control": "no_cig" | "cig_omega" | "cig_omega_tilde",
       "k": 1.2,
       "events": [{"t": 1.0, "type": "load_scale", "bus": 5, "factor": 0.5},
-                 {"t": 1.0, "type": "fault_on", "bus": 7, "g": 1e4, "b": 0.0},
-                 {"t": 1.05, "type": "fault_off", "bus": 7}],
+                 {"t": 1.0, "type": "fault_on", "bus": 7, "g": 5.0, "b": 0.0},
+                 {"t": 1.1, "type": "fault_off", "bus": 7}],
       "t_end": 10.0, "h": 0.02, "output_dt": 0.02,
       "channels": ["omega_coi", "v_bus7", "p_cig", "q_cig"],
       "out_dir": "results"
@@ -19,10 +19,10 @@ Every field has a default; command-line flags override scenario values.
 The output directory resolves, in order of precedence: ``--out`` flag,
 ``GRIDFREQ_OUT_DIR`` environment variable, scenario ``out_dir``, then the
 current directory.  Each command writes a ``manifest.json`` recording the
-resolved settings, the versions of gridfreq, numpy, scipy and Python, and
-a SHA-256 digest of the resolved scenario (defaults, file and flags
-merged, events included), so two runs share a digest exactly when they
-ran the same scenario, however it was given.  Bad input (a scenario that
+resolved scenario (defaults, file and flags merged, events included: a
+scenario file that reruns it), its SHA-256 digest, so two runs share a
+digest exactly when they ran the same scenario, however it was given, and
+the versions of gridfreq, numpy, scipy and Python.  Bad input (a scenario that
 is not an object or has a field of the wrong type; a number that is NaN
 or infinite, ``k``, ``t_end``, ``h``, ``output_dt`` and the ``t``,
 ``factor``, ``g`` and ``b`` of an event included; a ``run`` whose ``h``,
@@ -84,16 +84,19 @@ class Scenario:
     out_dir: str = "."
 
     @property
-    def digest(self) -> str:
-        """SHA-256 of the canonical JSON of everything that shapes the results.
-
-        The output directory is left out; the case enters by name or path.
-        """
+    def document(self) -> dict:
+        """Everything that shapes the results, as JSON-ready values: the
+        output directory is left out; the case enters by name or path."""
         doc = asdict(self)
         del doc["out_dir"]
         doc["events"] = [{"t": ev.time, "type": type(ev.action).__name__,
                           **asdict(ev.action)} for ev in self.events]
-        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return doc
+
+    @property
+    def digest(self) -> str:
+        """SHA-256 of the canonical JSON of `document`."""
+        canon = json.dumps(self.document, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def load_case(self) -> Case:
@@ -183,9 +186,7 @@ def _write_manifest(out: Path, command: str, sc: Scenario, extra: dict) -> None:
     doc = {
         "command": command,
         "scenario_sha256": sc.digest,
-        "case": sc.case, "control": sc.control, "k": sc.k,
-        "t_end": sc.t_end, "h": sc.h, "output_dt": sc.output_dt,
-        "n_events": len(sc.events),
+        "scenario": sc.document,
         "versions": {"gridfreq": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "python": platform.python_version()},
     }
@@ -333,7 +334,8 @@ def cmd_ksweep(sc: Scenario, out: Path, k_min: float, k_max: float,
     if k_max < k_min:
         raise ScenarioError(f"--k-max {k_max:g} is below --k-min {k_min:g}")
     span = (k_max - k_min) / k_step
-    n = int(round(min(span, K_GRID_MAX))) + 1   # an infinite span included
+    # steps up to k_max; within 1e-9 of a whole step is one; an infinite span included
+    n = math.floor(min(span, K_GRID_MAX) + 1e-9) + 1
     if n > K_GRID_MAX:
         raise ScenarioError(f"the K grid holds {span + 1:.3g} gains, more than {K_GRID_MAX}")
     case = sc.load_case()
@@ -349,6 +351,11 @@ def cmd_ksweep(sc: Scenario, out: Path, k_min: float, k_max: float,
         "k_min": k_min, "k_max": k_max, "k_step": k_step,
         "go": rep.go,
         "frequency_mode": [mode.eigenvalue.real, mode.eigenvalue.imag]})
+    lam, top = mode.eigenvalue, max(rep.go.values())
+    print(f"frequency mode: lambda = {lam.real:.4f} {lam.imag:+.4f}j "
+          f"(f_n = {mode.natural_frequency_hz:.4f} Hz, zeta = {mode.damping_ratio:.3f})")
+    print("geometric observability, normalized to the best signal: " + ", ".join(
+        f"{name} {rep.go[name] / top:.3f}" for name in ("omega_tilde_k1", "omega", "rho")))
     best = int(np.argmax(rep.ratio))
     print(f"{len(grid)} points; best ratio {rep.ratio[best]:.4f} "
           f"at K = {rep.k_grid[best]:.3g}")

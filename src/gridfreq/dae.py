@@ -108,7 +108,6 @@ class SystemModel:
         self.mach_bus = [net.bus_index(m.bus) for m in machines]
         self.cig_bus = net.bus_index(cig.bus) if cig else None
 
-        self.coi_weights = smmod.coi_weights([m.params for m in machines]).tolist()
         self._jac_structure = None   # (pattern, groups), built on first use
         self._y_nonzero = None       # nonzero structure of _y_real it was built for
         self.revision = 0            # bumped by refresh_setpoints and set_network
@@ -126,11 +125,14 @@ class SystemModel:
     # -- network / setpoint refresh -------------------------------------
 
     def refresh_setpoints(self) -> None:
-        """Re-read the machine parameters and set points into the kernel tuples,
-        and bump `revision`, which marks linearizations of the model stale."""
+        """Re-read every device parameter into the only copies `residual` reads
+        (machine kernel tuples, COI weights, the converter's parameters), and
+        bump `revision`, which marks linearizations of the model stale."""
         self.revision += 1
         self._sm_prm = [smmod.sm_kernel_params(m.params, m.avr, m.gov)
                         for m in self.machines]
+        self.coi_weights = smmod.coi_weights([m.params for m in self.machines]).tolist()
+        self._cig_prm = copy.deepcopy(self.cig.params) if self.cig else None
 
     def _refresh_network_arrays(self) -> None:
         """Y as the real matrix [[G, -B], [B, G]], which maps y = [Re v; Im v]
@@ -247,7 +249,7 @@ class SystemModel:
             vb = v[self.cig_bus]
             d_c, inj_c, (w_est, rho, sig) = cigmod.cig_derivatives(
                 xl[_SM_N * len(self.machines):], vb.real, vb.imag,
-                self.cig.params, self.omega_base, omega_frame=wcoi)
+                self._cig_prm, self.omega_base, omega_frame=wcoi)
             f += d_c
             inj[self.cig_bus] += inj_c
             s = vb * inj_c.conjugate()
@@ -434,13 +436,14 @@ class TrapezoidalIntegrator:
     since the last `resolve`: the polynomial of degree k - 1 through them,
     one formula for every k (`_PREDICTOR_WEIGHTS`), so a quartic once five
     steps of one h are behind it.  Otherwise it starts from the explicit
-    Euler point with y held.  The f and the converter outputs of the last
-    accepted point are kept: the next step reuses f as its f0, and
-    `simulate` records the outputs, when they ask for the same values of
-    (x, y); the same match tells that a step continues the extrapolated
-    history.  After a network event, `resolve` re-solves the algebraic
-    variables and ends the history; after any other change to what the
-    model returns (set points, device parameters), build a new integrator.
+    Euler point with y held.  Two records are kept, each with one reset.
+    The last point (bytes of [x; y], f, outputs, h, history): an accepted
+    iterate writes it with its history extended, a cache miss of `evaluate`
+    with none; a step from (x, y) of those values reuses its f as f0 and,
+    at that h, its history; `simulate` records its outputs; `resolve`
+    clears it.  The LU factors, for the h of the last step: cleared only
+    where a Jacobian is built, refactored for another h.  After a change to
+    the model other than a network event, build a new integrator.
 
     The Jacobian is kept across steps (chord Newton).  From the ratio of
     the last two updates of a step, theta = |dz_k| / |dz_k-1|, the residual
@@ -459,8 +462,6 @@ class TrapezoidalIntegrator:
     `newton_histogram`, the accepted steps counted by the solves each took,
     and `max_residual`, the largest final max |residual| of an accepted
     step or re-solve.
-    One LU factorization is cached, for the step size of the last step: a
-    run on an exact step grid factors once per Jacobian and step size in use.
     """
 
     tol = 1e-8       # Newton convergence: max |residual| of the step
@@ -472,10 +473,9 @@ class TrapezoidalIntegrator:
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
         self._lu = None        # (h, LU factors of the step Jacobian for h)
         self._jac_steps = 0    # steps accepted on _jfull
-        self._f_last = None    # (bytes of [x; y], f, outputs there): last evaluated point
-        self._past = None      # (h, _f_last entry of the last step, copies of its
-                               # last <= _HISTORY points: callers may edit states
-                               # in place)
+        self._last = None      # (bytes of [x; y], f, outputs there, h of the step
+                               # that accepted it, copies of that step's last
+                               # <= _HISTORY points: callers may edit states in place)
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
                       "lu_factorizations": 0, "step_halvings": 0, "resolves": 0,
                       "residual_passes": 0, "newton_histogram": {}, "max_residual": 0.0}
@@ -504,11 +504,11 @@ class TrapezoidalIntegrator:
         """(f, outputs) of `SystemModel.residual` at (x, y), from the cache
         when (x, y) has the values of the last evaluated point."""
         key = x.tobytes() + y.tobytes()
-        if self._f_last is None or self._f_last[0] != key:
+        if self._last is None or self._last[0] != key:
             self.stats["residual_passes"] += 1
             r, outputs = self.model.residual(x, y)
-            self._f_last = (key, r[: self.model.n_x], outputs)
-        return self._f_last[1], self._f_last[2]
+            self._last = (key, r[: self.model.n_x], outputs, None, ())
+        return self._last[1], self._last[2]
 
     def _newton(self, state: SystemState, h: float) -> np.ndarray | None:
         """[x; y] at t + h, or None when Newton fails.
@@ -524,12 +524,10 @@ class TrapezoidalIntegrator:
         n_x = m.n_x
         x0, y0 = state.x, state.y
         f0 = self.evaluate(x0, y0)[0] if h else 0.0
+        # `evaluate` left the record of (x0, y0): a step of its h extends its history
+        points = self._last[4] if h and self._last[3] == h else ()
         hh = 0.5 * h
         base = x0 + hh * f0
-        # the history continues only from the very point it ended on:
-        # `evaluate` kept its cache entry when (x0, y0) has those values
-        past = self._past
-        points = past[2] if past and past[0] == h and past[1] is self._f_last else ()
         if len(points) >= 2:
             z = _PREDICTOR_WEIGHTS[len(points)] @ np.array(points)
         else:
@@ -558,10 +556,10 @@ class TrapezoidalIntegrator:
                 if worst < self.tol:
                     if worst > stats["max_residual"]:
                         stats["max_residual"] = float(worst)
-                    self._f_last = (z.tobytes(), f, outputs)
+                    history = points[1 - _HISTORY:] + (z.copy(),) if h else ()
+                    self._last = (z.tobytes(), f, outputs, h, history)
                     if h:
-                        self._accept(z, h, points, stats["newton_iterations"] - solves0,
-                                     r1 * theta2 ** 0.5)
+                        self._accept(stats["newton_iterations"] - solves0, r1 * theta2 ** 0.5)
                     return z
                 if not np.isfinite(worst):
                     return None
@@ -582,23 +580,19 @@ class TrapezoidalIntegrator:
                     z = z - dz
         return None
 
-    def _accept(self, z: np.ndarray, h: float, points: tuple, solves: int,
-                predicted: float) -> None:
-        """Book an accepted step to z from the history `points`: its solve
-        count, the extended history, and the refresh of a Jacobian that has
-        paid for its build when `predicted` (r1 theta, the residual two
-        solves would leave) is not below tol."""
+    def _accept(self, solves: int, predicted: float) -> None:
+        """Book an accepted step: its solve count, and the refresh of a
+        Jacobian that has paid for its build when `predicted` (r1 theta, the
+        residual two solves would leave) is not below tol."""
         hist = self.stats["newton_histogram"]
         if solves in hist:
             hist[solves] += 1
         else:   # keep the keys in order
             self.stats["newton_histogram"] = dict(sorted({**hist, solves: 1}.items()))
-        self._past = (h, self._f_last, points[1 - _HISTORY:] + (z.copy(),))
         self._jac_steps += 1
         if (predicted >= self.tol
                 and self._jac_steps > len(self.model.jacobian_structure()[1])):
             self._jfull = None
-            self._lu = None
 
     def step(self, state: SystemState, h: float, _depth: int = 0) -> SystemState:
         """state advanced by h; Newton failures halve the step, up to 4 times."""
@@ -625,20 +619,17 @@ class TrapezoidalIntegrator:
         pivoted solve (below 1e-16); the returned state carries a copy of the
         given x, so x is held bitwise.  Newton starts on the Jacobian of
         the last step (chord Newton converges on the true residual) and
-        refreshes it if that stalls.  The cached f0 is dropped first; the
-        factors afterwards, and the Jacobian too unless the re-solve built
-        it (then it is the post-event network's, taken near the accepted
-        point); otherwise the next step builds one at its own point.  The
-        accepted point stays cached.  Raises StepError when Newton fails.
+        refreshes it if that stalls.  It clears the last-point record, which
+        the accepted point starts afresh, and drops the Jacobian unless the
+        re-solve built it (then it is the post-event network's, taken near
+        the accepted point).  Raises StepError when Newton fails.
         """
-        self._f_last = None
-        self._past = None
+        self._last = None
         builds = self.stats["jacobian_builds"]
         with np.errstate(all="ignore"):
             z = self._newton(state, 0.0)
         if self.stats["jacobian_builds"] == builds:
             self._jfull = None
-        self._lu = None
         if z is None:
             raise StepError(f"Newton failed at t={state.t:.4f}s with h=0")
         self.stats["resolves"] += 1
@@ -697,12 +688,14 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     network is replaced by the post-event copy, the algebraic variables are
     re-solved with the differential states frozen, and integration resumes.
     The caller's model, its `revision` and so its linearizations are left
-    as they were, however the run ends.  Steps are exactly h: only a step
-    that ends at an output time, an event or t_end is shorter, and a
-    remainder within 1e-6 h of h is taken as h.  Channels default to every
-    recordable trace; only the requested ones are computed.  Raises
-    ValueError, before any step, when h, output_dt or the horizon
-    t_end - t0 is not finite and positive.
+    as they were, however the run ends.  The copy is shallow: an instance
+    attribute that shadows a `SystemModel` method is carried into it, still
+    bound to the caller's model, so instrument a run by patching the class.
+    Steps are exactly h: only a step that ends at an output time, an event
+    or t_end is shorter, and a remainder within 1e-6 h of h is taken as h.
+    Channels default to every recordable trace; only the requested ones are
+    computed.  Raises ValueError, before any step, when h, output_dt or the
+    horizon t_end - t0 is not finite and positive.
     """
     for name, value in (("h", h), ("output_dt", output_dt), ("t_end - t0", t_end - state0.t)):
         if not 0.0 < value < math.inf:

@@ -252,9 +252,9 @@ def test_criterion_8_numerical_cross_checks(case, freq_mode):
     e2 = np.max(np.abs(advance(0.01, 20) - ref))
     order = float(np.log2(e1 / e2))
 
-    # (b) nonlinear ringdown of the observability system vs. eigenvalue; the
-    # run sets the network at its event, which marks the model's
-    # linearizations stale, so it runs on a copy of `obs_system`
+    # (b) nonlinear ringdown of the observability system vs. eigenvalue, on a
+    # model built as `obs_system` is (a run applies its event to a copy of
+    # the model and leaves its linearizations valid, so either would do)
     model2, st2 = build_system(case, "cig_omega_tilde", freq_loop=False)
     lam = freq_mode.eigenvalue
     ev = [Event(1.0, LoadScale(bus=5, factor=0.995))]

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: scenarios, CSV/SVG output,
 manifests, and exit codes."""
 
+import hashlib
 import json
 import platform
 
@@ -176,6 +177,28 @@ def test_run_emits_csv_and_svg(tmp_path, monkeypatch):
         assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_run_cleared_fault_from_the_docstring_scenario(tmp_path, monkeypatch):
+    """The module docstring's events, a load loss and a 5 pu fault at bus 7
+    cleared after 100 ms, run to the end; the manifest holds the resolved
+    scenario, the very object its digest hashes."""
+    events = [{"t": 1.0, "type": "load_scale", "bus": 5, "factor": 0.5},
+              {"t": 1.0, "type": "fault_on", "bus": 7, "g": 5.0, "b": 0.0},
+              {"t": 1.1, "type": "fault_off", "bus": 7}]
+    sc = tmp_path / "s.json"
+    sc.write_text(json.dumps({"control": "cig_omega_tilde", "t_end": 1.5, "h": 0.01,
+                              "output_dt": 0.01, "events": events}))
+    assert run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch) == 0
+    man = read_manifest(tmp_path)
+    assert man["stats"]["resolves"] == 3   # one per event
+    scenario = man["scenario"]
+    assert scenario["events"][1] == {"t": 1.0, "type": "FaultOn", "bus": 7, "g": 5.0, "b": 0.0}
+    assert scenario["control"] == "cig_omega_tilde" and scenario["t_end"] == 1.5
+    canon = json.dumps(scenario, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == man["scenario_sha256"]
+    rows = (tmp_path / "timeseries.csv").read_text().splitlines()
+    assert len(rows) == 1 + 151 and rows[-1].startswith("1.5,")
+
+
 def test_run_is_deterministic(tmp_path, monkeypatch):
     args = ["run", "--t-end", "1.0", "--h", "0.02"]
     assert run_cli(args, tmp_path / "a", monkeypatch) == 0
@@ -286,6 +309,17 @@ def test_ksweep_grid_and_ratio(tmp_path, monkeypatch):
     assert data[0.0] == 1.0
     assert (tmp_path / "ksweep.svg").exists()
     assert_versions(read_manifest(tmp_path))
+
+
+def test_ksweep_grid_stops_at_k_max(tmp_path, monkeypatch):
+    """A step that does not divide the span ends the grid at the last whole
+    step below k_max: 0, 0.35, 0.70, not 1.05."""
+    rc = run_cli(["ksweep", "--k-min", "0", "--k-max", "1", "--k-step", "0.35"],
+                 tmp_path, monkeypatch)
+    assert rc == 0
+    k = [float(ln.split(",")[0]) for ln in
+         (tmp_path / "ksweep.csv").read_text().splitlines()[1:]]
+    assert k == pytest.approx([0.0, 0.35, 0.70], abs=1e-12)
 
 
 @pytest.mark.parametrize("grid, message", [

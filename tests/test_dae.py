@@ -91,6 +91,17 @@ def test_build_system_moves_dispatch_to_converter(case):
     assert model.net.bus(2).p_gen == pytest.approx(0.63)
 
 
+def test_build_system_converter_on_a_machine_bus():
+    """A converter on a machine's bus, with no step-up reactance, takes its
+    dispatch off that machine: the built state is an equilibrium."""
+    case = load_bundled_case()
+    case.cigs[0].bus = 2
+    case.cigs[0].params.x_t = 0.0
+    model, st = build_system(case, "cig_omega_tilde")
+    assert model.cig_bus == model.mach_bus[1]
+    assert np.max(np.abs(model.residual(st.x, st.y)[0])) < 1e-8
+
+
 def test_equilibrium_invariant_under_compensation_gain(case):
     """rho = 0 at steady state, so K never shifts the operating point."""
     ref = None

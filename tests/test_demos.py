@@ -19,7 +19,6 @@ def run_demo(name: str, outdir: Path) -> None:
     ("analytic_signal", ["analytic_signal.csv"]),
     ("load_loss_comparison",
      ["load_loss.csv", "load_loss_omega_coi.svg", "load_loss_p_cig.svg"]),
-    ("observability_sweep", ["ksweep.csv", "ksweep.svg"]),
 ])
 def test_demo_writes_its_files(name, files, tmp_path, capsys):
     run_demo(name, tmp_path)
@@ -30,6 +29,6 @@ def test_demo_writes_its_files(name, files, tmp_path, capsys):
             assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         else:
             header, *rows = text.splitlines()
-            assert header.startswith(("t,", "k,")) and len(rows) > 1
+            assert header.startswith("t,") and len(rows) > 1
             assert all(len(r.split(",")) == len(header.split(",")) for r in rows)
     assert "wrote" in capsys.readouterr().out

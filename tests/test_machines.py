@@ -192,6 +192,15 @@ def test_coi_frequency_weighting():
     assert model.coi_speed(x.tolist()) == model.coi_speed(x)
 
 
+def test_refresh_setpoints_rereads_the_coi_weights():
+    """An in-place H edit reaches the COI weights through `refresh_setpoints`."""
+    model, _ = build_system(load_bundled_case(), "no_cig")
+    model.machines[0].params.H *= 2.0
+    model.refresh_setpoints()
+    assert model.coi_weights == coi_weights([m.params for m in model.machines]).tolist()
+    assert model.coi_weights == pytest.approx([8 / 15, 4 / 15, 3 / 15])
+
+
 # ---------------------------------------------------------------------------
 # The kernel against the vectorized block it replaced
 # ---------------------------------------------------------------------------

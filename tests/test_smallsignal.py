@@ -291,8 +291,8 @@ def _linked_mode(model, st):
 
 
 @pytest.mark.parametrize("source", ["nudged point", "other model", "new time constant",
-                                    "network set again", "hand-built mode",
-                                    "same point"])
+                                    "converter edit", "network set again",
+                                    "hand-built mode", "same point"])
 def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source):
     """`k_sweep` recomputes no rows: it sweeps those of its mode's
     linearization, taken from the same model, unchanged since, at bitwise
@@ -302,7 +302,9 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
     and the other model has bitwise the same [x; y].  A new T'd0 leaves
     the equilibrium one (it divides a derivative that is zero there) but
     changes A and the rows; `refresh_setpoints` after it, or
-    `set_network`, bumps the revision."""
+    `set_network`, bumps the revision.  An in-place edit of the converter's
+    gains reaches the residual only through `refresh_setpoints`: before
+    it, `linearize` gives bitwise the mode's rows."""
     model, st = wscc
     eq = st
     if source == "nudged point":
@@ -313,11 +315,19 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
         mode = _linked_mode(*build_system(load_bundled_case(), "cig_omega_tilde",
                                           freq_loop=False))
         assert mode.linear_model.point[2] == np.concatenate([st.x, st.y]).tobytes()
-    elif source in ("new time constant", "network set again"):
+    elif source in ("new time constant", "converter edit", "network set again"):
         model, eq = build_system(load_bundled_case(), "cig_omega_tilde", freq_loop=False)
         mode = _linked_mode(model, eq)
-        if source == "new time constant":
-            model.machines[0].params.td01 *= 2.0
+        if source in ("new time constant", "converter edit"):
+            if source == "new time constant":
+                model.machines[0].params.td01 *= 2.0
+            else:
+                p = model.cig.params
+                p.kp_v *= 4.0
+                p.pll.kp *= 4.0
+                p.t_i *= 5.0
+                for row, mode_row in zip(linearize(model, eq).rows, mode.linear_model.rows):
+                    assert row.tobytes() == mode_row.tobytes()
             model.refresh_setpoints()
             assert not np.array_equal(linearize(model, eq).rows[1],
                                       mode.linear_model.rows[1])
