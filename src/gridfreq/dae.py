@@ -132,7 +132,7 @@ class SystemModel:
         self._sm_prm = [smmod.sm_kernel_params(m.params, m.avr, m.gov)
                         for m in self.machines]
         self.coi_weights = smmod.coi_weights([m.params for m in self.machines]).tolist()
-        self._cig_prm = copy.deepcopy(self.cig.params) if self.cig else None
+        self._cig_prm = self.cig and replace(self.cig.params, pll=copy.copy(self.cig.params.pll))
 
     def _refresh_network_arrays(self) -> None:
         """Y as the real matrix [[G, -B], [B, G]], which maps y = [Re v; Im v]
