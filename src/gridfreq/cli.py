@@ -22,9 +22,10 @@ current directory.  Each command writes a ``manifest.json`` recording the
 resolved scenario (defaults, file and flags merged, events included: a
 scenario file that reruns it), its SHA-256 digest, so two runs share a
 digest exactly when they ran the same scenario, however it was given, and
-the versions of gridfreq, numpy, scipy and Python.  Bad input (a scenario that
-is not an object or has a field of the wrong type; a number that is NaN
-or infinite, ``k``, ``t_end``, ``h``, ``output_dt`` and the ``t``,
+the versions of gridfreq, numpy, scipy and Python.  Bad input (a scenario
+or an event that is not an object or has a field of the wrong type or an
+unknown one; a number that is NaN or infinite, ``k``, ``t_end``, ``h``,
+``output_dt`` and the ``t``,
 ``factor``, ``g`` and ``b`` of an event included; a ``run`` whose ``h``,
 ``output_dt`` or horizon is not positive; and a K grid of ``ksweep`` with
 a non-positive step, k_max < k_min or more than ``K_GRID_MAX`` gains
@@ -64,6 +65,8 @@ from .smallsignal import (
 OUT_DIR_ENV = "GRIDFREQ_OUT_DIR"
 # most gains a `ksweep` grid may hold
 K_GRID_MAX = 10_001
+# event type of a scenario file -> its action class
+EVENT_TYPES = {"load_scale": LoadScale, "fault_on": FaultOn, "fault_off": FaultOff}
 
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario description."""
@@ -86,10 +89,12 @@ class Scenario:
     @property
     def document(self) -> dict:
         """Everything that shapes the results, as JSON-ready values: the
-        output directory is left out; the case enters by name or path."""
+        output directory is left out; the case enters by name or path.  It
+        is a scenario file that reruns the same scenario."""
         doc = asdict(self)
         del doc["out_dir"]
-        doc["events"] = [{"t": ev.time, "type": type(ev.action).__name__,
+        type_of = {cls: name for name, cls in EVENT_TYPES.items()}
+        doc["events"] = [{"t": ev.time, "type": type_of[type(ev.action)],
                           **asdict(ev.action)} for ev in self.events]
         return doc
 
@@ -126,15 +131,15 @@ def _parse_event(d: dict) -> Event:
         raise ScenarioError(f"event {d!r} is not an object")
     kind = d.get("type")
     try:
-        if kind == "load_scale":
-            act = LoadScale(bus=int(d["bus"]), factor=_number(d, "factor"))
-        elif kind == "fault_on":
-            act = FaultOn(bus=int(d["bus"]), g=_number(d, "g") if "g" in d else 1e4,
-                          b=_number(d, "b") if "b" in d else 0.0)
-        elif kind == "fault_off":
-            act = FaultOff(bus=int(d["bus"]))
-        else:
+        cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
             raise ScenarioError(f"unknown event type {kind!r}")
+        unknown = set(d) - {"t", "type", *(f.name for f in fields(cls))}
+        if unknown:
+            raise ScenarioError(f"unknown fields {sorted(unknown)}")
+        # a field with a default may be left out; `bus` is an id, the rest numbers
+        act = cls(**{f.name: int(d[f.name]) if f.name == "bus" else _number(d, f.name)
+                     for f in fields(cls) if f.name in d or f.default is MISSING})
         return Event(time=_number(d, "t"), action=act)
     except KeyError as exc:
         raise ScenarioError(f"event missing field {exc}") from exc

@@ -92,13 +92,20 @@ CONTROLS = ("no_cig", "cig_omega", "cig_omega_tilde")
 
 
 class SystemModel:
-    """Residual functions f (differential) and g (algebraic) of the grid."""
+    """Residual functions f (differential) and g (algebraic) of the grid.
+
+    A model is the snapshot taken when it is built: the residual reads
+    only its own copies of the device parameters (the machine kernel
+    tuples, the COI weights, the converter's parameters), so an in-place
+    edit of `machines` or `cig` never reaches it.  Build a new model to
+    change a parameter.  Only `simulate` changes the network, on its own
+    copy of the model.
+    """
 
     def __init__(self, net: Network, machines: list[MachineSpec],
                  cig: CIGSpec | None = None):
         if not machines:
             raise AssemblyError("no dynamic devices: at least one machine required")
-        self.net = net
         self.machines = machines
         self.cig = cig
         self.n_bus = net.n_bus
@@ -108,11 +115,11 @@ class SystemModel:
         self.mach_bus = [net.bus_index(m.bus) for m in machines]
         self.cig_bus = net.bus_index(cig.bus) if cig else None
 
+        self._sm_prm = [smmod.sm_kernel_params(m.params, m.avr, m.gov) for m in machines]
+        self.coi_weights = smmod.coi_weights([m.params for m in machines]).tolist()
+        self._cig_prm = cig and replace(cig.params, pll=copy.copy(cig.params.pll))
         self._jac_structure = None   # (pattern, groups), built on first use
-        self._y_nonzero = None       # nonzero structure of _y_real it was built for
-        self.revision = 0            # bumped by refresh_setpoints and set_network
-        self.refresh_setpoints()
-        self._refresh_network_arrays()
+        self._set_network(net)
 
         # labels for linearization / reporting
         self.state_labels: list[str] = []
@@ -122,45 +129,28 @@ class SystemModel:
             self.state_labels += [f"cig_{n}" for n in cigmod.STATE_NAMES]
         self.speed_indices = [i * _SM_N + 1 for i in range(len(machines))]
 
-    # -- network / setpoint refresh -------------------------------------
-
-    def refresh_setpoints(self) -> None:
-        """Re-read every device parameter into the only copies `residual` reads
-        (machine kernel tuples, COI weights, the converter's parameters), and
-        bump `revision`, which marks linearizations of the model stale."""
-        self.revision += 1
-        self._sm_prm = [smmod.sm_kernel_params(m.params, m.avr, m.gov)
-                        for m in self.machines]
-        self.coi_weights = smmod.coi_weights([m.params for m in self.machines]).tolist()
-        self._cig_prm = self.cig and replace(self.cig.params, pll=copy.copy(self.cig.params.pll))
-
-    def _refresh_network_arrays(self) -> None:
-        """Y as the real matrix [[G, -B], [B, G]], which maps y = [Re v; Im v]
-        to [Re Yv; Im Yv], and conj(S) of every bus that carries a load."""
-        ybus = build_ybus(self.net)
+    def _set_network(self, net: Network) -> None:
+        """Take net, Y as the real matrix [[G, -B], [B, G]], which maps
+        y = [Re v; Im v] to [Re Yv; Im Yv], and conj(S) of every bus that
+        carries a load.  Called by `__init__`, and by `simulate` on its own
+        copy after events, which change only the loads and Y's diagonal:
+        both lie inside `jacobian_structure`."""
+        self.net = net
+        ybus = build_ybus(net)
         n = self.n_bus
         y_real = np.empty((2 * n, 2 * n))
         y_real[:n, :n] = y_real[n:, n:] = ybus.real
         y_real[:n, n:] = -ybus.imag
         y_real[n:, :n] = ybus.imag
         self._y_real = y_real
-        nonzero = y_real != 0.0
-        if not np.array_equal(nonzero, self._y_nonzero):
-            self._y_nonzero = nonzero
-            self._jac_structure = None
         self._loads = [(i, complex(b.p_load, -b.q_load))
-                       for i, b in enumerate(self.net.buses) if b.p_load or b.q_load]
-
-    def set_network(self, net: Network) -> None:
-        self.revision += 1
-        self.net = net
-        self._refresh_network_arrays()
+                       for i, b in enumerate(net.buses) if b.p_load or b.q_load]
 
     # -- Jacobian structure ---------------------------------------------
 
     def jacobian_structure(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """(pattern, groups) of d[f; g]/d[x; y], built on the first call and
-        kept until the nonzero structure of Y changes.
+        kept for the life of the model.
 
         pattern is the bool matrix of the entries that can be nonzero:
         every value a residual row reads.  groups partitions the columns
@@ -175,7 +165,7 @@ class SystemModel:
         pattern = np.zeros((n_x + 2 * n, n_x + 2 * n), dtype=bool)
         # the network: Y y, plus the Re/Im pair of each bus that its
         # loads and device injections read
-        pattern[n_x:, n_x:] = self._y_nonzero | np.tile(np.eye(n, dtype=bool), (2, 2))
+        pattern[n_x:, n_x:] = (self._y_real != 0.0) | np.tile(np.eye(n, dtype=bool), (2, 2))
         # each device: its states, and its bus voltage, against its state
         # rows and the current balance of its bus
         devices = [(range(_SM_N * i, _SM_N * (i + 1)), b)
@@ -442,8 +432,7 @@ class TrapezoidalIntegrator:
     with none; a step from (x, y) of those values reuses its f as f0 and,
     at that h, its history; `simulate` records its outputs; `resolve`
     clears it.  The LU factors, for the h of the last step: cleared only
-    where a Jacobian is built, refactored for another h.  After a change to
-    the model other than a network event, build a new integrator.
+    where a Jacobian is built, refactored for another h.
 
     The Jacobian is kept across steps (chord Newton).  From the ratio of
     the last two updates of a step, theta = |dz_k| / |dz_k-1|, the residual
@@ -684,11 +673,11 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
              channels: list[str] | None = None) -> TimeSeries:
     """Integrate over [t0, t_end], applying timed events.
 
-    Events are applied exactly at their times, to a copy of the model: its
-    network is replaced by the post-event copy, the algebraic variables are
-    re-solved with the differential states frozen, and integration resumes.
-    The caller's model, its `revision` and so its linearizations are left
-    as they were, however the run ends.  The copy is shallow: an instance
+    Events are applied exactly at their times, to a copy of the model:
+    every event of one instant is applied to its network, the algebraic
+    variables are re-solved once with the differential states frozen, and
+    integration resumes.  The caller's model is left as it was, however
+    the run ends.  The copy is shallow: an instance
     attribute that shadows a `SystemModel` method is carried into it, still
     bound to the caller's model, so instrument a run by patching the class.
     Steps are exactly h: only a step that ends at an output time, an event
@@ -712,7 +701,7 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
         if not (state0.t <= ev.time <= t_end):
             raise ValueError(f"event at t={ev.time} outside the horizon")
 
-    # a shallow copy suffices: `set_network` rebinds every array it derives
+    # a shallow copy suffices: `_set_network` rebinds every array it derives
     model = copy.copy(model)
     integ = TrapezoidalIntegrator(model)
     state = state0.copy()
@@ -737,9 +726,12 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
                     break
                 state = integ.step(state, min(rem, h))
             state.t = t_stop
+            net = model.net
             while pending and abs(state.t - pending[0].time) <= eps:
                 ev = pending.pop(0)
-                model.set_network(apply_event(model.net, ev.action))
+                net = apply_event(net, ev.action)
+            if net is not model.net:
+                model._set_network(net)
                 try:
                     state = integ.resolve(state)
                 except StepError as exc:

@@ -92,7 +92,7 @@ class SynMachineState:
 def sm_kernel_params(p: SynMachineParams, avr: AVRParams, gov: GovParams) -> tuple:
     """The constants `sm_kernel` reads, set points included, as one flat tuple.
 
-    Rebuild it whenever a parameter or set point changes.
+    `SystemModel` takes it once, when it is built.
     """
     return (2.0 * p.H, p.D, p.ra, p.xd1, p.xq1, p.ra * p.ra + p.xd1 * p.xq1,
             p.xd - p.xd1, p.xq - p.xq1, p.td01, p.tq01,

@@ -30,15 +30,14 @@ network frame rotates at the COI speed); the converter's own
 
 `linearize` is the one source of the rows: it computes them with A when
 the model has a converter, and records the point it was taken at (model,
-its `revision`, bytes of [x; y]); `eigensolve` links each mode to that
-`LinearModel`.  `k_sweep` takes the rows of its mode's linearization and
-accepts only a mode linearized from the same model, unchanged since (no
-`refresh_setpoints` or `set_network`; `simulate` applies its events to a
-copy and leaves the model alone), at bitwise the same [x; y]; it checks
-the equilibrium in one residual pass.  The sweep evaluates go for every
-gain of the grid, and for rho, in one call of `geometric_observability`
-on the columns of one array; go(omega) is its K = 0 column, so the ratio
-at K = 0 is exactly 1.
+bytes of [x; y]); `eigensolve` links each mode to that `LinearModel`.
+`k_sweep` takes the rows of its mode's linearization and accepts only a
+mode linearized from the same model at bitwise the same [x; y]: a built
+model never changes (`simulate` applies its events to a copy), so those
+rows are the model's.  It checks the equilibrium in one residual pass.
+The sweep evaluates go for every gain of the grid, and for rho, in one
+call of `geometric_observability` on the columns of one array; go(omega)
+is its K = 0 column, so the ratio at K = 0 is exactly 1.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class LinearModel:
     speed_indices: list[int]
     # (c_rho, c_omega) at the converter bus; None without a converter
     rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    # (model, its revision, bytes of [x; y]) that `linearize` took;
+    # (model, bytes of [x; y]) that `linearize` took;
     # None when hand-built
     point: tuple | None = field(default=None, repr=False)
 
@@ -86,7 +85,6 @@ class LinearModel:
 class Mode:
     eigenvalue: complex
     right: np.ndarray
-    left: np.ndarray
     speed_shape: np.ndarray  # machine-speed components, normalized to max |.| = 1
     # the linearization the mode was computed from; None when hand-built
     linear_model: LinearModel | None = field(default=None, repr=False, compare=False)
@@ -126,8 +124,8 @@ def _central_jacobians(model: SystemModel, eq: SystemState):
 
 
 def _point(model: SystemModel, eq: SystemState) -> tuple:
-    """The key of a linearization: (model, its revision, bytes of [x; y])."""
-    return model, model.revision, np.concatenate([eq.x, eq.y]).tobytes()
+    """The key of a linearization: (model, bytes of [x; y])."""
+    return model, np.concatenate([eq.x, eq.y]).tobytes()
 
 
 def linearize(model: SystemModel, eq: SystemState) -> LinearModel:
@@ -148,11 +146,11 @@ def linearize(model: SystemModel, eq: SystemState) -> LinearModel:
 
 
 def eigensolve(lm: LinearModel) -> list[Mode]:
-    """Full spectrum with right/left eigenvectors, residual-checked."""
+    """Full spectrum with right eigenvectors, residual-checked."""
     a = lm.a_sys
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries in the state matrix")
-    w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
+    w, vr = scipy.linalg.eig(a, left=False, right=True)
     scale = max(np.linalg.norm(a, ord="fro"), 1.0)
     res = np.linalg.norm(a @ vr - vr * w, axis=0) / np.linalg.norm(vr, axis=0)
     bad = np.flatnonzero(res > _EIG_RESIDUAL_TOL * scale)
@@ -170,8 +168,8 @@ def eigensolve(lm: LinearModel) -> list[Mode]:
     nonzero = peak > 0
     rotate = np.where(nonzero, np.exp(-1j * np.angle(shapes[lead, cols])), 1.0)
     shapes = shapes * rotate / np.where(nonzero, peak, 1.0)
-    modes = [Mode(eigenvalue=complex(w[i]), right=vr[:, i], left=vl[:, i],
-                  speed_shape=shapes[:, i], linear_model=lm) for i in cols]
+    modes = [Mode(eigenvalue=complex(w[i]), right=vr[:, i], speed_shape=shapes[:, i],
+                  linear_model=lm) for i in cols]
     modes.sort(key=lambda m: (m.eigenvalue.real, abs(m.eigenvalue.imag)))
     return modes
 
@@ -248,20 +246,20 @@ def k_sweep(model: SystemModel, eq: SystemState, mode: Mode,
     """Observability ratio go(omega_tilde(K)) / go(omega) over a gain grid.
 
     The rows are those of the mode's own linearization, so the mode must
-    come from `eigensolve(linearize(model, eq))` with model unchanged since
-    (see the module docstring); any other mode raises ValueError.  The
-    output row of the compensated signal is `modified_signal(c_omega, c_rho,
-    K)`.  The rows of rho and of every gain, led by K = 0 and K = 1, are the
-    columns of one array that one `geometric_observability` call reduces,
-    so go(omega) is the K = 0 column and ratio(K = 0) is exactly 1.
+    come from `eigensolve(linearize(model, eq))`; any other mode raises
+    ValueError.  The output row of the compensated signal is
+    `modified_signal(c_omega, c_rho, K)`.  The rows of rho and of every
+    gain, led by K = 0 and K = 1, are the columns of one array that one
+    `geometric_observability` call reduces, so go(omega) is the K = 0
+    column and ratio(K = 0) is exactly 1.
     """
     if model.cig_bus is None:
         raise ValueError("output rows require a converter (measurement point) in the model")
     _check_equilibrium(model, eq)
     lm = mode.linear_model
     if lm is None or lm.point != _point(model, eq):
-        raise ValueError("the mode was not linearized from this model, as it is now, "
-                         "at eq: take it from eigensolve(linearize(model, eq))")
+        raise ValueError("the mode was not linearized from this model at eq: "
+                         "take it from eigensolve(linearize(model, eq))")
     c_rho, c_omega = lm.rows
     k_grid = np.asarray(k_grid, dtype=float)
     gains = np.concatenate([[0.0, 1.0], k_grid])

@@ -78,6 +78,15 @@ def test_scenario_rejects_unknown_fields(tmp_path):
         load_scenario(str(p), {})
 
 
+def test_scenario_rejects_unknown_event_fields(tmp_path):
+    """A misspelt field is an error, not the default it would leave in place
+    (here the bolted fault, g = 1e4)."""
+    p = tmp_path / "s.json"
+    p.write_text('{"events": [{"t": 1.0, "type": "fault_on", "bus": 7, "G": 5.0}]}')
+    with pytest.raises(ScenarioError, match=r"unknown fields \['G'\]"):
+        load_scenario(str(p), {})
+
+
 def test_scenario_rejects_bad_event(tmp_path):
     p = tmp_path / "s.json"
     p.write_text('{"events": [{"t": 1.0, "type": "meteor", "bus": 5}]}')
@@ -179,8 +188,9 @@ def test_run_emits_csv_and_svg(tmp_path, monkeypatch):
 
 def test_run_cleared_fault_from_the_docstring_scenario(tmp_path, monkeypatch):
     """The module docstring's events, a load loss and a 5 pu fault at bus 7
-    cleared after 100 ms, run to the end; the manifest holds the resolved
-    scenario, the very object its digest hashes."""
+    cleared after 100 ms, run to the end, with one re-solve per event
+    instant; the manifest holds the resolved scenario, the very object its
+    digest hashes, and as a scenario file it reruns the same run."""
     events = [{"t": 1.0, "type": "load_scale", "bus": 5, "factor": 0.5},
               {"t": 1.0, "type": "fault_on", "bus": 7, "g": 5.0, "b": 0.0},
               {"t": 1.1, "type": "fault_off", "bus": 7}]
@@ -189,14 +199,22 @@ def test_run_cleared_fault_from_the_docstring_scenario(tmp_path, monkeypatch):
                               "output_dt": 0.01, "events": events}))
     assert run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch) == 0
     man = read_manifest(tmp_path)
-    assert man["stats"]["resolves"] == 3   # one per event
+    assert man["stats"]["resolves"] == 2   # one per event instant
     scenario = man["scenario"]
-    assert scenario["events"][1] == {"t": 1.0, "type": "FaultOn", "bus": 7, "g": 5.0, "b": 0.0}
+    assert scenario["events"] == [{**ev, "b": 0.0} if ev["type"] == "fault_on" else ev
+                                  for ev in events]
     assert scenario["control"] == "cig_omega_tilde" and scenario["t_end"] == 1.5
     canon = json.dumps(scenario, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canon.encode()).hexdigest() == man["scenario_sha256"]
     rows = (tmp_path / "timeseries.csv").read_text().splitlines()
     assert len(rows) == 1 + 151 and rows[-1].startswith("1.5,")
+    again = tmp_path / "again"
+    (tmp_path / "resolved.json").write_text(json.dumps(scenario))
+    assert run_cli(["run", "--scenario", str(tmp_path / "resolved.json")], again,
+                   monkeypatch) == 0
+    assert read_manifest(again)["scenario_sha256"] == man["scenario_sha256"]
+    assert ((again / "timeseries.csv").read_bytes()
+            == (tmp_path / "timeseries.csv").read_bytes())
 
 
 def test_run_is_deterministic(tmp_path, monkeypatch):

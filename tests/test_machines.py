@@ -192,13 +192,21 @@ def test_coi_frequency_weighting():
     assert model.coi_speed(x.tolist()) == model.coi_speed(x)
 
 
-def test_refresh_setpoints_rereads_the_coi_weights():
-    """An in-place H edit reaches the COI weights through `refresh_setpoints`."""
-    model, _ = build_system(load_bundled_case(), "no_cig")
-    model.machines[0].params.H *= 2.0
-    model.refresh_setpoints()
-    assert model.coi_weights == coi_weights([m.params for m in model.machines]).tolist()
+def test_coi_weights_are_those_of_the_case_the_model_was_built_from():
+    """An H edit of the case reaches the COI weights of a model built from
+    it; an in-place edit of the built model reaches neither its weights
+    nor its residual."""
+    case = load_bundled_case()
+    case.machines[0].params.H *= 2.0
+    model, st = build_system(case, "no_cig")
+    assert model.coi_weights == coi_weights([m.params for m in case.machines]).tolist()
     assert model.coi_weights == pytest.approx([8 / 15, 4 / 15, 3 / 15])
+    x = st.x.copy()
+    x[model.speed_indices] = [1.03, 1.0, 0.99]
+    weights, r = list(model.coi_weights), model.residual(x, st.y)[0]
+    model.machines[0].params.H *= 2.0
+    assert model.coi_weights == weights
+    assert model.residual(x, st.y)[0].tobytes() == r.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ class LinearToy:
         self.state_labels = ["x1", "x2"]
         self.speed_indices = [0]
         self.cig_bus = None  # no converter: no output rows
-        self.revision = 0
 
     def residual(self, x, y):
         return np.concatenate([self.A @ x + self.B @ y, self.C @ x + self.D @ y]), {}
@@ -136,10 +135,10 @@ def test_eigensolve_rejects_a_wrong_eigenpair(monkeypatch):
     eig = scipy.linalg.eig
 
     def corrupted(a, **kwargs):
-        w, vl, vr = eig(a, **kwargs)
+        w, vr = eig(a, **kwargs)
         vr = vr.copy()
         vr[:, 1] = vr[:, 0]   # the eigenvector of another eigenvalue
-        return w, vl, vr
+        return w, vr
 
     monkeypatch.setattr(scipy.linalg, "eig", corrupted)
     with pytest.raises(RuntimeError, match=r"eigenpair residual 1\.00e\+00 exceeds 1e-08"):
@@ -178,8 +177,7 @@ def test_identify_rejects_when_no_candidate():
 
 def _mode_with_shape(phi):
     phi = np.asarray(phi, dtype=complex)
-    return Mode(eigenvalue=-0.1 + 0.5j, right=phi, left=phi.conj(),
-                speed_shape=phi / np.max(np.abs(phi)))
+    return Mode(eigenvalue=-0.1 + 0.5j, right=phi, speed_shape=phi / np.max(np.abs(phi)))
 
 
 def test_observability_alignment_extremes():
@@ -205,7 +203,7 @@ def test_observability_scale_invariance(wscc_mode):
 def test_observability_same_for_conjugate_mode(wscc_mode):
     c = wscc_mode.linear_model.rows[1]
     conj = Mode(eigenvalue=np.conj(wscc_mode.eigenvalue),
-                right=np.conj(wscc_mode.right), left=np.conj(wscc_mode.left),
+                right=np.conj(wscc_mode.right),
                 speed_shape=np.conj(wscc_mode.speed_shape))
     assert geometric_observability(c, conj) == pytest.approx(
         geometric_observability(c, wscc_mode), abs=1e-12)
@@ -291,20 +289,17 @@ def _linked_mode(model, st):
 
 
 @pytest.mark.parametrize("source", ["nudged point", "other model", "new time constant",
-                                    "converter edit", "network set again",
-                                    "hand-built mode", "same point"])
+                                    "converter edit", "hand-built mode", "same point"])
 def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source):
     """`k_sweep` recomputes no rows: it sweeps those of its mode's
-    linearization, taken from the same model, unchanged since, at bitwise
-    the same [x; y], and rejects any other mode with ValueError after its
-    equilibrium check (one residual pass, all a sweep at the same point
-    costs).  The nudged point is still an equilibrium within tolerance,
-    and the other model has bitwise the same [x; y].  A new T'd0 leaves
-    the equilibrium one (it divides a derivative that is zero there) but
-    changes A and the rows; `refresh_setpoints` after it, or
-    `set_network`, bumps the revision.  An in-place edit of the converter's
-    gains reaches the residual only through `refresh_setpoints`: before
-    it, `linearize` gives bitwise the mode's rows."""
+    linearization, taken from the same model at bitwise the same [x; y],
+    and rejects any other mode with ValueError after its equilibrium check
+    (one residual pass, all a sweep at the same point costs).  The nudged
+    point is still an equilibrium within tolerance, and the other model has
+    bitwise the same [x; y].  A built model never changes: an in-place
+    edit of a machine's T'd0 or of the converter's gains never reaches the
+    residual, so `linearize` gives bitwise the mode's A and rows, and the
+    sweep accepts the mode."""
     model, st = wscc
     eq = st
     if source == "nudged point":
@@ -314,32 +309,28 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
     elif source == "other model":
         mode = _linked_mode(*build_system(load_bundled_case(), "cig_omega_tilde",
                                           freq_loop=False))
-        assert mode.linear_model.point[2] == np.concatenate([st.x, st.y]).tobytes()
-    elif source in ("new time constant", "converter edit", "network set again"):
+        assert mode.linear_model.point[1] == np.concatenate([st.x, st.y]).tobytes()
+    elif source in ("new time constant", "converter edit"):
         model, eq = build_system(load_bundled_case(), "cig_omega_tilde", freq_loop=False)
         mode = _linked_mode(model, eq)
-        if source in ("new time constant", "converter edit"):
-            if source == "new time constant":
-                model.machines[0].params.td01 *= 2.0
-            else:
-                p = model.cig.params
-                p.kp_v *= 4.0
-                p.pll.kp *= 4.0
-                p.t_i *= 5.0
-                for row, mode_row in zip(linearize(model, eq).rows, mode.linear_model.rows):
-                    assert row.tobytes() == mode_row.tobytes()
-            model.refresh_setpoints()
-            assert not np.array_equal(linearize(model, eq).rows[1],
-                                      mode.linear_model.rows[1])
+        if source == "new time constant":
+            model.machines[0].params.td01 *= 2.0
         else:
-            model.set_network(model.net)
+            p = model.cig.params
+            p.kp_v *= 4.0
+            p.pll.kp *= 4.0
+            p.t_i *= 5.0
+        again = linearize(model, eq)
+        assert again.a_sys.tobytes() == mode.linear_model.a_sys.tobytes()
+        for row, mode_row in zip(again.rows, mode.linear_model.rows):
+            assert row.tobytes() == mode_row.tobytes()
     else:
         mode = _linked_mode(model, st)
         if source == "hand-built mode":
-            mode = Mode(mode.eigenvalue, mode.right, mode.left, mode.speed_shape)
+            mode = Mode(mode.eigenvalue, mode.right, mode.speed_shape)
     grid = np.array([0.0, 1.0])
     call_counts.update(machines=0, cig=0)
-    if source == "same point":
+    if source in ("new time constant", "converter edit", "same point"):
         assert k_sweep(model, eq, mode, grid).ratio[0] == 1.0
     else:
         with pytest.raises(ValueError, match=r"take it from eigensolve\(linearize\(model, eq\)\)"):
@@ -350,21 +341,21 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
 def test_a_run_leaves_the_model_and_its_linearizations_alone():
     """`simulate` applies its events to a copy of the model: a mode
     linearized before a run with an event is still accepted by `k_sweep`
-    after it, with the same result, and the caller's network and revision
-    are those of before, also after a run whose event re-solve fails."""
+    after it, with the same result, and the caller's network is that of
+    before, also after a run whose event re-solve fails."""
     model, st = build_system(load_bundled_case(), "cig_omega_tilde", freq_loop=False)
     mode = _linked_mode(model, st)
-    net, revision = model.net, model.revision
+    net = model.net
     grid = np.array([0.0, 0.6, 1.2])
     swept = k_sweep(model, st, mode, grid).ratio
     simulate(model, st, [Event(0.1, LoadScale(bus=5, factor=0.5))], t_end=0.2, h=0.02,
              channels=["omega_coi"])
-    assert model.net is net and model.revision == revision
+    assert model.net is net
     assert k_sweep(model, st, mode, grid).ratio.tobytes() == swept.tobytes()
     with pytest.raises(StepError, match=r"event at t=0\.1s failed"):
         simulate(model, st, [Event(0.1, FaultOn(bus=7, g=20.0))], t_end=0.2, h=0.02,
                  channels=["omega_coi"])
-    assert model.net is net and model.revision == revision
+    assert model.net is net
     assert k_sweep(model, st, mode, grid).ratio.tobytes() == swept.tobytes()
 
 
