@@ -32,7 +32,7 @@ class CaseParseError(ValueError):
     """Malformed case file; message carries the offending line number."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineSpec:
     bus: int
     params: SynMachineParams
@@ -40,7 +40,7 @@ class MachineSpec:
     gov: GovParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class CIGSpec:
     bus: int
     params: CIGControlParams
@@ -53,8 +53,8 @@ class Case:
     cigs: list[CIGSpec] = field(default_factory=list)
 
 
-_N_MACHINE_FIELDS = 24
-_N_CIG_FIELDS = 15
+# fields after the tag, per record type
+_N_FIELDS = {"SYSTEM": 2, "BUS": 9, "BRANCH": 7, "MACHINE": 24, "CIG": 15}
 
 
 def parse_case(text: str) -> Case:
@@ -72,6 +72,10 @@ def parse_case(text: str) -> Case:
         tok = line.split()
         tag, args = tok[0].upper(), tok[1:]
         try:
+            if tag not in _N_FIELDS:
+                raise ValueError(f"unknown record type {tag!r}")
+            if len(args) != _N_FIELDS[tag]:
+                raise ValueError(f"expected {_N_FIELDS[tag]} fields, got {len(args)}")
             if tag == "SYSTEM":
                 s_base, f_base = float(args[0]), float(args[1])
             elif tag == "BUS":
@@ -86,8 +90,6 @@ def parse_case(text: str) -> Case:
                                        b_half=float(args[4]), tap=float(args[5]),
                                        status=int(args[6])))
             elif tag == "MACHINE":
-                if len(args) != _N_MACHINE_FIELDS:
-                    raise ValueError(f"expected {_N_MACHINE_FIELDS} fields, got {len(args)}")
                 f = [float(a) for a in args]
                 machines.append(MachineSpec(
                     bus=int(f[0]),
@@ -98,9 +100,7 @@ def parse_case(text: str) -> Case:
                                   tf=f[16], vr_min=f[17], vr_max=f[18]),
                     gov=GovParams(droop=f[19], t_sv=f[20], t_ch=f[21],
                                   p_min=f[22], p_max=f[23])))
-            elif tag == "CIG":
-                if len(args) != _N_CIG_FIELDS:
-                    raise ValueError(f"expected {_N_CIG_FIELDS} fields, got {len(args)}")
+            else:  # CIG
                 f = [float(a) for a in args]
                 cigs.append(CIGSpec(
                     bus=int(f[0]),
@@ -110,9 +110,7 @@ def parse_case(text: str) -> Case:
                                             i_max=f[10], t_f=f[11],
                                             pll=PLLParams(kp=f[12], ki=f[13]),
                                             x_t=f[14])))
-            else:
-                raise ValueError(f"unknown record type {tag!r}")
-        except (ValueError, IndexError, NetworkError) as exc:
+        except (ValueError, OverflowError, NetworkError) as exc:  # int(inf) overflows
             raise CaseParseError(f"line {lineno}: {exc}") from exc
 
     try:

@@ -20,20 +20,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .machines import InitializationError
 
 
-@dataclass
+@dataclass(frozen=True)
 class PLLParams:
     kp: float = 20.0
     ki: float = 150.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CIGControlParams:
     K: float = 0.0          # compensation gain on rho
     r_droop: float = 0.05   # frequency droop, pu speed / pu power
@@ -47,13 +47,11 @@ class CIGControlParams:
     q_ref: float = 0.0
     t_f: float = 0.02       # rho-estimator washout time constant, s
     x_t: float = 0.0        # step-up transformer reactance to the grid, pu
-    pll: PLLParams = None
+    pll: PLLParams = field(default_factory=PLLParams)
     freq_loop: bool = True  # False: droop/washout channels disconnected
-    v_ref: float = 1.0      # set by initialize_cig
+    v_ref: float = 1.0      # filled in by initialize_cig
 
     def __post_init__(self) -> None:
-        if self.pll is None:
-            self.pll = PLLParams()
         if self.i_max <= 0.0 or self.t_w <= 0.0 or self.t_f <= 0.0:
             raise ValueError("i_max, T_w, T_f must be positive")
 
@@ -193,11 +191,13 @@ def cig_derivatives(x, vd: float, vq: float, params: CIGControlParams,
     return xdot, inj, (omega_est, rho_pu, signal)
 
 
-def initialize_cig(v_terminal: complex, params: CIGControlParams) -> CIGState:
+def initialize_cig(v_terminal: complex,
+                   params: CIGControlParams) -> tuple[CIGState, CIGControlParams]:
     """Equilibrium CIG state for the scheduled (p_ref, q_ref) dispatch.
 
-    Sets the voltage reference on params so the voltage PI is balanced.
-    Raises InitializationError if the dispatch exceeds the current limit.
+    Returns (state, params): a copy of params with the voltage reference
+    filled in, so that the voltage PI is balanced.  Raises
+    InitializationError if the dispatch exceeds the current limit.
     """
     vmag = abs(v_terminal)
     if vmag <= 0.0:
@@ -207,7 +207,7 @@ def initialize_cig(v_terminal: complex, params: CIGControlParams) -> CIGState:
     if math.hypot(i_d, i_q) > params.i_max:
         raise InitializationError(
             f"dispatch needs {math.hypot(i_d, i_q):.3f} pu current, limit {params.i_max}")
-    params.v_ref = vmag
-    return CIGState(theta_pll=cmath.phase(v_terminal), xi_pll=0.0,
-                    z_rho=math.log(vmag), w_wash=1.0, x_v=params.q_ref,
-                    i_d=i_d, i_q=i_q)
+    state = CIGState(theta_pll=cmath.phase(v_terminal), xi_pll=0.0,
+                     z_rho=math.log(vmag), w_wash=1.0, x_v=params.q_ref,
+                     i_d=i_d, i_q=i_q)
+    return state, replace(params, v_ref=vmag)

@@ -24,15 +24,18 @@ scenario file that reruns it), its SHA-256 digest, so two runs share a
 digest exactly when they ran the same scenario, however it was given, and
 the versions of gridfreq, numpy, scipy and Python.  Bad input (a scenario
 or an event that is not an object or has a field of the wrong type or an
-unknown one; a number that is NaN or infinite, ``k``, ``t_end``, ``h``,
-``output_dt`` and the ``t``,
-``factor``, ``g`` and ``b`` of an event included; a ``run`` whose ``h``,
-``output_dt`` or horizon is not positive; and a K grid of ``ksweep`` with
-a non-positive step, k_max < k_min or more than ``K_GRID_MAX`` gains
-included) and a run whose solver fails (``StepError``) print
-``error: ...`` and exit with status 2.  Bad input writes no manifest; a
-failed ``run`` still writes one, with the error, the time of the last
-accepted state (``t_last``) and the solver stats up to the failure.
+unknown one; a number that is not an int or a float, or is a bool, NaN
+or infinite, ``k``, ``t_end``, ``h``, ``output_dt`` and the ``t``,
+``factor``, ``g`` and ``b`` of an event included; an event ``bus`` that
+is not an int or is a bool; a case file that does not parse; a case
+whose dispatch cannot be initialized (``InitializationError``); a
+``run`` whose ``h``, ``output_dt`` or horizon is not positive; and a K
+grid of ``ksweep`` with a non-positive step, k_max < k_min or more than
+``K_GRID_MAX`` gains included) and a run whose solver fails
+(``StepError``) print ``error: ...`` and exit with status 2.  Bad input
+writes no manifest; a failed ``run`` still writes one, with the error,
+the time of the last accepted state (``t_last``) and the solver stats up
+to the failure.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import scipy
 from . import __version__
 from .casefile import Case, CaseParseError, load_bundled_case, parse_case
 from .dae import CONTROLS, Event, StepError, build_system, simulate
+from .machines import InitializationError
 from .network import FaultOff, FaultOn, LoadScale, PowerFlowError, solve_power_flow
 from .smallsignal import (
     ModeIdentificationError,
@@ -116,14 +120,14 @@ _DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
 
 
 def _number(doc: dict, name: str) -> float:
-    """doc[name] as a finite float (KeyError when it is missing)."""
-    try:
-        value = float(doc[name])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} must be a number, got {doc[name]!r}") from exc
-    if not math.isfinite(value):
+    """doc[name], an int or a float but not a bool, as a finite float
+    (KeyError when it is missing)."""
+    value = doc[name]
+    if type(value) not in (int, float):
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinite or an int beyond floats
         raise ScenarioError(f"{name} must be finite, got {value}")
-    return value
+    return float(value)
 
 
 def _parse_event(d: dict) -> Event:
@@ -138,12 +142,14 @@ def _parse_event(d: dict) -> Event:
         if unknown:
             raise ScenarioError(f"unknown fields {sorted(unknown)}")
         # a field with a default may be left out; `bus` is an id, the rest numbers
-        act = cls(**{f.name: int(d[f.name]) if f.name == "bus" else _number(d, f.name)
+        if type(d["bus"]) is not int:
+            raise ScenarioError(f"bus must be an integer id, got {d['bus']!r}")
+        act = cls(**{f.name: d[f.name] if f.name == "bus" else _number(d, f.name)
                      for f in fields(cls) if f.name in d or f.default is MISSING})
         return Event(time=_number(d, "t"), action=act)
     except KeyError as exc:
         raise ScenarioError(f"event missing field {exc}") from exc
-    except (ScenarioError, TypeError, OverflowError) as exc:
+    except ScenarioError as exc:
         raise ScenarioError(f"event {d!r}: {exc}") from exc
 
 
@@ -426,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ksweep":
             return cmd_ksweep(sc, out, args.k_min, args.k_max, args.k_step)
         raise AssertionError(args.command)
-    except (ScenarioError, CaseParseError, PowerFlowError,
+    except (ScenarioError, CaseParseError, PowerFlowError, InitializationError,
             ModeIdentificationError, StepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

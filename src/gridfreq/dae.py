@@ -94,12 +94,9 @@ CONTROLS = ("no_cig", "cig_omega", "cig_omega_tilde")
 class SystemModel:
     """Residual functions f (differential) and g (algebraic) of the grid.
 
-    A model is the snapshot taken when it is built: the residual reads
-    only its own copies of the device parameters (the machine kernel
-    tuples, the COI weights, the converter's parameters), so an in-place
-    edit of `machines` or `cig` never reaches it.  Build a new model to
-    change a parameter.  Only `simulate` changes the network, on its own
-    copy of the model.
+    The device records in `machines` and `cig` are frozen: build a new
+    model to change a parameter.  Only `simulate` changes the network,
+    on its own copy of the model.
     """
 
     def __init__(self, net: Network, machines: list[MachineSpec],
@@ -117,7 +114,6 @@ class SystemModel:
 
         self._sm_prm = [smmod.sm_kernel_params(m.params, m.avr, m.gov) for m in machines]
         self.coi_weights = smmod.coi_weights([m.params for m in machines]).tolist()
-        self._cig_prm = cig and replace(cig.params, pll=copy.copy(cig.params.pll))
         self._jac_structure = None   # (pattern, groups), built on first use
         self._set_network(net)
 
@@ -239,7 +235,7 @@ class SystemModel:
             vb = v[self.cig_bus]
             d_c, inj_c, (w_est, rho, sig) = cigmod.cig_derivatives(
                 xl[_SM_N * len(self.machines):], vb.real, vb.imag,
-                self._cig_prm, self.omega_base, omega_frame=wcoi)
+                self.cig.params, self.omega_base, omega_frame=wcoi)
             f += d_c
             inj[self.cig_bus] += inj_c
             s = vb * inj_c.conjugate()
@@ -339,36 +335,30 @@ def build_system(case: Case, control: str = "no_cig",
     behind that reactance; its point of connection stays the bus named in
     the case.  freq_loop=False leaves the converter connected but opens
     its frequency-control loop (measurements stay live), as used by the
-    small-signal observability analysis.
+    small-signal observability analysis.  The case is left as it was: the
+    model takes the set points `initialize_sm` and `initialize_cig` return.
     """
     if control not in CONTROLS:
         raise ValueError(f"unknown control mode {control!r}")
-    # the model owns copies of everything it or the build may mutate
+    # the build extends and re-dispatches the network: it works on a copy
     net = case.network.copy()
-    machines = [MachineSpec(m.bus, copy.copy(m.params), copy.copy(m.avr), copy.copy(m.gov))
-                for m in case.machines]
-    cig_spec = None
+    cig_bus = cp = None
     if control != "no_cig":
         if not case.cigs:
             raise AssemblyError("case has no CIG record")
         c = case.cigs[0]
-        cp = replace(c.params, pll=copy.copy(c.params.pll))
-        cig_spec = CIGSpec(c.bus, cp)
-        cp.freq_loop = freq_loop
         if control == "cig_omega":
-            cp.K = 0.0
-        elif k is not None:
-            cp.K = k
+            k = 0.0
+        cp = replace(c.params, K=c.params.K if k is None else k, freq_loop=freq_loop)
+        cig_bus = c.bus
         if cp.x_t > 0.0:
-            term_id = max(b.id for b in net.buses) + 1
+            cig_bus = max(b.id for b in net.buses) + 1
             net = Network(
-                buses=net.buses + [Bus(id=term_id, kind="pq")],
-                branches=net.branches + [Branch(from_bus=cig_spec.bus,
-                                                to_bus=term_id,
+                buses=net.buses + [Bus(id=cig_bus, kind="pq")],
+                branches=net.branches + [Branch(from_bus=c.bus, to_bus=cig_bus,
                                                 r=0.0, x=cp.x_t)],
                 s_base=net.s_base, f_base=net.f_base)
-            cig_spec.bus = term_id
-        cbus = net.bus(cig_spec.bus)
+        cbus = net.bus(cig_bus)
         cbus.p_gen += cp.p_ref
         cbus.q_gen += cp.q_ref
         donor = max((b for b in net.buses if b.kind == "pv"), key=lambda b: b.p_gen)
@@ -377,21 +367,22 @@ def build_system(case: Case, control: str = "no_cig",
     pf = solve_power_flow(net)
     vsol = pf.v_complex()
 
-    sm_states = []
-    for m in machines:
+    machines, sm_states = [], []
+    for m in case.machines:
         i = net.bus_index(m.bus)
         p_disp = pf.p_inj[i] + net.buses[i].p_load
         q_disp = pf.q_inj[i] + net.buses[i].q_load
-        if cig_spec and m.bus == cig_spec.bus:
-            p_disp -= cig_spec.params.p_ref
-            q_disp -= cig_spec.params.q_ref
-        sm_states.append(smmod.initialize_sm(vsol[i], p_disp, q_disp,
-                                             m.params, m.avr, m.gov))
+        if m.bus == cig_bus:
+            p_disp -= cp.p_ref
+            q_disp -= cp.q_ref
+        state, avr, gov = smmod.initialize_sm(vsol[i], p_disp, q_disp, m.params, m.avr, m.gov)
+        sm_states.append(state)
+        machines.append(replace(m, avr=avr, gov=gov))
 
-    cig_state = None
-    if cig_spec:
-        cig_state = cigmod.initialize_cig(vsol[net.bus_index(cig_spec.bus)],
-                                          cig_spec.params)
+    cig_spec = cig_state = None
+    if cp is not None:
+        cig_state, cp = cigmod.initialize_cig(vsol[net.bus_index(cig_bus)], cp)
+        cig_spec = CIGSpec(cig_bus, cp)
 
     model = SystemModel(net, machines, cig_spec)
     x0 = model.pack(sm_states, cig_state)

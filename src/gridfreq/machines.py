@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ class InitializationError(RuntimeError):
     """Dispatch infeasible for the machine limits at initialization."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynMachineParams:
     H: float            # inertia constant, s
     D: float            # damping, pu torque / pu speed
@@ -40,7 +40,7 @@ class SynMachineParams:
             raise ValueError("need xd >= xd' > 0 and xq >= xq' > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AVRParams:
     ka: float = 20.0
     ta: float = 0.2
@@ -50,17 +50,17 @@ class AVRParams:
     tf: float = 0.35
     vr_min: float = -5.0
     vr_max: float = 5.0
-    v_ref: float = 1.0  # set by initialize_sm
+    v_ref: float = 1.0  # filled in by initialize_sm
 
 
-@dataclass
+@dataclass(frozen=True)
 class GovParams:
     droop: float = 0.05  # pu speed / pu power
     t_sv: float = 0.1    # servo time constant, s
     t_ch: float = 0.5    # turbine (reheat) time constant, s
     p_min: float = 0.0
     p_max: float = 2.5
-    p_ref: float = 0.0   # set by initialize_sm
+    p_ref: float = 0.0   # filled in by initialize_sm
 
     def __post_init__(self) -> None:
         if self.droop <= 0.0:
@@ -92,7 +92,8 @@ class SynMachineState:
 def sm_kernel_params(p: SynMachineParams, avr: AVRParams, gov: GovParams) -> tuple:
     """The constants `sm_kernel` reads, set points included, as one flat tuple.
 
-    `SystemModel` takes it once, when it is built.
+    `SystemModel` computes it once, when it is built, from the `avr` and
+    `gov` that `initialize_sm` returned.
     """
     return (2.0 * p.H, p.D, p.ra, p.xd1, p.xq1, p.ra * p.ra + p.xd1 * p.xq1,
             p.xd - p.xd1, p.xq - p.xq1, p.td01, p.tq01,
@@ -157,12 +158,13 @@ def coi_weights(params: list[SynMachineParams]) -> np.ndarray:
 
 
 def initialize_sm(v_terminal: complex, p_gen: float, q_gen: float,
-                  p: SynMachineParams, avr: AVRParams, gov: GovParams) -> SynMachineState:
+                  p: SynMachineParams, avr: AVRParams,
+                  gov: GovParams) -> tuple[SynMachineState, AVRParams, GovParams]:
     """Equilibrium machine state for a solved dispatch at terminal voltage.
 
-    Also fills in the AVR voltage reference and governor power reference
-    (mutated on the passed parameter objects) so that every derivative of
-    the returned state is zero.
+    Returns (state, avr, gov): avr and gov are copies of the given ones
+    with the AVR voltage reference and the governor power reference filled
+    in, so that every derivative of the state is zero under them.
     """
     i_net = (complex(p_gen, q_gen) / v_terminal).conjugate()
     delta = cmath.phase(v_terminal + complex(p.ra, p.xq) * i_net)
@@ -178,12 +180,12 @@ def initialize_sm(v_terminal: complex, p_gen: float, q_gen: float,
     vr = avr.ke * efd
     if not (avr.vr_min < vr < avr.vr_max):
         raise InitializationError(f"AVR output {vr:.3f} outside limits at initialization")
-    avr.v_ref = abs(v_terminal) + vr / avr.ka
     rf = (avr.kf / avr.tf) * efd
 
     pe = ed1 * i_d + eq1 * i_q + (p.xq1 - p.xd1) * i_d * i_q  # air-gap power
     if not (gov.p_min <= pe <= gov.p_max):
         raise InitializationError(f"mechanical power {pe:.3f} outside governor limits")
-    gov.p_ref = pe
-    return SynMachineState(delta=delta, omega=1.0, eq1=eq1, ed1=ed1, efd=efd,
-                           rf=rf, vr=vr, psv=pe, pm=pe)
+    state = SynMachineState(delta=delta, omega=1.0, eq1=eq1, ed1=ed1, efd=efd,
+                            rf=rf, vr=vr, psv=pe, pm=pe)
+    return (state, replace(avr, v_ref=abs(v_terminal) + vr / avr.ka),
+            replace(gov, p_ref=pe))

@@ -7,7 +7,7 @@ stay visible even when output capture hides prints from passing tests.
 closed-form observability rows, shared by the unit and acceptance tests.
 """
 
-import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,10 +37,10 @@ def shared_bus_model():
     """The WSCC machines plus a second unit on bus 2, sharing its bus:
     (model, x, bus voltages)."""
     model, st = build_system(load_bundled_case(), "no_cig")
-    extra = copy.deepcopy(model.machines[1])
-    extra.params.H = 2.5
-    extra.avr.v_ref += 0.01
-    extra.gov.p_ref = 0.4
+    m = model.machines[1]
+    extra = replace(m, params=replace(m.params, H=2.5),
+                    avr=replace(m.avr, v_ref=m.avr.v_ref + 0.01),
+                    gov=replace(m.gov, p_ref=0.4))
     shared = SystemModel(model.net, model.machines + [extra])
     x = np.concatenate([st.x, st.x[N_STATES: 2 * N_STATES]])
     return shared, x, model.voltages(st.y)

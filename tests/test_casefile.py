@@ -66,6 +66,20 @@ def test_wrong_field_count_rejected():
         parse_case(MINIMAL + "CIG 2 1.0\n")
 
 
+@pytest.mark.parametrize("line, error", [
+    ("SYSTEM 100.0 60.0 50.0", "expected 2 fields, got 3"),
+    ("BUS 5 pq 1.000 1.25 0.50 0.00 0.0 0 0 7.5", "expected 9 fields, got 10"),
+    ("BUS 5 pq 1.000 1.25 0.50 0.00 0.0 0", "expected 9 fields, got 8"),
+    ("BRANCH 1 2 0.01 0.1 0.0 1.0 1 1", "expected 7 fields, got 8"),
+    (CIG_LINE.replace("CIG 2", "CIG inf"), "cannot convert float infinity to integer"),
+])
+def test_malformed_record_rejected(line, error):
+    """Every record holds exactly its fields, an extra one included, which
+    would otherwise be ignored; a bus id that is infinite is an error too."""
+    with pytest.raises(CaseParseError, match=f"line 6: {error}"):
+        parse_case(MINIMAL + line + "\n")
+
+
 def test_device_on_unknown_bus_rejected():
     with pytest.raises(CaseParseError, match="unknown bus 9"):
         parse_case(MINIMAL + CIG_LINE.replace("CIG 2", "CIG 9") + "\n")

@@ -9,7 +9,7 @@ replaced is kept below as the reference for `cig_derivatives`.
 import cmath
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -159,8 +159,7 @@ def test_limit_currents_active_priority():
 
 
 def test_outer_loops_scheduled_point():
-    p = default_params()
-    p.v_ref = 1.0
+    p = default_params(v_ref=1.0)
     id_ref, iq_ref = outer_loops(w_wash=1.0, x_v=p.q_ref, vmag=1.0, params=p, signal=1.0)
     assert id_ref == pytest.approx(p.p_ref)
     assert iq_ref == pytest.approx(-p.q_ref)
@@ -168,15 +167,13 @@ def test_outer_loops_scheduled_point():
 
 def test_outer_loops_droop_arithmetic():
     # signal 0.01 pu above nominal with R = 0.05 trims 0.2 pu of power
-    p = default_params(k_w=0.0)
-    p.v_ref = 1.0
+    p = default_params(k_w=0.0, v_ref=1.0)
     id_ref, _ = outer_loops(w_wash=1.01, x_v=0.0, vmag=1.0, params=p, signal=1.01)
     assert id_ref == pytest.approx(p.p_ref - 0.2)
 
 
 def test_outer_loops_disconnected_frequency_loop():
-    p = default_params(freq_loop=False)
-    p.v_ref = 1.0
+    p = default_params(freq_loop=False, v_ref=1.0)
     id_ref, _ = outer_loops(w_wash=1.0, x_v=0.0, vmag=1.0, params=p, signal=1.05)
     assert id_ref == pytest.approx(p.p_ref)  # signal ignored
 
@@ -197,9 +194,11 @@ def test_inner_loop_first_order_tracking():
 # ---------------------------------------------------------------------------
 
 def test_initialize_cig_is_an_equilibrium():
-    p = default_params()
+    p0 = default_params()
     v = 1.02 * cmath.exp(0.2j)
-    st = initialize_cig(v, p)
+    st, p = initialize_cig(v, p0)
+    assert p0 == default_params()  # the argument is left as it was
+    assert p == replace(p0, v_ref=abs(v))
     xdot, inj, (omega_est, rho_est, _) = cig_derivatives(
         st.as_array().tolist(), v.real, v.imag, p, OMEGA_B)
     assert np.max(np.abs(xdot)) < 1e-12
@@ -292,8 +291,7 @@ CIG_STATE = hst.builds(
        i_max=hst.floats(0.5, 2.0))
 def test_float_path_matches_dataclass_reference(st, vmag, vang, omega_frame, freq_loop,
                                                 i_max):
-    p = default_params(freq_loop=freq_loop, i_max=i_max)
-    p.v_ref = 1.02
+    p = default_params(freq_loop=freq_loop, i_max=i_max, v_ref=1.02)
     assert_float_path_matches_reference(st, cmath.rect(vmag, vang), p, omega_frame)
 
 
@@ -303,7 +301,7 @@ def test_float_path_matches_reference_with_limiter(vmag, active):
     where the same power needs twice the current."""
     p = default_params(p_ref=1.0, i_max=1.5)
     v = cmath.rect(vmag, 0.2)
-    st = initialize_cig(cmath.rect(1.0, 0.2), p)
+    st, p = initialize_cig(cmath.rect(1.0, 0.2), p)
     xdot, _, (_, _, signal) = cig_derivatives(st.as_array().tolist(), v.real, v.imag,
                                               p, OMEGA_B)
     id_ref, iq_ref = outer_loops(st.w_wash, st.x_v, vmag, p, signal)

@@ -4,6 +4,8 @@ manifests, and exit codes."""
 import hashlib
 import json
 import platform
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -87,10 +89,23 @@ def test_scenario_rejects_unknown_event_fields(tmp_path):
         load_scenario(str(p), {})
 
 
-def test_scenario_rejects_bad_event(tmp_path):
+@pytest.mark.parametrize("event, error", [
+    ({"t": 1.0, "type": "meteor", "bus": 5}, "unknown event type 'meteor'"),
+    ({"t": 1.0, "type": "load_scale", "bus": 5.7, "factor": 0.5},
+     "bus must be an integer id, got 5.7"),
+    ({"t": 1.0, "type": "load_scale", "bus": True, "factor": 0.5},
+     "bus must be an integer id, got True"),
+    ({"t": 1.0, "type": "load_scale", "bus": 5, "factor": "0.5"},
+     "factor must be a number, got '0.5'"),
+    ({"t": "1", "type": "fault_off", "bus": 7}, "t must be a number, got '1'"),
+], ids=["meteor", "bus 5.7", "bus true", "factor string", "t string"])
+def test_scenario_rejects_bad_event(tmp_path, event, error):
+    """An unknown event type, a bus id that is not an int, or a number
+    given as a string is an error, never coerced (5.7 to bus 5, true to
+    bus 1, "0.5" to 0.5)."""
     p = tmp_path / "s.json"
-    p.write_text('{"events": [{"t": 1.0, "type": "meteor", "bus": 5}]}')
-    with pytest.raises(ScenarioError, match="meteor"):
+    p.write_text(json.dumps({"events": [event]}))
+    with pytest.raises(ScenarioError, match=re.escape(error)):
         load_scenario(str(p), {})
 
 
@@ -277,12 +292,17 @@ def test_run_malformed_scenario_exits_2(tmp_path, monkeypatch, capsys, doc):
     ('{"t_end": NaN}', "t_end"),
     ('{"k": NaN}', "k"),
     ('{"events": [{"t": 1.0, "type": "load_scale", "bus": 5, "factor": Infinity}]}', "factor"),
+    ('{"t_end": "2"}', "t_end"),
+    ('{"k": true}', "k"),
+    ('{"events": [{"t": 1.0, "type": "load_scale", "bus": 5, "factor": "0.5"}]}', "factor"),
+    pytest.param('{"h": 1%s}' % ("0" * 400), "h", id="h beyond the float range"),
 ])
 def test_run_bad_number_exits_2(tmp_path, monkeypatch, capsys, doc, field):
-    """A NaN or infinite number, or a step, output interval or horizon that
-    is not positive, is bad input: exit 2 with an error naming the field,
-    no manifest, and no integrator built (a missed check fails here
-    instead of hanging the run)."""
+    """A value that is not a number (a string or a bool), a NaN or
+    infinite number, or a step, output interval or horizon that is not
+    positive, is bad input: exit 2 with an error naming the field, no
+    manifest, and no integrator built (a missed check fails here instead
+    of hanging the run)."""
     def built(model):
         raise AssertionError("an integrator was built")
 
@@ -292,7 +312,22 @@ def test_run_bad_number_exits_2(tmp_path, monkeypatch, capsys, doc, field):
     rc = run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch)
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{field} must be finite" in err
+    assert err.startswith("error:")
+    assert f"{field} must be finite" in err or f"{field} must be a number" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_run_infeasible_dispatch_exits_2(tmp_path, monkeypatch, capsys):
+    """A case whose dispatch the machine limits cannot hold (here every
+    p_max lowered to 0.5) is bad input: exit 2 with an error line, before
+    any manifest is written."""
+    text = resources.files("gridfreq.data").joinpath("wscc9.case").read_text()
+    case = tmp_path / "low_pmax.case"
+    case.write_text("\n".join(ln.replace(" 0.0 2.5", " 0.0 0.5") if ln.startswith("MACHINE")
+                              else ln for ln in text.splitlines()) + "\n")
+    rc = run_cli(["run", "--case", str(case), "--t-end", "1.0"], tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: mechanical power 0.716 outside governor limits\n"
     assert not (tmp_path / "manifest.json").exists()
 
 

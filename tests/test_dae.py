@@ -1,6 +1,7 @@
 """Tests for DAE assembly, initialization, and trapezoidal integration."""
 
 import copy
+import dataclasses
 import math
 import random
 import re
@@ -16,7 +17,7 @@ from hypothesis import strategies as hst
 import gridfreq
 import gridfreq.cig
 import gridfreq.dae
-from gridfreq.casefile import load_bundled_case
+from gridfreq.casefile import CIGSpec, load_bundled_case
 from gridfreq.dae import (
     CONTROLS,
     Event,
@@ -62,14 +63,16 @@ def test_build_system_synthesizes_converter_terminal(case):
 
 
 def _mutable_parts(net, machines, cigs) -> set[int]:
-    """ids of every mutable object reachable from a network and device specs."""
+    """ids of every mutable object reachable from a network and device specs;
+    the frozen device records may be shared."""
     parts = [net, net.buses, net.branches, net.fault_shunts, *net.buses, *net.branches,
              machines, cigs]
     for m in machines:
         parts += [m, m.params, m.avr, m.gov]
     for c in cigs:
         parts += [c, c.params, c.params.pll]
-    return {id(p) for p in parts}
+    return {id(p) for p in parts
+            if not (dataclasses.is_dataclass(p) and type(p).__dataclass_params__.frozen)}
 
 
 @pytest.mark.parametrize("control", CONTROLS)
@@ -81,6 +84,19 @@ def test_build_system_leaves_the_case_alone(control):
     ours = _mutable_parts(model.net, model.machines, [model.cig] if model.cig else [])
     theirs = _mutable_parts(case.network, case.machines, case.cigs)
     assert not ours & theirs
+
+
+def test_device_records_are_frozen():
+    """An attribute assignment on any of the seven device record types
+    raises: to change a parameter, build a new model."""
+    model, _ = build_system(load_bundled_case(), "cig_omega_tilde")
+    m, c = model.machines[0], model.cig
+    records = [(m, "bus"), (m.params, "H"), (m.avr, "v_ref"), (m.gov, "p_ref"),
+               (c, "bus"), (c.params, "K"), (c.params.pll, "kp")]
+    assert len({type(r) for r, _ in records}) == 7
+    for record, name in records:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
 
 
 def test_build_system_moves_dispatch_to_converter(case):
@@ -95,8 +111,7 @@ def test_build_system_converter_on_a_machine_bus():
     """A converter on a machine's bus, with no step-up reactance, takes its
     dispatch off that machine: the built state is an equilibrium."""
     case = load_bundled_case()
-    case.cigs[0].bus = 2
-    case.cigs[0].params.x_t = 0.0
+    case.cigs[0] = CIGSpec(2, dataclasses.replace(case.cigs[0].params, x_t=0.0))
     model, st = build_system(case, "cig_omega_tilde")
     assert model.cig_bus == model.mach_bus[1]
     assert np.max(np.abs(model.residual(st.x, st.y)[0])) < 1e-8
