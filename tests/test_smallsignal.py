@@ -1,6 +1,8 @@
 """Tests for linearization, eigenanalysis, mode identification, and
 geometric observability."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -288,15 +290,36 @@ def _linked_mode(model, st):
     return identify_frequency_mode(eigensolve(linearize(model, st)))
 
 
-@pytest.mark.parametrize("source", ["nudged point", "other model", "hand-built mode",
-                                    "same point"])
-def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source):
+def _case_with_new_parameters(source):
+    """The bundled case with machine 1's T'd0 doubled, or with the
+    converter's voltage, PLL and current-loop gains changed."""
+    case = load_bundled_case()
+    if source == "new time constant":
+        m = case.machines[0]
+        case.machines[0] = dataclasses.replace(
+            m, params=dataclasses.replace(m.params, td01=2.0 * m.params.td01))
+    else:
+        c = case.cigs[0]
+        p = c.params
+        case.cigs[0] = dataclasses.replace(c, params=dataclasses.replace(
+            p, kp_v=4.0 * p.kp_v, t_i=5.0 * p.t_i,
+            pll=dataclasses.replace(p.pll, kp=4.0 * p.pll.kp)))
+    return case
+
+
+@pytest.mark.parametrize("source", ["nudged point", "other model", "new time constant",
+                                    "converter edit", "hand-built mode", "same point"])
+def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, wscc_mode, call_counts,
+                                                      source):
     """`k_sweep` recomputes no rows: it sweeps those of its mode's
     linearization, taken from the same model at bitwise the same [x; y],
     and rejects any other mode with ValueError after its equilibrium check
     (one residual pass, all a sweep at the same point costs).  The nudged
     point is still an equilibrium within tolerance, and the other model has
-    bitwise the same [x; y]."""
+    bitwise the same [x; y].  A built model never changes: an in-place edit
+    of a machine's T'd0 or of the converter's gains raises, and a model
+    built with the new value has bitwise the same [x; y] but another A, so
+    its mode is rejected too."""
     model, st = wscc
     eq = st
     if source == "nudged point":
@@ -307,6 +330,16 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, call_counts, source)
         mode = _linked_mode(*build_system(load_bundled_case(), "cig_omega_tilde",
                                           freq_loop=False))
         assert mode.linear_model.point[1] == np.concatenate([st.x, st.y]).tobytes()
+    elif source in ("new time constant", "converter edit"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            if source == "new time constant":
+                model.machines[0].params.td01 *= 2.0
+            else:
+                model.cig.params.kp_v *= 4.0
+        mode = _linked_mode(*build_system(_case_with_new_parameters(source),
+                                          "cig_omega_tilde", freq_loop=False))
+        assert mode.linear_model.point[1] == np.concatenate([st.x, st.y]).tobytes()
+        assert mode.linear_model.a_sys.tobytes() != wscc_mode.linear_model.a_sys.tobytes()
     else:
         mode = _linked_mode(model, st)
         if source == "hand-built mode":
