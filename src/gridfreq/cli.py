@@ -174,13 +174,15 @@ def load_scenario(path: str | None, overrides: dict) -> Scenario:
         raise ScenarioError(f"events must be a list, got {merged['events']!r}")
     if not isinstance(merged["channels"], (list, type(None))):
         raise ScenarioError(f"channels must be a list, got {merged['channels']!r}")
+    if not isinstance(merged["out_dir"], str):
+        raise ScenarioError(f"out_dir must be a string, got {merged['out_dir']!r}")
     sc = Scenario(
         case=merged["case"], control=merged["control"],
         k=None if merged["k"] is None else _number(merged, "k"),
         events=[_parse_event(e) for e in merged["events"]],
         t_end=_number(merged, "t_end"), h=_number(merged, "h"),
         output_dt=_number(merged, "output_dt"), channels=merged["channels"],
-        out_dir=str(merged["out_dir"]))
+        out_dir=merged["out_dir"])
     if sc.control not in CONTROLS:
         raise ScenarioError(f"unknown control mode {sc.control!r}")
     return sc

@@ -112,9 +112,12 @@ class SystemModel:
         self.mach_bus = [net.bus_index(m.bus) for m in machines]
         self.cig_bus = net.bus_index(cig.bus) if cig else None
 
-        self._sm_prm = [smmod.sm_kernel_params(m.params, m.avr, m.gov) for m in machines]
+        # (states, bus, kernel constants) of each machine, as `_machine_block` reads them
+        self._sm_slots = [(slice(_SM_N * i, _SM_N * (i + 1)), b,
+                           smmod.sm_kernel_params(m.params, m.avr, m.gov))
+                          for i, (m, b) in enumerate(zip(machines, self.mach_bus))]
         self.coi_weights = smmod.coi_weights([m.params for m in machines]).tolist()
-        self._jac_structure = None   # (pattern, groups), built on first use
+        self._jac_structure = None   # (pattern, groups, group_of), built on first use
         self._set_network(net)
 
         # labels for linearization / reporting
@@ -144,16 +147,18 @@ class SystemModel:
 
     # -- Jacobian structure ---------------------------------------------
 
-    def jacobian_structure(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(pattern, groups) of d[f; g]/d[x; y], built on the first call and
-        kept for the life of the model.
+    def jacobian_structure(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """(pattern, groups, group_of) of d[f; g]/d[x; y], built on the
+        first call and kept for the life of the model.
 
         pattern is the bool matrix of the entries that can be nonzero:
         every value a residual row reads.  groups partitions the columns
         so that two columns of one group touch disjoint rows; perturbing
         a whole group in one residual pass then gives each of its
         columns exactly the residual rows a pass of its own would
-        (Curtis, Powell & Reid, IMA J. Appl. Math. 1974).
+        (Curtis, Powell & Reid, IMA J. Appl. Math. 1974).  group_of is
+        the same partition by column: group_of[j] is the index in groups
+        of the group that holds column j.
         """
         if self._jac_structure is not None:
             return self._jac_structure
@@ -173,7 +178,11 @@ class SystemModel:
             pattern[np.ix_(rows, rows)] = True
         # every machine speed enters every f row through omega_coi
         pattern[:n_x, self.speed_indices] = True
-        self._jac_structure = (pattern, _column_groups(pattern))
+        groups = _column_groups(pattern)
+        group_of = np.empty(len(pattern), dtype=np.intp)
+        for g, cols in enumerate(groups):
+            group_of[cols] = g
+        self._jac_structure = (pattern, groups, group_of)
         return self._jac_structure
 
     # -- state packing ----------------------------------------------------
@@ -207,9 +216,9 @@ class SystemModel:
         from the states xl and the bus voltages vl as Python lists."""
         f: list[float] = []
         inj = [0j] * self.n_bus
-        for i, (bus, prm) in enumerate(zip(self.mach_bus, self._sm_prm)):
-            d, i_m = smmod.sm_kernel(xl[_SM_N * i: _SM_N * (i + 1)], vl[bus], prm,
-                                     omega_coi, self.omega_base)
+        kernel, omega_base = smmod.sm_kernel, self.omega_base
+        for states, bus, prm in self._sm_slots:
+            d, i_m = kernel(xl[states], vl[bus], prm, omega_coi, omega_base)
             f += d
             inj[bus] += i_m
         return f, inj
@@ -243,7 +252,9 @@ class SystemModel:
                        "p_cig": s.real, "q_cig": s.imag}
         for i, s_conj in self._loads:
             inj[i] -= s_conj / v[i].conjugate()
-        r = np.array(f + [c.real for c in inj] + [c.imag for c in inj])
+        f += [c.real for c in inj]
+        f += [c.imag for c in inj]
+        r = np.array(f)
         r[self.n_x:] -= self._y_real @ y
         return r, outputs
 
@@ -290,16 +301,17 @@ def group_residuals(model: SystemModel, z0: np.ndarray, step: np.ndarray) -> np.
     """[f; g] at z0 + step on each column group of `jacobian_structure`, one
     pass per group: entry (i, j) is row i of the pass that moved column j
     where the pattern has (i, j), else 0.  A difference of two over a step
-    is the Jacobian, bitwise that of one pass per column."""
-    pattern, groups = model.jacobian_structure()
+    is the Jacobian, bitwise that of one pass per column.
+
+    Row g of one (groups, n) array is the point of group g, z0 with its
+    columns moved; the passes are stacked the same way and scattered into
+    the columns in one `np.where` through group_of, which only selects."""
+    pattern, groups, group_of = model.jacobian_structure()
     n_x = model.n_x
-    out = np.empty(pattern.shape)
-    for cols in groups:
-        z = z0.copy()
-        z[cols] += step[cols]
-        r = model.residual(z[:n_x], z[n_x:])[0]
-        out[:, cols] = np.where(pattern[:, cols], r[:, None], 0.0)
-    return out
+    z = np.tile(z0, (len(groups), 1))
+    z[group_of, np.arange(z0.size)] += step
+    passes = np.array([model.residual(zg[:n_x], zg[n_x:])[0] for zg in z])
+    return np.where(pattern, passes[group_of].T, 0.0)
 
 
 def _fd_jacobian(model: SystemModel, z0: np.ndarray) -> np.ndarray:
@@ -422,8 +434,10 @@ class TrapezoidalIntegrator:
     iterate writes it with its history extended, a cache miss of `evaluate`
     with none; a step from (x, y) of those values reuses its f as f0 and,
     at that h, its history; `simulate` records its outputs; `resolve`
-    clears it.  The LU factors, for the h of the last step: cleared only
-    where a Jacobian is built, refactored for another h.
+    clears it.  The history is one stacked (k, n) array of the points,
+    oldest first, so the predictor is one matmul on it.  The LU factors,
+    for the h of the last step: cleared only where a Jacobian is built,
+    refactored for another h.
 
     The Jacobian is kept across steps (chord Newton).  From the ratio of
     the last two updates of a step, theta = |dz_k| / |dz_k-1|, the residual
@@ -453,9 +467,10 @@ class TrapezoidalIntegrator:
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
         self._lu = None        # (h, LU factors of the step Jacobian for h)
         self._jac_steps = 0    # steps accepted on _jfull
+        self._n_groups = len(model.jacobian_structure()[1])   # a build is this + 1 passes
         self._last = None      # (bytes of [x; y], f, outputs there, h of the step
-                               # that accepted it, copies of that step's last
-                               # <= _HISTORY points: callers may edit states in place)
+                               # that accepted it, a (k, n) copy of that step's last
+                               # k <= _HISTORY points: callers may edit states in place)
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
                       "lu_factorizations": 0, "step_halvings": 0, "resolves": 0,
                       "residual_passes": 0, "newton_histogram": {}, "max_residual": 0.0}
@@ -465,7 +480,7 @@ class TrapezoidalIntegrator:
         m = self.model
         if self._jfull is None:
             self.stats["jacobian_builds"] += 1
-            self.stats["residual_passes"] += len(m.jacobian_structure()[1]) + 1
+            self.stats["residual_passes"] += self._n_groups + 1
             jfull = _fd_jacobian(m, z)
             if not np.isfinite(jfull).all():
                 return None
@@ -503,13 +518,18 @@ class TrapezoidalIntegrator:
         m = self.model
         n_x = m.n_x
         x0, y0 = state.x, state.y
-        f0 = self.evaluate(x0, y0)[0] if h else 0.0
-        # `evaluate` left the record of (x0, y0): a step of its h extends its history
-        points = self._last[4] if h and self._last[3] == h else ()
+        f0, points = 0.0, ()
+        if h:
+            rec = self._last
+            if rec is None or rec[0] != x0.tobytes() + y0.tobytes():
+                self.evaluate(x0, y0)   # a miss: one pass records (x0, y0)
+                rec = self._last
+            # a step of the h that accepted (x0, y0) extends its history
+            f0, points = rec[1], rec[4] if rec[3] == h else ()
         hh = 0.5 * h
         base = x0 + hh * f0
         if len(points) >= 2:
-            z = _PREDICTOR_WEIGHTS[len(points)] @ np.array(points)
+            z = _PREDICTOR_WEIGHTS[len(points)] @ points
         else:
             z = np.concatenate([x0 + h * f0, y0])
         stats = self.stats
@@ -527,21 +547,24 @@ class TrapezoidalIntegrator:
             lu, piv = factors
             last = 0.0   # |dz|^2 of the previous update of this attempt
             for it in range(self.max_iter + 1):
-                x, y = z[:n_x], z[n_x:]
+                x = z[:n_x]
                 stats["residual_passes"] += 1
-                r, outputs = m.residual(x, y)
+                r, outputs = m.residual(x, z[n_x:])
                 f = r[:n_x].copy()   # for the cache: r becomes [x - base - hh f; g]
-                r[:n_x] = x - base - hh * f
-                worst = np.abs(r).max()
+                rx = np.subtract(x, base, out=r[:n_x])
+                rx -= hh * f
+                worst = float(np.abs(r).max())
                 if worst < self.tol:
                     if worst > stats["max_residual"]:
-                        stats["max_residual"] = float(worst)
-                    history = points[1 - _HISTORY:] + (z.copy(),) if h else ()
-                    self._last = (z.tobytes(), f, outputs, h, history)
+                        stats["max_residual"] = worst
+                    history = ()
                     if h:
+                        history = (np.concatenate((points[1 - _HISTORY:], z[None]))
+                                   if len(points) else z[None].copy())
                         self._accept(stats["newton_iterations"] - solves0, r1 * theta2 ** 0.5)
+                    self._last = (z.tobytes(), f, outputs, h, history)
                     return z
-                if not np.isfinite(worst):
+                if not math.isfinite(worst):
                     return None
                 if it == 1 and not attempt:
                     r1 = worst
@@ -557,7 +580,7 @@ class TrapezoidalIntegrator:
                     if last:
                         theta2 = size / last
                     last = size
-                    z = z - dz
+                    z -= dz
         return None
 
     def _accept(self, solves: int, predicted: float) -> None:
@@ -570,8 +593,7 @@ class TrapezoidalIntegrator:
         else:   # keep the keys in order
             self.stats["newton_histogram"] = dict(sorted({**hist, solves: 1}.items()))
         self._jac_steps += 1
-        if (predicted >= self.tol
-                and self._jac_steps > len(self.model.jacobian_structure()[1])):
+        if predicted >= self.tol and self._jac_steps > self._n_groups:
             self._jfull = None
 
     def step(self, state: SystemState, h: float, _depth: int = 0) -> SystemState:

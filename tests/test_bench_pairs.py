@@ -1,5 +1,5 @@
-"""The pairs verdict of `tools/bench_pairs.py` on synthetic samples; no
-benchmark runs."""
+"""The pairs verdict and the unit costs of `tools/bench_pairs.py` on
+synthetic samples; no benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -10,11 +10,16 @@ BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def verdict():
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.verdict
+    return module
+
+
+@pytest.fixture(scope="module")
+def verdict(bench_pairs):
+    return bench_pairs.verdict
 
 
 # median 1.005, quartiles 0.9925 and 1.0175: IQR 0.025
@@ -51,3 +56,19 @@ def test_verdict_gap_in_parent_iqrs(verdict):
     assert v["median_gap"] == pytest.approx(0.1)
     assert v["gap_over_parent_iqr"] == pytest.approx(0.1 / 0.025)
     assert verdict([1.0] * 4, [0.9] * 4, 0.2)["gap_over_parent_iqr"] is None
+
+
+def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
+    """Steps and residual passes are summed over the operations of one
+    repetition; a workload that takes no step has no cost per step."""
+    stats = {"a": {"steps": 300, "residual_calls_counted": 700},
+             "b": {"steps": 100, "residual_calls_counted": 300}}
+    costs = bench_pairs.unit_costs(0.2, stats)
+    assert costs["us_per_step"] == pytest.approx(500.0)
+    assert costs["us_per_residual_pass"] == pytest.approx(200.0)
+    no_steps = bench_pairs.unit_costs(0.016, {"nominal": {"residual_calls_counted": 32}})
+    assert no_steps == {"us_per_step": None, "us_per_residual_pass": pytest.approx(500.0)}
+    line = bench_pairs.summary_line("w", {}, {"parent": costs, "change": costs})
+    assert line == "w: wall_s per step 500 -> 500 us; wall_s per residual pass 200 -> 200 us"
+    line = bench_pairs.summary_line("w", {}, {"parent": no_steps, "change": no_steps})
+    assert line == "w: wall_s per residual pass 500 -> 500 us"

@@ -272,7 +272,8 @@ def test_run_double_load_step_exits_2(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("doc", ['5', '{"events": [5]}', '{"events": "ab"}', '{"case": 5}',
-                                 '{"h": null}', '{"t_end": [1]}', '{"channels": 5}'])
+                                 '{"h": null}', '{"t_end": [1]}', '{"channels": 5}',
+                                 '{"out_dir": null}', '{"out_dir": 5}'])
 def test_run_malformed_scenario_exits_2(tmp_path, monkeypatch, capsys, doc):
     """A scenario that is not an object, or has a field of the wrong type,
     is bad input: exit 2 with an error line, before anything runs."""

@@ -336,12 +336,28 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     Jacobian, of LU factorization, of the getrs solve and of the residual:
     the event re-solve runs through the same Newton, so every call is the
     integrator's.  The histogram holds every step, by the solves it took,
-    and the worst final residual lies below Newton's tolerance."""
+    and the worst final residual lies below Newton's tolerance.  The entry
+    points the benchmark traces run once per unit of work: `step` once per
+    accepted step, `record` once per output row and `_machine_block` once
+    per residual pass."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
-    counts = {"jacobian": 0, "lu": 0, "getrs": 0, "residual": 0, "resolve_getrs": 0}
+    counts = {"jacobian": 0, "lu": 0, "getrs": 0, "residual": 0, "resolve_getrs": 0,
+              "step": 0, "record": 0, "machine_block": 0}
     fd, lu_factor = gridfreq.dae._fd_jacobian, scipy.linalg.lu_factor
     dgetrs = scipy.linalg.lapack.dgetrs
     residual, resolve = SystemModel.residual, TrapezoidalIntegrator.resolve
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(TrapezoidalIntegrator, "step",
+                        counting("step", TrapezoidalIntegrator.step))
+    monkeypatch.setattr(gridfreq.dae, "record", counting("record", gridfreq.dae.record))
+    monkeypatch.setattr(SystemModel, "_machine_block",
+                        counting("machine_block", SystemModel._machine_block))
 
     def counted_fd(*args):
         counts["jacobian"] += 1
@@ -389,6 +405,9 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     assert sum(hist.values()) == steps and list(hist) == sorted(hist)
     assert sum(k * n for k, n in hist.items()) == counts["getrs"] - counts["resolve_getrs"]
     assert counts["getrs"] > 0 and counts["jacobian"] >= 2  # start, and after the event
+    assert counts["step"] == steps
+    assert counts["record"] == len(ts.times) == steps + 1
+    assert counts["machine_block"] == counts["residual"]
 
 
 def test_stats_report_step_halvings(case, monkeypatch):
@@ -657,6 +676,17 @@ def test_grouped_jacobians_equal_one_pass_per_column(jacobian_points, which, dz)
     n_x = model.n_x
     f_x, f_y, g_x, g_y = _central_jacobians(model, SystemState(z[:n_x], z[n_x:], 0.0))
     assert np.array_equal(np.block([[f_x, f_y], [g_x, g_y]]), dense_central_jacobian(model, z))
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_group_of_names_the_group_of_every_column(case, control):
+    """Every column lies in exactly one group, and group_of maps each
+    column to the index of its group."""
+    model, _ = build_system(case, control, k=1.2)
+    pattern, groups, group_of = model.jacobian_structure()
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(len(pattern)))
+    for g, cols in enumerate(groups):
+        assert np.all(group_of[cols] == g)
 
 
 def test_jacobian_structure_covers_y_after_every_event(case):

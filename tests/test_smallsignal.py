@@ -44,7 +44,7 @@ class LinearToy:
     def jacobian_structure(self):
         """A full pattern, one column per group."""
         n = self.n_x + self.n_y
-        return np.ones((n, n), dtype=bool), [np.array([i]) for i in range(n)]
+        return np.ones((n, n), dtype=bool), [np.array([i]) for i in range(n)], np.arange(n)
 
     def reduced(self):
         return self.A - self.B @ np.linalg.solve(self.D, self.C)

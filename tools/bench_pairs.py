@@ -18,7 +18,9 @@ gap of the medians in parent IQRs, and "gain", "worse", "unresolved" or
 document also holds each side's failure fraction, largest deviation from
 bench/reference.json, and solver stats from one untimed pass of every
 operation: `TimeSeries.stats` and the counted `SystemModel.residual`
-calls.
+calls.  From those counts, `unit_costs` gives each side's median wall_s
+per accepted step and per residual pass of one repetition (us), also on
+the printed line.
 
 The result goes to BENCH_<short change sha>.json at the repo root.  When
 that file already holds the same two commits, a run with another seed is
@@ -160,14 +162,30 @@ def compare(runs: dict[str, list[dict]]) -> dict:
     return metrics
 
 
-def summary_line(workload: str, metrics: dict) -> str:
-    """One line: each metric's verdict, pairs won, medians and gap in parent IQRs."""
+def unit_costs(wall_s: float, stats: dict) -> dict:
+    """wall_s, the median wall time of one repetition, per accepted step and
+    per residual pass of that repetition (us), from `solver_stats` of its
+    operations; None where the workload makes no such unit.  They show
+    whether a change moved the cost of a unit or the number of units."""
+    steps = sum(st.get("steps", 0) for st in stats.values())
+    passes = sum(st["residual_calls_counted"] for st in stats.values())
+    return {"us_per_step": 1e6 * wall_s / steps if steps else None,
+            "us_per_residual_pass": 1e6 * wall_s / passes if passes else None}
+
+
+def summary_line(workload: str, metrics: dict, costs: dict) -> str:
+    """One line: each metric's verdict, pairs won, medians and gap in parent
+    IQRs, then the wall time per step and per residual pass of each side."""
     parts = []
     for name, m in metrics.items():
         iqrs = m["gap_over_parent_iqr"]
         parts.append(f"{name} {m['verdict']} (won {m['win_share']:.0%}, median "
                      f"{m['parent']['median']:.4g} -> {m['change']['median']:.4g}, gap "
                      + ("n/a" if iqrs is None else f"{iqrs:.3g}") + " parent IQR)")
+    for unit, label in (("us_per_step", "step"), ("us_per_residual_pass", "residual pass")):
+        if costs["parent"][unit] is not None:
+            parts.append(f"wall_s per {label} {costs['parent'][unit]:.4g} -> "
+                         f"{costs['change'][unit]:.4g} us")
     return f"{workload}: " + "; ".join(parts)
 
 
@@ -185,15 +203,17 @@ def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int)
                     f"{s} {runs[s][-1]['result']['metrics']['wall_s']['value']:.4g} s"
                     for s in order), file=sys.stderr)
             metrics = compare(runs)
-            print(summary_line(w, metrics))
+            stats = {s: solver_stats(checkouts[s], w, seed) for s in runs}
+            costs = {s: unit_costs(metrics["wall_s"][s]["median"], stats[s]) for s in runs}
+            print(summary_line(w, metrics, costs))
             result[w] = {
-                "pairs": pairs, "metrics": metrics,
+                "pairs": pairs, "metrics": metrics, "unit_costs": costs,
                 "fail_frac": {s: statistics.fmean(r["details"]["fail_frac"]["value"]
                                                   for r in runs[s]) for s in runs},
                 "max_dev": {s: max((r["details"]["max_dev"]["value"] for r in runs[s]
                                     if r["details"]["max_dev"]["value"] is not None),
                                    default=None) for s in runs},
-                "stats": {s: {w: solver_stats(checkouts[s], w, seed)} for s in runs}}
+                "stats": {s: {w: stats[s]} for s in runs}}
         return result
 
 
