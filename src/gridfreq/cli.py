@@ -28,14 +28,15 @@ unknown one; a number that is not an int or a float, or is a bool, NaN
 or infinite, ``k``, ``t_end``, ``h``, ``output_dt`` and the ``t``,
 ``factor``, ``g`` and ``b`` of an event included; an event ``bus`` that
 is not an int or is a bool; a case file that does not parse; a case
-whose dispatch cannot be initialized (``InitializationError``); a
-``run`` whose ``h``, ``output_dt`` or horizon is not positive; and a K
-grid of ``ksweep`` with a non-positive step, k_max < k_min or more than
-``K_GRID_MAX`` gains included) and a run whose solver fails
-(``StepError``) print ``error: ...`` and exit with status 2.  Bad input
-writes no manifest; a failed ``run`` still writes one, with the error,
-the time of the last accepted state (``t_last``) and the solver stats up
-to the failure.
+whose dispatch cannot be initialized (``InitializationError``); a case
+without exactly one CIG record under a converter control
+(``AssemblyError``); a ``run`` whose ``h``, ``output_dt`` or horizon is
+not positive; and a K grid of ``ksweep`` with a non-positive step,
+k_max < k_min or more than ``K_GRID_MAX`` gains included) and a run
+whose solver fails (``StepError``) print ``error: ...`` and exit with
+status 2.  Bad input writes no manifest; a failed ``run`` still writes
+one, with the error, the time of the last accepted state (``t_last``)
+and the solver stats up to the failure.
 """
 
 from __future__ import annotations

@@ -18,17 +18,18 @@ step at h = 0.
 
 The Jacobian is differenced from the residual the simulator runs, in
 column groups: `SystemModel.jacobian_structure` knows which rows each
-column of [x; y] can touch (a device's rows read its own states, its bus
-voltage and the COI speed; a bus's rows read its Y-neighbours), and
-columns with disjoint rows are perturbed in one residual pass
-(`group_residuals`, which `linearize` differences too): every row is
-exactly that of one pass per column; the WSCC case needs 15 groups, 16
-passes per build in place of 46 (55 with the converter).
+column of [x; y] can touch (a device's rows read what its kernel's read
+table lists, `machines.KERNEL_READS` or `cig.kernel_reads`; a bus's rows
+read its Y-neighbours), and columns with disjoint rows are perturbed in
+one residual pass (`group_residuals`, which `linearize` differences too):
+every row is exactly that of one pass per column; the WSCC case needs 11
+groups, 12 passes per build in place of 46 (55 with the converter).
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -152,7 +153,10 @@ class SystemModel:
         first call and kept for the life of the model.
 
         pattern is the bool matrix of the entries that can be nonzero:
-        every value a residual row reads.  groups partitions the columns
+        every value a residual row reads.  A device's rows are those of its
+        kernel's read table (`machines.KERNEL_READS`, `cig.kernel_reads`),
+        its current in the balance of its bus; a bus's rows read its
+        Y-neighbours and its own voltage.  groups partitions the columns
         so that two columns of one group touch disjoint rows; perturbing
         a whole group in one residual pass then gives each of its
         columns exactly the residual rows a pass of its own would
@@ -167,17 +171,20 @@ class SystemModel:
         # the network: Y y, plus the Re/Im pair of each bus that its
         # loads and device injections read
         pattern[n_x:, n_x:] = (self._y_real != 0.0) | np.tile(np.eye(n, dtype=bool), (2, 2))
-        # each device: its states, and its bus voltage, against its state
-        # rows and the current balance of its bus
-        devices = [(range(_SM_N * i, _SM_N * (i + 1)), b)
-                   for i, b in enumerate(self.mach_bus)]
+        # each kind of device: the (row, column) pairs of its read table,
+        # on the states, the Re/Im pair of the bus and the machine speeds of
+        # each device of that kind (one row of `at` per device)
+        speeds = self.speed_indices
+        kinds = [(smmod.STATE_NAMES, smmod.KERNEL_READS, "omega_coi",
+                  [(_SM_N * i, b) for i, b in enumerate(self.mach_bus)])]
         if self.cig:
-            devices.append((range(n_x - _CIG_N, n_x), self.cig_bus))
-        for states, b in devices:
-            rows = [*states, n_x + b, n_x + n + b]
-            pattern[np.ix_(rows, rows)] = True
-        # every machine speed enters every f row through omega_coi
-        pattern[:n_x, self.speed_indices] = True
+            kinds.append((cigmod.STATE_NAMES, cigmod.kernel_reads(self.cig.params),
+                          "omega_frame", [(n_x - _CIG_N, self.cig_bus)]))
+        for names, reads, frame, slots in kinds:
+            rows, cols = _read_pairs(names, tuple(reads.items()), frame, len(speeds))
+            at = np.array([[*range(start, start + len(names)), n_x + b, n_x + n + b, *speeds]
+                           for start, b in slots])
+            pattern[at[:, rows], at[:, cols]] = True
         groups = _column_groups(pattern)
         group_of = np.empty(len(pattern), dtype=np.intp)
         for g, cols in enumerate(groups):
@@ -274,6 +281,26 @@ class SystemModel:
         return TrapezoidalIntegrator(self).resolve(SystemState(x, y0, 0.0)).y
 
 
+@functools.lru_cache(maxsize=8)
+def _read_pairs(names: tuple[str, ...], reads: tuple[tuple[str, tuple[str, ...]], ...],
+                frame: str, n_speeds: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) index arrays of a device kernel's read table, given as
+    its (row, inputs) items.  They index the device's states, then its bus
+    (Re, Im), then the n_speeds machine speeds: "current" is the bus's pair
+    of rows, "v" its pair of columns and `frame` the speeds.  Cached, since
+    every model builds its structure once from the same few tables."""
+    n = len(names)
+    at = {name: [k] for k, name in enumerate(names)}
+    at.update({"current": [n, n + 1], "v": [n, n + 1], frame: range(n + 2, n + 2 + n_speeds)})
+    rows, cols = [], []
+    for row, inputs in reads:
+        read = [c for name in inputs for c in at[name]]
+        for r in at[row]:
+            rows += [r] * len(read)
+            cols += read
+    return np.array(rows), np.array(cols)
+
+
 def _column_groups(pattern: np.ndarray) -> list[np.ndarray]:
     """Greedy first-fit partition of the columns of pattern into groups
     whose columns touch disjoint rows; row sets are Python-int bitmasks."""
@@ -340,12 +367,13 @@ def build_system(case: Case, control: str = "no_cig",
       * "cig_omega_tilde" -- converter on, compensated signal with gain k
                              (case-file K if k is None).
 
-    When the converter is enabled its scheduled power is taken from the
-    highest-dispatch PV unit, mirroring how the bundled case accommodates
-    the converter injection.  A converter with a nonzero step-up
-    transformer reactance x_t is placed on a synthesized terminal bus
-    behind that reactance; its point of connection stays the bus named in
-    the case.  freq_loop=False leaves the converter connected but opens
+    A converter control needs exactly one CIG record in the case
+    (AssemblyError otherwise).  When the converter is enabled its
+    scheduled power is taken from the highest-dispatch PV unit, mirroring
+    how the bundled case accommodates the converter injection.  A
+    converter with a nonzero step-up transformer reactance x_t is placed
+    on a synthesized terminal bus behind that reactance; its point of
+    connection stays the bus named in the case.  freq_loop=False leaves the converter connected but opens
     its frequency-control loop (measurements stay live), as used by the
     small-signal observability analysis.  The case is left as it was: the
     model takes the set points `initialize_sm` and `initialize_cig` return.
@@ -356,9 +384,10 @@ def build_system(case: Case, control: str = "no_cig",
     net = case.network.copy()
     cig_bus = cp = None
     if control != "no_cig":
-        if not case.cigs:
-            raise AssemblyError("case has no CIG record")
-        c = case.cigs[0]
+        if len(case.cigs) != 1:
+            raise AssemblyError(f"a converter control needs one CIG record, "
+                                f"the case has {len(case.cigs)}")
+        c, = case.cigs
         if control == "cig_omega":
             k = 0.0
         cp = replace(c.params, K=c.params.K if k is None else k, freq_loop=freq_loop)
@@ -445,9 +474,9 @@ class TrapezoidalIntegrator:
     r1 theta; when that is not below tol, the step predicts more than two
     solves, and the Jacobian is dropped so that the next step builds one at
     its start, but only once it has served as many steps as a build costs
-    residual passes (`len(groups) + 1`): a rebuild then costs at most one
-    pass per step.  A stalled Newton refreshes it at once (Hairer & Wanner,
-    Solving ODEs II, sec. IV.8).
+    residual passes (`len(groups) + 1`, 12 on the WSCC case): a rebuild
+    then costs at most one pass per step.  A stalled Newton refreshes it
+    at once (Hairer & Wanner, Solving ODEs II, sec. IV.8).
 
     `stats` counts what the integrator did: accepted steps (halves of a
     halved step each count), Newton iterations (linear solves), Jacobian

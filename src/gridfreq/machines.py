@@ -72,6 +72,24 @@ class GovParams:
 STATE_NAMES = ("delta", "omega", "eq1", "ed1", "efd", "rf", "vr", "psv", "pm")
 N_STATES = len(STATE_NAMES)
 
+# What each row of `sm_kernel` reads: every derivative (by state name) and
+# the stator current ("current") against the states by name, the bus
+# voltage "v" and "omega_coi".  `SystemModel.jacobian_structure` builds the
+# Jacobian's pattern from it, so it is structural: no entry is dropped for
+# a parameter that is zero, and a row held at its limit reads a subset.
+KERNEL_READS = {
+    "delta": ("omega", "omega_coi"),
+    "omega": ("delta", "omega", "eq1", "ed1", "pm", "v", "omega_coi"),
+    "eq1": ("delta", "eq1", "ed1", "efd", "v"),
+    "ed1": ("delta", "eq1", "ed1", "v"),
+    "efd": ("efd", "vr"),
+    "rf": ("efd", "rf"),
+    "vr": ("efd", "rf", "vr", "v"),
+    "psv": ("omega", "psv"),
+    "pm": ("psv", "pm"),
+    "current": ("delta", "eq1", "ed1", "v"),
+}
+
 
 @dataclass
 class SynMachineState:

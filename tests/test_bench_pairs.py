@@ -1,9 +1,10 @@
-"""The pairs verdict and the unit costs of `tools/bench_pairs.py` on
-synthetic samples; no benchmark runs."""
+"""The pairs verdict, the unit costs and the output comparison of
+`tools/bench_pairs.py` on synthetic samples; no benchmark runs."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -72,3 +73,37 @@ def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
     assert line == "w: wall_s per step 500 -> 500 us; wall_s per residual pass 200 -> 200 us"
     line = bench_pairs.summary_line("w", {}, {"parent": no_steps, "change": no_steps})
     assert line == "w: wall_s per residual pass 500 -> 500 us"
+
+
+def test_compare_outputs_digests_each_output_and_measures_those_that_differ(bench_pairs):
+    """Equal outputs are bitwise equal by digest; a changed one gets its
+    largest abs deviation (complex ones too), a changed shape or a missing
+    output gets None."""
+    parent = {"a/omega_coi": np.array([1.0, 0.99, 1.01]), "b/eigenvalue": np.array(-0.1 + 0.5j),
+              "b/ratio": np.ones(4), "b/go": np.array(0.5)}
+    same = bench_pairs.compare_outputs(parent, {k: v.copy() for k, v in parent.items()})
+    assert same["bitwise_equal"] and same["max_abs_dev"] == {}
+    assert same["sha256"]["parent"] == same["sha256"]["change"]
+    assert set(same["sha256"]["parent"]) == set(parent)
+    change = {"a/omega_coi": np.array([1.0, 0.99 + 2e-9, 1.01 - 5e-9]),
+              "b/eigenvalue": np.array(-0.1 + (0.5 + 3e-12) * 1j),
+              "b/ratio": np.ones(5), "c/new": np.zeros(2)}
+    diff = bench_pairs.compare_outputs(parent, change)
+    assert not diff["bitwise_equal"]
+    assert diff["max_abs_dev"] == {"a/omega_coi": pytest.approx(5e-9, rel=1e-6),
+                                   "b/eigenvalue": pytest.approx(3e-12, rel=1e-3),
+                                   "b/go": None, "b/ratio": None, "c/new": None}
+    assert bench_pairs.outputs_line("w", same) == "w outputs: bitwise equal"
+    assert bench_pairs.outputs_line("w", diff) == (
+        "w outputs: max abs dev a/omega_coi 5e-09, b/eigenvalue 3e-12, b/go n/a, "
+        "b/ratio n/a, c/new n/a")
+
+
+def test_digest_tells_dtype_shape_and_signed_zero(bench_pairs):
+    """Arrays with the same values in another dtype or shape, or a zero of
+    the other sign, have other digests."""
+    a = np.arange(4.0)
+    digests = {bench_pairs.digest(x) for x in
+               (a, a.astype(np.float32), a.reshape(2, 2), a.copy(), np.array([-0.0, 1, 2, 3]))}
+    assert len(digests) == 4
+    assert bench_pairs.digest(a[::-1][::-1]) == bench_pairs.digest(a)

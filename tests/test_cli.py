@@ -332,6 +332,21 @@ def test_run_infeasible_dispatch_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--t-end", "1.0"], ["eig"], ["ksweep"]])
+def test_case_with_two_converters_exits_2(tmp_path, monkeypatch, capsys, command):
+    """A case with a second CIG record under a converter control is bad
+    input: exit 2 with an error line, before any manifest is written."""
+    text = resources.files("gridfreq.data").joinpath("wscc9.case").read_text()
+    second = next(ln for ln in text.splitlines() if ln.startswith("CIG")).replace("CIG 7", "CIG 5")
+    case = tmp_path / "two_cigs.case"
+    case.write_text(text + second + "\n")
+    rc = run_cli([*command, "--case", str(case)], tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: a converter control needs one CIG record, the case has 2\n")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_run_empty_horizon_fails(tmp_path, monkeypatch, capsys):
     rc = run_cli(["run", "--t-end", "0.0"], tmp_path, monkeypatch)
     assert rc != 0

@@ -20,7 +20,10 @@ bench/reference.json, and solver stats from one untimed pass of every
 operation: `TimeSeries.stats` and the counted `SystemModel.residual`
 calls.  From those counts, `unit_costs` gives each side's median wall_s
 per accepted step and per residual pass of one repetition (us), also on
-the printed line.
+the printed line.  The same pass saves every output of every operation:
+`outputs` holds each side's sha-256 digest of each, and the largest
+absolute deviation of each output whose digests differ, summed up on a
+second printed line.
 
 The result goes to BENCH_<short change sha>.json at the repo root.  When
 that file already holds the same two commits, a run with another seed is
@@ -31,6 +34,7 @@ workloads it ran.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -39,6 +43,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("loadloss", "load_steps", "smallsig")
@@ -49,10 +55,13 @@ RUN_SECONDS = BENCHMARK["run_seconds"]
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 # One untimed pass of every operation of a workload, run in a checkout:
-# prints {label: stats} as JSON.  The program's own counters where it
-# integrates (TimeSeries.stats), plus counted SystemModel.residual calls.
+# prints {label: stats} as JSON and saves every output of every operation
+# to the .npz file named by its third argument, as "<label>/<output>".
+# The stats are the program's own counters where it integrates
+# (TimeSeries.stats), plus counted SystemModel.residual calls.
 STATS_SCRIPT = r"""
 import json, sys
+import numpy as np
 sys.path[:0] = ["src", "bench"]
 import gridfreq as gf
 import workloads
@@ -68,17 +77,19 @@ def recorded(*args, **kwargs):
     last.update(ts.stats)
     return ts
 gf.simulate = recorded
-out = {}
+out, arrays = {}, {}
 for op in workloads.make(sys.argv[1], int(sys.argv[2])).ops():
     system = op.setup()
     last.clear()
     calls[0] = 0
-    op.run(*system)
+    outputs = op.run(*system)
     st = {str(k): v for k, v in last.items()}
     st["residual_calls_counted"] = calls[0]
     if "steps" in st:
         st["residual_calls_per_step"] = calls[0] / st["steps"]
     out[op.label] = st
+    arrays.update({f"{op.label}/{name}": np.asarray(v) for name, v in outputs.items()})
+np.savez(sys.argv[3], **arrays)
 print(json.dumps(out))
 """
 
@@ -107,10 +118,48 @@ def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     return {"details": json.loads(details)["details"], "result": json.loads(result)}
 
 
-def solver_stats(checkout: Path, workload: str, seed: int) -> dict:
-    proc = subprocess.run([sys.executable, "-c", STATS_SCRIPT, workload, str(seed)],
+def untimed_pass(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    """(solver stats by operation, outputs by "<operation>/<output>") of one
+    untimed pass of every operation in checkout (`STATS_SCRIPT`)."""
+    saved = checkout / f"outputs_{workload}.npz"
+    proc = subprocess.run([sys.executable, "-c", STATS_SCRIPT, workload, str(seed), str(saved)],
                           cwd=checkout, check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout)
+    with np.load(saved) as outputs:
+        return json.loads(proc.stdout), dict(outputs)
+
+
+def digest(a: np.ndarray) -> str:
+    """sha-256 of an array's dtype, shape and bytes."""
+    h = hashlib.sha256(f"{a.dtype.str} {a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def compare_outputs(parent: dict[str, np.ndarray], change: dict[str, np.ndarray]) -> dict:
+    """Each side's sha-256 `digest` of every output, whether all of them are
+    equal, and, for each output whose digests differ, the largest
+    abs(change - parent), None where it is missing on one side or the
+    shapes differ."""
+    digests = {"parent": {k: digest(a) for k, a in parent.items()},
+               "change": {k: digest(a) for k, a in change.items()}}
+    max_abs_dev = {}
+    for k in sorted(parent.keys() | change.keys()):
+        if digests["parent"].get(k) == digests["change"].get(k):
+            continue
+        same_shape = k in parent and k in change and parent[k].shape == change[k].shape
+        max_abs_dev[k] = (float(np.max(np.abs(change[k] - parent[k]), initial=0.0))
+                          if same_shape else None)
+    return {"bitwise_equal": not max_abs_dev, "max_abs_dev": max_abs_dev, "sha256": digests}
+
+
+def outputs_line(workload: str, comparison: dict) -> str:
+    """One line: the outputs are bitwise equal, or the largest deviation of
+    each that is not."""
+    if comparison["bitwise_equal"]:
+        return f"{workload} outputs: bitwise equal"
+    return f"{workload} outputs: max abs dev " + ", ".join(
+        f"{k} " + ("n/a" if d is None else f"{d:.3g}")
+        for k, d in comparison["max_abs_dev"].items())
 
 
 def summary(samples: list[float]) -> dict:
@@ -164,7 +213,7 @@ def compare(runs: dict[str, list[dict]]) -> dict:
 
 def unit_costs(wall_s: float, stats: dict) -> dict:
     """wall_s, the median wall time of one repetition, per accepted step and
-    per residual pass of that repetition (us), from `solver_stats` of its
+    per residual pass of that repetition (us), from `untimed_pass` stats of its
     operations; None where the workload makes no such unit.  They show
     whether a change moved the cost of a unit or the number of units."""
     steps = sum(st.get("steps", 0) for st in stats.values())
@@ -203,11 +252,14 @@ def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int)
                     f"{s} {runs[s][-1]['result']['metrics']['wall_s']['value']:.4g} s"
                     for s in order), file=sys.stderr)
             metrics = compare(runs)
-            stats = {s: solver_stats(checkouts[s], w, seed) for s in runs}
+            passes = {s: untimed_pass(checkouts[s], w, seed) for s in runs}
+            stats = {s: passes[s][0] for s in runs}
+            outputs = compare_outputs(passes["parent"][1], passes["change"][1])
             costs = {s: unit_costs(metrics["wall_s"][s]["median"], stats[s]) for s in runs}
             print(summary_line(w, metrics, costs))
+            print(outputs_line(w, outputs))
             result[w] = {
-                "pairs": pairs, "metrics": metrics, "unit_costs": costs,
+                "pairs": pairs, "metrics": metrics, "unit_costs": costs, "outputs": outputs,
                 "fail_frac": {s: statistics.fmean(r["details"]["fail_frac"]["value"]
                                                   for r in runs[s]) for s in runs},
                 "max_dev": {s: max((r["details"]["max_dev"]["value"] for r in runs[s]
@@ -218,10 +270,9 @@ def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int)
 
 
 def host() -> str:
-    import numpy
     import scipy
     return (f"{len(os.sched_getaffinity(0))}-core {platform.system()}, "
-            f"Python {platform.python_version()}, numpy {numpy.__version__}, "
+            f"Python {platform.python_version()}, numpy {np.__version__}, "
             f"scipy {scipy.__version__}, one BLAS thread")
 
 
