@@ -22,8 +22,11 @@ column of [x; y] can touch (a device's rows read what its kernel's read
 table lists, `machines.KERNEL_READS` or `cig.kernel_reads`; a bus's rows
 read its Y-neighbours), and columns with disjoint rows are perturbed in
 one residual pass (`group_residuals`, which `linearize` differences too):
-every row is exactly that of one pass per column; the WSCC case needs 11
-groups, 12 passes per build in place of 46 (55 with the converter).
+every row is exactly that of one pass per column.  The colouring, first-fit
+in smallest-last order, is computed once per distinct pattern in a
+process.  The WSCC case needs 9 groups, the entries of its densest row; a
+build is 10 passes in place of 46 (55 with the converter), the first of
+them the residual pass of the Newton iterate it is taken at.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ class SystemModel:
 
     # -- Jacobian structure ---------------------------------------------
 
-    def jacobian_structure(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    def jacobian_structure(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
         """(pattern, groups, group_of) of d[f; g]/d[x; y], built on the
         first call and kept for the life of the model.
 
@@ -162,7 +165,8 @@ class SystemModel:
         columns exactly the residual rows a pass of its own would
         (Curtis, Powell & Reid, IMA J. Appl. Math. 1974).  group_of is
         the same partition by column: group_of[j] is the index in groups
-        of the group that holds column j.
+        of the group that holds column j.  Both are `_colouring`'s, shared
+        read-only by every model of the same pattern.
         """
         if self._jac_structure is not None:
             return self._jac_structure
@@ -185,11 +189,7 @@ class SystemModel:
             at = np.array([[*range(start, start + len(names)), n_x + b, n_x + n + b, *speeds]
                            for start, b in slots])
             pattern[at[:, rows], at[:, cols]] = True
-        groups = _column_groups(pattern)
-        group_of = np.empty(len(pattern), dtype=np.intp)
-        for g, cols in enumerate(groups):
-            group_of[cols] = g
-        self._jac_structure = (pattern, groups, group_of)
+        self._jac_structure = (pattern, *_colouring(pattern.tobytes(), pattern.shape))
         return self._jac_structure
 
     # -- state packing ----------------------------------------------------
@@ -301,23 +301,67 @@ def _read_pairs(names: tuple[str, ...], reads: tuple[tuple[str, tuple[str, ...]]
     return np.array(rows), np.array(cols)
 
 
+def _bitmasks(rows: np.ndarray) -> list[int]:
+    """Each row of a bool matrix as a Python int, bit k set for column k."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(bits.tobytes(), "little") for bits in packed]
+
+
 def _column_groups(pattern: np.ndarray) -> list[np.ndarray]:
     """Greedy first-fit partition of the columns of pattern into groups
-    whose columns touch disjoint rows; row sets are Python-int bitmasks."""
-    packed = np.packbits(pattern.T, axis=1, bitorder="little")
-    rows_of: list[int] = []
+    whose columns touch disjoint rows, the columns taken in smallest-last
+    order of their intersection graph (two columns are adjacent when they
+    share a row): the column of least degree among those left is removed
+    last-coloured-first, so a column meets few coloured neighbours (Matula
+    & Beck, J. ACM 1983; Coleman & More, SIAM J. Numer. Anal. 1983).  Row
+    and column sets are Python-int bitmasks; each group is sorted."""
+    rows_of = _bitmasks(pattern.T)
+    cols_of = _bitmasks(pattern)
+    # the columns of each row a column touches, OR-ed over its set bits
+    # (a bool matmul would page in 128 kB of numpy's kernels for this)
+    neighbours = []
+    for col, rows in enumerate(rows_of):
+        near = 0
+        while rows:
+            low = rows & -rows
+            near |= cols_of[low.bit_length() - 1]
+            rows ^= low
+        neighbours.append(near & ~(1 << col))
+    remaining = list(range(len(rows_of)))
+    left = (1 << len(rows_of)) - 1
+    order = []
+    while remaining:
+        col = min(remaining, key=lambda c: (neighbours[c] & left).bit_count())
+        remaining.remove(col)
+        left ^= 1 << col
+        order.append(col)
+    taken: list[int] = []
     members: list[list[int]] = []
-    for col, bits in enumerate(packed):
-        mask = int.from_bytes(bits.tobytes(), "little")
-        for k, taken in enumerate(rows_of):
-            if not taken & mask:
-                rows_of[k] = taken | mask
+    for col in reversed(order):
+        mask = rows_of[col]
+        for k, rows in enumerate(taken):
+            if not rows & mask:
+                taken[k] = rows | mask
                 members[k].append(col)
                 break
         else:
-            rows_of.append(mask)
+            taken.append(mask)
             members.append([col])
-    return [np.array(m) for m in members]
+    return [np.array(sorted(m)) for m in members]
+
+
+@functools.lru_cache(maxsize=8)
+def _colouring(bits: bytes, shape: tuple[int, int]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(groups, group_of) of `_column_groups` on the bool pattern of the
+    given bytes and shape, read-only.  Cached, since the models of one
+    layout share their pattern: each distinct one is coloured once."""
+    groups = tuple(_column_groups(np.frombuffer(bits, dtype=bool).reshape(shape)))
+    group_of = np.empty(shape[1], dtype=np.intp)
+    for g, cols in enumerate(groups):
+        group_of[cols] = g
+        cols.flags.writeable = False
+    group_of.flags.writeable = False
+    return groups, group_of
 
 
 # relative forward-difference step of the integrator's Jacobian
@@ -341,11 +385,9 @@ def group_residuals(model: SystemModel, z0: np.ndarray, step: np.ndarray) -> np.
     return np.where(pattern, passes[group_of].T, 0.0)
 
 
-def _fd_jacobian(model: SystemModel, z0: np.ndarray) -> np.ndarray:
-    """d[f; g]/d[x; y] at z0, the forward difference of `group_residuals`:
-    len(groups) + 1 residual passes."""
-    n_x = model.n_x
-    r0 = model.residual(z0[:n_x], z0[n_x:])[0]
+def _fd_jacobian(model: SystemModel, z0: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """d[f; g]/d[x; y] at z0, the forward difference of `group_residuals`
+    from r0, [f; g] at z0: len(groups) residual passes."""
     eps = _FD_EPS_REL * (1.0 + np.abs(z0))
     r0_cols = np.where(model.jacobian_structure()[0], r0[:, None], 0.0)
     return (group_residuals(model, z0, eps) - r0_cols) / eps
@@ -474,8 +516,9 @@ class TrapezoidalIntegrator:
     r1 theta; when that is not below tol, the step predicts more than two
     solves, and the Jacobian is dropped so that the next step builds one at
     its start, but only once it has served as many steps as a build costs
-    residual passes (`len(groups) + 1`, 12 on the WSCC case): a rebuild
-    then costs at most one pass per step.  A stalled Newton refreshes it
+    residual passes (`len(groups) + 1`, 10 on the WSCC case, one of them
+    the pass of the iterate it is taken at): a rebuild then costs at most
+    one pass per step.  A stalled Newton refreshes it
     at once (Hairer & Wanner, Solving ODEs II, sec. IV.8).
 
     `stats` counts what the integrator did: accepted steps (halves of a
@@ -496,7 +539,7 @@ class TrapezoidalIntegrator:
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
         self._lu = None        # (h, LU factors of the step Jacobian for h)
         self._jac_steps = 0    # steps accepted on _jfull
-        self._n_groups = len(model.jacobian_structure()[1])   # a build is this + 1 passes
+        self._n_groups = len(model.jacobian_structure()[1])   # passes a build adds
         self._last = None      # (bytes of [x; y], f, outputs there, h of the step
                                # that accepted it, a (k, n) copy of that step's last
                                # k <= _HISTORY points: callers may edit states in place)
@@ -504,13 +547,15 @@ class TrapezoidalIntegrator:
                       "lu_factorizations": 0, "step_halvings": 0, "resolves": 0,
                       "residual_passes": 0, "newton_histogram": {}, "max_residual": 0.0}
 
-    def _factor(self, z: np.ndarray, h: float):
-        """LU factors of the step Jacobian, or None if d[f; g]/d[x; y] is not finite."""
+    def _factor(self, z: np.ndarray, h: float, r0: np.ndarray):
+        """LU factors of the step Jacobian, or None if d[f; g]/d[x; y] is not
+        finite.  A Jacobian built here is differenced from r0, [f; g] at z:
+        the pass of Newton's first iterate, so a build adds len(groups)."""
         m = self.model
         if self._jfull is None:
             self.stats["jacobian_builds"] += 1
-            self.stats["residual_passes"] += self._n_groups + 1
-            jfull = _fd_jacobian(m, z)
+            self.stats["residual_passes"] += self._n_groups
+            jfull = _fd_jacobian(m, z, r0)
             if not np.isfinite(jfull).all():
                 return None
             self._jfull = jfull
@@ -539,7 +584,9 @@ class TrapezoidalIntegrator:
 
         A non-finite iterate, residual or Jacobian is a failure, as is a
         nonzero `getrs` info or a residual still above tol after one
-        Jacobian refresh.  f0 only enters as h f0, so at h = 0 (`resolve`)
+        Jacobian refresh.  Each attempt factors the step Jacobian after the
+        residual pass of its first iterate, which is the base of a Jacobian
+        built there.  f0 only enters as h f0, so at h = 0 (`resolve`)
         it is not evaluated, and the step history is neither read nor
         extended.  The start point of each attempt is checked to be
         finite, and then every update: an iterate is finite when both are.
@@ -570,15 +617,18 @@ class TrapezoidalIntegrator:
                 self._jfull = None
             if not np.isfinite(z).all():
                 return None
-            factors = self._factor(z, h)
-            if factors is None:
-                return None
-            lu, piv = factors
             last = 0.0   # |dz|^2 of the previous update of this attempt
             for it in range(self.max_iter + 1):
                 x = z[:n_x]
                 stats["residual_passes"] += 1
                 r, outputs = m.residual(x, z[n_x:])
+                if not it:
+                    # factored before the convergence test, so that a start
+                    # accepted at once still builds the Jacobian it lacks
+                    factors = self._factor(z, h, r)
+                    if factors is None:
+                        return None
+                    lu, piv = factors
                 f = r[:n_x].copy()   # for the cache: r becomes [x - base - hh f; g]
                 rx = np.subtract(x, base, out=r[:n_x])
                 rx -= hh * f
@@ -719,9 +769,10 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     every event of one instant is applied to its network, the algebraic
     variables are re-solved once with the differential states frozen, and
     integration resumes.  The caller's model is left as it was, however
-    the run ends.  The copy is shallow: an instance
-    attribute that shadows a `SystemModel` method is carried into it, still
-    bound to the caller's model, so instrument a run by patching the class.
+    the run ends.  The copy is shallow, so an instance attribute that
+    shadows a `SystemModel` method would be carried into it still bound to
+    the caller's model: such a model raises ValueError, and a run is
+    instrumented by patching the class.
     Steps are exactly h: only a step that ends at an output time, an event
     or t_end is shorter, and a remainder within 1e-6 h of h is taken as h.
     Channels default to every recordable trace; only the requested ones are
@@ -731,6 +782,11 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     for name, value in (("h", h), ("output_dt", output_dt), ("t_end - t0", t_end - state0.t)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value:g}")
+    for name in vars(model):
+        if callable(getattr(type(model), name, None)):
+            raise ValueError(f"the model's instance attribute {name!r} shadows the method "
+                             f"of its class, which the run's copy would call on this "
+                             f"model: patch the class instead")
     known = _default_channels(model)
     if channels is None:
         channels = known

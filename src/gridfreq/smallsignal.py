@@ -34,7 +34,8 @@ bytes of [x; y]); `eigensolve` links each mode to that `LinearModel`.
 `k_sweep` takes the rows of its mode's linearization and accepts only a
 mode linearized from the same model at bitwise the same [x; y]: a built
 model never changes (`simulate` applies its events to a copy), so those
-rows are the model's.  It checks the equilibrium in one residual pass.
+rows are the model's, and `linearize` checked that point an equilibrium.
+So the sweep takes no residual pass.
 The sweep evaluates go for every gain of the grid, and for rho, in one
 call of `geometric_observability` on the columns of one array; go(omega)
 is its K = 0 column, so the ratio at K = 0 is exactly 1.
@@ -58,7 +59,7 @@ class ModeIdentificationError(RuntimeError):
 
 # central-difference step of the Jacobians, relative to 1 + |z_i|
 _FD_EPS = 1e-6
-# max |[f; g]| at a point that `linearize` and `k_sweep` accept
+# max |[f; g]| at a point that `linearize` accepts
 _EQ_TOL = 1e-8
 # max ||A phi - lambda phi|| / ||phi||, relative to ||A||_F (at least 1)
 _EIG_RESIDUAL_TOL = 1e-8
@@ -108,12 +109,6 @@ class ObservabilityReport:
 
 # ---------------------------------------------------------------------------
 
-def _check_equilibrium(model: SystemModel, eq: SystemState) -> None:
-    worst = np.max(np.abs(model.residual(eq.x, eq.y)[0]))
-    if worst > _EQ_TOL:
-        raise ValueError(f"not an equilibrium: residual {worst:.3e} > {_EQ_TOL:g}")
-
-
 def _central_jacobians(model: SystemModel, eq: SystemState):
     """(f_x, f_y, g_x, g_y) by central differences of `group_residuals`."""
     z0 = np.concatenate([eq.x, eq.y])
@@ -131,8 +126,11 @@ def _point(model: SystemModel, eq: SystemState) -> tuple:
 def linearize(model: SystemModel, eq: SystemState) -> LinearModel:
     """Reduced state matrix at an equilibrium (algebraic variables
     eliminated) from the central difference of `group_residuals`, with the
-    output rows when the model has a converter."""
-    _check_equilibrium(model, eq)
+    output rows when the model has a converter.  Raises ValueError when
+    max |[f; g]| at eq exceeds 1e-8 (`_EQ_TOL`)."""
+    worst = np.max(np.abs(model.residual(eq.x, eq.y)[0]))
+    if worst > _EQ_TOL:
+        raise ValueError(f"not an equilibrium: residual {worst:.3e} > {_EQ_TOL:g}")
     f_x, f_y, g_x, g_y = _central_jacobians(model, eq)
     try:
         gy_inv_gx = np.linalg.solve(g_y, g_x)
@@ -168,10 +166,13 @@ def eigensolve(lm: LinearModel) -> list[Mode]:
     nonzero = peak > 0
     rotate = np.where(nonzero, np.exp(-1j * np.angle(shapes[lead, cols])), 1.0)
     shapes = shapes * rotate / np.where(nonzero, peak, 1.0)
-    modes = [Mode(eigenvalue=complex(w[i]), right=vr[:, i], speed_shape=shapes[:, i],
-                  linear_model=lm) for i in cols]
-    modes.sort(key=lambda m: (m.eigenvalue.real, abs(m.eigenvalue.imag)))
-    return modes
+    # by real part, then |imaginary part|; stable, so a conjugate pair
+    # keeps the order eig gave it.  A Python sort: a process's first numpy
+    # sort pages in 128 kB of sort kernels, which shows in peak RSS
+    values, right, shapes = w.tolist(), vr.T, shapes.T
+    order = sorted(range(len(values)), key=lambda i: (values[i].real, abs(values[i].imag)))
+    return [Mode(eigenvalue=values[i], right=right[i], speed_shape=shapes[i],
+                 linear_model=lm) for i in order]
 
 
 def identify_frequency_mode(modes: list[Mode]) -> Mode:
@@ -246,16 +247,15 @@ def k_sweep(model: SystemModel, eq: SystemState, mode: Mode,
     """Observability ratio go(omega_tilde(K)) / go(omega) over a gain grid.
 
     The rows are those of the mode's own linearization, so the mode must
-    come from `eigensolve(linearize(model, eq))`; any other mode raises
-    ValueError.  The output row of the compensated signal is
-    `modified_signal(c_omega, c_rho, K)`.  The rows of rho and of every
+    come from `eigensolve(linearize(model, eq))`, which rejects an eq that
+    is not an equilibrium; any other mode raises ValueError.  The output
+    row of the compensated signal is `modified_signal(c_omega, c_rho, K)`.  The rows of rho and of every
     gain, led by K = 0 and K = 1, are the columns of one array that one
     `geometric_observability` call reduces, so go(omega) is the K = 0
     column and ratio(K = 0) is exactly 1.
     """
     if model.cig_bus is None:
         raise ValueError("output rows require a converter (measurement point) in the model")
-    _check_equilibrium(model, eq)
     lm = mode.linear_model
     if lm is None or lm.point != _point(model, eq):
         raise ValueError("the mode was not linearized from this model at eq: "

@@ -1,11 +1,14 @@
-"""The pairs verdict, the unit costs and the output comparison of
-`tools/bench_pairs.py` on synthetic samples; no benchmark runs."""
+"""The pairs verdict, the unit costs and the output and CLI-table
+comparisons of `tools/bench_pairs.py` on synthetic samples; no benchmark
+runs."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from gridfreq.cli import write_csv
 
 BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
@@ -107,3 +110,34 @@ def test_digest_tells_dtype_shape_and_signed_zero(bench_pairs):
                (a, a.astype(np.float32), a.reshape(2, 2), a.copy(), np.array([-0.0, 1, 2, 3]))}
     assert len(digests) == 4
     assert bench_pairs.digest(a[::-1][::-1]) == bench_pairs.digest(a)
+
+
+def test_compare_tables_digests_each_file_and_measures_the_columns_that_differ(
+        bench_pairs, tmp_path):
+    """Tables written as the CLI writes them: equal files are bitwise equal
+    by digest; a file that differs gets the largest abs deviation of each
+    column that differs, 0.0 when only its text does, and None when it is
+    missing on one side."""
+    def table(name, header, columns):
+        write_csv(tmp_path / name, header, columns)
+        return (tmp_path / name).read_bytes()
+
+    t = np.linspace(0.0, 1.0, 6)
+    omega = 1.0 + 0.01 * np.sin(t)
+    parent = {"ksweep.csv": table("ksweep.csv", ["k", "ratio"], [t, 2.0 * t]),
+              "timeseries.csv": table("timeseries.csv", ["t", "omega_coi", "p_cig"],
+                                      [t, omega, 0.5 * t])}
+    same = bench_pairs.compare_tables(parent, dict(parent))
+    assert same["bitwise_equal"] and same["max_abs_dev"] == {}
+    assert same["sha256"]["parent"] == same["sha256"]["change"]
+    assert set(same["sha256"]["parent"]) == set(bench_pairs.CLI_TABLES)
+    change = {"timeseries.csv": table("timeseries.csv", ["t", "omega_coi", "p_cig"],
+                                      [t, omega + 2e-11 * t, 0.5 * t])}
+    diff = bench_pairs.compare_tables(parent, change)
+    assert not diff["bitwise_equal"]
+    assert diff["max_abs_dev"] == {"ksweep.csv": None,
+                                   "timeseries.csv/omega_coi": pytest.approx(2e-11, rel=1e-3)}
+    spaced = {**parent, "ksweep.csv": parent["ksweep.csv"].replace(b"\n", b"\r\n")}
+    assert bench_pairs.compare_tables(parent, spaced)["max_abs_dev"] == {"ksweep.csv": 0.0}
+    assert bench_pairs.outputs_line("cli", diff) == (
+        "cli outputs: max abs dev ksweep.csv n/a, timeseries.csv/omega_coi 2e-11")

@@ -518,7 +518,8 @@ def started_steps(model, monkeypatch):
     integ = TrapezoidalIntegrator(model)
     starts = []
     factor = integ._factor
-    monkeypatch.setattr(integ, "_factor", lambda z, h: starts.append(z.copy()) or factor(z, h))
+    monkeypatch.setattr(integ, "_factor",
+                        lambda z, h, r0: starts.append(z.copy()) or factor(z, h, r0))
     return integ, starts
 
 
@@ -586,7 +587,7 @@ def test_a_non_finite_update_is_a_newton_failure(case, monkeypatch):
 def test_load_loss_takes_at_most_2_3_residual_passes_per_step(case, control):
     """The paper's 10 s load-loss run at h = 5 ms: the quartic start and the
     contraction-gated refresh keep Newton near one or two solves a step
-    (2.18 / 2.04 / 2.03 passes per step; the quadratic start took 2.94 /
+    (2.17 / 2.05 / 2.05 passes per step; the quadratic start took 2.94 /
     2.82 / 2.83, and an Euler start on a Jacobian kept from the event on
     4.36 / 4.09 / 4.09)."""
     model, st = build_system(case, control, k=1.2)
@@ -598,9 +599,9 @@ def test_load_loss_takes_at_most_2_3_residual_passes_per_step(case, control):
 def test_contraction_gated_refresh_pays_off_at_the_cli_step(case):
     """The CLI's default h = 20 ms on a 15 s, 50 % load loss at bus 5: the
     refresh of a Jacobian that has paid for its build, when its contraction
-    predicts more than two solves, holds the run to 2 529 residual passes;
+    predicts more than two solves, holds the run to 2 428 residual passes;
     without the rule it builds only the Jacobians of the start and of the
-    event, and takes 2 781."""
+    event, and takes 2 775."""
     model, st = build_system(case, "no_cig")
     stats = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))], t_end=15.0,
                      h=0.02, output_dt=0.02, channels=["omega_coi"]).stats
@@ -718,7 +719,7 @@ def test_grouped_jacobians_equal_one_pass_per_column(jacobian_points, dz):
         z = z_eq + scale * np.array(dz[: z_eq.size])
         if scale != 1.0:
             assert limits_held(model, z), which
-        assert np.array_equal(gridfreq.dae._fd_jacobian(model, z),
+        assert np.array_equal(gridfreq.dae._fd_jacobian(model, z, stacked_residual(model, z)),
                               dense_fd_jacobian(model, z)), which
         n_x = model.n_x
         f_x, f_y, g_x, g_y = _central_jacobians(model, SystemState(z[:n_x], z[n_x:], 0.0))
@@ -753,16 +754,20 @@ def test_jacobian_structure_covers_y_after_every_event(case):
                          + [("cig_omega_tilde", False)],
                          ids=[*CONTROLS, "cig_omega_tilde_open_loop"])
 def test_jacobians_take_one_residual_pass_per_group(case, call_counts, control, freq_loop):
-    """The device rows of the pattern are their kernels' read tables, so
-    the WSCC case needs 11 column groups with and without the converter and
-    its frequency loop (15 with dense device blocks): a forward-difference
-    build is 12 passes (46 or 55 with one per column); `linearize` is the
-    equilibrium check plus two passes per group, 23."""
+    """The device rows of the pattern are their kernels' read tables, and
+    the smallest-last colouring reaches the lower bound, the count of the
+    densest row (a machine's speed row): the WSCC case needs 9 column
+    groups with and without the converter and its frequency loop (11 under
+    first-fit in column order, 15 with dense device blocks).  A
+    forward-difference build is 10 passes (46 or 55 with one per column),
+    9 beside the Newton pass it starts from; `linearize` is the
+    equilibrium check plus two passes per group, 19."""
     model, st = build_system(case, control, k=1.2, freq_loop=freq_loop)
-    groups = model.jacobian_structure()[1]
-    assert len(groups) == 11
+    pattern, groups, _ = model.jacobian_structure()
+    assert len(groups) == pattern.sum(axis=1).max() == 9
     call_counts.update(machines=0, cig=0)
-    gridfreq.dae._fd_jacobian(model, np.concatenate([st.x, st.y]))
+    z = np.concatenate([st.x, st.y])
+    gridfreq.dae._fd_jacobian(model, z, stacked_residual(model, z))
     assert call_counts["machines"] == len(groups) + 1
     assert call_counts["cig"] == (0 if control == "no_cig" else len(groups) + 1)
     call_counts.update(machines=0, cig=0)
@@ -771,14 +776,18 @@ def test_jacobians_take_one_residual_pass_per_group(case, call_counts, control, 
 
 
 def test_jacobian_structure_is_built_once_across_load_steps(case, monkeypatch):
-    """91 load changes, each followed by a Jacobian build: one structure.
-    Every event drops the Jacobian after 10 steps, fewer than a build costs
-    in residual passes, so the contraction rule adds no build between
-    events: beyond the first, at most a few in the 0.5 s tail."""
+    """91 load changes, each followed by a Jacobian build: one structure,
+    whose colouring is looked up once (`_colouring` is counted on every
+    call, so a colouring cached by an earlier model counts too).  Events
+    are 10 steps apart, and the contraction rule drops a Jacobian only
+    after it has served more steps than a build adds residual passes (9):
+    at the 10th step, when the next event's re-solve builds one anyway.
+    So it adds no build between events: beyond the first, at most a few
+    in the 0.5 s tail."""
     builds = []
-    groups = gridfreq.dae._column_groups
-    monkeypatch.setattr(gridfreq.dae, "_column_groups",
-                        lambda pattern: builds.append(1) or groups(pattern))
+    colouring = gridfreq.dae._colouring
+    monkeypatch.setattr(gridfreq.dae, "_colouring",
+                        lambda bits, shape: builds.append(1) or colouring(bits, shape))
     rng = random.Random(0)
     level = {b: 1.0 for b in (5, 6, 8)}
     ev = []
@@ -791,6 +800,53 @@ def test_jacobian_structure_is_built_once_across_load_steps(case, monkeypatch):
     assert ts.stats["resolves"] == 91
     assert 91 < ts.stats["jacobian_builds"] <= ts.stats["resolves"] + 3
     assert len(builds) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=hst.integers(1, 40), cols=hst.integers(1, 40), density=hst.floats(0.0, 0.3),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_column_groups_partition_the_columns_into_disjoint_row_sets(rows, cols, density, seed):
+    """On random sparse patterns, `_column_groups` is a partition of the
+    columns into nonempty groups whose columns touch disjoint rows, so it
+    has at least as many groups as the densest row has entries."""
+    pattern = np.random.default_rng(seed).random((rows, cols)) < density
+    groups = gridfreq.dae._column_groups(pattern)
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(cols))
+    assert all(g.size and pattern[:, g].sum(axis=1).max() <= 1 for g in groups)
+    assert len(groups) >= pattern.sum(axis=1).max()
+
+
+def test_models_of_one_layout_share_one_read_only_colouring(case):
+    """The colouring is computed once per pattern: another model of the
+    same layout gets the very groups and group_of, read-only, so that no
+    model can change another's."""
+    first = build_system(case, "cig_omega_tilde", k=1.2)[0].jacobian_structure()
+    second = build_system(case, "cig_omega", k=0.5)[0].jacobian_structure()
+    assert second[0] is not first[0] and np.array_equal(second[0], first[0])
+    assert second[1] is first[1] and second[2] is first[2]
+    assert not first[2].flags.writeable
+    assert not any(g.flags.writeable for g in first[1])
+
+
+def test_simulate_refuses_a_method_patched_on_the_model(case, monkeypatch):
+    """A wrapper stored on the model instance would be carried into the
+    run's shallow copy still bound to the caller's model, whose network
+    never sees the events: the 50 % load loss would leave omega_coi at
+    1.0.  The run refuses it, naming it; the same wrapper on the class
+    sees the load loss."""
+    model, st = build_system(case, "no_cig")
+    residual = model.residual
+    model.residual = lambda x, y: residual(x, y)
+    events = [Event(0.1, LoadScale(bus=5, factor=0.5))]
+    with pytest.raises(ValueError, match="'residual'.*patch the class"):
+        simulate(model, st, events, t_end=0.6, h=0.01, channels=["omega_coi"])
+    del model.residual
+    passes = []
+    residual = SystemModel.residual
+    monkeypatch.setattr(SystemModel, "residual",
+                        lambda self, x, y: passes.append(1) or residual(self, x, y))
+    ts = simulate(model, st, events, t_end=0.6, h=0.01, channels=["omega_coi"])
+    assert ts["omega_coi"][-1] > 1.01 and len(passes) == ts.stats["residual_passes"]
 
 
 # ---------------------------------------------------------------------------

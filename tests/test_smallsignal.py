@@ -147,6 +147,31 @@ def test_eigensolve_rejects_a_wrong_eigenpair(monkeypatch):
         eigensolve(_lm(np.diag([-1.0, -2.0, -3.0])))
 
 
+def tied_spectra():
+    """State matrices whose keys (real part, |imaginary part|) tie: repeated
+    real eigenvalues, conjugate pairs, pairs of one real part; and a
+    random one."""
+    rot = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    yield np.diag([-1.0, -2.0, -1.0, 0.0, -2.0])
+    yield scipy.linalg.block_diag(rot, -1.0, 1.5 * rot + 0.5 * np.eye(2), rot, [[-1.0]])
+    yield np.random.default_rng(3).normal(size=(12, 12))
+
+
+@pytest.mark.parametrize("a", tied_spectra())
+def test_eigensolve_orders_the_modes_as_the_keyed_sort(a):
+    """The modes come in the order of a stable sort of eig's pairs on the
+    key (real part, |imaginary part|), tied pairs in eig's order, with the
+    eigenvalue a Python complex and the right vector eig's column, bitwise."""
+    w, vr = scipy.linalg.eig(a, left=False, right=True)
+    order = sorted(range(len(w)), key=lambda i: (complex(w[i]).real, abs(complex(w[i]).imag)))
+    modes = eigensolve(_lm(a))
+    assert len(modes) == len(order)
+    for m, i in zip(modes, order):
+        assert type(m.eigenvalue) is complex
+        assert np.array([m.eigenvalue]).tobytes() == w[i:i + 1].tobytes()
+        assert m.right.tobytes() == vr[:, i].tobytes()
+
+
 def test_modes_come_in_conjugate_pairs(wscc):
     model, st = wscc
     w = np.array([m.eigenvalue for m in eigensolve(linearize(model, st))])
@@ -263,13 +288,14 @@ def test_vectorized_sweep_and_shapes_match_the_loop_references(wscc, wscc_mode):
 
 def test_linearize_and_k_sweep_share_one_reduction(wscc, call_counts):
     """`linearize` is the equilibrium check plus two passes per column group;
-    `k_sweep` on the mode it gave adds only its own equilibrium check."""
+    `k_sweep` on the mode it gave adds no pass: it reuses the rows, and
+    that linearization checked the point."""
     model, st = wscc
     groups = model.jacobian_structure()[1]
     call_counts.update(machines=0, cig=0)
     mode = identify_frequency_mode(eigensolve(linearize(model, st)))
     k_sweep(model, st, mode, np.arange(-10, 61) / 20.0)
-    assert call_counts["machines"] == 2 * len(groups) + 2
+    assert call_counts["machines"] == 2 * len(groups) + 1
 
 
 def test_k_sweep_reuses_the_rows_of_a_fresh_linearization(wscc, wscc_mode):
@@ -313,8 +339,8 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, wscc_mode, call_coun
                                                       source):
     """`k_sweep` recomputes no rows: it sweeps those of its mode's
     linearization, taken from the same model at bitwise the same [x; y],
-    and rejects any other mode with ValueError after its equilibrium check
-    (one residual pass, all a sweep at the same point costs).  The nudged
+    and rejects any other mode with ValueError, taking no residual pass
+    (that linearization checked the point).  The nudged
     point is still an equilibrium within tolerance, and the other model has
     bitwise the same [x; y].  A built model never changes: an in-place edit
     of a machine's T'd0 or of the converter's gains raises, and a model
@@ -351,7 +377,7 @@ def test_k_sweep_recomputes_rows_linearized_elsewhere(wscc, wscc_mode, call_coun
     else:
         with pytest.raises(ValueError, match=r"take it from eigensolve\(linearize\(model, eq\)\)"):
             k_sweep(model, eq, mode, grid)
-    assert call_counts["machines"] == 1
+    assert call_counts["machines"] == 0
 
 
 def test_a_run_leaves_the_model_and_its_linearizations_alone():
@@ -410,7 +436,8 @@ def test_output_rows_reject_non_equilibrium(wscc, wscc_mode):
     off.x[1] += 1e-3
     with pytest.raises(ValueError, match="not an equilibrium"):
         linearize(model, off)
-    with pytest.raises(ValueError, match="not an equilibrium"):
+    # no mode can have been linearized there: the point check rejects it
+    with pytest.raises(ValueError, match="not linearized from this model at eq"):
         k_sweep(model, off, wscc_mode, np.array([0.0, 1.0]))
 
 

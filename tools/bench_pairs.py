@@ -23,7 +23,11 @@ per accepted step and per residual pass of one repetition (us), also on
 the printed line.  The same pass saves every output of every operation:
 `outputs` holds each side's sha-256 digest of each, and the largest
 absolute deviation of each output whose digests differ, summed up on a
-second printed line.
+second printed line.  The CLI's own tables are checked the same way, once
+per side: `ksweep.csv` of `gridfreq ksweep` and `timeseries.csv` of
+`gridfreq run --scenario demos/scenario_load_loss.json`, each written into
+a temporary `--out`; `cli_tables` holds each side's sha-256 of each file
+and, where they differ, the largest absolute deviation of each column.
 
 The result goes to BENCH_<short change sha>.json at the repo root.  When
 that file already holds the same two commits, a run with another seed is
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -94,6 +99,11 @@ print(json.dumps(out))
 """
 
 
+# the CLI's tables: file -> the `python3 -m gridfreq` arguments that write it
+CLI_TABLES = {"ksweep.csv": ["ksweep"],
+              "timeseries.csv": ["run", "--scenario", "demos/scenario_load_loss.json"]}
+
+
 def resolve_commit(rev: str) -> str:
     return subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
                           check=True, capture_output=True, text=True).stdout.strip()
@@ -149,6 +159,46 @@ def compare_outputs(parent: dict[str, np.ndarray], change: dict[str, np.ndarray]
         same_shape = k in parent and k in change and parent[k].shape == change[k].shape
         max_abs_dev[k] = (float(np.max(np.abs(change[k] - parent[k]), initial=0.0))
                           if same_shape else None)
+    return {"bitwise_equal": not max_abs_dev, "max_abs_dev": max_abs_dev, "sha256": digests}
+
+
+def cli_tables(checkout: Path) -> dict[str, bytes]:
+    """The bytes of each of `CLI_TABLES`, written by the CLI of checkout
+    into a temporary output directory."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    tables = {}
+    for name, args in CLI_TABLES.items():
+        with tempfile.TemporaryDirectory(prefix="bench_pairs_cli_") as out:
+            subprocess.run([sys.executable, "-m", "gridfreq", *args, "--out", out],
+                           cwd=checkout, env=env, check=True, capture_output=True)
+            tables[name] = (Path(out) / name).read_bytes()
+    return tables
+
+
+def csv_columns(name: str, text: bytes) -> dict[str, np.ndarray]:
+    """The columns of a CLI table (a header line of names over rows of
+    numbers), by "<file>/<column>"."""
+    header = text.splitlines()[0].decode().split(",")
+    values = np.loadtxt(io.BytesIO(text), delimiter=",", skiprows=1, ndmin=2)
+    return {f"{name}/{col}": values[:, k] for k, col in enumerate(header)}
+
+
+def compare_tables(parent: dict[str, bytes], change: dict[str, bytes]) -> dict:
+    """Each side's sha-256 of each table file, whether all of them are
+    equal, and, for each file whose digests differ, the largest deviation
+    of each of its columns by `compare_outputs` (0.0 for the file when its
+    values are equal, None where it is missing on one side)."""
+    digests = {side: {k: hashlib.sha256(v).hexdigest() for k, v in tables.items()}
+               for side, tables in (("parent", parent), ("change", change))}
+    max_abs_dev = {}
+    for k in sorted(parent.keys() | change.keys()):
+        if digests["parent"].get(k) == digests["change"].get(k):
+            continue
+        if k in parent and k in change:
+            devs = compare_outputs(csv_columns(k, parent[k]), csv_columns(k, change[k]))
+            max_abs_dev.update(devs["max_abs_dev"] or {k: 0.0})
+        else:
+            max_abs_dev[k] = None
     return {"bitwise_equal": not max_abs_dev, "max_abs_dev": max_abs_dev, "sha256": digests}
 
 
@@ -238,7 +288,9 @@ def summary_line(workload: str, metrics: dict, costs: dict) -> str:
     return f"{workload}: " + "; ".join(parts)
 
 
-def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int) -> dict:
+def run_pairs(shas: dict[str, str], workloads: list[str], seed: int,
+              pairs: int) -> tuple[dict, dict]:
+    """(the record of each workload, `compare_tables` of the CLI's tables)."""
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts = {side: extract(sha, Path(tmp) / side) for side, sha in shas.items()}
         result = {}
@@ -266,7 +318,9 @@ def run_pairs(shas: dict[str, str], workloads: list[str], seed: int, pairs: int)
                                     if r["details"]["max_dev"]["value"] is not None),
                                    default=None) for s in runs},
                 "stats": {s: {w: stats[s]} for s in runs}}
-        return result
+        tables = compare_tables(*(cli_tables(checkouts[s]) for s in ("parent", "change")))
+        print(outputs_line("cli", tables))
+        return result, tables
 
 
 def host() -> str:
@@ -298,7 +352,7 @@ def main(argv=None) -> int:
               "time. Times are the benchmark's scaled seconds (host-speed corrected), "
               "medians of one run's repetitions; the per-workload summaries are over "
               "the runs of each side.")
-    result = run_pairs(shas, workloads, args.seed, args.pairs)
+    result, tables = run_pairs(shas, workloads, args.seed, args.pairs)
 
     doc = json.loads(out.read_text()) if out.exists() else {}
     if doc.get("parent") != shas["parent"] or doc.get("change") != shas["change"]:
@@ -309,6 +363,7 @@ def main(argv=None) -> int:
         section = doc.setdefault("other_seeds", {}).setdefault(
             str(args.seed), {"method": method, "workloads": {}})
     section["workloads"].update(result)
+    section["cli_tables"] = tables
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
