@@ -301,12 +301,6 @@ def _read_pairs(names: tuple[str, ...], reads: tuple[tuple[str, tuple[str, ...]]
     return np.array(rows), np.array(cols)
 
 
-def _bitmasks(rows: np.ndarray) -> list[int]:
-    """Each row of a bool matrix as a Python int, bit k set for column k."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(bits.tobytes(), "little") for bits in packed]
-
-
 def _column_groups(pattern: np.ndarray) -> list[np.ndarray]:
     """Greedy first-fit partition of the columns of pattern into groups
     whose columns touch disjoint rows, the columns taken in smallest-last
@@ -314,31 +308,22 @@ def _column_groups(pattern: np.ndarray) -> list[np.ndarray]:
     share a row): the column of least degree among those left is removed
     last-coloured-first, so a column meets few coloured neighbours (Matula
     & Beck, J. ACM 1983; Coleman & More, SIAM J. Numer. Anal. 1983).  Row
-    and column sets are Python-int bitmasks; each group is sorted."""
-    rows_of = _bitmasks(pattern.T)
-    cols_of = _bitmasks(pattern)
-    # the columns of each row a column touches, OR-ed over its set bits
-    # (a bool matmul would page in 128 kB of numpy's kernels for this)
-    neighbours = []
-    for col, rows in enumerate(rows_of):
-        near = 0
-        while rows:
-            low = rows & -rows
-            near |= cols_of[low.bit_length() - 1]
-            rows ^= low
-        neighbours.append(near & ~(1 << col))
-    remaining = list(range(len(rows_of)))
-    left = (1 << len(rows_of)) - 1
+    sets are Python-int bitmasks; each group is sorted."""
+    n = pattern.shape[1]
+    adjacent = pattern.T.astype(np.intp) @ pattern > 0
+    np.fill_diagonal(adjacent, False)
+    degree = adjacent.sum(axis=1)
     order = []
-    while remaining:
-        col = min(remaining, key=lambda c: (neighbours[c] & left).bit_count())
-        remaining.remove(col)
-        left ^= 1 << col
+    for _ in range(n):
+        col = int(np.argmin(degree))
         order.append(col)
+        degree -= adjacent[col]
+        degree[col] = 2 * n   # removed: above any degree left
+    packed = np.packbits(pattern.T, axis=1, bitorder="little")
     taken: list[int] = []
     members: list[list[int]] = []
     for col in reversed(order):
-        mask = rows_of[col]
+        mask = int.from_bytes(packed[col].tobytes(), "little")
         for k, rows in enumerate(taken):
             if not rows & mask:
                 taken[k] = rows | mask

@@ -167,10 +167,9 @@ def eigensolve(lm: LinearModel) -> list[Mode]:
     rotate = np.where(nonzero, np.exp(-1j * np.angle(shapes[lead, cols])), 1.0)
     shapes = shapes * rotate / np.where(nonzero, peak, 1.0)
     # by real part, then |imaginary part|; stable, so a conjugate pair
-    # keeps the order eig gave it.  A Python sort: a process's first numpy
-    # sort pages in 128 kB of sort kernels, which shows in peak RSS
+    # keeps the order eig gave it
+    order = np.lexsort((np.abs(w.imag), w.real)).tolist()
     values, right, shapes = w.tolist(), vr.T, shapes.T
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, abs(values[i].imag)))
     return [Mode(eigenvalue=values[i], right=right[i], speed_shape=shapes[i],
                  linear_model=lm) for i in order]
 

@@ -141,3 +141,23 @@ def test_compare_tables_digests_each_file_and_measures_the_columns_that_differ(
     assert bench_pairs.compare_tables(parent, spaced)["max_abs_dev"] == {"ksweep.csv": 0.0}
     assert bench_pairs.outputs_line("cli", diff) == (
         "cli outputs: max abs dev ksweep.csv n/a, timeseries.csv/omega_coi 2e-11")
+
+
+def test_cli_tables_leave_out_a_table_whose_run_fails(bench_pairs, tmp_path):
+    """A checkout whose `ksweep` exits nonzero: its table is left out and
+    the other is kept, so the comparison records it as missing on that
+    side instead of the whole record being lost."""
+    package = tmp_path / "src" / "gridfreq"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(
+        "import sys, pathlib\n"
+        "args = sys.argv[1:]\n"
+        "if args[0] == 'ksweep':\n"
+        "    sys.exit(2)\n"
+        "out = pathlib.Path(args[args.index('--out') + 1])\n"
+        "(out / 'timeseries.csv').write_text('t,omega_coi\\n0.0,1.0\\n')\n")
+    tables = bench_pairs.cli_tables(tmp_path)
+    assert tables == {"timeseries.csv": b"t,omega_coi\n0.0,1.0\n"}
+    parent = {**tables, "ksweep.csv": b"k,ratio\n0.0,1.0\n"}
+    assert bench_pairs.compare_tables(parent, tables)["max_abs_dev"] == {"ksweep.csv": None}

@@ -24,10 +24,14 @@ the printed line.  The same pass saves every output of every operation:
 `outputs` holds each side's sha-256 digest of each, and the largest
 absolute deviation of each output whose digests differ, summed up on a
 second printed line.  The CLI's own tables are checked the same way, once
-per side: `ksweep.csv` of `gridfreq ksweep` and `timeseries.csv` of
-`gridfreq run --scenario demos/scenario_load_loss.json`, each written into
-a temporary `--out`; `cli_tables` holds each side's sha-256 of each file
-and, where they differ, the largest absolute deviation of each column.
+per side before the timed pairs: `ksweep.csv` of `gridfreq ksweep` and
+`timeseries.csv` of `gridfreq run --scenario demos/scenario_load_loss.json`,
+each written into a temporary `--out`; `cli_tables`, at the top of the
+document, holds each side's sha-256 of each file and, where they differ,
+the largest absolute deviation of each column.  A table whose CLI run
+fails is missing on that side (its deviation reads None).  They do not
+depend on the seed, so a run that finds them in the document for the same
+two commits does not run the CLI again.
 
 The result goes to BENCH_<short change sha>.json at the repo root.  When
 that file already holds the same two commits, a run with another seed is
@@ -164,14 +168,20 @@ def compare_outputs(parent: dict[str, np.ndarray], change: dict[str, np.ndarray]
 
 def cli_tables(checkout: Path) -> dict[str, bytes]:
     """The bytes of each of `CLI_TABLES`, written by the CLI of checkout
-    into a temporary output directory."""
+    into a temporary output directory; a table whose run exits nonzero or
+    does not write it is left out, with a note on stderr."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     tables = {}
     for name, args in CLI_TABLES.items():
         with tempfile.TemporaryDirectory(prefix="bench_pairs_cli_") as out:
-            subprocess.run([sys.executable, "-m", "gridfreq", *args, "--out", out],
-                           cwd=checkout, env=env, check=True, capture_output=True)
-            tables[name] = (Path(out) / name).read_bytes()
+            proc = subprocess.run([sys.executable, "-m", "gridfreq", *args, "--out", out],
+                                  cwd=checkout, env=env, capture_output=True, text=True)
+            table = Path(out) / name
+            if proc.returncode == 0 and table.exists():
+                tables[name] = table.read_bytes()
+            else:
+                print(f"{checkout.name}: no {name} (gridfreq {args[0]} exit "
+                      f"{proc.returncode}) {proc.stderr.strip()[-200:]}", file=sys.stderr)
     return tables
 
 
@@ -288,39 +298,35 @@ def summary_line(workload: str, metrics: dict, costs: dict) -> str:
     return f"{workload}: " + "; ".join(parts)
 
 
-def run_pairs(shas: dict[str, str], workloads: list[str], seed: int,
-              pairs: int) -> tuple[dict, dict]:
-    """(the record of each workload, `compare_tables` of the CLI's tables)."""
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        checkouts = {side: extract(sha, Path(tmp) / side) for side, sha in shas.items()}
-        result = {}
-        for w in workloads:
-            runs = {"parent": [], "change": []}
-            for i in range(1, pairs + 1):
-                order = ("parent", "change") if i % 2 else ("change", "parent")
-                for side in order:
-                    runs[side].append(bench_run(checkouts[side], w, seed))
-                print(f"{w} pair {i}/{pairs}: " + ", ".join(
-                    f"{s} {runs[s][-1]['result']['metrics']['wall_s']['value']:.4g} s"
-                    for s in order), file=sys.stderr)
-            metrics = compare(runs)
-            passes = {s: untimed_pass(checkouts[s], w, seed) for s in runs}
-            stats = {s: passes[s][0] for s in runs}
-            outputs = compare_outputs(passes["parent"][1], passes["change"][1])
-            costs = {s: unit_costs(metrics["wall_s"][s]["median"], stats[s]) for s in runs}
-            print(summary_line(w, metrics, costs))
-            print(outputs_line(w, outputs))
-            result[w] = {
-                "pairs": pairs, "metrics": metrics, "unit_costs": costs, "outputs": outputs,
-                "fail_frac": {s: statistics.fmean(r["details"]["fail_frac"]["value"]
-                                                  for r in runs[s]) for s in runs},
-                "max_dev": {s: max((r["details"]["max_dev"]["value"] for r in runs[s]
-                                    if r["details"]["max_dev"]["value"] is not None),
-                                   default=None) for s in runs},
-                "stats": {s: {w: stats[s]} for s in runs}}
-        tables = compare_tables(*(cli_tables(checkouts[s]) for s in ("parent", "change")))
-        print(outputs_line("cli", tables))
-        return result, tables
+def run_pairs(checkouts: dict[str, Path], workloads: list[str], seed: int,
+              pairs: int) -> dict:
+    """The record of each workload."""
+    result = {}
+    for w in workloads:
+        runs = {"parent": [], "change": []}
+        for i in range(1, pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            for side in order:
+                runs[side].append(bench_run(checkouts[side], w, seed))
+            print(f"{w} pair {i}/{pairs}: " + ", ".join(
+                f"{s} {runs[s][-1]['result']['metrics']['wall_s']['value']:.4g} s"
+                for s in order), file=sys.stderr)
+        metrics = compare(runs)
+        passes = {s: untimed_pass(checkouts[s], w, seed) for s in runs}
+        stats = {s: passes[s][0] for s in runs}
+        outputs = compare_outputs(passes["parent"][1], passes["change"][1])
+        costs = {s: unit_costs(metrics["wall_s"][s]["median"], stats[s]) for s in runs}
+        print(summary_line(w, metrics, costs))
+        print(outputs_line(w, outputs))
+        result[w] = {
+            "pairs": pairs, "metrics": metrics, "unit_costs": costs, "outputs": outputs,
+            "fail_frac": {s: statistics.fmean(r["details"]["fail_frac"]["value"]
+                                              for r in runs[s]) for s in runs},
+            "max_dev": {s: max((r["details"]["max_dev"]["value"] for r in runs[s]
+                                if r["details"]["max_dev"]["value"] is not None),
+                               default=None) for s in runs},
+            "stats": {s: {w: stats[s]} for s in runs}}
+    return result
 
 
 def host() -> str:
@@ -352,18 +358,22 @@ def main(argv=None) -> int:
               "time. Times are the benchmark's scaled seconds (host-speed corrected), "
               "medians of one run's repetitions; the per-workload summaries are over "
               "the runs of each side.")
-    result, tables = run_pairs(shas, workloads, args.seed, args.pairs)
-
     doc = json.loads(out.read_text()) if out.exists() else {}
     if doc.get("parent") != shas["parent"] or doc.get("change") != shas["change"]:
         doc = {**shas, "method": method, "host": host(), "seed": args.seed,
                "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        checkouts = {side: extract(sha, Path(tmp) / side) for side, sha in shas.items()}
+        if "cli_tables" not in doc:
+            doc["cli_tables"] = compare_tables(*(cli_tables(checkouts[s])
+                                                 for s in ("parent", "change")))
+            print(outputs_line("cli", doc["cli_tables"]))
+        result = run_pairs(checkouts, workloads, args.seed, args.pairs)
     section = doc
-    if doc.get("seed", 0) != args.seed:
+    if doc["seed"] != args.seed:
         section = doc.setdefault("other_seeds", {}).setdefault(
             str(args.seed), {"method": method, "workloads": {}})
     section["workloads"].update(result)
-    section["cli_tables"] = tables
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
