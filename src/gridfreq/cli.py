@@ -22,7 +22,7 @@ current directory.  Each command writes a ``manifest.json`` recording the
 resolved scenario (defaults, file and flags merged, events included: a
 scenario file that reruns it), its SHA-256 digest, so two runs share a
 digest exactly when they ran the same scenario, however it was given, and
-the versions of gridfreq, numpy, scipy and Python.  Bad input (a scenario
+the versions of gridfreq, numpy and Python.  Bad input (a scenario
 or an event that is not an object or has a field of the wrong type or an
 unknown one; a number that is not an int or a float, or is a bool, NaN
 or infinite, ``k``, ``t_end``, ``h``, ``output_dt`` and the ``t``,
@@ -52,7 +52,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .casefile import Case, CaseParseError, load_bundled_case, parse_case
@@ -202,7 +201,7 @@ def _write_manifest(out: Path, command: str, sc: Scenario, extra: dict) -> None:
         "scenario_sha256": sc.digest,
         "scenario": sc.document,
         "versions": {"gridfreq": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__, "python": platform.python_version()},
+                     "python": platform.python_version()},
     }
     doc.update(extra)
     (out / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")

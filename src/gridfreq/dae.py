@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from . import cig as cigmod
 from . import machines as smmod
@@ -265,21 +263,6 @@ class SystemModel:
         r[self.n_x:] -= self._y_real @ y
         return r, outputs
 
-    def f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Differential residual: the f part of `residual`."""
-        return self.residual(x, y)[0][: self.n_x]
-
-    def g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Algebraic residual (nodal current balance): the g part of `residual`."""
-        return self.residual(x, y)[0][self.n_x:]
-
-    # -- algebraic solve ---------------------------------------------------
-
-    def solve_algebraic(self, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
-        """y with g(x, y) = 0 for fixed x, from y0: a fresh integrator's
-        `TrapezoidalIntegrator.resolve`.  Raises StepError when Newton fails."""
-        return TrapezoidalIntegrator(self).resolve(SystemState(x, y0, 0.0)).y
-
 
 @functools.lru_cache(maxsize=8)
 def _read_pairs(names: tuple[str, ...], reads: tuple[tuple[str, tuple[str, ...]], ...],
@@ -479,8 +462,8 @@ class TrapezoidalIntegrator:
     """Implicit trapezoidal stepper with a cached finite-difference Jacobian.
 
     Each Newton iterate costs one `SystemModel.residual` pass and one
-    LAPACK `getrs` solve on the cached LU factors.  Newton starts from an
-    extrapolation of the last k <= 5 accepted points (`_HISTORY`) when
+    product with the cached inverse of the step Jacobian.  Newton starts
+    from an extrapolation of the last k <= 5 accepted points (`_HISTORY`) when
     k >= 2 and they are steps of the same h taken one after the other
     since the last `resolve`: the polynomial of degree k - 1 through them,
     one formula for every k (`_PREDICTOR_WEIGHTS`), so a quartic once five
@@ -491,9 +474,9 @@ class TrapezoidalIntegrator:
     with none; a step from (x, y) of those values reuses its f as f0 and,
     at that h, its history; `simulate` records its outputs; `resolve`
     clears it.  The history is one stacked (k, n) array of the points,
-    oldest first, so the predictor is one matmul on it.  The LU factors,
-    for the h of the last step: cleared only where a Jacobian is built,
-    refactored for another h.
+    oldest first, so the predictor is one matmul on it.  The inverse of
+    the step Jacobian, for the h of the last step: cleared only where a
+    Jacobian is built, inverted again for another h.
 
     The Jacobian is kept across steps (chord Newton).  From the ratio of
     the last two updates of a step, theta = |dz_k| / |dz_k-1|, the residual
@@ -508,8 +491,10 @@ class TrapezoidalIntegrator:
 
     `stats` counts what the integrator did: accepted steps (halves of a
     halved step each count), Newton iterations (linear solves), Jacobian
-    builds, LU factorizations, step halvings, network re-solves, residual
-    passes (Jacobian builds and cache misses of `evaluate` included),
+    builds, inversions of the step Jacobian (`lu_factorizations`: each is
+    one LU factorization inside LAPACK `gesv`), step halvings, network
+    re-solves, residual passes (Jacobian builds and cache misses of
+    `evaluate` included),
     `newton_histogram`, the accepted steps counted by the solves each took,
     and `max_residual`, the largest final max |residual| of an accepted
     step or re-solve.
@@ -522,7 +507,7 @@ class TrapezoidalIntegrator:
     def __init__(self, model: SystemModel):
         self.model = model
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
-        self._lu = None        # (h, LU factors of the step Jacobian for h)
+        self._inv = None       # (h, inverse of the step Jacobian for h)
         self._jac_steps = 0    # steps accepted on _jfull
         self._n_groups = len(model.jacobian_structure()[1])   # passes a build adds
         self._last = None      # (bytes of [x; y], f, outputs there, h of the step
@@ -533,9 +518,10 @@ class TrapezoidalIntegrator:
                       "residual_passes": 0, "newton_histogram": {}, "max_residual": 0.0}
 
     def _factor(self, z: np.ndarray, h: float, r0: np.ndarray):
-        """LU factors of the step Jacobian, or None if d[f; g]/d[x; y] is not
-        finite.  A Jacobian built here is differenced from r0, [f; g] at z:
-        the pass of Newton's first iterate, so a build adds len(groups)."""
+        """Inverse of the step Jacobian, or None if d[f; g]/d[x; y] is not
+        finite or the step Jacobian is singular.  A Jacobian built here is
+        differenced from r0, [f; g] at z: the pass of Newton's first
+        iterate, so a build adds len(groups)."""
         m = self.model
         if self._jfull is None:
             self.stats["jacobian_builds"] += 1
@@ -545,14 +531,16 @@ class TrapezoidalIntegrator:
                 return None
             self._jfull = jfull
             self._jac_steps = 0
-            self._lu = None
-        if self._lu is None or self._lu[0] != h:
+            self._inv = None
+        if self._inv is None or self._inv[0] != h:
             jac = np.vstack([-0.5 * h * self._jfull[: m.n_x], self._jfull[m.n_x:]])
             jac[: m.n_x, : m.n_x] += np.eye(m.n_x)
             self.stats["lu_factorizations"] += 1
-            # finite, since jfull is: the check above
-            self._lu = (h, scipy.linalg.lu_factor(jac, check_finite=False))
-        return self._lu[1]
+            try:
+                self._inv = (h, np.linalg.inv(jac))
+            except np.linalg.LinAlgError:
+                return None
+        return self._inv[1]
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         """(f, outputs) of `SystemModel.residual` at (x, y), from the cache
@@ -568,8 +556,8 @@ class TrapezoidalIntegrator:
         """[x; y] at t + h, or None when Newton fails.
 
         A non-finite iterate, residual or Jacobian is a failure, as is a
-        nonzero `getrs` info or a residual still above tol after one
-        Jacobian refresh.  Each attempt factors the step Jacobian after the
+        singular step Jacobian or a residual still above tol after one
+        Jacobian refresh.  Each attempt inverts the step Jacobian after the
         residual pass of its first iterate, which is the base of a Jacobian
         built there.  f0 only enters as h f0, so at h = 0 (`resolve`)
         it is not evaluated, and the step history is neither read nor
@@ -608,12 +596,11 @@ class TrapezoidalIntegrator:
                 stats["residual_passes"] += 1
                 r, outputs = m.residual(x, z[n_x:])
                 if not it:
-                    # factored before the convergence test, so that a start
+                    # inverted before the convergence test, so that a start
                     # accepted at once still builds the Jacobian it lacks
-                    factors = self._factor(z, h, r)
-                    if factors is None:
+                    inv = self._factor(z, h, r)
+                    if inv is None:
                         return None
-                    lu, piv = factors
                 f = r[:n_x].copy()   # for the cache: r becomes [x - base - hh f; g]
                 rx = np.subtract(x, base, out=r[:n_x])
                 rx -= hh * f
@@ -634,10 +621,7 @@ class TrapezoidalIntegrator:
                     r1 = worst
                 if it < self.max_iter:
                     stats["newton_iterations"] += 1
-                    # r is finite: the check just above
-                    dz, info = lapack.dgetrs(lu, piv, r)
-                    if info:
-                        return None
+                    dz = inv @ r
                     size = dz @ dz
                     if not size < math.inf:
                         return None
@@ -682,8 +666,8 @@ class TrapezoidalIntegrator:
 
         This is the step at h = 0: its residual is [x - x0; g] and its
         Jacobian [[I, 0], [g_x, g_y]], so x moves only by the rounding of the
-        pivoted solve (below 1e-16); the returned state carries a copy of the
-        given x, so x is held bitwise.  Newton starts on the Jacobian of
+        product with its inverse (below 1e-16); the returned state carries a
+        copy of the given x, so x is held bitwise.  Newton starts on the Jacobian of
         the last step (chord Newton converges on the true residual) and
         refreshes it if that stalls.  It clears the last-point record, which
         the accepted point starts afresh, and drops the Jacobian unless the
@@ -804,7 +788,7 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
                 rem = t_stop - state.t
                 if abs(rem - h) <= 1e-6 * h:
                     # the rounding of the time grid: step exactly h, so
-                    # every full step shares one LU factorization
+                    # every full step shares one inverse
                     state = integ.step(state, h)
                     break
                 state = integ.step(state, min(rem, h))

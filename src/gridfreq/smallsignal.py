@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .cig import modified_signal
 from .complex_frequency import ParkVector, eta_of
@@ -148,7 +147,9 @@ def eigensolve(lm: LinearModel) -> list[Mode]:
     a = lm.a_sys
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries in the state matrix")
-    w, vr = scipy.linalg.eig(a, left=False, right=True)
+    w, vr = np.linalg.eig(a)
+    # a real spectrum comes back as float: each Mode holds a complex eigenvalue
+    w = w.astype(complex, copy=False)
     scale = max(np.linalg.norm(a, ord="fro"), 1.0)
     res = np.linalg.norm(a @ vr - vr * w, axis=0) / np.linalg.norm(vr, axis=0)
     bad = np.flatnonzero(res > _EIG_RESIDUAL_TOL * scale)

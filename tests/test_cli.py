@@ -3,13 +3,16 @@ manifests, and exit codes."""
 
 import hashlib
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import gridfreq
 import gridfreq.cli
@@ -168,8 +171,18 @@ def test_pf_bad_tolerance_exits_2(tmp_path, monkeypatch, capsys, tol):
 
 def assert_versions(man):
     assert man["versions"] == {"gridfreq": gridfreq.__version__, "numpy": np.__version__,
-                               "scipy": scipy.__version__,
                                "python": platform.python_version()}
+
+
+def test_the_cli_loads_no_scipy():
+    """numpy is the only run-time dependency: a fresh process that imports
+    the CLI, and with it the package, loads no scipy module."""
+    code = ("import sys, gridfreq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(gridfreq.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_pf_broken_case_nonzero_exit(tmp_path, monkeypatch, capsys):

@@ -9,8 +9,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -292,8 +290,6 @@ def test_f_and_g_are_the_parts_of_residual(case):
     y[3] -= 1e-3
     r, outputs = model.residual(x, y)
     assert r.shape == (model.n_x + 2 * model.n_bus,)
-    assert np.array_equal(model.f(x, y), r[: model.n_x])
-    assert np.array_equal(model.g(x, y), r[model.n_x:])
     assert np.abs(r[: model.n_x]).max() > 0 and np.abs(r[model.n_x:]).max() > 0
     assert sorted(outputs) == ["omega_est", "omega_tilde", "p_cig", "q_cig", "rho_est"]
     assert model.residual(x, y)[1] == outputs
@@ -347,7 +343,8 @@ def test_record_reads_the_accepted_newton_outputs(case, call_counts, monkeypatch
 
 def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     """TimeSeries.stats against counted calls of the finite-difference
-    Jacobian, of LU factorization, of the getrs solve and of the residual:
+    Jacobian, of the inversion of the step Jacobian, of the product of each
+    update with that inverse and of the residual:
     the event re-solve runs through the same Newton, so every call is the
     integrator's.  The histogram holds every step, by the solves it took,
     and the worst final residual lies below Newton's tolerance.  The entry
@@ -355,9 +352,21 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     accepted step, `record` once per output row and `_machine_block` once
     per residual pass."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
-    counts = {"jacobian": 0, "lu": 0, "getrs": 0, "residual": 0, "resolve_getrs": 0,
+    counts = {"jacobian": 0, "inv": 0, "solve": 0, "residual": 0, "resolve_solve": 0,
               "step": 0, "record": 0, "machine_block": 0}
     resolve = TrapezoidalIntegrator.resolve
+    inv = np.linalg.inv
+
+    class CountedInverse(np.ndarray):
+        """An inverse that counts the updates solved with it."""
+
+        def __matmul__(self, other):
+            counts["solve"] += 1
+            return np.asarray(self) @ other
+
+    def counted_inv(a):
+        counts["inv"] += 1
+        return inv(a).view(CountedInverse)
 
     def count(owner, name, key):
         fn = getattr(owner, name)
@@ -368,17 +377,16 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(gridfreq.dae, "_fd_jacobian", "jacobian")
-    count(scipy.linalg, "lu_factor", "lu")
-    count(scipy.linalg.lapack, "dgetrs", "getrs")
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     count(SystemModel, "residual", "residual")
     count(TrapezoidalIntegrator, "step", "step")
     count(gridfreq.dae, "record", "record")
     count(SystemModel, "_machine_block", "machine_block")
 
     def counted_resolve(self, state):
-        before = counts["getrs"]
+        before = counts["solve"]
         out = resolve(self, state)
-        counts["resolve_getrs"] += counts["getrs"] - before
+        counts["resolve_solve"] += counts["solve"] - before
         return out
 
     monkeypatch.setattr(TrapezoidalIntegrator, "resolve", counted_resolve)
@@ -389,17 +397,17 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     hist = ts.stats["newton_histogram"]
     assert 0.0 < ts.stats["max_residual"] < TrapezoidalIntegrator.tol
     assert ts.stats == {"steps": steps,
-                        "newton_iterations": counts["getrs"],
+                        "newton_iterations": counts["solve"],
                         "jacobian_builds": counts["jacobian"],
-                        "lu_factorizations": counts["lu"],
+                        "lu_factorizations": counts["inv"],
                         "step_halvings": 0,
                         "resolves": 1,
                         "residual_passes": counts["residual"],
                         "newton_histogram": hist,
                         "max_residual": ts.stats["max_residual"]}
     assert sum(hist.values()) == steps and list(hist) == sorted(hist)
-    assert sum(k * n for k, n in hist.items()) == counts["getrs"] - counts["resolve_getrs"]
-    assert counts["getrs"] > 0 and counts["jacobian"] >= 2  # start, and after the event
+    assert sum(k * n for k, n in hist.items()) == counts["solve"] - counts["resolve_solve"]
+    assert counts["solve"] > 0 and counts["jacobian"] >= 2  # start, and after the event
     assert counts["step"] == steps
     assert counts["record"] == len(ts.times) == steps + 1
     assert counts["machine_block"] == counts["residual"]
@@ -561,26 +569,38 @@ def test_a_change_of_h_ends_the_step_history(case, monkeypatch):
 
 
 def test_a_non_finite_update_is_a_newton_failure(case, monkeypatch):
-    """A getrs that returns an inf update fails the Newton of that step,
-    which is then taken as two halves, with no float warning on the way."""
+    """An inverse whose first update is not finite fails the Newton of that
+    step, which is then taken as two halves, with no float warning on the way."""
     model, st = build_system(case, "no_cig")
     model._set_network(apply_event(model.net, LoadScale(bus=5, factor=0.5)))
     integ = TrapezoidalIntegrator(model)
     s = integ.resolve(st)
-    dgetrs = scipy.linalg.lapack.dgetrs
+    factor = integ._factor
     calls = []
 
-    def inf_first(lu, piv, r):
+    def inf_first(z, h, r0):
         calls.append(1)
-        dz, info = dgetrs(lu, piv, r)
-        return (np.full_like(dz, np.inf) if len(calls) == 1 else dz), info
+        inv = factor(z, h, r0)
+        return np.full_like(inv, np.inf) if len(calls) == 1 else inv
 
-    monkeypatch.setattr(gridfreq.dae.lapack, "dgetrs", inf_first)
+    monkeypatch.setattr(integ, "_factor", inf_first)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = integ.step(s, 0.01)
     assert integ.stats["step_halvings"] == 1 and integ.stats["steps"] == 2
     assert np.isfinite(s.x).all() and s.t == 0.01
+
+
+def test_a_singular_step_jacobian_is_a_step_error(case, monkeypatch):
+    """A step Jacobian that cannot be inverted fails Newton, and after 4
+    halvings the run ends in a StepError naming t and h, with no LAPACK
+    error or warning on the way."""
+    model, st = build_system(case, "no_cig")
+    monkeypatch.setattr(gridfreq.dae, "_fd_jacobian",
+                        lambda model, z0, r0: np.zeros((z0.size, z0.size)))
+    with warnings.catch_warnings(), pytest.raises(StepError, match=r"t=0\.0000s .* after 4 halvings"):
+        warnings.simplefilter("error")
+        simulate(model, st, [], t_end=0.05, h=0.01, output_dt=0.01)
 
 
 @pytest.mark.parametrize("control", CONTROLS)
@@ -934,11 +954,11 @@ def test_double_load_step_completes_or_raises_step_error(case):
             assert np.all(np.isfinite(ts["omega_coi"]))
 
 
-def test_solve_algebraic_non_finite_residual_is_a_step_error(case):
+def test_resolve_non_finite_residual_is_a_step_error(case):
     model, st = build_system(case, "no_cig")
     with warnings.catch_warnings(), pytest.raises(StepError, match=r"t=0\.0000s with h=0"):
         warnings.simplefilter("error")
-        model.solve_algebraic(st.x, np.full_like(st.y, np.nan))
+        TrapezoidalIntegrator(model).resolve(SystemState(st.x, np.full_like(st.y, np.nan), 0.0))
 
 
 # ---------------------------------------------------------------------------
