@@ -263,6 +263,21 @@ class SystemModel:
         r[self.n_x:] -= self._y_real @ y
         return r, outputs
 
+    def f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Differential residual: the f part of `residual`."""
+        return self.residual(x, y)[0][: self.n_x]
+
+    def g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Algebraic residual (nodal current balance): the g part of `residual`."""
+        return self.residual(x, y)[0][self.n_x:]
+
+    # -- algebraic solve ---------------------------------------------------
+
+    def solve_algebraic(self, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
+        """y with g(x, y) = 0 for fixed x, from y0: a fresh integrator's
+        `TrapezoidalIntegrator.resolve`.  Raises StepError when Newton fails."""
+        return TrapezoidalIntegrator(self).resolve(SystemState(x, y0, 0.0)).y
+
 
 @functools.lru_cache(maxsize=8)
 def _read_pairs(names: tuple[str, ...], reads: tuple[tuple[str, tuple[str, ...]], ...],

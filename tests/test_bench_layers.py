@@ -2,18 +2,13 @@
 
 `bench/tracing.py` reads a renamed or removed layer as absent (its
 metrics go null) rather than failing, so this check makes such a rename
-fail the test suite instead.  The layers in DELETED name entry points the
-library removed on purpose; they must read absent until the benchmark
-points them at code a run still calls.
+fail the test suite instead.
 """
 
 import importlib.util
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-# SystemModel.f, .g and .solve_algebraic: projections of SystemModel.residual
-# that no run called any more
-DELETED = ["dae.f", "dae.g", "dae.solve_algebraic"]
 
 
 def test_every_traced_layer_resolves():
@@ -22,4 +17,4 @@ def test_every_traced_layer_resolves():
     spec.loader.exec_module(tracing)
     missing = [name for name, target in tracing.LAYERS.items()
                if tracing._resolve(*target) is None]
-    assert missing == DELETED
+    assert missing == []

@@ -290,6 +290,8 @@ def test_f_and_g_are_the_parts_of_residual(case):
     y[3] -= 1e-3
     r, outputs = model.residual(x, y)
     assert r.shape == (model.n_x + 2 * model.n_bus,)
+    assert np.array_equal(model.f(x, y), r[: model.n_x])
+    assert np.array_equal(model.g(x, y), r[model.n_x:])
     assert np.abs(r[: model.n_x]).max() > 0 and np.abs(r[model.n_x:]).max() > 0
     assert sorted(outputs) == ["omega_est", "omega_tilde", "p_cig", "q_cig", "rho_est"]
     assert model.residual(x, y)[1] == outputs
@@ -954,11 +956,11 @@ def test_double_load_step_completes_or_raises_step_error(case):
             assert np.all(np.isfinite(ts["omega_coi"]))
 
 
-def test_resolve_non_finite_residual_is_a_step_error(case):
+def test_solve_algebraic_non_finite_residual_is_a_step_error(case):
     model, st = build_system(case, "no_cig")
     with warnings.catch_warnings(), pytest.raises(StepError, match=r"t=0\.0000s with h=0"):
         warnings.simplefilter("error")
-        TrapezoidalIntegrator(model).resolve(SystemState(st.x, np.full_like(st.y, np.nan), 0.0))
+        model.solve_algebraic(st.x, np.full_like(st.y, np.nan))
 
 
 # ---------------------------------------------------------------------------
