@@ -20,6 +20,7 @@ converter terminal on a synthesized bus.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -126,6 +127,17 @@ def parse_case(text: str) -> Case:
 
 
 def load_bundled_case(name: str = "wscc9") -> Case:
-    """Parse a case bundled with the package (data/<name>.case)."""
-    text = resources.files("gridfreq.data").joinpath(f"{name}.case").read_text()
-    return parse_case(text)
+    """Parse a case bundled with the package (data/<name>.case).
+
+    The text is read once per process; it is parsed on every call, so each
+    call returns a new Case that the caller may change freely.
+    """
+    return parse_case(_bundled_text(name))
+
+
+@functools.cache
+def _bundled_text(name: str) -> str:
+    """The text of data/<name>.case: the package's files do not change
+    while it runs, and reading one through `importlib.resources` costs
+    more than parsing it."""
+    return resources.files("gridfreq.data").joinpath(f"{name}.case").read_text()

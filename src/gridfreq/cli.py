@@ -28,8 +28,10 @@ unknown one; a number that is not an int or a float, or is a bool, NaN
 or infinite, ``k``, ``t_end``, ``h``, ``output_dt`` and the ``t``,
 ``factor``, ``g`` and ``b`` of an event included; an event ``bus`` that
 is not an int or is a bool; a case file that does not parse; a case
-whose dispatch cannot be initialized (``InitializationError``); a case
-without exactly one CIG record under a converter control
+whose power flow fails (``PowerFlowError``: no convergence, a singular
+Jacobian or a non-finite mismatch); a case whose dispatch cannot be
+initialized (``InitializationError``); a case without exactly one CIG
+record, or without a PV bus, under a converter control
 (``AssemblyError``); a ``run`` whose ``h``, ``output_dt`` or horizon is
 not positive; and a K grid of ``ksweep`` with a non-positive step,
 k_max < k_min or more than ``K_GRID_MAX`` gains included) and a run

@@ -395,7 +395,8 @@ def build_system(case: Case, control: str = "no_cig",
     A converter control needs exactly one CIG record in the case
     (AssemblyError otherwise).  When the converter is enabled its
     scheduled power is taken from the highest-dispatch PV unit, mirroring
-    how the bundled case accommodates the converter injection.  A
+    how the bundled case accommodates the converter injection (a case
+    without a PV bus is an AssemblyError).  A
     converter with a nonzero step-up transformer reactance x_t is placed
     on a synthesized terminal bus behind that reactance; its point of
     connection stays the bus named in the case.  freq_loop=False leaves the converter connected but opens
@@ -427,7 +428,11 @@ def build_system(case: Case, control: str = "no_cig",
         cbus = net.bus(cig_bus)
         cbus.p_gen += cp.p_ref
         cbus.q_gen += cp.q_ref
-        donor = max((b for b in net.buses if b.kind == "pv"), key=lambda b: b.p_gen)
+        pv = [b for b in net.buses if b.kind == "pv"]
+        if not pv:
+            raise AssemblyError("no PV unit can supply the converter's p_ref: "
+                                "the case has no PV bus")
+        donor = max(pv, key=lambda b: b.p_gen)
         donor.p_gen -= cp.p_ref
 
     pf = solve_power_flow(net)

@@ -1,16 +1,22 @@
 """The pairs verdict, the unit costs and the output and CLI-table
-comparisons of `tools/bench_pairs.py` on synthetic samples; no benchmark
-runs."""
+comparisons of `tools/bench_pairs.py` on synthetic samples, and one
+untimed pass of its stats script; no benchmark runs."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridfreq.casefile import load_bundled_case
 from gridfreq.cli import write_csv
+from gridfreq.dae import build_system
 
-BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +167,23 @@ def test_cli_tables_leave_out_a_table_whose_run_fails(bench_pairs, tmp_path):
     assert tables == {"timeseries.csv": b"t,omega_coi\n0.0,1.0\n"}
     parent = {**tables, "ksweep.csv": b"k,ratio\n0.0,1.0\n"}
     assert bench_pairs.compare_tables(parent, tables)["max_abs_dev"] == {"ksweep.csv": None}
+
+
+def test_stats_script_saves_each_set_up_state(bench_pairs, tmp_path):
+    """One untimed `smallsig` pass, seed 0, on this checkout: beside the
+    outputs, the .npz holds the [x; y] each operation's set-up built, the
+    nominal one equal to `build_system` on the bundled case."""
+    saved = tmp_path / "outputs.npz"
+    proc = subprocess.run([sys.executable, "-c", bench_pairs.STATS_SCRIPT, "smallsig", "0",
+                           str(saved)], cwd=ROOT, check=True, capture_output=True, text=True)
+    labels = list(json.loads(proc.stdout))
+    assert labels == ["nominal", "point1", "point2", "point3"]
+    with np.load(saved) as outputs:
+        arrays = dict(outputs)
+    for label in labels:
+        assert {f"{label}/setup_x", f"{label}/setup_y", f"{label}/ratio"} <= set(arrays)
+    _, state = build_system(load_bundled_case(), "cig_omega_tilde", freq_loop=False)
+    assert arrays["nominal/setup_x"].tobytes() == state.x.tobytes()
+    assert arrays["nominal/setup_y"].tobytes() == state.y.tobytes()
+    assert arrays["point1/setup_y"].shape == state.y.shape
+    assert arrays["point1/setup_y"].tobytes() != state.y.tobytes()

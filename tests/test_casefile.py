@@ -106,3 +106,15 @@ def test_bundled_wscc_case():
     # total scheduled load of the standard case: 3.15 + j1.15
     assert sum(b.p_load for b in net.buses) == pytest.approx(3.15)
     assert sum(b.q_load for b in net.buses) == pytest.approx(1.15)
+
+
+def test_bundled_case_calls_are_independent():
+    """The bundled text is read once, but each call parses a new Case:
+    scaling a load on one leaves the next at its base value."""
+    first = load_bundled_case()
+    first.network.bus(5).p_load *= 2.0
+    first.network.bus(5).q_load = 0.0
+    second = load_bundled_case()
+    assert second.network.bus(5).p_load == 1.25
+    assert second.network.bus(5).q_load == 0.50
+    assert second.network is not first.network

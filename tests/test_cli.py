@@ -169,6 +169,32 @@ def test_pf_bad_tolerance_exits_2(tmp_path, monkeypatch, capsys, tol):
     assert not (tmp_path / "manifest.json").exists()
 
 
+# three buses, one branch: bus 3 is isolated
+ISOLATED_BUS_CASE = """SYSTEM 100 60
+BUS 1 slack 1.0 0 0 0 0 0 0
+BUS 2 pq 1.0 0.5 0.1 0 0 0 0
+BUS 3 pq 1.0 0.2 0 0 0 0 0
+BRANCH 1 2 0.01 0.1 0 1 1
+"""
+NAN_LOAD_CASE = (ISOLATED_BUS_CASE.replace("1.0 0.2", "1.0 nan")
+                 + "BRANCH 2 3 0.01 0.1 0 1 1\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    (ISOLATED_BUS_CASE, "singular power-flow Jacobian at iteration 0"),
+    (NAN_LOAD_CASE, "non-finite power-flow mismatch nan at iteration 0"),
+], ids=["isolated_bus", "nan_load"])
+def test_pf_failing_power_flow_exits_2(tmp_path, monkeypatch, capsys, text, error):
+    """A case with an isolated PQ bus, or a NaN load, fails the power flow
+    at once: exit 2 with an error line naming the iteration."""
+    case = tmp_path / "failing.case"
+    case.write_text(text)
+    rc = run_cli(["pf", "--case", str(case)], tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def assert_versions(man):
     assert man["versions"] == {"gridfreq": gridfreq.__version__, "numpy": np.__version__,
                                "python": platform.python_version()}
@@ -357,6 +383,21 @@ def test_case_with_two_converters_exits_2(tmp_path, monkeypatch, capsys, command
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: a converter control needs one CIG record, the case has 2\n")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_converter_on_a_case_without_pv_unit_exits_2(tmp_path, monkeypatch, capsys):
+    """The bundled case with its PV buses turned to PQ under `cig_omega`:
+    no unit can give up the converter's p_ref, exit 2 naming the cause."""
+    text = resources.files("gridfreq.data").joinpath("wscc9.case").read_text()
+    case = tmp_path / "no_pv.case"
+    case.write_text(text.replace(" pv ", " pq "))
+    sc = tmp_path / "s.json"
+    sc.write_text(json.dumps({"case": str(case), "control": "cig_omega", "t_end": 1.0}))
+    rc = run_cli(["run", "--scenario", str(sc)], tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: no PV unit can supply the converter's p_ref: the case has no PV bus\n")
     assert not (tmp_path / "manifest.json").exists()
 
 

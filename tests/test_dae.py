@@ -146,6 +146,19 @@ def test_converter_control_needs_one_cig_record(n_cigs):
     build_system(case, "no_cig")
 
 
+def test_converter_control_needs_a_pv_unit():
+    """The converter's p_ref is taken from a PV unit: a case whose PV buses
+    are all PQ is an AssemblyError naming that, not max()'s ValueError."""
+    case = load_bundled_case()
+    for bus in case.network.buses:
+        if bus.kind == "pv":
+            bus.kind = "pq"
+    with pytest.raises(gridfreq.dae.AssemblyError,
+                       match="^no PV unit can supply the converter's p_ref: "
+                             "the case has no PV bus$"):
+        build_system(case, "cig_omega")
+
+
 # ---------------------------------------------------------------------------
 # Integration
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from gridfreq.network import (
     Network,
     NetworkError,
     PowerFlowError,
+    _pf_jacobian,
     apply_event,
     build_ybus,
     solve_power_flow,
@@ -166,6 +167,66 @@ def test_power_flow_divergence_reported():
     net.buses[1].p_load = 50.0  # far beyond the line's transfer capability
     with pytest.raises(PowerFlowError):
         solve_power_flow(net)
+
+
+def test_power_flow_singular_jacobian_reported():
+    """An isolated PQ bus leaves its Jacobian rows zero: a PowerFlowError
+    naming the iteration, not numpy's LinAlgError."""
+    net = Network(
+        buses=[Bus(id=1, kind="slack"), Bus(id=2, kind="pq", p_load=0.5),
+               Bus(id=3, kind="pq", p_load=0.2)],
+        branches=[Branch(from_bus=1, to_bus=2, r=0.01, x=0.1)])
+    with pytest.raises(PowerFlowError, match="^singular power-flow Jacobian at iteration 0$"):
+        solve_power_flow(net)
+
+
+@pytest.mark.parametrize("load", [float("nan"), float("inf")])
+def test_power_flow_non_finite_mismatch_fails_at_once(load):
+    """A non-finite load fails before the first Newton update, with no
+    warning (the suite turns warnings into errors)."""
+    net = two_bus()
+    net.buses[1].p_load = load
+    with pytest.raises(PowerFlowError,
+                       match=f"^non-finite power-flow mismatch {load} at iteration 0$"):
+        solve_power_flow(net)
+
+
+def _calc_injections(net, vm, va):
+    """[P non-slack; Q pq] computed at (vm, va)."""
+    v = vm * np.exp(1j * va)
+    s = v * np.conj(build_ybus(net) @ v)
+    kind = [b.kind for b in net.buses]
+    non_slack = [i for i, k in enumerate(kind) if k != "slack"]
+    pq = [i for i, k in enumerate(kind) if k == "pq"]
+    return np.concatenate([s.real[non_slack], s.imag[pq]]), non_slack, pq
+
+
+@pytest.mark.parametrize("point", ["flat", "solved"])
+def test_pf_jacobian_equals_central_differences(point):
+    """`_pf_jacobian` against central differences of [P; Q] over
+    [theta non-slack; |V| pq] on the WSCC case, relative step 1e-6."""
+    net = load_bundled_case().network
+    n = net.n_bus
+    if point == "flat":
+        vm, va = np.ones(n), np.zeros(n)
+    else:
+        pf = solve_power_flow(net)
+        vm, va = pf.v_mag, pf.v_ang
+    _, non_slack, pq = _calc_injections(net, vm, va)
+    unknowns = non_slack + [n + i for i in pq]
+    jac = _pf_jacobian(build_ybus(net), vm, va, np.ix_(unknowns, unknowns))
+    x = np.concatenate([va, vm])
+    fd = np.empty_like(jac)
+    for col, j in enumerate(unknowns):
+        step = 1e-6 * max(abs(x[j]), 1.0)
+        sides = []
+        for sign in (1.0, -1.0):
+            xs = x.copy()
+            xs[j] += sign * step
+            sides.append(_calc_injections(net, xs[n:], xs[:n])[0])
+        fd[:, col] = (sides[0] - sides[1]) / (2.0 * step)
+    assert jac.shape == (len(unknowns), len(unknowns))
+    np.testing.assert_allclose(jac, fd, rtol=0.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

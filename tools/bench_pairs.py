@@ -20,10 +20,11 @@ bench/reference.json, and solver stats from one untimed pass of every
 operation: `TimeSeries.stats` and the counted `SystemModel.residual`
 calls.  From those counts, `unit_costs` gives each side's median wall_s
 per accepted step and per residual pass of one repetition (us), also on
-the printed line.  The same pass saves every output of every operation:
-`outputs` holds each side's sha-256 digest of each, and the largest
-absolute deviation of each output whose digests differ, summed up on a
-second printed line.  The CLI's own tables are checked the same way, once
+the printed line.  The same pass saves every output of every operation,
+and the state [x; y] its set-up built (`setup_x`, `setup_y`), so a change
+to the set-up path is checked too: `outputs` holds each side's sha-256
+digest of each, and the largest absolute deviation of each output whose
+digests differ, summed up on a second printed line.  The CLI's own tables are checked the same way, once
 per side before the timed pairs: `ksweep.csv` of `gridfreq ksweep` and
 `timeseries.csv` of `gridfreq run --scenario demos/scenario_load_loss.json`,
 each written into a temporary `--out`; `cli_tables`, at the top of the
@@ -65,7 +66,8 @@ BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 # One untimed pass of every operation of a workload, run in a checkout:
 # prints {label: stats} as JSON and saves every output of every operation
-# to the .npz file named by its third argument, as "<label>/<output>".
+# to the .npz file named by its third argument, as "<label>/<output>",
+# with the state its set-up built, as "<label>/setup_x" and "<label>/setup_y".
 # The stats are the program's own counters where it integrates
 # (TimeSeries.stats), plus counted SystemModel.residual calls.
 STATS_SCRIPT = r"""
@@ -89,6 +91,8 @@ gf.simulate = recorded
 out, arrays = {}, {}
 for op in workloads.make(sys.argv[1], int(sys.argv[2])).ops():
     system = op.setup()
+    arrays[f"{op.label}/setup_x"] = system[1].x.copy()
+    arrays[f"{op.label}/setup_y"] = system[1].y.copy()
     last.clear()
     calls[0] = 0
     outputs = op.run(*system)
