@@ -137,7 +137,7 @@ def load_bundled_case(name: str = "wscc9") -> Case:
 
 @functools.cache
 def _bundled_text(name: str) -> str:
-    """The text of data/<name>.case: the package's files do not change
-    while it runs, and reading one through `importlib.resources` costs
-    more than parsing it."""
+    """The text of data/<name>.case, read once: the package's files do not
+    change while it runs, and a read through `importlib.resources` costs
+    about as much as parsing the text."""
     return resources.files("gridfreq.data").joinpath(f"{name}.case").read_text()
