@@ -11,10 +11,9 @@ trapezoidal/algebraic equations.  Newton starts from the polynomial
 through the last accepted points of one step size, up to five of them
 (a quartic; DASSL's predictor: Brenan, Campbell & Petzold, ch. 5), and
 iterates on a cached finite-difference Jacobian, which is rebuilt after a
-network change, when the measured contraction of a step predicts more
-than two solves and the Jacobian has paid for its build, or when Newton
-stalls.  The same Newton re-solves the network after an event, as the
-step at h = 0.
+network change, once the solves its steps took beyond their first have
+cost three of its builds, or when Newton stalls.  The same Newton
+re-solves the network after an event, as the step at h = 0.
 
 The Jacobian is differenced from the residual the simulator runs, in
 column groups: `SystemModel.jacobian_structure` knows which rows each
@@ -41,8 +40,7 @@ import numpy as np
 from . import cig as cigmod
 from . import machines as smmod
 from .casefile import Case, CIGSpec, MachineSpec
-from .network import (Branch, Bus, EventAction, Network, apply_event,
-                      build_ybus, solve_power_flow)
+from .network import Branch, Bus, EventAction, Network, apply_event, solve_power_flow
 
 
 class AssemblyError(ValueError):
@@ -137,7 +135,7 @@ class SystemModel:
         copy after events, which change only the loads and Y's diagonal:
         both lie inside `jacobian_structure`."""
         self.net = net
-        ybus = build_ybus(net)
+        ybus = net.ybus()
         n = self.n_bus
         y_real = np.empty((2 * n, 2 * n))
         y_real[:n, :n] = y_real[n:, n:] = ybus.real
@@ -478,6 +476,12 @@ _PREDICTOR_WEIGHTS = {k: np.array([(-1) ** (k - 1 - i) * math.comb(k, i) for i i
                       for k in range(2, _HISTORY + 1)}
 
 
+# the solves beyond the first that the steps on one Jacobian may take, in
+# builds of it (len(groups) + 1 passes each), before the next step builds
+# another: see `TrapezoidalIntegrator`
+_REFRESH_BUILDS = 3
+
+
 class TrapezoidalIntegrator:
     """Implicit trapezoidal stepper with a cached finite-difference Jacobian.
 
@@ -498,24 +502,31 @@ class TrapezoidalIntegrator:
     the step Jacobian, for the h of the last step: cleared only where a
     Jacobian is built, inverted again for another h.
 
-    The Jacobian is kept across steps (chord Newton).  From the ratio of
-    the last two updates of a step, theta = |dz_k| / |dz_k-1|, the residual
-    r1 left by its first solve predicts the residual after the second,
-    r1 theta; when that is not below tol, the step predicts more than two
-    solves, and the Jacobian is dropped so that the next step builds one at
-    its start, but only once it has served as many steps as a build costs
-    residual passes (`len(groups) + 1`, 10 on the WSCC case, one of them
-    the pass of the iterate it is taken at): a rebuild then costs at most
-    one pass per step.  A stalled Newton refreshes it
-    at once (Hairer & Wanner, Solving ODEs II, sec. IV.8).
+    The Jacobian is kept across steps (chord Newton; Hairer & Wanner,
+    Solving ODEs II, sec. IV.8) and refreshed by rent or buy (Karlin,
+    Manasse, Rudolph & Sleator, Algorithmica 1988).  Each accepted step
+    adds the solves it took beyond its first, each a residual pass that a
+    fresher Jacobian might have saved; once they sum to `_REFRESH_BUILDS`
+    = 3 builds (`len(groups) + 1` passes each, one of them the pass of the
+    iterate a build is taken at: 30 on the WSCC case), the Jacobian is
+    dropped and the next step builds one at its start.  A build resets the
+    sum.  Three, not one: a fresh Jacobian does not remove every extra
+    solve, since the steps just after a load change take a second one on
+    any Jacobian.  At one build's worth, a storm of load steps 0.1 s apart
+    rebuilds after almost every event although the next event's re-solve
+    builds one anyway (4 448 passes on the benchmark's seed 0 against
+    4 163 at three, and 4 170 at two), while the 10 s load loss takes
+    11 562-11 669 passes over its three controls at any multiple from two
+    to six.  A stalled Newton refreshes the Jacobian at once.
 
     `stats` counts what the integrator did: accepted steps (halves of a
     halved step each count), Newton iterations (linear solves), Jacobian
-    builds, inversions of the step Jacobian (`lu_factorizations`: each is
-    one LU factorization inside LAPACK `gesv`), step halvings, network
-    re-solves, residual passes (Jacobian builds and cache misses of
-    `evaluate` included),
-    `newton_histogram`, the accepted steps counted by the solves each took,
+    builds, the Jacobians the rent-or-buy rule dropped
+    (`jacobian_refreshes`), inversions of the step Jacobian
+    (`lu_factorizations`: each is one LU factorization inside LAPACK
+    `gesv`), step halvings, network re-solves, residual passes (Jacobian
+    builds and cache misses of `evaluate` included), `newton_histogram`,
+    the accepted steps counted by the solves each took,
     and `max_residual`, the largest final max |residual| of an accepted
     step or re-solve.
     """
@@ -528,14 +539,15 @@ class TrapezoidalIntegrator:
         self.model = model
         self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
         self._inv = None       # (h, inverse of the step Jacobian for h)
-        self._jac_steps = 0    # steps accepted on _jfull
         self._n_groups = len(model.jacobian_structure()[1])   # passes a build adds
+        self._extra_solves = 0   # solves beyond the first of the steps accepted on _jfull
         self._last = None      # (bytes of [x; y], f, outputs there, h of the step
                                # that accepted it, a (k, n) copy of that step's last
                                # k <= _HISTORY points: callers may edit states in place)
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
-                      "lu_factorizations": 0, "step_halvings": 0, "resolves": 0,
-                      "residual_passes": 0, "newton_histogram": {}, "max_residual": 0.0}
+                      "jacobian_refreshes": 0, "lu_factorizations": 0, "step_halvings": 0,
+                      "resolves": 0, "residual_passes": 0, "newton_histogram": {},
+                      "max_residual": 0.0}
 
     def _factor(self, z: np.ndarray, h: float, r0: np.ndarray):
         """Inverse of the step Jacobian, or None if d[f; g]/d[x; y] is not
@@ -550,7 +562,7 @@ class TrapezoidalIntegrator:
             if not np.isfinite(jfull).all():
                 return None
             self._jfull = jfull
-            self._jac_steps = 0
+            self._extra_solves = 0
             self._inv = None
         if self._inv is None or self._inv[0] != h:
             jac = np.vstack([-0.5 * h * self._jfull[: m.n_x], self._jfull[m.n_x:]])
@@ -603,14 +615,12 @@ class TrapezoidalIntegrator:
             z = np.concatenate([x0 + h * f0, y0])
         stats = self.stats
         solves0 = stats["newton_iterations"]
-        r1 = theta2 = 0.0
         for attempt in range(2):
             if attempt:
                 # refresh the Jacobian at the current iterate and retry once
                 self._jfull = None
             if not np.isfinite(z).all():
                 return None
-            last = 0.0   # |dz|^2 of the previous update of this attempt
             for it in range(self.max_iter + 1):
                 x = z[:n_x]
                 stats["residual_passes"] += 1
@@ -632,37 +642,32 @@ class TrapezoidalIntegrator:
                     if h:
                         history = (np.concatenate((points[1 - _HISTORY:], z[None]))
                                    if len(points) else z[None].copy())
-                        self._accept(stats["newton_iterations"] - solves0, r1 * theta2 ** 0.5)
+                        self._accept(stats["newton_iterations"] - solves0)
                     self._last = (z.tobytes(), f, outputs, h, history)
                     return z
                 if not math.isfinite(worst):
                     return None
-                if it == 1 and not attempt:
-                    r1 = worst
                 if it < self.max_iter:
                     stats["newton_iterations"] += 1
                     dz = inv @ r
-                    size = dz @ dz
-                    if not size < math.inf:
+                    if not dz @ dz < math.inf:
                         return None
-                    if last:
-                        theta2 = size / last
-                    last = size
                     z -= dz
         return None
 
-    def _accept(self, solves: int, predicted: float) -> None:
-        """Book an accepted step: its solve count, and the refresh of a
-        Jacobian that has paid for its build when `predicted` (r1 theta, the
-        residual two solves would leave) is not below tol."""
+    def _accept(self, solves: int) -> None:
+        """Book an accepted step: its solve count, and the solves beyond the
+        first against the Jacobian, which is dropped once they reach
+        `_REFRESH_BUILDS` builds' worth of passes."""
         hist = self.stats["newton_histogram"]
         if solves in hist:
             hist[solves] += 1
         else:   # keep the keys in order
             self.stats["newton_histogram"] = dict(sorted({**hist, solves: 1}.items()))
-        self._jac_steps += 1
-        if predicted >= self.tol and self._jac_steps > self._n_groups:
+        self._extra_solves += max(solves - 1, 0)
+        if self._extra_solves >= _REFRESH_BUILDS * (self._n_groups + 1):
             self._jfull = None
+            self.stats["jacobian_refreshes"] += 1
 
     def step(self, state: SystemState, h: float, _depth: int = 0) -> SystemState:
         """state advanced by h; Newton failures halve the step, up to 4 times."""

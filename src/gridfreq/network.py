@@ -76,6 +76,7 @@ class Network:
             if br.from_bus not in known or br.to_bus not in known:
                 raise NetworkError(f"branch {br.from_bus}-{br.to_bus} references unknown bus")
         self._index = {bid: i for i, bid in enumerate(ids)}
+        self._ybus = None   # `ybus()`, built on the first call
 
     @property
     def n_bus(self) -> int:
@@ -93,6 +94,17 @@ class Network:
     @property
     def omega_base(self) -> float:
         return 2.0 * np.pi * self.f_base
+
+    def ybus(self) -> np.ndarray:
+        """`build_ybus` of this network, built on the first call and kept,
+        read-only.  Networks are treated as immutable, so change a copy's
+        branches, shunts or fault shunts (`apply_event`), not those of a
+        network whose Y has been taken; a copy takes Y afresh, except that
+        `apply_event` hands a load change the Y it leaves as it was."""
+        if self._ybus is None:
+            self._ybus = build_ybus(self)
+            self._ybus.flags.writeable = False
+        return self._ybus
 
     def copy(self) -> "Network":
         """A copy sharing no mutable part with self.
@@ -142,12 +154,14 @@ EventAction = LoadScale | FaultOn | FaultOff
 
 
 def apply_event(net: Network, event: EventAction) -> Network:
-    """Return a copy of net (`Network.copy`) with the event applied."""
+    """Return a copy of net (`Network.copy`) with the event applied.  A load
+    change keeps net's Y (`Network.ybus`), if taken: loads are not in it."""
     out = net.copy()
     i = out.bus_index(event.bus)
     if isinstance(event, LoadScale):
         out.buses[i].p_load *= event.factor
         out.buses[i].q_load *= event.factor
+        out._ybus = net._ybus
     elif isinstance(event, FaultOn):
         out.fault_shunts[event.bus] = complex(event.g, event.b)
     elif isinstance(event, FaultOff):
@@ -217,8 +231,7 @@ def solve_power_flow(net: Network, tol: float = 1e-8) -> PFSolution:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"power-flow tolerance tol must be finite and positive, got {tol:g}")
     n = net.n_bus
-    ybus = build_ybus(net)
-    g, b = ybus.real, ybus.imag
+    ybus = net.ybus()
 
     kind = [bus.kind for bus in net.buses]
     pv = [i for i in range(n) if kind[i] == "pv"]

@@ -78,10 +78,42 @@ def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
     assert costs["us_per_residual_pass"] == pytest.approx(200.0)
     no_steps = bench_pairs.unit_costs(0.016, {"nominal": {"residual_calls_counted": 32}})
     assert no_steps == {"us_per_step": None, "us_per_residual_pass": pytest.approx(500.0)}
-    line = bench_pairs.summary_line("w", {}, {"parent": costs, "change": costs})
-    assert line == "w: wall_s per step 500 -> 500 us; wall_s per residual pass 200 -> 200 us"
-    line = bench_pairs.summary_line("w", {}, {"parent": no_steps, "change": no_steps})
-    assert line == "w: wall_s per residual pass 500 -> 500 us"
+    counts = bench_pairs.repetition_counts(stats)
+    line = bench_pairs.summary_line("w", {}, {"parent": costs, "change": costs},
+                                    {"parent": counts, "change": counts})
+    assert line == ("w: wall_s per step 500 -> 500 us; wall_s per residual pass 200 -> 200 us; "
+                    "residual passes 1000 -> 1000")
+    counts = bench_pairs.repetition_counts({"nominal": {"residual_calls_counted": 32}})
+    line = bench_pairs.summary_line("w", {}, {"parent": no_steps, "change": no_steps},
+                                    {"parent": counts, "change": counts})
+    assert line == "w: wall_s per residual pass 500 -> 500 us; residual passes 32 -> 32"
+
+
+def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
+    """Residual passes, Newton iterations and Jacobian builds are summed
+    over the operations of one repetition, each side's on the printed line;
+    a workload that does not integrate has no Newton iterations or builds."""
+    def stats(passes, solves, builds):
+        return {ctl: {"steps": 2000, "residual_calls_counted": p, "residual_passes": p,
+                      "newton_iterations": n, "jacobian_builds": b}
+                for ctl, p, n, b in zip(("no_cig", "cig_omega", "cig_omega_tilde"),
+                                        passes, solves, builds)}
+
+    parent = bench_pairs.repetition_counts(stats((4348, 4094, 4100), (2327, 2064, 2070),
+                                                 (2, 3, 3)))
+    change = bench_pairs.repetition_counts(stats((3877, 3856, 3850), (1838, 1817, 1820),
+                                                 (4, 4, 3)))
+    assert parent == {"residual_passes": 12542, "newton_iterations": 6461,
+                      "jacobian_builds": 8}
+    assert change == {"residual_passes": 11583, "newton_iterations": 5475,
+                      "jacobian_builds": 11}
+    costs = {"us_per_step": None, "us_per_residual_pass": None}
+    line = bench_pairs.summary_line("loadloss", {}, {"parent": costs, "change": costs},
+                                    {"parent": parent, "change": change})
+    assert line == ("loadloss: residual passes 12542 -> 11583; newton iterations 6461 -> 5475; "
+                    "jacobian builds 8 -> 11")
+    assert bench_pairs.repetition_counts({"nominal": {"residual_calls_counted": 24}}) == {
+        "residual_passes": 24, "newton_iterations": None, "jacobian_builds": None}
 
 
 def test_compare_outputs_digests_each_output_and_measures_those_that_differ(bench_pairs):

@@ -234,6 +234,7 @@ def test_run_emits_csv_and_svg(tmp_path, monkeypatch):
     stats = man["stats"]
     assert stats["steps"] == 100 and stats["newton_iterations"] > 0
     assert stats["jacobian_builds"] >= 1 and stats["lu_factorizations"] >= 1
+    assert 0 <= stats["jacobian_refreshes"] < stats["jacobian_builds"]
     assert 0.0 < stats["max_residual"] < 1e-8  # Newton's tolerance
     for ch in ("omega_coi", "v_bus7", "p_cig", "q_cig"):
         svg = (tmp_path / f"{ch}.svg").read_text()

@@ -19,9 +19,11 @@ document also holds each side's failure fraction, largest deviation from
 bench/reference.json, and solver stats from one untimed pass of every
 operation: `TimeSeries.stats` and the counted `SystemModel.residual`
 calls.  From those counts, `unit_costs` gives each side's median wall_s
-per accepted step and per residual pass of one repetition (us), also on
-the printed line.  The same pass saves every output of every operation,
-and the state [x; y] its set-up built (`setup_x`, `setup_y`), so a change
+per accepted step and per residual pass of one repetition (us), and
+`repetition_counts` each side's residual passes, Newton iterations and
+Jacobian builds of one repetition, both also on the printed line.  The
+same pass saves every output of every operation, and the state [x; y]
+its set-up built (`setup_x`, `setup_y`), so a change
 to the set-up path is checked too: `outputs` holds each side's sha-256
 digest of each, and the largest absolute deviation of each output whose
 digests differ, summed up on a second printed line.  The CLI's own tables are checked the same way, once
@@ -286,9 +288,26 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
             "us_per_residual_pass": 1e6 * wall_s / passes if passes else None}
 
 
-def summary_line(workload: str, metrics: dict, costs: dict) -> str:
+# the solver counts of one repetition, by the `untimed_pass` stats key each sums
+COUNTS = {"residual_passes": "residual_calls_counted",
+          "newton_iterations": "newton_iterations", "jacobian_builds": "jacobian_builds"}
+
+
+def repetition_counts(stats: dict) -> dict:
+    """The residual passes, Newton iterations and Jacobian builds of one
+    repetition, summed over the `untimed_pass` stats of its operations;
+    None where no operation integrates (no `TimeSeries.stats`)."""
+    counts = {}
+    for name, key in COUNTS.items():
+        values = [st[key] for st in stats.values() if key in st]
+        counts[name] = sum(values) if values else None
+    return counts
+
+
+def summary_line(workload: str, metrics: dict, costs: dict, counts: dict) -> str:
     """One line: each metric's verdict, pairs won, medians and gap in parent
-    IQRs, then the wall time per step and per residual pass of each side."""
+    IQRs, then the wall time per step and per residual pass of each side,
+    and each side's solver counts of one repetition."""
     parts = []
     for name, m in metrics.items():
         iqrs = m["gap_over_parent_iqr"]
@@ -299,6 +318,10 @@ def summary_line(workload: str, metrics: dict, costs: dict) -> str:
         if costs["parent"][unit] is not None:
             parts.append(f"wall_s per {label} {costs['parent'][unit]:.4g} -> "
                          f"{costs['change'][unit]:.4g} us")
+    for name in COUNTS:
+        if counts["parent"][name] is not None or counts["change"][name] is not None:
+            parts.append(f"{name.replace('_', ' ')} {counts['parent'][name]} -> "
+                         f"{counts['change'][name]}")
     return f"{workload}: " + "; ".join(parts)
 
 
@@ -320,10 +343,12 @@ def run_pairs(checkouts: dict[str, Path], workloads: list[str], seed: int,
         stats = {s: passes[s][0] for s in runs}
         outputs = compare_outputs(passes["parent"][1], passes["change"][1])
         costs = {s: unit_costs(metrics["wall_s"][s]["median"], stats[s]) for s in runs}
-        print(summary_line(w, metrics, costs))
+        counts = {s: repetition_counts(stats[s]) for s in runs}
+        print(summary_line(w, metrics, costs, counts))
         print(outputs_line(w, outputs))
         result[w] = {
-            "pairs": pairs, "metrics": metrics, "unit_costs": costs, "outputs": outputs,
+            "pairs": pairs, "metrics": metrics, "unit_costs": costs,
+            "repetition_counts": counts, "outputs": outputs,
             "fail_frac": {s: statistics.fmean(r["details"]["fail_frac"]["value"]
                                               for r in runs[s]) for s in runs},
             "max_dev": {s: max((r["details"]["max_dev"]["value"] for r in runs[s]
