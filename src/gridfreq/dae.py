@@ -12,8 +12,11 @@ through the last accepted points of one step size, up to five of them
 (a quartic; DASSL's predictor: Brenan, Campbell & Petzold, ch. 5), and
 iterates on a cached finite-difference Jacobian, which is rebuilt after a
 network change, once the solves its steps took beyond their first have
-cost three of its builds, or when Newton stalls.  The same Newton
-re-solves the network after an event, as the step at h = 0.
+cost three of its builds, or when Newton stalls.  Each build is reduced
+once, the algebraic variables eliminated through g_y^-1, and the inverse
+of the step Jacobian is assembled from that reduction: a step inverts the
+n_x block I - h/2 A, and the network re-solve after an event, the same
+Newton as the step at h = 0, inverts nothing.
 
 The Jacobian is differenced from the residual the simulator runs, in
 column groups: `SystemModel.jacobian_structure` knows which rows each
@@ -374,6 +377,21 @@ def _fd_jacobian(model: SystemModel, z0: np.ndarray, r0: np.ndarray) -> np.ndarr
     return (group_residuals(model, z0, eps) - r0_cols) / eps
 
 
+def reduce_algebraic(f_x: np.ndarray, f_y: np.ndarray, g_x: np.ndarray,
+                     g_y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(G, M, A) = (g_y^-1, G g_x, f_x - f_y M) of the blocks of
+    d[f; g]/d[x; y], or None when g_y is singular: the algebraic variables
+    eliminated, so that dx/dt = A dx on the linearized DAE.  The trapezoidal
+    step and `smallsignal.linearize` both reduce through it; the DAE is
+    index 1 only where g_y is regular (Brenan, Campbell & Petzold, ch. 5)."""
+    try:
+        g = np.linalg.inv(g_y)
+    except np.linalg.LinAlgError:
+        return None
+    m = g @ g_x
+    return g, m, f_x - f_y @ m
+
+
 # ---------------------------------------------------------------------------
 # Assembly from a parsed case
 # ---------------------------------------------------------------------------
@@ -500,7 +518,15 @@ class TrapezoidalIntegrator:
     clears it.  The history is one stacked (k, n) array of the points,
     oldest first, so the predictor is one matmul on it.  The inverse of
     the step Jacobian, for the h of the last step: cleared only where a
-    Jacobian is built, inverted again for another h.
+    Jacobian is built, assembled again for another h.
+
+    A Jacobian build is reduced once (`reduce_algebraic`: G = g_y^-1,
+    M = G g_x, A = f_x - f_y M), and the inverse of the step Jacobian
+    [[I - h/2 f_x, -h/2 f_y], [g_x, g_y]] is assembled from it by blocks:
+    with P = (I - h/2 A)^-1 and T = h/2 P f_y G it is
+    [[P, T], [-M P, G - M T]], and at h = 0 (`resolve`) [[I, 0], [-M, G]],
+    whose x-rows are exact.  So no call inverts a matrix larger than g_y
+    or the n_x block.
 
     The Jacobian is kept across steps (chord Newton; Hairer & Wanner,
     Solving ODEs II, sec. IV.8) and refreshed by rent or buy (Karlin,
@@ -517,17 +543,18 @@ class TrapezoidalIntegrator:
     builds one anyway (4 448 passes on the benchmark's seed 0 against
     4 163 at three, and 4 170 at two), while the 10 s load loss takes
     11 562-11 669 passes over its three controls at any multiple from two
-    to six.  A stalled Newton refreshes the Jacobian at once.
+    to six.  A stalled Newton refreshes the Jacobian at once, and the
+    step charges it only the solves of the attempt that ran on it.
 
     `stats` counts what the integrator did: accepted steps (halves of a
     halved step each count), Newton iterations (linear solves), Jacobian
     builds, the Jacobians the rent-or-buy rule dropped
-    (`jacobian_refreshes`), inversions of the step Jacobian
-    (`lu_factorizations`: each is one LU factorization inside LAPACK
-    `gesv`), step halvings, network re-solves, residual passes (Jacobian
-    builds and cache misses of `evaluate` included), `newton_histogram`,
-    the accepted steps counted by the solves each took,
-    and `max_residual`, the largest final max |residual| of an accepted
+    (`jacobian_refreshes`), the `np.linalg.inv` calls (`lu_factorizations`:
+    g_y once per build, and I - h/2 A once per build and nonzero h; an
+    h = 0 re-solve on a reduced Jacobian inverts nothing), step halvings,
+    network re-solves, residual passes (Jacobian builds and cache misses of
+    `evaluate` included), `newton_histogram`, the accepted steps counted by
+    the solves each took, and `max_residual`, the largest final max |residual| of an accepted
     step or re-solve.
     """
 
@@ -537,10 +564,10 @@ class TrapezoidalIntegrator:
 
     def __init__(self, model: SystemModel):
         self.model = model
-        self._jfull = None     # d[f; g]/d[x; y] at the last factorization point
+        self._reduced = None   # (G, M, A, f_y G) of d[f; g]/d[x; y] at the last build point
         self._inv = None       # (h, inverse of the step Jacobian for h)
         self._n_groups = len(model.jacobian_structure()[1])   # passes a build adds
-        self._extra_solves = 0   # solves beyond the first of the steps accepted on _jfull
+        self._extra_solves = 0   # solves beyond the first of the steps accepted on _reduced
         self._last = None      # (bytes of [x; y], f, outputs there, h of the step
                                # that accepted it, a (k, n) copy of that step's last
                                # k <= _HISTORY points: callers may edit states in place)
@@ -550,28 +577,43 @@ class TrapezoidalIntegrator:
                       "max_residual": 0.0}
 
     def _factor(self, z: np.ndarray, h: float, r0: np.ndarray):
-        """Inverse of the step Jacobian, or None if d[f; g]/d[x; y] is not
-        finite or the step Jacobian is singular.  A Jacobian built here is
-        differenced from r0, [f; g] at z: the pass of Newton's first
-        iterate, so a build adds len(groups)."""
-        m = self.model
-        if self._jfull is None:
+        """Inverse of the step Jacobian for h, assembled from the reduction
+        of d[f; g]/d[x; y] (see the class docstring), or None if that
+        Jacobian is not finite or g_y or I - h/2 A is singular.  A Jacobian
+        built here is differenced from r0, [f; g] at z: the pass of Newton's
+        first iterate, so a build adds len(groups)."""
+        n_x = self.model.n_x
+        if self._reduced is None:
             self.stats["jacobian_builds"] += 1
             self.stats["residual_passes"] += self._n_groups
-            jfull = _fd_jacobian(m, z, r0)
+            jfull = _fd_jacobian(self.model, z, r0)
             if not np.isfinite(jfull).all():
                 return None
-            self._jfull = jfull
+            self.stats["lu_factorizations"] += 1
+            f_y = jfull[:n_x, n_x:]
+            reduced = reduce_algebraic(jfull[:n_x, :n_x], f_y, jfull[n_x:, :n_x],
+                                       jfull[n_x:, n_x:])
+            if reduced is None:
+                return None
+            g, m, a = reduced
+            self._reduced = (g, m, a, f_y @ g)
             self._extra_solves = 0
             self._inv = None
         if self._inv is None or self._inv[0] != h:
-            jac = np.vstack([-0.5 * h * self._jfull[: m.n_x], self._jfull[m.n_x:]])
-            jac[: m.n_x, : m.n_x] += np.eye(m.n_x)
-            self.stats["lu_factorizations"] += 1
-            try:
-                self._inv = (h, np.linalg.inv(jac))
-            except np.linalg.LinAlgError:
-                return None
+            g, m, a, fy_g = self._reduced
+            if h:
+                self.stats["lu_factorizations"] += 1
+                try:
+                    p = np.linalg.inv(np.eye(n_x) - 0.5 * h * a)
+                except np.linalg.LinAlgError:
+                    return None
+                t = 0.5 * h * (p @ fy_g)
+                blocks = p, t, -(m @ p), g - m @ t
+            else:   # P = I and T = 0: nothing to invert or multiply
+                blocks = np.eye(n_x), 0.0, -m, g
+            inv = np.empty((z.size, z.size))   # filled by slices: np.block costs more
+            inv[:n_x, :n_x], inv[:n_x, n_x:], inv[n_x:, :n_x], inv[n_x:, n_x:] = blocks
+            self._inv = (h, inv)
         return self._inv[1]
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
@@ -588,13 +630,14 @@ class TrapezoidalIntegrator:
         """[x; y] at t + h, or None when Newton fails.
 
         A non-finite iterate, residual or Jacobian is a failure, as is a
-        singular step Jacobian or a residual still above tol after one
-        Jacobian refresh.  Each attempt inverts the step Jacobian after the
-        residual pass of its first iterate, which is the base of a Jacobian
-        built there.  f0 only enters as h f0, so at h = 0 (`resolve`)
-        it is not evaluated, and the step history is neither read nor
-        extended.  The start point of each attempt is checked to be
-        finite, and then every update: an iterate is finite when both are.
+        singular g_y or I - h/2 A or a residual still above tol after one
+        Jacobian refresh.  Each attempt takes the inverse of the step
+        Jacobian (`_factor`) after the residual pass of its first iterate,
+        which is the base of a Jacobian built there.  f0 only enters as
+        h f0, so at h = 0 (`resolve`) it is not evaluated, and the step
+        history is neither read nor extended.  The start point of each
+        attempt is checked to be finite, and then every update: an iterate
+        is finite when both are.
         """
         m = self.model
         n_x = m.n_x
@@ -618,7 +661,8 @@ class TrapezoidalIntegrator:
         for attempt in range(2):
             if attempt:
                 # refresh the Jacobian at the current iterate and retry once
-                self._jfull = None
+                self._reduced = None
+            attempt0 = stats["newton_iterations"]
             if not np.isfinite(z).all():
                 return None
             for it in range(self.max_iter + 1):
@@ -642,7 +686,8 @@ class TrapezoidalIntegrator:
                     if h:
                         history = (np.concatenate((points[1 - _HISTORY:], z[None]))
                                    if len(points) else z[None].copy())
-                        self._accept(stats["newton_iterations"] - solves0)
+                        solves = stats["newton_iterations"]
+                        self._accept(solves - solves0, solves - attempt0)
                     self._last = (z.tobytes(), f, outputs, h, history)
                     return z
                 if not math.isfinite(worst):
@@ -655,18 +700,20 @@ class TrapezoidalIntegrator:
                     z -= dz
         return None
 
-    def _accept(self, solves: int) -> None:
-        """Book an accepted step: its solve count, and the solves beyond the
-        first against the Jacobian, which is dropped once they reach
-        `_REFRESH_BUILDS` builds' worth of passes."""
+    def _accept(self, solves: int, on_jacobian: int) -> None:
+        """Book an accepted step: the solves it took in the histogram, and
+        those beyond the first of the on_jacobian it took on the present
+        Jacobian (all of them, unless a stall built that one) against it;
+        it is dropped once they reach `_REFRESH_BUILDS` builds' worth of
+        passes."""
         hist = self.stats["newton_histogram"]
         if solves in hist:
             hist[solves] += 1
         else:   # keep the keys in order
             self.stats["newton_histogram"] = dict(sorted({**hist, solves: 1}.items()))
-        self._extra_solves += max(solves - 1, 0)
+        self._extra_solves += max(on_jacobian - 1, 0)
         if self._extra_solves >= _REFRESH_BUILDS * (self._n_groups + 1):
-            self._jfull = None
+            self._reduced = None
             self.stats["jacobian_refreshes"] += 1
 
     def step(self, state: SystemState, h: float, _depth: int = 0) -> SystemState:
@@ -690,10 +737,11 @@ class TrapezoidalIntegrator:
         """state with y re-solved for g(x, y) = 0 after the model changed.
 
         This is the step at h = 0: its residual is [x - x0; g] and its
-        Jacobian [[I, 0], [g_x, g_y]], so x moves only by the rounding of the
-        product with its inverse (below 1e-16); the returned state carries a
-        copy of the given x, so x is held bitwise.  Newton starts on the Jacobian of
-        the last step (chord Newton converges on the true residual) and
+        Jacobian [[I, 0], [g_x, g_y]], whose inverse [[I, 0], [-M, G]] is
+        assembled from the Jacobian's reduction with no inversion, and whose
+        x-rows leave x as it was; the returned state carries a copy of the
+        given x.  Newton starts on the Jacobian of the last step (chord
+        Newton converges on the true residual) and
         refreshes it if that stalls.  It clears the last-point record, which
         the accepted point starts afresh, and drops the Jacobian unless the
         re-solve built it (then it is the post-event network's, taken near
@@ -704,7 +752,7 @@ class TrapezoidalIntegrator:
         with np.errstate(all="ignore"):
             z = self._newton(state, 0.0)
         if self.stats["jacobian_builds"] == builds:
-            self._jfull = None
+            self._reduced = None
         if z is None:
             raise StepError(f"Newton failed at t={state.t:.4f}s with h=0")
         self.stats["resolves"] += 1

@@ -5,7 +5,8 @@ differences of the residual [f; g], (G(+s) - G(-s)) / 2s with G the
 integrator's `dae.group_residuals`: one pair of residual passes per
 column group of `SystemModel.jacobian_structure` (equal bitwise to a pair
 per column).  The algebraic variables are eliminated through the network
-Jacobian, giving the reduced state matrix
+Jacobian (`dae.reduce_algebraic`, which the integrator's step reduces
+through too), giving the reduced state matrix
 
     A = f_x - f_y g_y^{-1} g_x.
 
@@ -49,7 +50,7 @@ import numpy as np
 
 from .cig import modified_signal
 from .complex_frequency import ParkVector, eta_of
-from .dae import SystemModel, SystemState, group_residuals
+from .dae import SystemModel, SystemState, group_residuals, reduce_algebraic
 
 
 class ModeIdentificationError(RuntimeError):
@@ -130,12 +131,10 @@ def linearize(model: SystemModel, eq: SystemState) -> LinearModel:
     worst = np.max(np.abs(model.residual(eq.x, eq.y)[0]))
     if worst > _EQ_TOL:
         raise ValueError(f"not an equilibrium: residual {worst:.3e} > {_EQ_TOL:g}")
-    f_x, f_y, g_x, g_y = _central_jacobians(model, eq)
-    try:
-        gy_inv_gx = np.linalg.solve(g_y, g_x)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("singular algebraic Jacobian g_y") from exc
-    a = f_x - f_y @ gy_inv_gx
+    reduced = reduce_algebraic(*_central_jacobians(model, eq))
+    if reduced is None:
+        raise RuntimeError("singular algebraic Jacobian g_y")
+    _, gy_inv_gx, a = reduced
     rows = None if model.cig_bus is None else _output_rows(model, eq, a, gy_inv_gx)
     return LinearModel(a_sys=a, state_labels=list(model.state_labels),
                        speed_indices=list(model.speed_indices), rows=rows,

@@ -90,30 +90,32 @@ def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
 
 
 def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
-    """Residual passes, Newton iterations and Jacobian builds are summed
-    over the operations of one repetition, each side's on the printed line;
-    a workload that does not integrate has no Newton iterations or builds."""
-    def stats(passes, solves, builds):
+    """Residual passes, Newton iterations, Jacobian builds and inversions
+    are summed over the operations of one repetition, each side's on the
+    printed line; a workload that does not integrate has no Newton
+    iterations, builds or inversions."""
+    def stats(passes, solves, builds, inversions):
         return {ctl: {"steps": 2000, "residual_calls_counted": p, "residual_passes": p,
-                      "newton_iterations": n, "jacobian_builds": b}
-                for ctl, p, n, b in zip(("no_cig", "cig_omega", "cig_omega_tilde"),
-                                        passes, solves, builds)}
+                      "newton_iterations": n, "jacobian_builds": b, "lu_factorizations": i}
+                for ctl, p, n, b, i in zip(("no_cig", "cig_omega", "cig_omega_tilde"),
+                                           passes, solves, builds, inversions)}
 
     parent = bench_pairs.repetition_counts(stats((4348, 4094, 4100), (2327, 2064, 2070),
-                                                 (2, 3, 3)))
+                                                 (2, 3, 3), (4, 5, 5)))
     change = bench_pairs.repetition_counts(stats((3877, 3856, 3850), (1838, 1817, 1820),
-                                                 (4, 4, 3)))
+                                                 (4, 4, 3), (8, 8, 6)))
     assert parent == {"residual_passes": 12542, "newton_iterations": 6461,
-                      "jacobian_builds": 8}
+                      "jacobian_builds": 8, "lu_factorizations": 14}
     assert change == {"residual_passes": 11583, "newton_iterations": 5475,
-                      "jacobian_builds": 11}
+                      "jacobian_builds": 11, "lu_factorizations": 22}
     costs = {"us_per_step": None, "us_per_residual_pass": None}
     line = bench_pairs.summary_line("loadloss", {}, {"parent": costs, "change": costs},
                                     {"parent": parent, "change": change})
     assert line == ("loadloss: residual passes 12542 -> 11583; newton iterations 6461 -> 5475; "
-                    "jacobian builds 8 -> 11")
+                    "jacobian builds 8 -> 11; lu factorizations 14 -> 22")
     assert bench_pairs.repetition_counts({"nominal": {"residual_calls_counted": 24}}) == {
-        "residual_passes": 24, "newton_iterations": None, "jacobian_builds": None}
+        "residual_passes": 24, "newton_iterations": None, "jacobian_builds": None,
+        "lu_factorizations": None}
 
 
 def test_compare_outputs_digests_each_output_and_measures_those_that_differ(bench_pairs):

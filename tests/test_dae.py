@@ -15,6 +15,7 @@ from hypothesis import strategies as hst
 import gridfreq
 import gridfreq.cig
 import gridfreq.dae
+import gridfreq.smallsignal
 from gridfreq.casefile import CIGSpec, load_bundled_case
 from gridfreq.dae import (
     CONTROLS,
@@ -358,8 +359,8 @@ def test_record_reads_the_accepted_newton_outputs(case, call_counts, monkeypatch
 
 def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     """TimeSeries.stats against counted calls of the finite-difference
-    Jacobian, of the inversion of the step Jacobian, of the product of each
-    update with that inverse and of the residual:
+    Jacobian, of `np.linalg.inv`, of the product of each update with the
+    inverse of the step Jacobian that `_factor` returns and of the residual:
     the event re-solve runs through the same Newton, so every call is the
     integrator's; and the refreshes against the Jacobians `_accept` dropped.
     The histogram holds every step, by the solves it took,
@@ -371,7 +372,7 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     counts = {"jacobian": 0, "inv": 0, "solve": 0, "residual": 0, "resolve_solve": 0,
               "step": 0, "record": 0, "machine_block": 0, "dropped": 0}
     resolve, accept = TrapezoidalIntegrator.resolve, TrapezoidalIntegrator._accept
-    inv = np.linalg.inv
+    factor = TrapezoidalIntegrator._factor
 
     class CountedInverse(np.ndarray):
         """An inverse that counts the updates solved with it."""
@@ -380,9 +381,9 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
             counts["solve"] += 1
             return np.asarray(self) @ other
 
-    def counted_inv(a):
-        counts["inv"] += 1
-        return inv(a).view(CountedInverse)
+    def counted_factor(self, z, h, r0):
+        inv = factor(self, z, h, r0)
+        return None if inv is None else inv.view(CountedInverse)
 
     def count(owner, name, key):
         fn = getattr(owner, name)
@@ -393,7 +394,8 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(gridfreq.dae, "_fd_jacobian", "jacobian")
-    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    count(np.linalg, "inv", "inv")
+    monkeypatch.setattr(TrapezoidalIntegrator, "_factor", counted_factor)
     count(SystemModel, "residual", "residual")
     count(TrapezoidalIntegrator, "step", "step")
     count(gridfreq.dae, "record", "record")
@@ -405,10 +407,10 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
         counts["resolve_solve"] += counts["solve"] - before
         return out
 
-    def counted_accept(self, solves):
-        held = self._jfull is not None
-        accept(self, solves)
-        counts["dropped"] += held and self._jfull is None
+    def counted_accept(self, solves, on_jacobian):
+        held = self._reduced is not None
+        accept(self, solves, on_jacobian)
+        counts["dropped"] += held and self._reduced is None
 
     monkeypatch.setattr(TrapezoidalIntegrator, "resolve", counted_resolve)
     monkeypatch.setattr(TrapezoidalIntegrator, "_accept", counted_accept)
@@ -456,9 +458,10 @@ def test_stats_report_step_halvings(case, monkeypatch):
 
 def test_steps_are_exactly_h_and_share_one_factorization(case, monkeypatch):
     """On a time grid of h = output_dt every top-level step is exactly h,
-    not h up to the rounding of the grid: one LU factorization per Jacobian,
-    plus the event re-solve's on the pre-event Jacobian, plus the first
-    step's of the Jacobian the re-solve built (factored there for h = 0)."""
+    not h up to the rounding of the grid: two inversions per Jacobian, that
+    of g_y when it is built and that of I - h/2 A for the one h.  The event
+    re-solve at h = 0 inverts nothing, neither on the pre-event Jacobian nor
+    on the one it built, which the first step after it inverts for h."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
     step = TrapezoidalIntegrator.step
     sizes = []
@@ -473,7 +476,7 @@ def test_steps_are_exactly_h_and_share_one_factorization(case, monkeypatch):
     ts = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))],
                   t_end=2.0, h=h, output_dt=h, channels=["omega_coi"])
     assert len(sizes) == 400 and set(sizes) == {h}
-    assert ts.stats["lu_factorizations"] == ts.stats["jacobian_builds"] + 2
+    assert ts.stats["lu_factorizations"] == 2 * ts.stats["jacobian_builds"]
 
 
 def test_failed_newton_builds_one_jacobian(case):
@@ -508,7 +511,7 @@ def test_first_step_after_resolve_is_a_fresh_integrators(case):
     model._set_network(apply_event(model.net, LoadScale(bus=5, factor=0.5)))
     s = integ.resolve(s)
     fresh = TrapezoidalIntegrator(model)
-    fresh._jfull = integ._jfull
+    fresh._reduced = integ._reduced
     a, b = integ.step(s, h), fresh.step(s, h)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
@@ -525,7 +528,7 @@ def test_first_step_after_a_resolve_that_dropped_its_jacobian_is_a_fresh_integra
     builds = integ.stats["jacobian_builds"]
     model._set_network(apply_event(model.net, LoadScale(bus=5, factor=1.15)))
     s = integ.resolve(s)
-    assert integ.stats["jacobian_builds"] == builds and integ._jfull is None
+    assert integ.stats["jacobian_builds"] == builds and integ._reduced is None
     a, b = integ.step(s, h), TrapezoidalIntegrator(model).step(s, h)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
@@ -626,6 +629,105 @@ def test_a_singular_step_jacobian_is_a_step_error(case, monkeypatch):
         simulate(model, st, [], t_end=0.05, h=0.01, output_dt=0.01)
 
 
+def step_jacobian(jfull, n_x, h):
+    """The step Jacobian [[I - h/2 f_x, -h/2 f_y], [g_x, g_y]] of d[f; g]/d[x; y]."""
+    jac = np.vstack([-0.5 * h * jfull[:n_x], jfull[n_x:]])
+    jac[:n_x, :n_x] += np.eye(n_x)
+    return jac
+
+
+@pytest.fixture(scope="module")
+def reduction_models(case):
+    return {c: build_system(case, c, k=1.2) for c in ("no_cig", "cig_omega_tilde")}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(dz=hst.lists(hst.floats(-0.05, 0.05), min_size=54, max_size=54))
+def test_assembled_inverse_equals_the_inverse_of_the_step_jacobian(reduction_models, dz):
+    """The inverse `_factor` assembles from the reduction of a Jacobian
+    equals `np.linalg.inv` of the whole step Jacobian to 1e-12 relative, at
+    states near the set-up state, for h = 0.005 and 0.01 and for the
+    re-solve's h = 0, all three from one build."""
+    for control, (model, st) in reduction_models.items():
+        n_x = model.n_x
+        z = np.concatenate([st.x, st.y]) + np.array(dz[: n_x + 2 * model.n_bus])
+        r0 = model.residual(z[:n_x], z[n_x:])[0]
+        jfull = gridfreq.dae._fd_jacobian(model, z, r0)
+        integ = TrapezoidalIntegrator(model)
+        for h in (0.005, 0.01, 0.0):
+            reference = np.linalg.inv(step_jacobian(jfull, n_x, h))
+            deviation = np.abs(integ._factor(z, h, r0) - reference).max()
+            assert deviation <= 1e-12 * np.abs(reference).max(), (control, h)
+        assert integ.stats["jacobian_builds"] == 1
+
+
+@pytest.mark.parametrize("control", ["no_cig", "cig_omega_tilde"])
+def test_the_integrator_inverts_g_y_and_the_n_x_block_only(case, control, monkeypatch):
+    """Over a run with load steps every `np.linalg.inv` call takes g_y or
+    I - h/2 A, no larger matrix; a re-solve on the last step's Jacobian
+    inverts nothing, and its update leaves x bitwise as it was."""
+    model, st = build_system(case, control, k=1.2)
+    n_x, n_bus = model.n_x, model.n_bus
+    inv, shapes = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+    ts = simulate(model, st, [Event(0.05, LoadScale(bus=5, factor=1.1)),
+                              Event(0.1, LoadScale(bus=6, factor=0.9))],
+                  t_end=0.2, h=0.01, output_dt=0.01, channels=["omega_coi"])
+    assert set(shapes) == {(n_x, n_x), (2 * n_bus, 2 * n_bus)}
+    assert len(shapes) == ts.stats["lu_factorizations"]
+    integ = TrapezoidalIntegrator(model)
+    s = integ.step(st, 0.01)
+    model._set_network(apply_event(model.net, LoadScale(bus=5, factor=1.15)))
+    shapes.clear()
+    with np.errstate(all="ignore"):
+        z = integ._newton(s, 0.0)
+    assert shapes == [] and integ.stats["jacobian_builds"] == 1
+    assert np.array_equal(z[:n_x], s.x)
+
+
+def test_a_singular_g_y_is_a_step_error(case, monkeypatch):
+    """A Jacobian whose g_y is singular, while the whole step Jacobian is
+    not, fails Newton: the DAE is index 1 only where g_y is regular.  After
+    4 halvings the run ends in a StepError naming t and h, with no LAPACK
+    error or warning on the way."""
+    model, st = build_system(case, "no_cig")
+    n_x = model.n_x
+    fd_jacobian = gridfreq.dae._fd_jacobian
+
+    def singular_g_y(model, z0, r0):
+        jac = fd_jacobian(model, z0, r0)
+        jac[n_x + model.mach_bus[0], n_x:] = 0.0   # a machine bus's row of g_y
+        return jac
+
+    z0 = np.concatenate([st.x, st.y])
+    jac = singular_g_y(model, z0, model.residual(st.x, st.y)[0])
+    assert np.linalg.matrix_rank(step_jacobian(jac, n_x, 0.01)) == z0.size
+    monkeypatch.setattr(gridfreq.dae, "_fd_jacobian", singular_g_y)
+    with warnings.catch_warnings(), pytest.raises(StepError, match=r"t=0\.0000s .* after 4 halvings"):
+        warnings.simplefilter("error")
+        simulate(model, st, [], t_end=0.05, h=0.01, output_dt=0.01)
+
+
+def test_linearize_and_the_integrator_reduce_through_one_routine(case, monkeypatch):
+    """`linearize` reduces its Jacobian through `reduce_algebraic` once, and
+    the integrator once per Jacobian build."""
+    calls = []
+    reduce = gridfreq.dae.reduce_algebraic
+
+    def counted(*blocks):
+        calls.append(1)
+        return reduce(*blocks)
+
+    monkeypatch.setattr(gridfreq.dae, "reduce_algebraic", counted)
+    monkeypatch.setattr(gridfreq.smallsignal, "reduce_algebraic", counted)
+    model, st = build_system(case, "cig_omega_tilde", freq_loop=False)
+    linearize(model, st)
+    assert len(calls) == 1
+    ts = simulate(model, st, [Event(0.05, LoadScale(bus=5, factor=0.5))], t_end=0.2,
+                  h=0.01, output_dt=0.01, channels=["omega_coi"])
+    assert len(calls) == 1 + ts.stats["jacobian_builds"] >= 3
+
+
 @pytest.mark.parametrize("control", CONTROLS)
 def test_load_loss_takes_at_most_2_3_residual_passes_per_step(case, control):
     """The paper's 10 s load-loss run at h = 5 ms: the quartic start and the
@@ -697,8 +799,8 @@ def test_accept_drops_the_jacobian_once_its_extra_solves_cost_three_builds(case)
     def run(solves):
         """The index of the step of solves at which the Jacobian was dropped."""
         for i, n in enumerate(solves):
-            integ._accept(n)
-            if integ._jfull is None:
+            integ._accept(n, n)
+            if integ._reduced is None:
                 return i
         return None
 
@@ -712,6 +814,34 @@ def test_accept_drops_the_jacobian_once_its_extra_solves_cost_three_builds(case)
     assert integ.stats["jacobian_refreshes"] == 2
     assert integ.stats["jacobian_builds"] == 2
     assert integ.stats["newton_histogram"] == {0: 1, 1: 42, 2: 3, 3: 29}
+
+
+def test_a_stalled_step_charges_its_new_jacobian_only_the_retry(case, monkeypatch):
+    """A step whose first Newton attempt stalls, here on a tenth of the
+    inverse, builds a Jacobian and converges on it.  The histogram books
+    every solve of the step, and the new Jacobian is charged only the
+    retry's solves beyond its first, not the 8 of the stalled attempt."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    model._set_network(apply_event(model.net, LoadScale(bus=5, factor=0.5)))
+    integ = TrapezoidalIntegrator(model)
+    s = integ.step(integ.resolve(st), 0.005)
+    factor, calls = integ._factor, []
+
+    def damped_first(z, h, r0):
+        calls.append(h)
+        inv = factor(z, h, r0)
+        return 0.1 * inv if len(calls) == 1 else inv
+
+    monkeypatch.setattr(integ, "_factor", damped_first)
+    before = dict(integ.stats)
+    integ.step(s, 0.005)
+    assert calls == [0.005, 0.005]
+    assert integ.stats["jacobian_builds"] - before["jacobian_builds"] == 1
+    assert integ.stats["steps"] - before["steps"] == 1
+    solves = integ.stats["newton_iterations"] - before["newton_iterations"]
+    retry = solves - integ.max_iter
+    assert retry >= 1 and integ.stats["newton_histogram"][solves] == 1
+    assert integ._extra_solves == retry - 1
 
 
 def test_build_ybus_runs_once_per_build_and_per_fault_event(case, monkeypatch):

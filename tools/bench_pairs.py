@@ -20,8 +20,9 @@ bench/reference.json, and solver stats from one untimed pass of every
 operation: `TimeSeries.stats` and the counted `SystemModel.residual`
 calls.  From those counts, `unit_costs` gives each side's median wall_s
 per accepted step and per residual pass of one repetition (us), and
-`repetition_counts` each side's residual passes, Newton iterations and
-Jacobian builds of one repetition, both also on the printed line.  The
+`repetition_counts` each side's residual passes, Newton iterations,
+Jacobian builds and `lu_factorizations` (the integrator's `np.linalg.inv`
+calls) of one repetition, both also on the printed line.  The
 same pass saves every output of every operation, and the state [x; y]
 its set-up built (`setup_x`, `setup_y`), so a change
 to the set-up path is checked too: `outputs` holds each side's sha-256
@@ -290,13 +291,15 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
 
 # the solver counts of one repetition, by the `untimed_pass` stats key each sums
 COUNTS = {"residual_passes": "residual_calls_counted",
-          "newton_iterations": "newton_iterations", "jacobian_builds": "jacobian_builds"}
+          "newton_iterations": "newton_iterations", "jacobian_builds": "jacobian_builds",
+          "lu_factorizations": "lu_factorizations"}
 
 
 def repetition_counts(stats: dict) -> dict:
-    """The residual passes, Newton iterations and Jacobian builds of one
-    repetition, summed over the `untimed_pass` stats of its operations;
-    None where no operation integrates (no `TimeSeries.stats`)."""
+    """The residual passes, Newton iterations, Jacobian builds and
+    inversions (`lu_factorizations`) of one repetition, summed over the
+    `untimed_pass` stats of its operations; None where no operation
+    integrates (no `TimeSeries.stats`)."""
     counts = {}
     for name, key in COUNTS.items():
         values = [st[key] for st in stats.values() if key in st]
