@@ -114,6 +114,7 @@ class SystemModel:
 
         self.mach_bus = [net.bus_index(m.bus) for m in machines]
         self.cig_bus = net.bus_index(cig.bus) if cig else None
+        self._cig_start = _SM_N * len(machines)   # the converter's first state in x
 
         # (states, bus, kernel constants) of each machine, as `_machine_block` reads them
         self._sm_slots = [(slice(_SM_N * i, _SM_N * (i + 1)), b,
@@ -124,11 +125,9 @@ class SystemModel:
         self._set_network(net)
 
         # labels for linearization / reporting
-        self.state_labels: list[str] = []
-        for i, m in enumerate(machines, start=1):
-            self.state_labels += [f"sm{i}_{n}" for n in smmod.STATE_NAMES]
-        if cig:
-            self.state_labels += [f"cig_{n}" for n in cigmod.STATE_NAMES]
+        self.state_labels = [f"sm{i}_{n}" for i in range(1, len(machines) + 1)
+                             for n in smmod.STATE_NAMES]
+        self.state_labels += [f"cig_{n}" for n in cigmod.STATE_NAMES] if cig else []
         self.speed_indices = [i * _SM_N + 1 for i in range(len(machines))]
 
     def _set_network(self, net: Network) -> None:
@@ -216,18 +215,19 @@ class SystemModel:
 
     # -- residuals ---------------------------------------------------------
 
-    def _machine_block(self, xl: list[float], vl: list[complex], omega_coi: float):
-        """Machine derivatives (a list, machine-major) and the per-bus
-        injections (a list of n_bus complex, machines on one bus summed),
-        from the states xl and the bus voltages vl as Python lists."""
+    def _machine_block(self, xl: list[float], yl: list[float], omega_coi: float):
+        """(f, re, im): machine derivatives (machine-major) and the Re and Im parts of
+        the per-bus injections, lists, from the lists xl and yl = [Re v; Im v]."""
+        n = self.n_bus
         f: list[float] = []
-        inj = [0j] * self.n_bus
+        re, im = [0.0] * n, [0.0] * n
         kernel, omega_base = smmod.sm_kernel, self.omega_base
-        for states, bus, prm in self._sm_slots:
-            d, i_m = kernel(xl[states], vl[bus], prm, omega_coi, omega_base)
+        for states, b, prm in self._sm_slots:
+            d, i = kernel(xl[states], complex(yl[b], yl[n + b]), prm, omega_coi, omega_base)
             f += d
-            inj[bus] += i_m
-        return f, inj
+            re[b] += i.real
+            im[b] += i.imag
+        return f, re, im
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         """Every device and the network evaluated once at (x, y).
@@ -237,29 +237,30 @@ class SystemModel:
         g = I_inj(x, y) - I_load(y) - Ybus V; and the converter's measured
         signals omega_est, rho_est and omega_tilde (the frequency-loop
         input) with its power output p_cig, q_cig, empty without a
-        converter.  Everything but Ybus V is computed on Python floats and
-        complex numbers.
+        converter.  Everything but Ybus V is computed on Python floats, a
+        bus's balance as a (Re, Im) pair: machines, converter, then load.
         """
         n = self.n_bus
         xl, yl = x.tolist(), y.tolist()
-        v = list(map(complex, yl[:n], yl[n:]))
         wcoi = self.coi_speed(xl)
-        f, inj = self._machine_block(xl, v, wcoi)
+        f, re, im = self._machine_block(xl, yl, wcoi)
         outputs: dict[str, float] = {}
         if self.cig:
-            vb = v[self.cig_bus]
-            d_c, inj_c, (w_est, rho, sig) = cigmod.cig_derivatives(
-                xl[_SM_N * len(self.machines):], vb.real, vb.imag,
-                self.cig.params, self.omega_base, omega_frame=wcoi)
+            b = self.cig_bus
+            d_c, i, (w_est, rho, sig) = cigmod.cig_derivatives(
+                xl[self._cig_start:], yl[b], yl[n + b], self.cig.params, self.omega_base, wcoi)
             f += d_c
-            inj[self.cig_bus] += inj_c
-            s = vb * inj_c.conjugate()
+            re[b] += i.real
+            im[b] += i.imag
+            s = complex(yl[b], yl[n + b]) * i.conjugate()
             outputs = {"omega_est": w_est, "rho_est": rho, "omega_tilde": sig,
                        "p_cig": s.real, "q_cig": s.imag}
-        for i, s_conj in self._loads:
-            inj[i] -= s_conj / v[i].conjugate()
-        f += [c.real for c in inj]
-        f += [c.imag for c in inj]
+        for b, s_conj in self._loads:
+            i = s_conj / complex(yl[b], -yl[n + b])
+            re[b] -= i.real
+            im[b] -= i.imag
+        f += re
+        f += im
         r = np.array(f)
         r[self.n_x:] -= self._y_real @ y
         return r, outputs
@@ -663,7 +664,7 @@ class TrapezoidalIntegrator:
                 # refresh the Jacobian at the current iterate and retry once
                 self._reduced = None
             attempt0 = stats["newton_iterations"]
-            if not np.isfinite(z).all():
+            if not np.logical_and.reduce(np.isfinite(z)):
                 return None
             for it in range(self.max_iter + 1):
                 x = z[:n_x]
@@ -678,10 +679,9 @@ class TrapezoidalIntegrator:
                 f = r[:n_x].copy()   # for the cache: r becomes [x - base - hh f; g]
                 rx = np.subtract(x, base, out=r[:n_x])
                 rx -= hh * f
-                worst = float(np.abs(r).max())
+                worst = float(np.maximum.reduce(np.abs(r)))
                 if worst < self.tol:
-                    if worst > stats["max_residual"]:
-                        stats["max_residual"] = worst
+                    stats["max_residual"] = max(stats["max_residual"], worst)
                     history = ()
                     if h:
                         history = (np.concatenate((points[1 - _HISTORY:], z[None]))
@@ -788,7 +788,7 @@ def record(model: SystemModel, state: SystemState, channels: list[str] | None,
     v = outputs = None
     for name in channels:
         if name == "omega_coi":
-            out[name] = model.coi_speed(state.x)
+            out[name] = model.coi_speed(state.x.tolist())
         elif name.startswith("omega_sm"):
             out[name] = float(state.x[model.speed_indices[int(name[8:]) - 1]])
         elif name.startswith("v_bus"):

@@ -77,7 +77,8 @@ def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
     assert costs["us_per_step"] == pytest.approx(500.0)
     assert costs["us_per_residual_pass"] == pytest.approx(200.0)
     no_steps = bench_pairs.unit_costs(0.016, {"nominal": {"residual_calls_counted": 32}})
-    assert no_steps == {"us_per_step": None, "us_per_residual_pass": pytest.approx(500.0)}
+    assert no_steps == {"us_per_step": None, "us_per_residual_pass": pytest.approx(500.0),
+                        "residual_us": None}
     counts = bench_pairs.repetition_counts(stats)
     line = bench_pairs.summary_line("w", {}, {"parent": costs, "change": costs},
                                     {"parent": counts, "change": counts})
@@ -87,6 +88,26 @@ def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
     line = bench_pairs.summary_line("w", {}, {"parent": no_steps, "change": no_steps},
                                     {"parent": counts, "change": counts})
     assert line == "w: wall_s per residual pass 500 -> 500 us; residual passes 32 -> 32"
+
+
+def test_residual_us_is_the_mean_of_the_operations_one_pass_times(bench_pairs):
+    """The timed cost of one residual pass at each operation's set-up state
+    is averaged over the operations of a repetition, and printed for each
+    side after the wall time per residual pass."""
+    parent = bench_pairs.unit_costs(0.2, {
+        "no_cig": {"steps": 300, "residual_calls_counted": 700, "residual_us": 21.0},
+        "cig_omega": {"steps": 100, "residual_calls_counted": 300, "residual_us": 24.0}})
+    change = bench_pairs.unit_costs(0.18, {
+        "no_cig": {"steps": 300, "residual_calls_counted": 700, "residual_us": 18.0},
+        "cig_omega": {"steps": 100, "residual_calls_counted": 300, "residual_us": 21.5}})
+    assert parent["residual_us"] == pytest.approx(22.5)
+    assert change["residual_us"] == pytest.approx(19.75)
+    counts = {"residual_passes": 1000, "newton_iterations": None, "jacobian_builds": None,
+              "lu_factorizations": None}
+    line = bench_pairs.summary_line("w", {}, {"parent": parent, "change": change},
+                                    {"parent": counts, "change": counts})
+    assert line == ("w: wall_s per step 500 -> 450 us; wall_s per residual pass 200 -> 180 us; "
+                    "one residual pass 22.5 -> 19.75 us; residual passes 1000 -> 1000")
 
 
 def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
@@ -206,12 +227,15 @@ def test_cli_tables_leave_out_a_table_whose_run_fails(bench_pairs, tmp_path):
 def test_stats_script_saves_each_set_up_state(bench_pairs, tmp_path):
     """One untimed `smallsig` pass, seed 0, on this checkout: beside the
     outputs, the .npz holds the [x; y] each operation's set-up built, the
-    nominal one equal to `build_system` on the bundled case."""
+    nominal one equal to `build_system` on the bundled case, and the stats
+    hold each operation's timed residual pass."""
     saved = tmp_path / "outputs.npz"
     proc = subprocess.run([sys.executable, "-c", bench_pairs.STATS_SCRIPT, "smallsig", "0",
                            str(saved)], cwd=ROOT, check=True, capture_output=True, text=True)
-    labels = list(json.loads(proc.stdout))
+    stats = json.loads(proc.stdout)
+    labels = list(stats)
     assert labels == ["nominal", "point1", "point2", "point3"]
+    assert all(0.0 < stats[label]["residual_us"] < 1e4 for label in labels)
     with np.load(saved) as outputs:
         arrays = dict(outputs)
     for label in labels:

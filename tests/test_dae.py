@@ -30,7 +30,7 @@ from gridfreq.dae import (
     record,
     simulate,
 )
-from gridfreq.machines import N_STATES
+from gridfreq.machines import N_STATES, sm_kernel
 from gridfreq.network import FaultOff, FaultOn, LoadScale, apply_event, build_ybus
 from gridfreq.smallsignal import _central_jacobians, linearize
 
@@ -1105,7 +1105,8 @@ def reference_network_balance(model: SystemModel, x: np.ndarray, y: np.ndarray):
     balance: complex numpy arrays over every bus, loads as conj(S / v)."""
     v = model.voltages(y)
     wcoi = model.coi_speed(x)
-    _, inj = model._machine_block(x.tolist(), v.tolist(), wcoi)
+    _, re, im = model._machine_block(x.tolist(), model.pack_voltages(v).tolist(), wcoi)
+    inj = np.array(re) + 1j * np.array(im)
     if model.cig:
         vb = complex(v[model.cig_bus])
         _, inj_c, _ = gridfreq.cig.cig_derivatives(
@@ -1143,6 +1144,84 @@ def test_network_balance_matches_complex_reference(balance_models, which, dx, vm
     y = model.pack_voltages(v)
     g = model.residual(x, y)[0][model.n_x:]
     assert np.max(np.abs(g - reference_network_balance(model, x, y))) <= 1e-13
+
+
+def complex_list_residual(model: SystemModel, x: np.ndarray, y: np.ndarray):
+    """([f; g], outputs) as `SystemModel.residual` assembled them on a list
+    of complex bus voltages and complex per-bus injections: each bus adds
+    its machines' currents, then the converter's, then subtracts its load's."""
+    n = model.n_bus
+    xl, yl = x.tolist(), y.tolist()
+    v = list(map(complex, yl[:n], yl[n:]))
+    wcoi = model.coi_speed(xl)
+    f, inj = [], [0j] * n
+    for states, bus, prm in model._sm_slots:
+        d, i_m = sm_kernel(xl[states], v[bus], prm, wcoi, model.omega_base)
+        f += d
+        inj[bus] += i_m
+    outputs = {}
+    if model.cig:
+        vb = v[model.cig_bus]
+        d_c, inj_c, (w_est, rho, sig) = gridfreq.cig.cig_derivatives(
+            xl[model.n_x - gridfreq.cig.N_STATES:], vb.real, vb.imag,
+            model.cig.params, model.omega_base, omega_frame=wcoi)
+        f += d_c
+        inj[model.cig_bus] += inj_c
+        s = vb * inj_c.conjugate()
+        outputs = {"omega_est": w_est, "rho_est": rho, "omega_tilde": sig,
+                   "p_cig": s.real, "q_cig": s.imag}
+    for i, s_conj in model._loads:
+        inj[i] -= s_conj / v[i].conjugate()
+    f += [c.real for c in inj]
+    f += [c.imag for c in inj]
+    r = np.array(f)
+    r[model.n_x:] -= model._y_real @ y
+    return r, outputs
+
+
+@pytest.fixture(scope="module")
+def pinned_models(case):
+    """(model, set-up state) of each layout the residual is pinned on: the
+    three controls; the converter moved onto machine bus 2 with x_t = 0;
+    the same with a second unit on bus 2, so that three currents meet on
+    one bus and the order they are added in shows (two commute); and the
+    converter system under a bus-7 fault shunt."""
+    models = {c: build_system(case, c, k=1.2) for c in CONTROLS}
+    moved = load_bundled_case()
+    moved.cigs[0] = CIGSpec(2, dataclasses.replace(moved.cigs[0].params, x_t=0.0))
+    model, st = models["converter_on_bus2"] = build_system(moved, "cig_omega_tilde")
+    m = model.machines[1]
+    extra = dataclasses.replace(m, params=dataclasses.replace(m.params, H=2.5),
+                                gov=dataclasses.replace(m.gov, p_ref=0.4))
+    n_sm = N_STATES * len(model.machines)
+    models["two_units_and_converter_on_bus2"] = (
+        SystemModel(model.net, model.machines + [extra], model.cig),
+        SystemState(np.concatenate([st.x[:n_sm], st.x[N_STATES: 2 * N_STATES], st.x[n_sm:]]),
+                    st.y, 0.0))
+    faulted, st = build_system(case, "cig_omega_tilde", k=1.2)
+    faulted._set_network(apply_event(faulted.net, FaultOn(bus=7, g=5.0)))
+    models["fault_on"] = (faulted, st)
+    return models
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(which=hst.sampled_from([*CONTROLS, "converter_on_bus2",
+                               "two_units_and_converter_on_bus2", "fault_on"]),
+       dx=hst.lists(hst.floats(-0.05, 0.05), min_size=43, max_size=43),
+       vmag=hst.lists(hst.floats(0.5, 1.3), min_size=10, max_size=10),
+       vang=hst.lists(hst.floats(-math.pi, math.pi), min_size=10, max_size=10))
+def test_residual_is_bitwise_the_complex_list_assembly(pinned_models, which, dx, vmag, vang):
+    """The float-pair residual adds every bus's terms in the order the
+    complex-list assembly did, so [f; g] and the converter outputs are
+    bitwise equal to it, near the set-up state at any bus voltages."""
+    model, st = pinned_models[which]
+    x = st.x + np.array(dx[: model.n_x])
+    n = model.n_bus
+    y = model.pack_voltages(np.array(vmag[:n]) * np.exp(1j * np.array(vang[:n])))
+    r, outputs = model.residual(x, y)
+    r_ref, outputs_ref = complex_list_residual(model, x, y)
+    assert np.array_equal(r, r_ref)
+    assert outputs == outputs_ref
 
 
 # ---------------------------------------------------------------------------

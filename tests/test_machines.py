@@ -270,10 +270,10 @@ def reference_machine_block(model: SystemModel, x: np.ndarray, v: np.ndarray,
 
 
 def assert_matches_reference(model, x, v, omega_coi):
-    f, inj = model._machine_block(x.tolist(), v.tolist(), omega_coi)
+    f, re, im = model._machine_block(x.tolist(), model.pack_voltages(v).tolist(), omega_coi)
     f_ref, inj_ref = reference_machine_block(model, x, v, omega_coi)
     assert np.max(np.abs(np.array(f) - f_ref)) <= 1e-13
-    assert np.max(np.abs(np.array(inj) - inj_ref)) <= 1e-13
+    assert np.max(np.abs(np.array(re) + 1j * np.array(im) - inj_ref)) <= 1e-13
     return np.array(f)
 
 

@@ -19,7 +19,10 @@ document also holds each side's failure fraction, largest deviation from
 bench/reference.json, and solver stats from one untimed pass of every
 operation: `TimeSeries.stats` and the counted `SystemModel.residual`
 calls.  From those counts, `unit_costs` gives each side's median wall_s
-per accepted step and per residual pass of one repetition (us), and
+per accepted step and per residual pass of one repetition (us), with
+`residual_us`, the cost of one `SystemModel.residual` pass alone (the
+minimum over 7 `timeit` blocks at each operation's set-up state, taken in
+the same untimed pass, averaged over the operations), and
 `repetition_counts` each side's residual passes, Newton iterations,
 Jacobian builds and `lu_factorizations` (the integrator's `np.linalg.inv`
 calls) of one repetition, both also on the printed line.  The
@@ -72,14 +75,16 @@ BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 # to the .npz file named by its third argument, as "<label>/<output>",
 # with the state its set-up built, as "<label>/setup_x" and "<label>/setup_y".
 # The stats are the program's own counters where it integrates
-# (TimeSeries.stats), plus counted SystemModel.residual calls.
+# (TimeSeries.stats), plus counted SystemModel.residual calls and
+# "residual_us", one uncounted pass at the set-up state: the minimum over
+# 7 timeit blocks of `number` calls, in us per call.
 STATS_SCRIPT = r"""
-import json, sys
+import json, sys, timeit
 import numpy as np
 sys.path[:0] = ["src", "bench"]
 import gridfreq as gf
 import workloads
-calls = [0]
+calls, number = [0], 1000
 residual = gf.SystemModel.residual
 def counted(self, x, y):
     calls[0] += 1
@@ -96,11 +101,14 @@ for op in workloads.make(sys.argv[1], int(sys.argv[2])).ops():
     system = op.setup()
     arrays[f"{op.label}/setup_x"] = system[1].x.copy()
     arrays[f"{op.label}/setup_y"] = system[1].y.copy()
+    model, state = system
+    blocks = timeit.repeat(lambda: residual(model, state.x, state.y), repeat=7, number=number)
     last.clear()
     calls[0] = 0
     outputs = op.run(*system)
     st = {str(k): v for k, v in last.items()}
     st["residual_calls_counted"] = calls[0]
+    st["residual_us"] = 1e6 * min(blocks) / number
     if "steps" in st:
         st["residual_calls_per_step"] = calls[0] / st["steps"]
     out[op.label] = st
@@ -282,11 +290,16 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
     """wall_s, the median wall time of one repetition, per accepted step and
     per residual pass of that repetition (us), from `untimed_pass` stats of its
     operations; None where the workload makes no such unit.  They show
-    whether a change moved the cost of a unit or the number of units."""
+    whether a change moved the cost of a unit or the number of units.
+    residual_us is the mean over the operations of the time of one residual
+    pass alone at its set-up state (us), None where no operation has one:
+    the layer's own cost, beside the share of wall_s each pass carries."""
     steps = sum(st.get("steps", 0) for st in stats.values())
     passes = sum(st["residual_calls_counted"] for st in stats.values())
+    timed = [st["residual_us"] for st in stats.values() if "residual_us" in st]
     return {"us_per_step": 1e6 * wall_s / steps if steps else None,
-            "us_per_residual_pass": 1e6 * wall_s / passes if passes else None}
+            "us_per_residual_pass": 1e6 * wall_s / passes if passes else None,
+            "residual_us": statistics.fmean(timed) if timed else None}
 
 
 # the solver counts of one repetition, by the `untimed_pass` stats key each sums
@@ -309,17 +322,20 @@ def repetition_counts(stats: dict) -> dict:
 
 def summary_line(workload: str, metrics: dict, costs: dict, counts: dict) -> str:
     """One line: each metric's verdict, pairs won, medians and gap in parent
-    IQRs, then the wall time per step and per residual pass of each side,
-    and each side's solver counts of one repetition."""
+    IQRs, then the wall time per step and per residual pass of each side
+    and the time of one residual pass alone, and each side's solver counts
+    of one repetition."""
     parts = []
     for name, m in metrics.items():
         iqrs = m["gap_over_parent_iqr"]
         parts.append(f"{name} {m['verdict']} (won {m['win_share']:.0%}, median "
                      f"{m['parent']['median']:.4g} -> {m['change']['median']:.4g}, gap "
                      + ("n/a" if iqrs is None else f"{iqrs:.3g}") + " parent IQR)")
-    for unit, label in (("us_per_step", "step"), ("us_per_residual_pass", "residual pass")):
-        if costs["parent"][unit] is not None:
-            parts.append(f"wall_s per {label} {costs['parent'][unit]:.4g} -> "
+    for unit, label in (("us_per_step", "wall_s per step"),
+                        ("us_per_residual_pass", "wall_s per residual pass"),
+                        ("residual_us", "one residual pass")):
+        if costs["parent"].get(unit) is not None:
+            parts.append(f"{label} {costs['parent'][unit]:.4g} -> "
                          f"{costs['change'][unit]:.4g} us")
     for name in COUNTS:
         if counts["parent"][name] is not None or counts["change"][name] is not None:
