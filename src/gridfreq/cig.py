@@ -58,6 +58,8 @@ class CIGControlParams:
 
 STATE_NAMES = ("theta_pll", "xi_pll", "z_rho", "w_wash", "x_v", "i_d", "i_q")
 N_STATES = len(STATE_NAMES)
+# the converter's outputs in `SystemModel.residual`, in the order they are recorded
+OUTPUT_NAMES = ("p_cig", "q_cig", "omega_est", "rho_est", "omega_tilde")
 
 
 @dataclass

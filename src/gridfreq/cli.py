@@ -174,8 +174,9 @@ def load_scenario(path: str | None, overrides: dict) -> Scenario:
         raise ScenarioError(f"case must be a string, got {merged['case']!r}")
     if not isinstance(merged["events"], list):
         raise ScenarioError(f"events must be a list, got {merged['events']!r}")
-    if not isinstance(merged["channels"], (list, type(None))):
-        raise ScenarioError(f"channels must be a list, got {merged['channels']!r}")
+    if not (merged["channels"] is None or isinstance(merged["channels"], list)
+            and all(isinstance(c, str) for c in merged["channels"])):
+        raise ScenarioError(f"channels must be a list of names, got {merged['channels']!r}")
     if not isinstance(merged["out_dir"], str):
         raise ScenarioError(f"out_dir must be a string, got {merged['out_dir']!r}")
     sc = Scenario(

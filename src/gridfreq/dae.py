@@ -88,7 +88,6 @@ class TimeSeries:
 
 
 _SM_N = smmod.N_STATES
-_CIG_N = cigmod.N_STATES
 
 # converter control modes accepted by `build_system`
 CONTROLS = ("no_cig", "cig_omega", "cig_omega_tilde")
@@ -100,6 +99,12 @@ class SystemModel:
     The device records in `machines` and `cig` are frozen: build a new
     model to change a parameter.  Only `simulate` changes the network,
     on its own copy of the model.
+
+    The layout lives in two tables.  `_devices` has a row (label, state
+    names, kernel read table, frame input, bus index) per device in x order.
+    `channels` maps each recordable name, in default order, to where
+    `record` reads it: ("coi", None), ("x", index), ("v", bus index) or
+    ("output", name of `cig.OUTPUT_NAMES`).
     """
 
     def __init__(self, net: Network, machines: list[MachineSpec],
@@ -109,7 +114,6 @@ class SystemModel:
         self.machines = machines
         self.cig = cig
         self.n_bus = net.n_bus
-        self.n_x = _SM_N * len(machines) + (_CIG_N if cig else 0)
         self.omega_base = net.omega_base
 
         self.mach_bus = [net.bus_index(m.bus) for m in machines]
@@ -121,14 +125,21 @@ class SystemModel:
                            smmod.sm_kernel_params(m.params, m.avr, m.gov))
                           for i, (m, b) in enumerate(zip(machines, self.mach_bus))]
         self.coi_weights = smmod.coi_weights([m.params for m in machines]).tolist()
+        self.speed_indices = [i * _SM_N + 1 for i in range(len(machines))]
         self._jac_structure = None   # (pattern, groups, group_of), built on first use
         self._set_network(net)
 
-        # labels for linearization / reporting
-        self.state_labels = [f"sm{i}_{n}" for i in range(1, len(machines) + 1)
-                             for n in smmod.STATE_NAMES]
-        self.state_labels += [f"cig_{n}" for n in cigmod.STATE_NAMES] if cig else []
-        self.speed_indices = [i * _SM_N + 1 for i in range(len(machines))]
+        self._devices = [(f"sm{k}", smmod.STATE_NAMES, smmod.KERNEL_READS, "omega_coi", b)
+                         for k, b in enumerate(self.mach_bus, 1)]
+        self.channels = {"omega_coi": ("coi", None),
+                         **{f"omega_sm{k}": ("x", i) for k, i in enumerate(self.speed_indices, 1)},
+                         **{f"v_bus{b.id}": ("v", i) for i, b in enumerate(net.buses)}}
+        if cig:
+            self._devices.append(("cig", cigmod.STATE_NAMES, cigmod.kernel_reads(cig.params),
+                                  "omega_frame", self.cig_bus))
+            self.channels.update((name, ("output", name)) for name in cigmod.OUTPUT_NAMES)
+        self.n_x = sum(len(names) for _, names, *_ in self._devices)
+        self.state_labels = [f"{label}_{s}" for label, names, *_ in self._devices for s in names]
 
     def _set_network(self, net: Network) -> None:
         """Take net, Y as the real matrix [[G, -B], [B, G]], which maps
@@ -173,31 +184,19 @@ class SystemModel:
         # the network: Y y, plus the Re/Im pair of each bus that its
         # loads and device injections read
         pattern[n_x:, n_x:] = (self._y_real != 0.0) | np.tile(np.eye(n, dtype=bool), (2, 2))
-        # each kind of device: the (row, column) pairs of its read table,
-        # on the states, the Re/Im pair of the bus and the machine speeds of
-        # each device of that kind (one row of `at` per device)
+        # each device: the (row, column) pairs of its read table, on its
+        # states, the Re/Im pair of its bus and the machine speeds
         speeds = self.speed_indices
-        kinds = [(smmod.STATE_NAMES, smmod.KERNEL_READS, "omega_coi",
-                  [(_SM_N * i, b) for i, b in enumerate(self.mach_bus)])]
-        if self.cig:
-            kinds.append((cigmod.STATE_NAMES, cigmod.kernel_reads(self.cig.params),
-                          "omega_frame", [(n_x - _CIG_N, self.cig_bus)]))
-        for names, reads, frame, slots in kinds:
+        start = 0
+        for _, names, reads, frame, b in self._devices:
             rows, cols = _read_pairs(names, tuple(reads.items()), frame, len(speeds))
-            at = np.array([[*range(start, start + len(names)), n_x + b, n_x + n + b, *speeds]
-                           for start, b in slots])
-            pattern[at[:, rows], at[:, cols]] = True
+            at = np.array([*range(start, start + len(names)), n_x + b, n_x + n + b, *speeds])
+            pattern[at[rows], at[cols]] = True
+            start += len(names)
         self._jac_structure = (pattern, *_colouring(pattern.tobytes(), pattern.shape))
         return self._jac_structure
 
     # -- state packing ----------------------------------------------------
-
-    def pack(self, sm_states: list[smmod.SynMachineState],
-             cig_state: cigmod.CIGState | None = None) -> np.ndarray:
-        parts = [s.as_array() for s in sm_states]
-        if self.cig:
-            parts.append(cig_state.as_array())
-        return np.concatenate(parts)
 
     def voltages(self, y: np.ndarray) -> np.ndarray:
         n = self.n_bus
@@ -455,7 +454,7 @@ def build_system(case: Case, control: str = "no_cig",
     pf = solve_power_flow(net)
     vsol = pf.v_complex()
 
-    machines, sm_states = [], []
+    machines, states = [], []   # states in device order: machines, then the converter
     for m in case.machines:
         i = net.bus_index(m.bus)
         p_disp = pf.p_inj[i] + net.buses[i].p_load
@@ -464,16 +463,17 @@ def build_system(case: Case, control: str = "no_cig",
             p_disp -= cp.p_ref
             q_disp -= cp.q_ref
         state, avr, gov = smmod.initialize_sm(vsol[i], p_disp, q_disp, m.params, m.avr, m.gov)
-        sm_states.append(state)
+        states.append(state)
         machines.append(replace(m, avr=avr, gov=gov))
 
-    cig_spec = cig_state = None
+    cig_spec = None
     if cp is not None:
         cig_state, cp = cigmod.initialize_cig(vsol[net.bus_index(cig_bus)], cp)
         cig_spec = CIGSpec(cig_bus, cp)
+        states.append(cig_state)
 
     model = SystemModel(net, machines, cig_spec)
-    x0 = model.pack(sm_states, cig_state)
+    x0 = np.concatenate([s.as_array() for s in states])
     y0 = model.pack_voltages(vsol)
     return model, SystemState(x=x0, y=y0, t=0.0)
 
@@ -763,42 +763,35 @@ class TrapezoidalIntegrator:
 # Scenario simulation
 # ---------------------------------------------------------------------------
 
-def _default_channels(model: SystemModel) -> list[str]:
-    ch = ["omega_coi"]
-    ch += [f"omega_sm{i+1}" for i in range(len(model.machines))]
-    ch += [f"v_bus{b.id}" for b in model.net.buses]
-    if model.cig:
-        ch += ["p_cig", "q_cig", "omega_est", "rho_est", "omega_tilde"]
-    return ch
-
-
 def record(model: SystemModel, state: SystemState, channels: list[str] | None,
            evaluate) -> dict[str, float]:
-    """Values of the named channels (None: every recordable one) at one state.
+    """Values of the named channels (None: all of `SystemModel.channels`, in
+    its order) at one state.
 
-    Only the requested channels are computed.  The converter channels come
-    from `evaluate(x, y) -> (f, outputs)`; `simulate` passes its
-    integrator's `TrapezoidalIntegrator.evaluate`, which returns the
-    outputs of the accepted Newton residual without a new pass.  A run
-    that records none of them never calls `evaluate`.
+    Only the requested channels are computed, each where the channel table
+    says.  The converter channels come from `evaluate(x, y) -> (f, outputs)`;
+    `simulate` passes its integrator's `TrapezoidalIntegrator.evaluate`,
+    which returns the outputs of the accepted Newton residual without a new
+    pass.  A run that records none of them never calls `evaluate`.
     """
-    if channels is None:
-        channels = _default_channels(model)
+    table, n = model.channels, model.n_bus
+    x = state.x.tolist()
     out: dict[str, float] = {}
-    v = outputs = None
-    for name in channels:
-        if name == "omega_coi":
-            out[name] = model.coi_speed(state.x.tolist())
-        elif name.startswith("omega_sm"):
-            out[name] = float(state.x[model.speed_indices[int(name[8:]) - 1]])
-        elif name.startswith("v_bus"):
-            if v is None:
-                v = model.voltages(state.y)
-            out[name] = float(abs(v[model.net.bus_index(int(name[5:]))]))
+    y = outputs = None
+    for name in table if channels is None else channels:
+        source, at = table[name]
+        if source == "v":
+            if y is None:
+                y = state.y.tolist()
+            out[name] = abs(complex(y[at], y[n + at]))
+        elif source == "x":
+            out[name] = x[at]
+        elif source == "coi":
+            out[name] = model.coi_speed(x)
         else:
             if outputs is None:
                 outputs = evaluate(state.x, state.y)[1]
-            out[name] = outputs[name]
+            out[name] = outputs[at]
     return out
 
 
@@ -817,9 +810,10 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     instrumented by patching the class.
     Steps are exactly h: only a step that ends at an output time, an event
     or t_end is shorter, and a remainder within 1e-6 h of h is taken as h.
-    Channels default to every recordable trace; only the requested ones are
-    computed.  Raises ValueError, before any step, when h, output_dt or the
-    horizon t_end - t0 is not finite and positive.
+    Channels default to every name of `SystemModel.channels`; only the
+    requested ones are computed.  Raises ValueError, before any step, when
+    h, output_dt or the horizon t_end - t0 is not finite and positive, or a
+    channel is not such a name.
     """
     for name, value in (("h", h), ("output_dt", output_dt), ("t_end - t0", t_end - state0.t)):
         if not 0.0 < value < math.inf:
@@ -829,10 +823,10 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
             raise ValueError(f"the model's instance attribute {name!r} shadows the method "
                              f"of its class, which the run's copy would call on this "
                              f"model: patch the class instead")
-    known = _default_channels(model)
+    known = list(model.channels)
     if channels is None:
         channels = known
-    unknown = [c for c in channels if c not in known]
+    unknown = [c for c in channels if not isinstance(c, str) or c not in model.channels]
     if unknown:
         raise ValueError(f"unknown channels {unknown}; recordable: {known}")
 

@@ -78,7 +78,7 @@ def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
     assert costs["us_per_residual_pass"] == pytest.approx(200.0)
     no_steps = bench_pairs.unit_costs(0.016, {"nominal": {"residual_calls_counted": 32}})
     assert no_steps == {"us_per_step": None, "us_per_residual_pass": pytest.approx(500.0),
-                        "residual_us": None}
+                        "residual_us": None, "record_us": None}
     counts = bench_pairs.repetition_counts(stats)
     line = bench_pairs.summary_line("w", {}, {"parent": costs, "change": costs},
                                     {"parent": counts, "change": counts})
@@ -108,6 +108,31 @@ def test_residual_us_is_the_mean_of_the_operations_one_pass_times(bench_pairs):
                                     {"parent": counts, "change": counts})
     assert line == ("w: wall_s per step 500 -> 450 us; wall_s per residual pass 200 -> 180 us; "
                     "one residual pass 22.5 -> 19.75 us; residual passes 1000 -> 1000")
+
+
+def test_record_us_is_the_mean_of_the_operations_row_times(bench_pairs):
+    """The timed cost of one output row of every channel at each
+    operation's set-up state is averaged over the operations of a
+    repetition, and printed for each side after the residual pass."""
+    def stats(residual_us, record_us):
+        return {ctl: {"steps": 2000, "residual_calls_counted": 4000, "residual_us": res,
+                      "record_us": rec}
+                for ctl, res, rec in zip(("no_cig", "cig_omega", "cig_omega_tilde"),
+                                         residual_us, record_us)}
+
+    parent = bench_pairs.unit_costs(0.78, stats((25.5, 33.0, 33.0), (28.9, 35.1, 34.5)))
+    change = bench_pairs.unit_costs(0.78, stats((25.5, 33.0, 33.0), (12.6, 15.6, 15.5)))
+    assert parent["record_us"] == pytest.approx(32.8333333)
+    assert change["record_us"] == pytest.approx(14.5666667)
+    assert bench_pairs.unit_costs(0.2, {"a": {"residual_calls_counted": 1,
+                                              "residual_us": 30.0}})["record_us"] is None
+    counts = {"residual_passes": 12000, "newton_iterations": None, "jacobian_builds": None,
+              "lu_factorizations": None}
+    line = bench_pairs.summary_line("loadloss", {}, {"parent": parent, "change": change},
+                                    {"parent": counts, "change": counts})
+    assert line == ("loadloss: wall_s per step 130 -> 130 us; "
+                    "wall_s per residual pass 65 -> 65 us; one residual pass 30.5 -> 30.5 us; "
+                    "one record row 32.83 -> 14.57 us; residual passes 12000 -> 12000")
 
 
 def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
@@ -228,7 +253,7 @@ def test_stats_script_saves_each_set_up_state(bench_pairs, tmp_path):
     """One untimed `smallsig` pass, seed 0, on this checkout: beside the
     outputs, the .npz holds the [x; y] each operation's set-up built, the
     nominal one equal to `build_system` on the bundled case, and the stats
-    hold each operation's timed residual pass."""
+    hold each operation's timed residual pass and output row."""
     saved = tmp_path / "outputs.npz"
     proc = subprocess.run([sys.executable, "-c", bench_pairs.STATS_SCRIPT, "smallsig", "0",
                            str(saved)], cwd=ROOT, check=True, capture_output=True, text=True)
@@ -236,6 +261,7 @@ def test_stats_script_saves_each_set_up_state(bench_pairs, tmp_path):
     labels = list(stats)
     assert labels == ["nominal", "point1", "point2", "point3"]
     assert all(0.0 < stats[label]["residual_us"] < 1e4 for label in labels)
+    assert all(0.0 < stats[label]["record_us"] < 1e4 for label in labels)
     with np.load(saved) as outputs:
         arrays = dict(outputs)
     for label in labels:

@@ -83,6 +83,16 @@ def test_scenario_rejects_unknown_fields(tmp_path):
         load_scenario(str(p), {})
 
 
+@pytest.mark.parametrize("channels", [[["omega_coi"]], [5], ["omega_coi", None]])
+def test_scenario_rejects_channel_entries_that_are_not_names(tmp_path, channels):
+    """A channel entry that is not a string is a scenario error, as a field
+    of the wrong type is, before any model is built."""
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"channels": channels}))
+    with pytest.raises(ScenarioError, match="channels must be a list of names"):
+        load_scenario(str(p), {})
+
+
 def test_scenario_rejects_unknown_event_fields(tmp_path):
     """A misspelt field is an error, not the default it would leave in place
     (here the bolted fault, g = 1e4)."""
@@ -313,6 +323,7 @@ def test_run_double_load_step_exits_2(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("doc", ['5', '{"events": [5]}', '{"events": "ab"}', '{"case": 5}',
                                  '{"h": null}', '{"t_end": [1]}', '{"channels": 5}',
+                                 '{"channels": [["omega_coi"]]}', '{"channels": [5]}',
                                  '{"out_dir": null}', '{"out_dir": 5}'])
 def test_run_malformed_scenario_exits_2(tmp_path, monkeypatch, capsys, doc):
     """A scenario that is not an object, or has a field of the wrong type,

@@ -15,6 +15,7 @@ from hypothesis import strategies as hst
 import gridfreq
 import gridfreq.cig
 import gridfreq.dae
+import gridfreq.machines
 import gridfreq.smallsignal
 from gridfreq.casefile import CIGSpec, load_bundled_case
 from gridfreq.dae import (
@@ -220,6 +221,8 @@ def test_simulate_validates_horizon_and_events(case, monkeypatch):
         simulate(model, st, ev, t_end=10.0)
     with pytest.raises(ValueError, match="unknown channels"):
         simulate(model, st, [], t_end=0.1, h=0.02, channels=["omega_coi", "p_cig"])
+    with pytest.raises(ValueError, match="unknown channels"):
+        simulate(model, st, [], t_end=0.1, h=0.02, channels=[["omega_coi"]])
 
 
 def test_event_changes_loads_and_resolves_network(case):
@@ -351,6 +354,121 @@ def test_record_reads_the_accepted_newton_outputs(case, call_counts, monkeypatch
     assert list(fresh.channels) == list(ts.channels)
     for name in ts.channels:
         assert fresh[name].tobytes() == ts[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The layout tables: devices and channels
+# ---------------------------------------------------------------------------
+
+SM_STATES = ("delta", "omega", "eq1", "ed1", "efd", "rf", "vr", "psv", "pm")
+CIG_STATES = ("theta_pll", "xi_pll", "z_rho", "w_wash", "x_v", "i_d", "i_q")
+CIG_OUTPUTS = ["p_cig", "q_cig", "omega_est", "rho_est", "omega_tilde"]
+
+
+@pytest.fixture(scope="module")
+def layout_models(case, shared_bus_model):
+    """(model, set-up state) of each layout the tables are pinned on: no
+    converter; the converter behind x_t on the synthesized bus 10; the
+    converter on machine bus 2 with x_t = 0; a second unit on bus 2."""
+    moved = load_bundled_case()
+    moved.cigs[0] = CIGSpec(2, dataclasses.replace(moved.cigs[0].params, x_t=0.0))
+    shared, x, v = shared_bus_model
+    return {"no_cig": build_system(case, "no_cig"),
+            "cig_omega_tilde": build_system(case, "cig_omega_tilde", k=1.2),
+            "converter_on_bus2": build_system(moved, "cig_omega_tilde"),
+            "shared_bus": (shared, SystemState(x, shared.pack_voltages(v), 0.0))}
+
+
+def kinds_pattern(model: SystemModel) -> np.ndarray:
+    """The Jacobian pattern as `jacobian_structure` built it from one entry
+    per kind of device (the machines, then the converter), each kind's
+    devices as the rows of one index array."""
+    n_x, n = model.n_x, model.n_bus
+    pattern = np.zeros((n_x + 2 * n, n_x + 2 * n), dtype=bool)
+    pattern[n_x:, n_x:] = (model._y_real != 0.0) | np.tile(np.eye(n, dtype=bool), (2, 2))
+    speeds = model.speed_indices
+    kinds = [(gridfreq.machines.STATE_NAMES, gridfreq.machines.KERNEL_READS, "omega_coi",
+              [(N_STATES * i, b) for i, b in enumerate(model.mach_bus)])]
+    if model.cig:
+        kinds.append((gridfreq.cig.STATE_NAMES, gridfreq.cig.kernel_reads(model.cig.params),
+                      "omega_frame", [(n_x - gridfreq.cig.N_STATES, model.cig_bus)]))
+    for names, reads, frame, slots in kinds:
+        rows, cols = gridfreq.dae._read_pairs(names, tuple(reads.items()), frame, len(speeds))
+        at = np.array([[*range(start, start + len(names)), n_x + b, n_x + n + b, *speeds]
+                       for start, b in slots])
+        pattern[at[:, rows], at[:, cols]] = True
+    return pattern
+
+
+@pytest.mark.parametrize("which, machines, cig, buses", [
+    ("no_cig", 3, False, 9),
+    ("cig_omega_tilde", 3, True, 10),
+    ("converter_on_bus2", 3, True, 9),
+    ("shared_bus", 4, False, 9),
+])
+def test_layout_tables_of_each_layout(layout_models, which, machines, cig, buses):
+    """State labels, n_x and the recordable channels in their default order,
+    against literal lists; the converter's outputs are the names of its
+    channels; the device table gives the pattern of the kinds of device."""
+    model, st = layout_models[which]
+    labels = [f"sm{k}_{s}" for k in range(1, machines + 1) for s in SM_STATES]
+    labels += [f"cig_{s}" for s in CIG_STATES] if cig else []
+    assert model.state_labels == labels
+    assert model.n_x == 9 * machines + (7 if cig else 0) == len(st.x)
+    channels = ["omega_coi", *(f"omega_sm{k}" for k in range(1, machines + 1)),
+                *(f"v_bus{b}" for b in range(1, buses + 1)), *(CIG_OUTPUTS if cig else [])]
+    assert list(model.channels) == channels
+    outputs = model.residual(st.x, st.y)[1]
+    assert set(outputs) == (set(gridfreq.cig.OUTPUT_NAMES) if cig else set())
+    assert model.jacobian_structure()[0].tobytes() == kinds_pattern(model).tobytes()
+
+
+def record_by_name(model: SystemModel, state: SystemState, channels: list[str],
+                   evaluate) -> dict[str, float]:
+    """`record` as it parsed each channel name on every call: the reference
+    the channel table reproduces bitwise."""
+    out = {}
+    v = outputs = None
+    for name in channels:
+        if name == "omega_coi":
+            out[name] = model.coi_speed(state.x.tolist())
+        elif name.startswith("omega_sm"):
+            out[name] = float(state.x[model.speed_indices[int(name[8:]) - 1]])
+        elif name.startswith("v_bus"):
+            if v is None:
+                v = model.voltages(state.y)
+            out[name] = float(abs(v[model.net.bus_index(int(name[5:]))]))
+        else:
+            if outputs is None:
+                outputs = evaluate(state.x, state.y)[1]
+            out[name] = outputs[name]
+    return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(which=hst.sampled_from(["no_cig", "cig_omega_tilde", "converter_on_bus2", "shared_bus"]),
+       dx=hst.lists(hst.floats(-0.05, 0.05), min_size=36, max_size=36),
+       vmag=hst.lists(hst.floats(0.5, 1.3), min_size=10, max_size=10),
+       vang=hst.lists(hst.floats(-math.pi, math.pi), min_size=10, max_size=10),
+       data=hst.data())
+def test_record_is_bitwise_the_name_parsing_record(layout_models, which, dx, vmag, vang, data):
+    """Any subset of the recordable channels, in any order, or all of them
+    (None), near the set-up state at any bus voltages: the same floats, in
+    the same order, as parsing each name."""
+    model, st = layout_models[which]
+    n = model.n_bus
+    state = SystemState(st.x + np.array(dx[: model.n_x]),
+                        model.pack_voltages(np.array(vmag[:n]) * np.exp(1j * np.array(vang[:n]))),
+                        0.0)
+    names = data.draw(hst.permutations(list(model.channels)))
+    channels = data.draw(hst.none() | hst.integers(1, len(names)).map(lambda k: names[:k]))
+    evaluate = TrapezoidalIntegrator(model).evaluate
+    got = record(model, state, channels, evaluate)
+    want = record_by_name(model, state, list(model.channels) if channels is None else channels,
+                          evaluate)
+    assert list(got) == list(want)
+    assert got == want
+    assert all(type(value) is float for value in got.values())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ calls.  From those counts, `unit_costs` gives each side's median wall_s
 per accepted step and per residual pass of one repetition (us), with
 `residual_us`, the cost of one `SystemModel.residual` pass alone (the
 minimum over 7 `timeit` blocks at each operation's set-up state, taken in
-the same untimed pass, averaged over the operations), and
+the same untimed pass, averaged over the operations), `record_us`, the
+cost of one `dae.record` row of every recordable channel there (timed the
+same way, after one warm call), and
 `repetition_counts` each side's residual passes, Newton iterations,
 Jacobian builds and `lu_factorizations` (the integrator's `np.linalg.inv`
 calls) of one repetition, both also on the printed line.  The
@@ -75,9 +77,11 @@ BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 # to the .npz file named by its third argument, as "<label>/<output>",
 # with the state its set-up built, as "<label>/setup_x" and "<label>/setup_y".
 # The stats are the program's own counters where it integrates
-# (TimeSeries.stats), plus counted SystemModel.residual calls and
-# "residual_us", one uncounted pass at the set-up state: the minimum over
-# 7 timeit blocks of `number` calls, in us per call.
+# (TimeSeries.stats), plus counted SystemModel.residual calls,
+# "residual_us", one uncounted pass at the set-up state, and "record_us",
+# one output row of every recordable channel there (`dae.record` through a
+# fresh integrator's `evaluate`, after one warm call that fills its cache):
+# each the minimum over 7 timeit blocks of `number` calls, in us per call.
 STATS_SCRIPT = r"""
 import json, sys, timeit
 import numpy as np
@@ -103,12 +107,17 @@ for op in workloads.make(sys.argv[1], int(sys.argv[2])).ops():
     arrays[f"{op.label}/setup_y"] = system[1].y.copy()
     model, state = system
     blocks = timeit.repeat(lambda: residual(model, state.x, state.y), repeat=7, number=number)
+    evaluate = gf.dae.TrapezoidalIntegrator(model).evaluate
+    row = lambda: gf.dae.record(model, state, None, evaluate)
+    row()
+    rows = timeit.repeat(row, repeat=7, number=number)
     last.clear()
     calls[0] = 0
     outputs = op.run(*system)
     st = {str(k): v for k, v in last.items()}
     st["residual_calls_counted"] = calls[0]
     st["residual_us"] = 1e6 * min(blocks) / number
+    st["record_us"] = 1e6 * min(rows) / number
     if "steps" in st:
         st["residual_calls_per_step"] = calls[0] / st["steps"]
     out[op.label] = st
@@ -293,13 +302,19 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
     whether a change moved the cost of a unit or the number of units.
     residual_us is the mean over the operations of the time of one residual
     pass alone at its set-up state (us), None where no operation has one:
-    the layer's own cost, beside the share of wall_s each pass carries."""
+    the layer's own cost, beside the share of wall_s each pass carries.
+    record_us is the same mean of the time of one output row of every
+    recordable channel at the set-up state."""
     steps = sum(st.get("steps", 0) for st in stats.values())
     passes = sum(st["residual_calls_counted"] for st in stats.values())
-    timed = [st["residual_us"] for st in stats.values() if "residual_us" in st]
+
+    def mean(key):
+        timed = [st[key] for st in stats.values() if key in st]
+        return statistics.fmean(timed) if timed else None
+
     return {"us_per_step": 1e6 * wall_s / steps if steps else None,
             "us_per_residual_pass": 1e6 * wall_s / passes if passes else None,
-            "residual_us": statistics.fmean(timed) if timed else None}
+            "residual_us": mean("residual_us"), "record_us": mean("record_us")}
 
 
 # the solver counts of one repetition, by the `untimed_pass` stats key each sums
@@ -322,9 +337,9 @@ def repetition_counts(stats: dict) -> dict:
 
 def summary_line(workload: str, metrics: dict, costs: dict, counts: dict) -> str:
     """One line: each metric's verdict, pairs won, medians and gap in parent
-    IQRs, then the wall time per step and per residual pass of each side
-    and the time of one residual pass alone, and each side's solver counts
-    of one repetition."""
+    IQRs, then the wall time per step and per residual pass of each side,
+    the time of one residual pass alone and of one output row, and each
+    side's solver counts of one repetition."""
     parts = []
     for name, m in metrics.items():
         iqrs = m["gap_over_parent_iqr"]
@@ -333,7 +348,8 @@ def summary_line(workload: str, metrics: dict, costs: dict, counts: dict) -> str
                      + ("n/a" if iqrs is None else f"{iqrs:.3g}") + " parent IQR)")
     for unit, label in (("us_per_step", "wall_s per step"),
                         ("us_per_residual_pass", "wall_s per residual pass"),
-                        ("residual_us", "one residual pass")):
+                        ("residual_us", "one residual pass"),
+                        ("record_us", "one record row")):
         if costs["parent"].get(unit) is not None:
             parts.append(f"{label} {costs['parent'][unit]:.4g} -> "
                          f"{costs['change'][unit]:.4g} us")
