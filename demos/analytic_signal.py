@@ -26,9 +26,8 @@ def main(outdir: str = ".") -> None:
 
     rows = []
     for t in times:
-        s = analytic_example(p, t)
-        rows.append((t, s.v.mag, s.exact.rho, s.exact.omega,
-                     s.approx.rho, s.approx.omega))
+        v, _, exact, approx = analytic_example(p, t)
+        rows.append((t, abs(v), exact.real, exact.imag, approx.real, approx.imag))
     data = np.array(rows)
 
     out = Path(outdir) / "analytic_signal.csv"

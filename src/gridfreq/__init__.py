@@ -2,17 +2,7 @@
 frequency control compensated by the rate of change of voltage."""
 
 from .casefile import Case, CaseParseError, load_bundled_case, parse_case
-from .complex_frequency import (
-    AnalyticExampleParams,
-    ComplexFrequencySample,
-    ParkVector,
-    ZeroMagnitudeError,
-    analytic_example,
-    eta_of,
-    omega_of,
-    rho_of,
-    rotate_frame,
-)
+from .complex_frequency import AnalyticExampleParams, ZeroMagnitudeError, analytic_example, eta_of
 from .dae import (
     Event,
     StepError,

@@ -355,7 +355,7 @@ def cmd_ksweep(sc: Scenario, out: Path, k_min: float, k_max: float,
     if n > K_GRID_MAX:
         raise ScenarioError(f"the K grid holds {span + 1:.3g} gains, more than {K_GRID_MAX}")
     case = sc.load_case()
-    model, st = build_system(case, "cig_omega_tilde", k=sc.k, freq_loop=False)
+    model, st = build_system(case, sc.control, k=sc.k, freq_loop=False)
     mode = identify_frequency_mode(eigensolve(linearize(model, st)))
     grid = k_min + k_step * np.arange(n)
     rep = k_sweep(model, st, mode, grid)

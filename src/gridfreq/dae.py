@@ -198,10 +198,6 @@ class SystemModel:
 
     # -- state packing ----------------------------------------------------
 
-    def voltages(self, y: np.ndarray) -> np.ndarray:
-        n = self.n_bus
-        return y[:n] + 1j * y[n:]
-
     def pack_voltages(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate([v.real, v.imag])
 

@@ -24,10 +24,10 @@ ydot = -g_y^{-1} g_x f; at an equilibrium f = 0, so
     d(ydot)/dx = -g_y^{-1} g_x A,    d(eta)/dx = d(vdot)/dx / v,
 
 with eta = vdot / v the complex frequency of the bus voltage v.  The
-rows are `complex_frequency.eta_of(v, d(vdot)/dx, 0)` over omega_b, plus
-the centre-of-inertia weights on the machine speeds in c_omega (the
-network frame rotates at the COI speed); the converter's own
-`cig.modified_signal` gives the row of omega - K rho.
+rows c_rho + j c_omega are `complex_frequency.eta_of(v, d(vdot)/dx)`
+over omega_b, plus the centre-of-inertia weights on the machine speeds
+in c_omega (the network frame rotates at the COI speed); the converter's
+own `cig.modified_signal` gives the row of omega - K rho.
 
 `linearize` is the one source of the rows: it computes them with A when
 the model has a converter, and records the point it was taken at (model,
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cig import modified_signal
-from .complex_frequency import ParkVector, eta_of
+from .complex_frequency import eta_of
 from .dae import SystemModel, SystemState, group_residuals, reduce_algebraic
 
 
@@ -217,10 +217,10 @@ def _output_rows(model: SystemModel, eq: SystemState, a: np.ndarray,
     """(c_rho, c_omega) at the converter terminal bus, in closed form from
     the reduction (A, g_y^{-1} g_x) at eq."""
     i, n = model.cig_bus, model.n_bus
-    eta = eta_of(ParkVector(eq.y[i], eq.y[i + n]),
-                 ParkVector(*(-gy_inv_gx[[i, i + n]] @ a)), 0.0)
-    c_rho = eta.rho / model.omega_base
-    c_omega = eta.omega / model.omega_base
+    vdot_d, vdot_q = -gy_inv_gx[[i, i + n]] @ a
+    eta = eta_of(complex(eq.y[i], eq.y[i + n]), vdot_d + 1j * vdot_q)
+    c_rho = eta.real / model.omega_base
+    c_omega = eta.imag / model.omega_base
     c_omega[model.speed_indices] += model.coi_weights
     return c_rho, c_omega
 

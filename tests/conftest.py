@@ -43,7 +43,8 @@ def shared_bus_model():
                     gov=replace(m.gov, p_ref=0.4))
     shared = SystemModel(model.net, model.machines + [extra])
     x = np.concatenate([st.x, st.x[N_STATES: 2 * N_STATES]])
-    return shared, x, model.voltages(st.y)
+    n = model.n_bus
+    return shared, x, st.y[:n] + 1j * st.y[n:]
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.integrate import solve_ivp
 
-from gridfreq.complex_frequency import ParkVector
 from gridfreq.cig import (
     CIGControlParams,
     CIGState,
@@ -232,28 +231,29 @@ class RefPLLState:
     xi: float
 
 
-def reference_cig_derivatives(st: CIGState, vbus: ParkVector, params: CIGControlParams,
+def reference_cig_derivatives(st: CIGState, v: complex, params: CIGControlParams,
                               omega_base: float, omega_frame: float = 1.0):
-    """`cig_derivatives` as it was composed from state dataclasses and a
-    ParkVector, with each component inlined: (xdot, injection, signals)."""
+    """`cig_derivatives` as it was composed from state dataclasses and the
+    complex bus voltage v, with each component inlined: (xdot, injection,
+    signals)."""
     pll_st = RefPLLState(theta=st.theta_pll, xi=st.xi_pll)
-    err = (-vbus.d * math.sin(pll_st.theta) + vbus.q * math.cos(pll_st.theta)) / vbus.mag
+    err = (-v.real * math.sin(pll_st.theta) + v.imag * math.cos(pll_st.theta)) / abs(v)
     omega_est = 1.0 + params.pll.kp * err + pll_st.xi
     d_theta = omega_base * (omega_est - omega_frame)
     d_xi = params.pll.ki * err
-    d_z = (math.log(vbus.mag) - st.z_rho) / params.t_f
+    d_z = (math.log(abs(v)) - st.z_rho) / params.t_f
     rho_pu = d_z / omega_base
     signal = omega_est - params.K * rho_pu
 
     d_w = (signal - st.w_wash) / params.t_w
-    d_xv = params.ki_v * (params.v_ref - vbus.mag)
+    d_xv = params.ki_v * (params.v_ref - abs(v))
 
     p_cmd = params.p_ref
     if params.freq_loop:
         p_cmd -= (signal - 1.0) / params.r_droop
         p_cmd -= params.k_w * (signal - st.w_wash) / params.t_w
-    q_cmd = params.kp_v * (params.v_ref - vbus.mag) + st.x_v
-    id_ref, iq_ref = p_cmd / vbus.mag, -q_cmd / vbus.mag
+    q_cmd = params.kp_v * (params.v_ref - abs(v)) + st.x_v
+    id_ref, iq_ref = p_cmd / abs(v), -q_cmd / abs(v)
     if math.hypot(id_ref, iq_ref) > params.i_max:
         id_ref = max(-params.i_max, min(params.i_max, id_ref))
         room = math.sqrt(max(params.i_max ** 2 - id_ref ** 2, 0.0))
@@ -271,7 +271,7 @@ def assert_float_path_matches_reference(st: CIGState, v: complex, p: CIGControlP
     xdot, inj, sig = cig_derivatives(st.as_array().tolist(), v.real, v.imag, p,
                                      OMEGA_B, omega_frame)
     ref_xdot, ref_inj, ref_sig = reference_cig_derivatives(
-        st, ParkVector(v.real, v.imag), p, OMEGA_B, omega_frame)
+        st, v, p, OMEGA_B, omega_frame)
     scale = max(1.0, np.max(np.abs(ref_xdot)))
     assert np.max(np.abs(np.array(xdot) - ref_xdot)) <= 1e-13 * scale
     assert abs(inj - ref_inj) <= 1e-13

@@ -471,6 +471,22 @@ def test_ksweep_bad_grid_exits_2(tmp_path, monkeypatch, capsys, grid, message):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("control, rc", [("no_cig", 2), ("cig_omega", 0)])
+def test_ksweep_runs_the_scenario_control(tmp_path, monkeypatch, capsys, control, rc):
+    """`ksweep` builds the control its manifest records: without a
+    converter there is no measurement point, exit 2 before any manifest."""
+    sc = tmp_path / "s.json"
+    sc.write_text(json.dumps({"control": control}))
+    assert run_cli(["ksweep", "--scenario", str(sc), "--k-max", "1.0"],
+                   tmp_path, monkeypatch) == rc
+    if rc == 2:
+        assert capsys.readouterr().err.startswith("error: output rows require a converter")
+        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "ksweep.csv").exists()
+    else:
+        assert read_manifest(tmp_path)["scenario"]["control"] == control
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     out = tmp_path / "via_env"
     assert run_cli(["pf"], tmp_path, monkeypatch, env_out=out) == 0

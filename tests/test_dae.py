@@ -436,7 +436,7 @@ def record_by_name(model: SystemModel, state: SystemState, channels: list[str],
             out[name] = float(state.x[model.speed_indices[int(name[8:]) - 1]])
         elif name.startswith("v_bus"):
             if v is None:
-                v = model.voltages(state.y)
+                v = state.y[:model.n_bus] + 1j * state.y[model.n_bus:]
             out[name] = float(abs(v[model.net.bus_index(int(name[5:]))]))
         else:
             if outputs is None:
@@ -1221,7 +1221,7 @@ def test_simulate_refuses_a_method_patched_on_the_model(case, monkeypatch):
 def reference_network_balance(model: SystemModel, x: np.ndarray, y: np.ndarray):
     """g as `SystemModel.residual` computed it before the float network
     balance: complex numpy arrays over every bus, loads as conj(S / v)."""
-    v = model.voltages(y)
+    v = y[:model.n_bus] + 1j * y[model.n_bus:]
     wcoi = model.coi_speed(x)
     _, re, im = model._machine_block(x.tolist(), model.pack_voltages(v).tolist(), wcoi)
     inj = np.array(re) + 1j * np.array(im)
