@@ -27,11 +27,12 @@ or an event that is not an object or has a field of the wrong type or an
 unknown one; a number that is not an int or a float, or is a bool, NaN
 or infinite, ``k``, ``t_end``, ``h``, ``output_dt`` and the ``t``,
 ``factor``, ``g`` and ``b`` of an event included; an event ``bus`` that
-is not an int or is a bool; a case file that does not parse; a case
-whose power flow fails (``PowerFlowError``: no convergence, a singular
-Jacobian or a non-finite mismatch); a case whose dispatch cannot be
-initialized (``InitializationError``); a case without exactly one CIG
-record, or without a PV bus, under a converter control
+is not an int or is a bool; a ``k`` under a control other than
+``cig_omega_tilde``, which would not run it; a case file that does not
+parse; a case whose power flow fails (``PowerFlowError``: no
+convergence, a singular Jacobian or a non-finite mismatch); a case whose
+dispatch cannot be initialized (``InitializationError``); a case without
+exactly one CIG record, or without a PV bus, under a converter control
 (``AssemblyError``); a ``run`` whose ``h``, ``output_dt`` or horizon is
 not positive; and a K grid of ``ksweep`` with a non-positive step,
 k_max < k_min or more than ``K_GRID_MAX`` gains included) and a run
@@ -188,6 +189,9 @@ def load_scenario(path: str | None, overrides: dict) -> Scenario:
         out_dir=merged["out_dir"])
     if sc.control not in CONTROLS:
         raise ScenarioError(f"unknown control mode {sc.control!r}")
+    if sc.k is not None and sc.control != "cig_omega_tilde":
+        raise ScenarioError(f"k is the gain of cig_omega_tilde; {sc.control!r} "
+                            f"would not run k = {sc.k:g}")
     return sc
 
 
@@ -390,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--case", help="case name or .case file path")
         p.add_argument("--scenario", help="JSON scenario file")
-        p.add_argument("--k", type=float, help="compensation gain K")
+        p.add_argument("--k", type=float, help="compensation gain K (cig_omega_tilde)")
         p.add_argument("--out", help="output directory "
                        f"(or ${OUT_DIR_ENV})")
 

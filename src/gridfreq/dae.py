@@ -18,6 +18,14 @@ of the step Jacobian is assembled from that reduction: a step inverts the
 n_x block I - h/2 A, and the network re-solve after an event, the same
 Newton as the step at h = 0, inverts nothing.
 
+A run that starts at rest takes no step before its first event: the
+solution of a DAE from a consistent equilibrium is that equilibrium
+(Brenan, Campbell & Petzold, ch. 5).  When max |[f; g]| at the initial
+state is below the Newton tolerance, read from the pass the first step
+would make there, and the step Jacobian factors there, `simulate` holds
+the initial state until the first event (or t_end) and integrates from
+that event on.
+
 The Jacobian is differenced from the residual the simulator runs, in
 column groups: `SystemModel.jacobian_structure` knows which rows each
 column of [x; y] can touch (a device's rows read what its kernel's read
@@ -508,12 +516,13 @@ class TrapezoidalIntegrator:
     one formula for every k (`_PREDICTOR_WEIGHTS`), so a quartic once five
     steps of one h are behind it.  Otherwise it starts from the explicit
     Euler point with y held.  Two records are kept, each with one reset.
-    The last point (bytes of [x; y], f, outputs, h, history): an accepted
-    iterate writes it with its history extended, a cache miss of `evaluate`
-    with none; a step from (x, y) of those values reuses its f as f0 and,
-    at that h, its history; `simulate` records its outputs; `resolve`
-    clears it.  The history is one stacked (k, n) array of the points,
-    oldest first, so the predictor is one matmul on it.  The inverse of
+    The last point (bytes of [x; y], [f; g], outputs, h, history): an
+    accepted iterate writes it with its history extended, a cache miss of
+    `evaluate` with none; a step from (x, y) of those values reuses its f
+    as f0 and, at that h, its history; `rests` reads its [f; g]; `simulate`
+    records its outputs; `resolve` clears it.  The history is one stacked
+    (k, n) array of the points, oldest first, so the predictor is one
+    matmul on it.  The inverse of
     the step Jacobian, for the h of the last step: cleared only where a
     Jacobian is built, assembled again for another h.
 
@@ -540,8 +549,9 @@ class TrapezoidalIntegrator:
     builds one anyway (4 448 passes on the benchmark's seed 0 against
     4 163 at three, and 4 170 at two), while the 10 s load loss takes
     11 562-11 669 passes over its three controls at any multiple from two
-    to six.  A stalled Newton refreshes the Jacobian at once, and the
-    step charges it only the solves of the attempt that ran on it.
+    to six (both runs integrated from t0, not held at rest).  A stalled
+    Newton refreshes the Jacobian at once, and the step charges it only the
+    solves of the attempt that ran on it.
 
     `stats` counts what the integrator did: accepted steps (halves of a
     halved step each count), Newton iterations (linear solves), Jacobian
@@ -551,11 +561,14 @@ class TrapezoidalIntegrator:
     h = 0 re-solve on a reduced Jacobian inverts nothing), step halvings,
     network re-solves, residual passes (Jacobian builds and cache misses of
     `evaluate` included), `newton_histogram`, the accepted steps counted by
-    the solves each took, and `max_residual`, the largest final max |residual| of an accepted
-    step or re-solve.
+    the solves each took, `max_residual`, the largest final max |residual| of an accepted
+    step or re-solve, and `held_s`, the simulated time `simulate` held the
+    initial state at rest (0.0 when it did not).
     """
 
-    tol = 1e-8       # Newton convergence: max |residual| of the step
+    tol = 1e-8       # Newton convergence: max |residual| of the step; also the
+                     # bound on max |[f; g]| of a state at rest (`rests`,
+                     # `smallsignal.linearize`)
     max_iter = 8     # Newton iterations per attempt; a stalled attempt
                      # refreshes the Jacobian and tries once more
 
@@ -565,13 +578,13 @@ class TrapezoidalIntegrator:
         self._inv = None       # (h, inverse of the step Jacobian for h)
         self._n_groups = len(model.jacobian_structure()[1])   # passes a build adds
         self._extra_solves = 0   # solves beyond the first of the steps accepted on _reduced
-        self._last = None      # (bytes of [x; y], f, outputs there, h of the step
+        self._last = None      # (bytes of [x; y], [f; g], outputs there, h of the step
                                # that accepted it, a (k, n) copy of that step's last
                                # k <= _HISTORY points: callers may edit states in place)
         self.stats = {"steps": 0, "newton_iterations": 0, "jacobian_builds": 0,
                       "jacobian_refreshes": 0, "lu_factorizations": 0, "step_halvings": 0,
                       "resolves": 0, "residual_passes": 0, "newton_histogram": {},
-                      "max_residual": 0.0}
+                      "max_residual": 0.0, "held_s": 0.0}
 
     def _factor(self, z: np.ndarray, h: float, r0: np.ndarray):
         """Inverse of the step Jacobian for h, assembled from the reduction
@@ -620,8 +633,23 @@ class TrapezoidalIntegrator:
         if self._last is None or self._last[0] != key:
             self.stats["residual_passes"] += 1
             r, outputs = self.model.residual(x, y)
-            self._last = (key, r[: self.model.n_x], outputs, None, ())
-        return self._last[1], self._last[2]
+            self._last = (key, r, outputs, None, ())
+        return self._last[1][: self.model.n_x], self._last[2]
+
+    def rests(self, state: SystemState, h: float) -> bool:
+        """Whether state is at rest, so that a run may hold it: max |[f; g]|
+        there, from `evaluate` (the pass a first step from it makes), lies
+        below tol, and the inverse of the step Jacobian for h, built there
+        from that pass, exists.  A state that rests has taken the pass and
+        the build of a first step; one that does not, only the pass.  A run
+        steps from a state whose Jacobian does not factor, as from one off
+        rest, and its first step fails on that Jacobian."""
+        self.evaluate(state.x, state.y)
+        r = self._last[1]
+        if not float(np.maximum.reduce(np.abs(r))) < self.tol:
+            return False
+        with np.errstate(all="ignore"):
+            return self._factor(np.concatenate([state.x, state.y]), h, r) is not None
 
     def _newton(self, state: SystemState, h: float) -> np.ndarray | None:
         """[x; y] at t + h, or None when Newton fails.
@@ -646,7 +674,7 @@ class TrapezoidalIntegrator:
                 self.evaluate(x0, y0)   # a miss: one pass records (x0, y0)
                 rec = self._last
             # a step of the h that accepted (x0, y0) extends its history
-            f0, points = rec[1], rec[4] if rec[3] == h else ()
+            f0, points = rec[1][:n_x], rec[4] if rec[3] == h else ()
         hh = 0.5 * h
         base = x0 + hh * f0
         if len(points) >= 2:
@@ -672,9 +700,9 @@ class TrapezoidalIntegrator:
                     inv = self._factor(z, h, r)
                     if inv is None:
                         return None
-                f = r[:n_x].copy()   # for the cache: r becomes [x - base - hh f; g]
+                fg = r.copy()   # for the cache: r becomes [x - base - hh f; g]
                 rx = np.subtract(x, base, out=r[:n_x])
-                rx -= hh * f
+                rx -= hh * fg[:n_x]
                 worst = float(np.maximum.reduce(np.abs(r)))
                 if worst < self.tol:
                     stats["max_residual"] = max(stats["max_residual"], worst)
@@ -684,7 +712,7 @@ class TrapezoidalIntegrator:
                                    if len(points) else z[None].copy())
                         solves = stats["newton_iterations"]
                         self._accept(solves - solves0, solves - attempt0)
-                    self._last = (z.tobytes(), f, outputs, h, history)
+                    self._last = (z.tobytes(), fg, outputs, h, history)
                     return z
                 if not math.isfinite(worst):
                     return None
@@ -806,6 +834,12 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     instrumented by patching the class.
     Steps are exactly h: only a step that ends at an output time, an event
     or t_end is shorter, and a remainder within 1e-6 h of h is taken as h.
+    A run whose initial state is at rest (`TrapezoidalIntegrator.rests`:
+    max |[f; g]| below the Newton tolerance, and a step Jacobian for h that
+    factors there) holds it until the first event after t0 is applied, or
+    to t_end without one: it takes no step, every row of that span records
+    the initial state, and `stats["held_s"]` is the time held.  From that
+    event on, and from t0 in a run not at rest, it integrates.
     Channels default to every name of `SystemModel.channels`; only the
     requested ones are computed.  Raises ValueError, before any step, when
     h, output_dt or the horizon t_end - t0 is not finite and positive, or a
@@ -841,13 +875,18 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     n_out = 1
     pending = list(events)
     eps = 1e-9
+    # held until an event changes the model: no step is taken before it
+    t_hold = pending[0].time if pending else t_end
+    holding = t_hold - t0 > eps and integ.rests(state, h)
+    if holding:
+        integ.stats["held_s"] = t_hold - t0
 
     try:
         while state.t < t_end - eps:
             t_stop = min(t0 + n_out * output_dt, t_end)
             if pending:
                 t_stop = min(t_stop, pending[0].time)
-            while state.t < t_stop - eps:
+            while not holding and state.t < t_stop - eps:
                 rem = t_stop - state.t
                 if abs(rem - h) <= 1e-6 * h:
                     # the rounding of the time grid: step exactly h, so
@@ -861,6 +900,7 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
                 ev = pending.pop(0)
                 net = apply_event(net, ev.action)
             if net is not model.net:
+                holding = False
                 model._set_network(net)
                 try:
                     state = integ.resolve(state)

@@ -50,7 +50,13 @@ import numpy as np
 
 from .cig import modified_signal
 from .complex_frequency import eta_of
-from .dae import SystemModel, SystemState, group_residuals, reduce_algebraic
+from .dae import (
+    SystemModel,
+    SystemState,
+    TrapezoidalIntegrator,
+    group_residuals,
+    reduce_algebraic,
+)
 
 
 class ModeIdentificationError(RuntimeError):
@@ -59,8 +65,6 @@ class ModeIdentificationError(RuntimeError):
 
 # central-difference step of the Jacobians, relative to 1 + |z_i|
 _FD_EPS = 1e-6
-# max |[f; g]| at a point that `linearize` accepts
-_EQ_TOL = 1e-8
 # max ||A phi - lambda phi|| / ||phi||, relative to ||A||_F (at least 1)
 _EIG_RESIDUAL_TOL = 1e-8
 
@@ -127,10 +131,12 @@ def linearize(model: SystemModel, eq: SystemState) -> LinearModel:
     """Reduced state matrix at an equilibrium (algebraic variables
     eliminated) from the central difference of `group_residuals`, with the
     output rows when the model has a converter.  Raises ValueError when
-    max |[f; g]| at eq exceeds 1e-8 (`_EQ_TOL`)."""
+    max |[f; g]| at eq exceeds 1e-8, the integrator's Newton tolerance
+    (`TrapezoidalIntegrator.tol`), below which a run holds a state at rest."""
+    tol = TrapezoidalIntegrator.tol
     worst = np.max(np.abs(model.residual(eq.x, eq.y)[0]))
-    if worst > _EQ_TOL:
-        raise ValueError(f"not an equilibrium: residual {worst:.3e} > {_EQ_TOL:g}")
+    if worst > tol:
+        raise ValueError(f"not an equilibrium: residual {worst:.3e} > {tol:g}")
     reduced = reduce_algebraic(*_central_jacobians(model, eq))
     if reduced is None:
         raise RuntimeError("singular algebraic Jacobian g_y")

@@ -83,7 +83,7 @@ def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
     line = bench_pairs.summary_line("w", {}, {"parent": costs, "change": costs},
                                     {"parent": counts, "change": counts})
     assert line == ("w: wall_s per step 500 -> 500 us; wall_s per residual pass 200 -> 200 us; "
-                    "residual passes 1000 -> 1000")
+                    "steps 400 -> 400; residual passes 1000 -> 1000")
     counts = bench_pairs.repetition_counts({"nominal": {"residual_calls_counted": 32}})
     line = bench_pairs.summary_line("w", {}, {"parent": no_steps, "change": no_steps},
                                     {"parent": counts, "change": counts})
@@ -102,8 +102,8 @@ def test_residual_us_is_the_mean_of_the_operations_one_pass_times(bench_pairs):
         "cig_omega": {"steps": 100, "residual_calls_counted": 300, "residual_us": 21.5}})
     assert parent["residual_us"] == pytest.approx(22.5)
     assert change["residual_us"] == pytest.approx(19.75)
-    counts = {"residual_passes": 1000, "newton_iterations": None, "jacobian_builds": None,
-              "lu_factorizations": None}
+    counts = {"steps": None, "residual_passes": 1000, "newton_iterations": None,
+              "jacobian_builds": None, "lu_factorizations": None}
     line = bench_pairs.summary_line("w", {}, {"parent": parent, "change": change},
                                     {"parent": counts, "change": counts})
     assert line == ("w: wall_s per step 500 -> 450 us; wall_s per residual pass 200 -> 180 us; "
@@ -126,8 +126,8 @@ def test_record_us_is_the_mean_of_the_operations_row_times(bench_pairs):
     assert change["record_us"] == pytest.approx(14.5666667)
     assert bench_pairs.unit_costs(0.2, {"a": {"residual_calls_counted": 1,
                                               "residual_us": 30.0}})["record_us"] is None
-    counts = {"residual_passes": 12000, "newton_iterations": None, "jacobian_builds": None,
-              "lu_factorizations": None}
+    counts = {"steps": None, "residual_passes": 12000, "newton_iterations": None,
+              "jacobian_builds": None, "lu_factorizations": None}
     line = bench_pairs.summary_line("loadloss", {}, {"parent": parent, "change": change},
                                     {"parent": counts, "change": counts})
     assert line == ("loadloss: wall_s per step 130 -> 130 us; "
@@ -136,10 +136,10 @@ def test_record_us_is_the_mean_of_the_operations_row_times(bench_pairs):
 
 
 def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
-    """Residual passes, Newton iterations, Jacobian builds and inversions
-    are summed over the operations of one repetition, each side's on the
-    printed line; a workload that does not integrate has no Newton
-    iterations, builds or inversions."""
+    """Accepted steps, residual passes, Newton iterations, Jacobian builds
+    and inversions are summed over the operations of one repetition, each
+    side's on the printed line; a workload that does not integrate has no
+    steps, Newton iterations, builds or inversions."""
     def stats(passes, solves, builds, inversions):
         return {ctl: {"steps": 2000, "residual_calls_counted": p, "residual_passes": p,
                       "newton_iterations": n, "jacobian_builds": b, "lu_factorizations": i}
@@ -150,18 +150,19 @@ def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
                                                  (2, 3, 3), (4, 5, 5)))
     change = bench_pairs.repetition_counts(stats((3877, 3856, 3850), (1838, 1817, 1820),
                                                  (4, 4, 3), (8, 8, 6)))
-    assert parent == {"residual_passes": 12542, "newton_iterations": 6461,
+    assert parent == {"steps": 6000, "residual_passes": 12542, "newton_iterations": 6461,
                       "jacobian_builds": 8, "lu_factorizations": 14}
-    assert change == {"residual_passes": 11583, "newton_iterations": 5475,
+    assert change == {"steps": 6000, "residual_passes": 11583, "newton_iterations": 5475,
                       "jacobian_builds": 11, "lu_factorizations": 22}
     costs = {"us_per_step": None, "us_per_residual_pass": None}
     line = bench_pairs.summary_line("loadloss", {}, {"parent": costs, "change": costs},
                                     {"parent": parent, "change": change})
-    assert line == ("loadloss: residual passes 12542 -> 11583; newton iterations 6461 -> 5475; "
-                    "jacobian builds 8 -> 11; lu factorizations 14 -> 22")
+    assert line == ("loadloss: steps 6000 -> 6000; residual passes 12542 -> 11583; "
+                    "newton iterations 6461 -> 5475; jacobian builds 8 -> 11; "
+                    "lu factorizations 14 -> 22")
     assert bench_pairs.repetition_counts({"nominal": {"residual_calls_counted": 24}}) == {
-        "residual_passes": 24, "newton_iterations": None, "jacobian_builds": None,
-        "lu_factorizations": None}
+        "steps": None, "residual_passes": 24, "newton_iterations": None,
+        "jacobian_builds": None, "lu_factorizations": None}
 
 
 def test_compare_outputs_digests_each_output_and_measures_those_that_differ(bench_pairs):

@@ -122,6 +122,28 @@ def test_scenario_rejects_bad_event(tmp_path, event, error):
         load_scenario(str(p), {})
 
 
+@pytest.mark.parametrize("control", ["cig_omega", "no_cig"])
+def test_scenario_rejects_a_k_its_control_would_not_run(tmp_path, monkeypatch, capsys, control):
+    """Only cig_omega_tilde runs the compensation gain (`build_system`
+    forces K = 0 under cig_omega, and no_cig has no converter): a k under
+    another control is bad input, from the file or the flag, exit 2 with
+    no manifest, while the default k = None runs."""
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"control": control, "k": 1.2}))
+    with pytest.raises(ScenarioError, match=f"k is the gain of cig_omega_tilde; '{control}'"):
+        load_scenario(str(p), {})
+    p.write_text(json.dumps({"control": control}))
+    with pytest.raises(ScenarioError, match="k is the gain of cig_omega_tilde"):
+        load_scenario(str(p), {"k": 0.0})
+    assert load_scenario(str(p), {}).k is None
+    rc = run_cli(["ksweep", "--scenario", str(p), "--k", "1.2"], tmp_path, monkeypatch)
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: k is the gain of cig_omega_tilde; "
+                                       f"'{control}' would not run k = 1.2\n")
+    assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "ksweep.csv").exists()
+
+
 def test_scenario_digest_covers_overrides():
     base = load_scenario(None, {})
     assert load_scenario(None, {}).digest == base.digest
@@ -242,7 +264,8 @@ def test_run_emits_csv_and_svg(tmp_path, monkeypatch):
     man = read_manifest(tmp_path)
     assert_versions(man)
     stats = man["stats"]
-    assert stats["steps"] == 100 and stats["newton_iterations"] > 0
+    # at rest until the load loss: 0.5 s held, 75 steps of 20 ms after it
+    assert stats["held_s"] == 0.5 and stats["steps"] == 75 and stats["newton_iterations"] > 0
     assert stats["jacobian_builds"] >= 1 and stats["lu_factorizations"] >= 1
     assert 0 <= stats["jacobian_refreshes"] < stats["jacobian_builds"]
     assert 0.0 < stats["max_residual"] < 1e-8  # Newton's tolerance

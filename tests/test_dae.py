@@ -286,6 +286,89 @@ def test_failed_event_resolve_names_the_event_and_restores_network(case, monkeyp
 
 
 # ---------------------------------------------------------------------------
+# A run that starts at rest holds its state until the first event
+# ---------------------------------------------------------------------------
+
+def test_the_paper_run_holds_its_equilibrium_until_the_load_loss(case, monkeypatch):
+    """The paper's run (cig_omega_tilde, K = 1.2, 50 % load loss at bus 5
+    at t = 1 s, h = 5 ms): every default channel's rows before the event
+    are the initial row bitwise, 1 s is held and 1 800 steps are taken.
+    The hold costs the pass and the Jacobian build of a first step, no
+    more: that is all the run has done when the event's re-solve starts."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    resolve, at_event = TrapezoidalIntegrator.resolve, []
+
+    def recorded(self, state):
+        at_event.append(dict(self.stats))
+        return resolve(self, state)
+
+    monkeypatch.setattr(TrapezoidalIntegrator, "resolve", recorded)
+    ts = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))], t_end=10.0,
+                  h=0.005, output_dt=0.005)
+    assert ts.stats["held_s"] == 1.0 and ts.stats["steps"] == 1800
+    before = ts.times < 1.0
+    assert before.sum() == 200
+    for name, values in ts.channels.items():
+        assert (values[before] == values[0]).all(), name
+    groups = len(model.jacobian_structure()[1])
+    held, = at_event
+    assert held["residual_passes"] == 1 + groups
+    assert (held["steps"], held["newton_iterations"], held["jacobian_builds"],
+            held["lu_factorizations"]) == (0, 0, 1, 2)
+
+
+def test_a_start_off_rest_is_integrated_from_t0(case):
+    """Machine 1's delta moved by 1e-6 leaves the start off rest: nothing is
+    held, and the 2 s run takes its 400 steps."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    st.x[0] += 1e-6
+    ts = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))], t_end=2.0,
+                  h=0.005, output_dt=0.005, channels=["omega_coi"])
+    assert ts.stats["held_s"] == 0.0 and ts.stats["steps"] == 400
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_an_event_free_run_holds_to_t_end(case, control):
+    """Without an event a run at rest holds to t_end: no step, no Newton
+    iteration, one pass and one Jacobian build, and every row of every
+    channel is the initial state's."""
+    model, st = build_system(case, control, k=1.2 if control == "cig_omega_tilde" else None)
+    ts = simulate(model, st, [], t_end=2.0, h=0.02, output_dt=0.1)
+    stats = ts.stats
+    assert stats["held_s"] == 2.0
+    assert stats["steps"] == stats["newton_iterations"] == 0
+    assert stats["residual_passes"] == 1 + len(model.jacobian_structure()[1])
+    assert stats["jacobian_builds"] == 1 and stats["newton_histogram"] == {}
+    assert len(ts.times) == 21
+    first = record(model, st, None, TrapezoidalIntegrator(model).evaluate)
+    for name, values in ts.channels.items():
+        assert (values == first[name]).all(), name
+
+
+def test_an_event_at_t0_holds_nothing(case):
+    """An event at t0 changes the model before any step: the run is
+    integrated from t0, as a run off rest is."""
+    model, st = build_system(case, "no_cig")
+    ts = simulate(model, st, [Event(0.0, LoadScale(bus=5, factor=0.9))], t_end=0.5,
+                  h=0.01, output_dt=0.01, channels=["omega_coi"])
+    assert ts.stats["held_s"] == 0.0 and ts.stats["steps"] == 50
+
+
+def test_a_held_run_records_on_the_output_grid(case):
+    """With output_dt = 0.03 and the event at t = 1 s, off the grid, the rows
+    lie at t0 + k output_dt and t_end, bitwise those of a run off rest."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    off = st.copy()
+    off.x[0] += 1e-6
+    ev = [Event(1.0, LoadScale(bus=5, factor=0.5))]
+    held, stepped = (simulate(model, s, ev, t_end=2.0, h=0.01, output_dt=0.03,
+                              channels=["omega_coi"]) for s in (st, off))
+    assert held.stats["held_s"] == 1.0 and stepped.stats["held_s"] == 0.0
+    assert held.times.tolist() == [0.0 + k * 0.03 for k in range(67)] + [2.0]
+    assert held.times.tobytes() == stepped.times.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # One residual pass per Newton iterate
 # ---------------------------------------------------------------------------
 
@@ -485,7 +568,8 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     and the worst final residual lies below Newton's tolerance.  The entry
     points the benchmark traces run once per unit of work: `step` once per
     accepted step, `record` once per output row and `_machine_block` once
-    per residual pass."""
+    per residual pass.  The run holds its state at rest until the event, so
+    it steps only after it."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
     counts = {"jacobian": 0, "inv": 0, "solve": 0, "residual": 0, "resolve_solve": 0,
               "step": 0, "record": 0, "machine_block": 0, "dropped": 0}
@@ -535,7 +619,7 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
     h, t_end = 0.005, 2.0
     ts = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))],
                   t_end=t_end, h=h, output_dt=h, channels=["omega_coi"])
-    steps = round(t_end / h)
+    steps = round((t_end - 1.0) / h)
     hist = ts.stats["newton_histogram"]
     assert 0.0 < ts.stats["max_residual"] < TrapezoidalIntegrator.tol
     assert ts.stats == {"steps": steps,
@@ -547,19 +631,22 @@ def test_stats_equal_the_counted_solver_calls(case, monkeypatch):
                         "resolves": 1,
                         "residual_passes": counts["residual"],
                         "newton_histogram": hist,
-                        "max_residual": ts.stats["max_residual"]}
+                        "max_residual": ts.stats["max_residual"],
+                        "held_s": 1.0}
     assert sum(hist.values()) == steps and list(hist) == sorted(hist)
     assert sum(k * n for k, n in hist.items()) == counts["solve"] - counts["resolve_solve"]
     assert counts["solve"] > 0 and counts["jacobian"] >= 2  # start, and after the event
     assert counts["step"] == steps
-    assert counts["record"] == len(ts.times) == steps + 1
+    assert counts["record"] == len(ts.times) == round(t_end / h) + 1
     assert counts["machine_block"] == counts["residual"]
 
 
 def test_stats_report_step_halvings(case, monkeypatch):
     """A step whose Newton fails once is taken as two halves: one halving,
-    two accepted steps in its place."""
+    two accepted steps in its place.  The start is moved off rest (machine
+    1's delta + 1e-6), so that the run steps from t0."""
     model, st = build_system(case, "no_cig")
+    st.x[0] += 1e-6
     newton = TrapezoidalIntegrator._newton
     calls = []
 
@@ -579,7 +666,8 @@ def test_steps_are_exactly_h_and_share_one_factorization(case, monkeypatch):
     not h up to the rounding of the grid: two inversions per Jacobian, that
     of g_y when it is built and that of I - h/2 A for the one h.  The event
     re-solve at h = 0 inverts nothing, neither on the pre-event Jacobian nor
-    on the one it built, which the first step after it inverts for h."""
+    on the one it built, which the first step after it inverts for h.  The
+    run holds its state at rest until the event, and steps only after it."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
     step = TrapezoidalIntegrator.step
     sizes = []
@@ -593,7 +681,7 @@ def test_steps_are_exactly_h_and_share_one_factorization(case, monkeypatch):
     h = 0.005
     ts = simulate(model, st, [Event(1.0, LoadScale(bus=5, factor=0.5))],
                   t_end=2.0, h=h, output_dt=h, channels=["omega_coi"])
-    assert len(sizes) == 400 and set(sizes) == {h}
+    assert len(sizes) == 200 and set(sizes) == {h}
     assert ts.stats["lu_factorizations"] == 2 * ts.stats["jacobian_builds"]
 
 
@@ -850,8 +938,10 @@ def test_linearize_and_the_integrator_reduce_through_one_routine(case, monkeypat
 def test_load_loss_takes_at_most_2_3_residual_passes_per_step(case, control):
     """The paper's 10 s load-loss run at h = 5 ms: the quartic start and the
     rent-or-buy refresh keep Newton near one or two solves a step.  It
-    takes 3 877 / 3 856 / 3 850 residual passes and 1 838 / 1 817 / 1 820
-    Newton iterations; a refresh only where a step's contraction predicted
+    takes 3 560 / 3 540 / 3 534 residual passes and 1 721 / 1 700 / 1 703
+    Newton iterations over 1 800 steps, its first second held at rest
+    (integrated from t0: 3 877 / 3 856 / 3 850 and 1 838 / 1 817 / 1 820
+    over 2 000 steps); a refresh only where a step's contraction predicted
     more than two solves took 4 348 / 4 094 / 4 100 passes, the quadratic
     start 2.94 / 2.82 / 2.83 passes per step, and an Euler start on a
     Jacobian kept from the event on 4.36 / 4.09 / 4.09."""
@@ -883,7 +973,9 @@ def test_load_step_storm_takes_no_more_residual_passes(case, seed, passes):
     """The benchmark's `load_steps` run (`load_step_events`, h = 10 ms):
     the rent-or-buy refresh takes no more residual passes than a refresh
     only where a step's contraction predicted more than two solves did
-    (4 167 / 4 188 / 4 063 on seeds 0-2; now 4 163 / 4 177 / 4 057)."""
+    (4 167 / 4 188 / 4 063 on seeds 0-2; now 4 163 / 4 177 / 4 057
+    integrated from t0, and 4 113 / 4 127 / 4 007 with its first 0.5 s
+    held at rest)."""
     model, st = build_system(case, "no_cig")
     ts = simulate(model, st, load_step_events(seed), t_end=10.0, h=0.01, output_dt=0.01,
                   channels=["omega_coi"])

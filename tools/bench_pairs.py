@@ -25,9 +25,9 @@ minimum over 7 `timeit` blocks at each operation's set-up state, taken in
 the same untimed pass, averaged over the operations), `record_us`, the
 cost of one `dae.record` row of every recordable channel there (timed the
 same way, after one warm call), and
-`repetition_counts` each side's residual passes, Newton iterations,
-Jacobian builds and `lu_factorizations` (the integrator's `np.linalg.inv`
-calls) of one repetition, both also on the printed line.  The
+`repetition_counts` each side's accepted steps, residual passes, Newton
+iterations, Jacobian builds and `lu_factorizations` (the integrator's
+`np.linalg.inv` calls) of one repetition, both also on the printed line.  The
 same pass saves every output of every operation, and the state [x; y]
 its set-up built (`setup_x`, `setup_y`), so a change
 to the set-up path is checked too: `outputs` holds each side's sha-256
@@ -304,7 +304,10 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
     pass alone at its set-up state (us), None where no operation has one:
     the layer's own cost, beside the share of wall_s each pass carries.
     record_us is the same mean of the time of one output row of every
-    recordable channel at the set-up state."""
+    recordable channel at the set-up state.  A change that drops cheap
+    steps, such as those a run holding its initial state at rest no longer
+    takes, raises us_per_step while wall_s falls: read it beside the step
+    count of `repetition_counts`."""
     steps = sum(st.get("steps", 0) for st in stats.values())
     passes = sum(st["residual_calls_counted"] for st in stats.values())
 
@@ -318,16 +321,16 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
 
 
 # the solver counts of one repetition, by the `untimed_pass` stats key each sums
-COUNTS = {"residual_passes": "residual_calls_counted",
+COUNTS = {"steps": "steps", "residual_passes": "residual_calls_counted",
           "newton_iterations": "newton_iterations", "jacobian_builds": "jacobian_builds",
           "lu_factorizations": "lu_factorizations"}
 
 
 def repetition_counts(stats: dict) -> dict:
-    """The residual passes, Newton iterations, Jacobian builds and
-    inversions (`lu_factorizations`) of one repetition, summed over the
-    `untimed_pass` stats of its operations; None where no operation
-    integrates (no `TimeSeries.stats`)."""
+    """The accepted steps, residual passes, Newton iterations, Jacobian
+    builds and inversions (`lu_factorizations`) of one repetition, summed
+    over the `untimed_pass` stats of its operations; None where no
+    operation integrates (no `TimeSeries.stats`)."""
     counts = {}
     for name, key in COUNTS.items():
         values = [st[key] for st in stats.values() if key in st]
