@@ -132,10 +132,11 @@ def linearize(model: SystemModel, eq: SystemState) -> LinearModel:
     eliminated) from the central difference of `group_residuals`, with the
     output rows when the model has a converter.  Raises ValueError when
     max |[f; g]| at eq exceeds 1e-8, the integrator's Newton tolerance
-    (`TrapezoidalIntegrator.tol`), below which a run holds a state at rest."""
+    (`TrapezoidalIntegrator.tol`), below which a run holds a state at rest,
+    or is NaN."""
     tol = TrapezoidalIntegrator.tol
     worst = np.max(np.abs(model.residual(eq.x, eq.y)[0]))
-    if worst > tol:
+    if not worst <= tol:   # a NaN residual included
         raise ValueError(f"not an equilibrium: residual {worst:.3e} > {tol:g}")
     reduced = reduce_algebraic(*_central_jacobians(model, eq))
     if reduced is None:

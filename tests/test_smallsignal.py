@@ -81,6 +81,14 @@ def test_linearize_rejects_non_equilibrium():
         linearize(toy, eq)
 
 
+def test_linearize_rejects_a_nan_residual():
+    """A NaN residual is not below the bound of an equilibrium either."""
+    toy = LinearToy()
+    eq = SystemState(x=np.array([np.nan, 0.0]), y=np.zeros(1), t=0.0)
+    with pytest.raises(ValueError, match="not an equilibrium: residual nan"):
+        linearize(toy, eq)
+
+
 def test_linearize_perturbation_robustness(wscc, monkeypatch):
     """Eigenvalues from steps 1e-5 and 1e-6 agree to 4 significant digits."""
     model, st = wscc
