@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .cig import CIGControlParams, PLLParams
+from .cig import CIGControlParams
 from .machines import AVRParams, GovParams, SynMachineParams
 from .network import Branch, Bus, Network, NetworkError
 
@@ -109,8 +109,7 @@ def parse_case(text: str) -> Case:
                                             r_droop=f[4], k_w=f[5], t_w=f[6],
                                             kp_v=f[7], ki_v=f[8], t_i=f[9],
                                             i_max=f[10], t_f=f[11],
-                                            pll=PLLParams(kp=f[12], ki=f[13]),
-                                            x_t=f[14])))
+                                            kp_pll=f[12], ki_pll=f[13], x_t=f[14])))
         except (ValueError, OverflowError, NetworkError) as exc:  # int(inf) overflows
             raise CaseParseError(f"line {lineno}: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """Grid-following converter-interfaced generator (CIG).
 
-Control chain (all per-unit, speeds on the system frequency base):
+One float kernel, `cig_derivatives`, runs the whole control chain (all
+per-unit, speeds on the system frequency base):
 
 * SRF-PLL tracks the bus-voltage phase; its output is the estimated
   bus frequency omega_est.
@@ -8,7 +9,7 @@ Control chain (all per-unit, speeds on the system frequency base):
   (rate of change of the voltage magnitude) without an explicit
   differentiator.
 * The frequency-loop input signal is either omega_est or the
-  compensated signal omega_est - K * rho_est.
+  compensated signal omega_est - K * rho_est (`modified_signal`).
 * Outer loops: active power droop + washout channel on the frequency
   signal; reactive power PI on the voltage error.
 * Inner loop: first-order dq current tracking with a circular
@@ -20,17 +21,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .machines import InitializationError
-
-
-@dataclass(frozen=True)
-class PLLParams:
-    kp: float = 20.0
-    ki: float = 150.0
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,8 @@ class CIGControlParams:
     q_ref: float = 0.0
     t_f: float = 0.02       # rho-estimator washout time constant, s
     x_t: float = 0.0        # step-up transformer reactance to the grid, pu
-    pll: PLLParams = field(default_factory=PLLParams)
+    kp_pll: float = 20.0    # SRF-PLL PI
+    ki_pll: float = 150.0
     freq_loop: bool = True  # False: droop/washout channels disconnected
     v_ref: float = 1.0      # filled in by initialize_cig
 
@@ -58,60 +54,9 @@ class CIGControlParams:
 
 STATE_NAMES = ("theta_pll", "xi_pll", "z_rho", "w_wash", "x_v", "i_d", "i_q")
 N_STATES = len(STATE_NAMES)
-# the converter's outputs in `SystemModel.residual`, in the order they are recorded
+# the converter's outputs, as `cig_derivatives` returns them and
+# `SystemModel.residual` records them
 OUTPUT_NAMES = ("p_cig", "q_cig", "omega_est", "rho_est", "omega_tilde")
-
-
-@dataclass
-class CIGState:
-    theta_pll: float
-    xi_pll: float
-    z_rho: float   # rho-estimator filter state (over ln v)
-    w_wash: float  # washout channel state (over the frequency signal)
-    x_v: float     # voltage PI integrator
-    i_d: float     # converter currents in the PLL frame
-    i_q: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in STATE_NAMES])
-
-
-# ---------------------------------------------------------------------------
-# Component operations, on floats: states and the bus voltage components
-# (vd, vq) with its magnitude vmag, in the frame the network uses
-# ---------------------------------------------------------------------------
-
-def pll_error(theta: float, vd: float, vq: float, vmag: float) -> float:
-    """Normalized q-axis voltage in the PLL frame (zero when locked)."""
-    if vmag == 0.0:
-        raise ValueError("PLL input voltage is zero")
-    return (-vd * math.sin(theta) + vq * math.cos(theta)) / vmag
-
-
-def pll_derivatives(theta: float, xi: float, vd: float, vq: float, vmag: float,
-                    p: PLLParams, omega_base: float, omega_frame: float = 1.0):
-    """PLL state derivatives and outputs.
-
-    theta is the tracked phase (rad, network frame) and xi the PI
-    integrator (pu speed deviation).  omega_frame is the rotation speed
-    (pu) of the frame in which the voltage is expressed; the tracked
-    angle advances at omega_est relative to it.
-    Returns ((d_theta, d_xi), omega_est).
-    """
-    err = pll_error(theta, vd, vq, vmag)
-    omega_est = 1.0 + p.kp * err + xi
-    d_theta = omega_base * (omega_est - omega_frame)
-    d_xi = p.ki * err
-    return (d_theta, d_xi), omega_est
-
-
-def estimate_rho(z: float, t_f: float, v_mag: float):
-    """Washout s/(1+sT_f) applied to ln(v), with z the low-passed ln(v);
-    returns (dz, rho_est in 1/s)."""
-    if v_mag <= 0.0:
-        raise ValueError("rho estimator needs a positive voltage magnitude")
-    dz = (math.log(v_mag) - z) / t_f
-    return dz, dz
 
 
 def modified_signal(omega_est: float, rho_est: float, K: float) -> float:
@@ -119,25 +64,35 @@ def modified_signal(omega_est: float, rho_est: float, K: float) -> float:
     return omega_est - K * rho_est
 
 
-def limit_currents(id_ref: float, iq_ref: float, i_max: float) -> tuple[float, float]:
-    """Circular current limit with active(d)-current priority."""
-    if math.hypot(id_ref, iq_ref) <= i_max:
-        return id_ref, iq_ref
-    i_d = max(-i_max, min(i_max, id_ref))
-    room = math.sqrt(max(i_max * i_max - i_d * i_d, 0.0))
-    i_q = max(-room, min(room, iq_ref))
-    return i_d, i_q
+def cig_derivatives(x, v: complex, params: CIGControlParams, omega_frame: float,
+                    omega_base: float) -> tuple[list[float], complex, tuple]:
+    """Time derivatives of the converter's 7 states, its current and its outputs.
 
-
-def outer_loops(w_wash: float, x_v: float, vmag: float, params: CIGControlParams,
-                signal: float) -> tuple[float, float]:
-    """Current references from the frequency and voltage outer loops.
-
-    w_wash and x_v are the washout and voltage-PI states.  signal is the
-    frequency-loop input in pu (omega_est or the compensated
-    omega-tilde).  With the frequency loop disconnected the active
-    reference is just the power set point.
+    x holds the states as floats in STATE_NAMES order: the PLL angle
+    theta_pll (rad, network frame) and PI integrator xi_pll, the low-passed
+    ln|v| z_rho, the washout-channel state w_wash, the voltage-PI
+    integrator x_v and the currents i_d, i_q in the PLL frame.  v is the
+    bus voltage in the network frame, which rotates at omega_frame (pu).
+    Returns (xdot in STATE_NAMES order, network-frame current injection,
+    the OUTPUT_NAMES values): rho_est in pu and omega_tilde the
+    frequency-loop input.  Raises ValueError at zero voltage.
     """
+    theta, xi, z, w_wash, x_v, i_d, i_q = x
+    vmag = math.hypot(v.real, v.imag)
+    if vmag == 0.0:
+        raise ValueError("converter bus voltage is zero")
+
+    # PLL on the normalized q-axis voltage in its frame (zero when locked);
+    # the tracked angle advances at omega_est relative to the frame
+    err = (-v.real * math.sin(theta) + v.imag * math.cos(theta)) / vmag
+    omega_est = 1.0 + params.kp_pll * err + xi
+    # washout s/(1 + s T_f) on ln|v|: its output is rho in 1/s
+    d_z = (math.log(vmag) - z) / params.t_f
+    rho = d_z / omega_base
+    signal = modified_signal(omega_est, rho, params.K)
+
+    # outer loops; with the frequency loop disconnected the active
+    # reference is just the power set point
     p_cmd = params.p_ref
     if params.freq_loop:
         p_cmd -= (signal - 1.0) / params.r_droop
@@ -145,52 +100,23 @@ def outer_loops(w_wash: float, x_v: float, vmag: float, params: CIGControlParams
     q_cmd = params.kp_v * (params.v_ref - vmag) + x_v
     id_ref = p_cmd / vmag
     iq_ref = -q_cmd / vmag
-    return limit_currents(id_ref, iq_ref, params.i_max)
+    # circular current limit with active (d) current priority
+    i_max = params.i_max
+    if math.hypot(id_ref, iq_ref) > i_max:
+        id_ref = max(-i_max, min(i_max, id_ref))
+        room = math.sqrt(max(i_max * i_max - id_ref * id_ref, 0.0))
+        iq_ref = max(-room, min(room, iq_ref))
 
-
-def inner_loop_and_injection(i_d: float, i_q: float, theta: float,
-                             refs: tuple[float, float], params: CIGControlParams):
-    """First-order current tracking; returns ((d_id, d_iq), injection).
-
-    The injection is the converter current (i_d, i_q) rotated into the
-    network frame by the PLL angle theta.
-    """
-    id_ref, iq_ref = refs
-    d_id = (id_ref - i_d) / params.t_i
-    d_iq = (iq_ref - i_q) / params.t_i
     inj = complex(i_d, i_q) * cmath.exp(1j * theta)
-    return (d_id, d_iq), inj
-
-
-# ---------------------------------------------------------------------------
-# Assembled device
-# ---------------------------------------------------------------------------
-
-def cig_derivatives(x, vd: float, vq: float, params: CIGControlParams,
-                    omega_base: float, omega_frame: float = 1.0):
-    """Derivatives of the 7 states, injection, and measured signals.
-
-    x holds the states as floats in STATE_NAMES order; vd + j vq is the
-    bus voltage in the frame rotating at omega_frame.  Returns (xdot,
-    injection, (omega_est, rho_est, signal)): xdot a list in STATE_NAMES
-    order, rho_est in pu and signal the frequency-loop input.
-    """
-    theta, xi, z, w_wash, x_v, i_d, i_q = x
-    vmag = math.hypot(vd, vq)
-    (d_theta, d_xi), omega_est = pll_derivatives(theta, xi, vd, vq, vmag, params.pll,
-                                                 omega_base, omega_frame)
-    d_z, rho_per_s = estimate_rho(z, params.t_f, vmag)
-    rho_pu = rho_per_s / omega_base
-    signal = modified_signal(omega_est, rho_pu, params.K)
-
-    d_w = (signal - w_wash) / params.t_w
-    d_xv = params.ki_v * (params.v_ref - vmag)
-
-    refs = outer_loops(w_wash, x_v, vmag, params, signal)
-    (d_id, d_iq), inj = inner_loop_and_injection(i_d, i_q, theta, refs, params)
-
-    xdot = [d_theta, d_xi, d_z, d_w, d_xv, d_id, d_iq]
-    return xdot, inj, (omega_est, rho_pu, signal)
+    s = v * inj.conjugate()
+    xdot = [omega_base * (omega_est - omega_frame),
+            params.ki_pll * err,
+            d_z,
+            (signal - w_wash) / params.t_w,
+            params.ki_v * (params.v_ref - vmag),
+            (id_ref - i_d) / params.t_i,
+            (iq_ref - i_q) / params.t_i]
+    return xdot, inj, (s.real, s.imag, omega_est, rho, signal)
 
 
 def kernel_reads(params: CIGControlParams) -> dict[str, tuple[str, ...]]:
@@ -200,8 +126,8 @@ def kernel_reads(params: CIGControlParams) -> dict[str, tuple[str, ...]]:
 
     `SystemModel.jacobian_structure` builds the Jacobian's pattern from it,
     so it is structural: no entry is dropped for a gain that is zero.  The
-    frequency-loop reads follow `freq_loop` as `outer_loops` does, and the
-    current limiter reads both references in both current rows.
+    frequency-loop reads follow `freq_loop` as the kernel's outer loops do,
+    and the current limiter reads both references in both current rows.
     """
     signal = ("theta_pll", "xi_pll", "z_rho", "v")   # omega_est - K rho_est
     refs = ("x_v", "v") + ((*signal, "w_wash") if params.freq_loop else ())
@@ -218,10 +144,11 @@ def kernel_reads(params: CIGControlParams) -> dict[str, tuple[str, ...]]:
 
 
 def initialize_cig(v_terminal: complex,
-                   params: CIGControlParams) -> tuple[CIGState, CIGControlParams]:
+                   params: CIGControlParams) -> tuple[np.ndarray, CIGControlParams]:
     """Equilibrium CIG state for the scheduled (p_ref, q_ref) dispatch.
 
-    Returns (state, params): a copy of params with the voltage reference
+    Returns (state, params): the state as a float array in STATE_NAMES
+    order, and a copy of params with the voltage reference
     filled in, so that the voltage PI is balanced.  Raises
     InitializationError if the dispatch exceeds the current limit.
     """
@@ -233,7 +160,6 @@ def initialize_cig(v_terminal: complex,
     if math.hypot(i_d, i_q) > params.i_max:
         raise InitializationError(
             f"dispatch needs {math.hypot(i_d, i_q):.3f} pu current, limit {params.i_max}")
-    state = CIGState(theta_pll=cmath.phase(v_terminal), xi_pll=0.0,
-                     z_rho=math.log(vmag), w_wash=1.0, x_v=params.q_ref,
-                     i_d=i_d, i_q=i_q)
+    state = np.array([cmath.phase(v_terminal), 0.0, math.log(vmag), 1.0, params.q_ref,
+                      i_d, i_q])
     return state, replace(params, v_ref=vmag)

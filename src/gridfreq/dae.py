@@ -206,9 +206,6 @@ class SystemModel:
 
     # -- state packing ----------------------------------------------------
 
-    def pack_voltages(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate([v.real, v.imag])
-
     def coi_speed(self, x) -> float:
         """Centre-of-inertia speed sum(w_i omega_i) of the states x, a list or an array."""
         w_coi = 0.0
@@ -237,11 +234,10 @@ class SystemModel:
 
         Returns ([f; g], outputs): one vector of the state derivatives f
         (its first n_x entries) and the nodal current balance
-        g = I_inj(x, y) - I_load(y) - Ybus V; and the converter's measured
-        signals omega_est, rho_est and omega_tilde (the frequency-loop
-        input) with its power output p_cig, q_cig, empty without a
-        converter.  Everything but Ybus V is computed on Python floats, a
-        bus's balance as a (Re, Im) pair: machines, converter, then load.
+        g = I_inj(x, y) - I_load(y) - Ybus V; and the converter's outputs
+        by their `cig.OUTPUT_NAMES`, empty without a converter.  Everything
+        but Ybus V is computed on Python floats, a bus's balance as a
+        (Re, Im) pair: machines, converter, then load.
         """
         n = self.n_bus
         xl, yl = x.tolist(), y.tolist()
@@ -250,14 +246,12 @@ class SystemModel:
         outputs: dict[str, float] = {}
         if self.cig:
             b = self.cig_bus
-            d_c, i, (w_est, rho, sig) = cigmod.cig_derivatives(
-                xl[self._cig_start:], yl[b], yl[n + b], self.cig.params, self.omega_base, wcoi)
+            d_c, i, out = cigmod.cig_derivatives(xl[self._cig_start:], complex(yl[b], yl[n + b]),
+                                                 self.cig.params, wcoi, self.omega_base)
             f += d_c
             re[b] += i.real
             im[b] += i.imag
-            s = complex(yl[b], yl[n + b]) * i.conjugate()
-            outputs = {"omega_est": w_est, "rho_est": rho, "omega_tilde": sig,
-                       "p_cig": s.real, "q_cig": s.imag}
+            outputs = dict(zip(cigmod.OUTPUT_NAMES, out))
         for b, s_conj in self._loads:
             i = s_conj / complex(yl[b], -yl[n + b])
             re[b] -= i.real
@@ -477,8 +471,8 @@ def build_system(case: Case, control: str = "no_cig",
         states.append(cig_state)
 
     model = SystemModel(net, machines, cig_spec)
-    x0 = np.concatenate([s.as_array() for s in states])
-    y0 = model.pack_voltages(vsol)
+    x0 = np.concatenate(states)
+    y0 = np.concatenate([vsol.real, vsol.imag])
     return model, SystemState(x=x0, y=y0, t=0.0)
 
 

@@ -69,6 +69,9 @@ class GovParams:
             raise ValueError("p_min must be below p_max")
 
 
+# rotor angle (rad, network frame), speed (pu), transient EMFs eq' and ed'
+# (pu), field voltage, AVR rate feedback and regulator output, governor
+# valve position and mechanical power (pu)
 STATE_NAMES = ("delta", "omega", "eq1", "ed1", "efd", "rf", "vr", "psv", "pm")
 N_STATES = len(STATE_NAMES)
 
@@ -89,22 +92,6 @@ KERNEL_READS = {
     "pm": ("psv", "pm"),
     "current": ("delta", "eq1", "ed1", "v"),
 }
-
-
-@dataclass
-class SynMachineState:
-    delta: float   # rotor angle, rad (network frame)
-    omega: float   # speed, pu
-    eq1: float     # q-axis transient EMF, pu
-    ed1: float     # d-axis transient EMF, pu
-    efd: float     # field voltage, pu
-    rf: float      # AVR rate feedback
-    vr: float      # AVR regulator output
-    psv: float     # governor valve position, pu
-    pm: float      # mechanical power, pu
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in STATE_NAMES])
 
 
 def sm_kernel_params(p: SynMachineParams, avr: AVRParams, gov: GovParams) -> tuple:
@@ -177,12 +164,13 @@ def coi_weights(params: list[SynMachineParams]) -> np.ndarray:
 
 def initialize_sm(v_terminal: complex, p_gen: float, q_gen: float,
                   p: SynMachineParams, avr: AVRParams,
-                  gov: GovParams) -> tuple[SynMachineState, AVRParams, GovParams]:
+                  gov: GovParams) -> tuple[np.ndarray, AVRParams, GovParams]:
     """Equilibrium machine state for a solved dispatch at terminal voltage.
 
-    Returns (state, avr, gov): avr and gov are copies of the given ones
-    with the AVR voltage reference and the governor power reference filled
-    in, so that every derivative of the state is zero under them.
+    Returns (state, avr, gov): the state as a float array in STATE_NAMES
+    order, and copies of the given avr and gov with the AVR voltage
+    reference and the governor power reference filled in, so that every
+    derivative of the state is zero under them.
     """
     i_net = (complex(p_gen, q_gen) / v_terminal).conjugate()
     delta = cmath.phase(v_terminal + complex(p.ra, p.xq) * i_net)
@@ -203,7 +191,6 @@ def initialize_sm(v_terminal: complex, p_gen: float, q_gen: float,
     pe = ed1 * i_d + eq1 * i_q + (p.xq1 - p.xd1) * i_d * i_q  # air-gap power
     if not (gov.p_min <= pe <= gov.p_max):
         raise InitializationError(f"mechanical power {pe:.3f} outside governor limits")
-    state = SynMachineState(delta=delta, omega=1.0, eq1=eq1, ed1=ed1, efd=efd,
-                            rf=rf, vr=vr, psv=pe, pm=pe)
+    state = np.array([delta, 1.0, eq1, ed1, efd, rf, vr, pe, pe])
     return (state, replace(avr, v_ref=abs(v_terminal) + vr / avr.ka),
             replace(gov, p_ref=pe))

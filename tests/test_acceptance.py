@@ -16,7 +16,7 @@ from scipy.optimize import curve_fit
 from scipy.signal import savgol_filter
 
 from gridfreq.casefile import load_bundled_case
-from gridfreq.cig import PLLParams, estimate_rho, pll_derivatives
+from gridfreq.cig import CIGControlParams, cig_derivatives
 from gridfreq.complex_frequency import AnalyticExampleParams, analytic_example, eta_of
 from gridfreq.dae import Event, TrapezoidalIntegrator, build_system, simulate
 from gridfreq.network import LoadScale
@@ -283,29 +283,33 @@ def test_criterion_9_estimator_fidelity():
     """(a) the PLL estimate settles within 2 % of a synthetic offset
     frequency; (b) the rho estimator's sinusoidal phase lag matches
     atan(w T_f) of its washout."""
+    # the converter kernel's rows theta_pll, xi_pll and z_rho, with the
+    # other states at rest
     # (a) PLL on a phasor rotating 0.3 Hz off nominal, forward-Euler at 50 us
-    p = PLLParams(kp=0.15, ki=4.2)
+    a, w, t_f = 0.01, 2 * math.pi, 0.02
+    p = CIGControlParams(kp_pll=0.15, ki_pll=4.2, t_f=t_f)
     dw = 0.3 * 2 * math.pi / OMEGA_B
     th, xi = 0.0, 0.0
     h = 5e-5
     omega_est = 1.0
     for i in range(int(3.0 / h)):
         t = i * h
-        vd, vq = math.cos(dw * OMEGA_B * t), math.sin(dw * OMEGA_B * t)
-        (d_th, d_xi), omega_est = pll_derivatives(th, xi, vd, vq, math.hypot(vd, vq),
-                                                  p, OMEGA_B)
+        v = complex(math.cos(dw * OMEGA_B * t), math.sin(dw * OMEGA_B * t))
+        (d_th, d_xi, *_), _, (_, _, omega_est, _, _) = cig_derivatives(
+            [th, xi, 0.0, 1.0, 0.0, 0.0, 0.0], v, p, 1.0, OMEGA_B)
         th += h * d_th
         xi += h * d_xi
     pll_err = abs(omega_est - (1.0 + dw)) / dw
 
-    # (b) rho estimator driven by ln v = a sin(w t)
-    a, w, t_f = 0.01, 2 * math.pi, 0.02
+    # (b) rho estimator (row z_rho, in 1/s) driven by ln v = a sin(w t)
     z = 0.0
     h = 1e-4
     tt, rho = [], []
     for i in range(int(5.0 / h)):
         t = i * h
-        dz, r = estimate_rho(z, t_f, math.exp(a * math.sin(w * t)))
+        xdot, _, _ = cig_derivatives([0.0, 0.0, z, 1.0, 0.0, 0.0, 0.0],
+                                     complex(math.exp(a * math.sin(w * t)), 0.0), p, 1.0, OMEGA_B)
+        dz = r = xdot[2]
         z += h * dz
         if t >= 4.0:
             tt.append(t)

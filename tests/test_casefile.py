@@ -38,7 +38,7 @@ def test_parse_devices():
     assert c.bus == 2
     assert c.params.p_ref == 1.0
     assert c.params.K == 1.2
-    assert c.params.pll.ki == 4.2
+    assert c.params.ki_pll == 4.2
     assert c.params.x_t == 0.0625
 
 

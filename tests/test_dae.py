@@ -1,5 +1,6 @@
 """Tests for DAE assembly, initialization, and trapezoidal integration."""
 
+import cmath
 import copy
 import dataclasses
 import math
@@ -71,7 +72,7 @@ def _mutable_parts(net, machines, cigs) -> set[int]:
     for m in machines:
         parts += [m, m.params, m.avr, m.gov]
     for c in cigs:
-        parts += [c, c.params, c.params.pll]
+        parts += [c, c.params]
     return {id(p) for p in parts
             if not (dataclasses.is_dataclass(p) and type(p).__dataclass_params__.frozen)}
 
@@ -88,13 +89,13 @@ def test_build_system_leaves_the_case_alone(control):
 
 
 def test_device_records_are_frozen():
-    """An attribute assignment on any of the seven device record types
+    """An attribute assignment on any of the six device record types
     raises: to change a parameter, build a new model."""
     model, _ = build_system(load_bundled_case(), "cig_omega_tilde")
     m, c = model.machines[0], model.cig
     records = [(m, "bus"), (m.params, "H"), (m.avr, "v_ref"), (m.gov, "p_ref"),
-               (c, "bus"), (c.params, "K"), (c.params.pll, "kp")]
-    assert len({type(r) for r, _ in records}) == 7
+               (c, "bus"), (c.params, "K")]
+    assert len({type(r) for r, _ in records}) == 6
     for record, name in records:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, getattr(record, name))
@@ -459,7 +460,7 @@ def layout_models(case, shared_bus_model):
     return {"no_cig": build_system(case, "no_cig"),
             "cig_omega_tilde": build_system(case, "cig_omega_tilde", k=1.2),
             "converter_on_bus2": build_system(moved, "cig_omega_tilde"),
-            "shared_bus": (shared, SystemState(x, shared.pack_voltages(v), 0.0))}
+            "shared_bus": (shared, SystemState(x, np.concatenate([v.real, v.imag]), 0.0))}
 
 
 def kinds_pattern(model: SystemModel) -> np.ndarray:
@@ -540,9 +541,8 @@ def test_record_is_bitwise_the_name_parsing_record(layout_models, which, dx, vma
     the same order, as parsing each name."""
     model, st = layout_models[which]
     n = model.n_bus
-    state = SystemState(st.x + np.array(dx[: model.n_x]),
-                        model.pack_voltages(np.array(vmag[:n]) * np.exp(1j * np.array(vang[:n]))),
-                        0.0)
+    v = np.array(vmag[:n]) * np.exp(1j * np.array(vang[:n]))
+    state = SystemState(st.x + np.array(dx[: model.n_x]), np.concatenate([v.real, v.imag]), 0.0)
     names = data.draw(hst.permutations(list(model.channels)))
     channels = data.draw(hst.none() | hst.integers(1, len(names)).map(lambda k: names[:k]))
     evaluate = TrapezoidalIntegrator(model).evaluate
@@ -1137,13 +1137,14 @@ def limits_held(model, z):
     n_x = model.n_x
     f = stacked_residual(model, z)[:n_x]
     held = all(f[N_STATES * i + k] == 0.0 for i in range(len(model.machines)) for k in (6, 7))
-    p, xc = model.cig.params, z[n_x - gridfreq.cig.N_STATES: n_x]
-    v = z[n_x + model.cig_bus] + 1j * z[n_x + model.n_bus + model.cig_bus]
-    signal = gridfreq.cig.cig_derivatives(
-        xc.tolist(), v.real, v.imag, p, model.omega_base, model.coi_speed(z))[2][2]
-    id_ref, iq_ref = gridfreq.cig.outer_loops(xc[3], xc[4], abs(v), dataclasses.replace(
-        p, i_max=math.inf), signal)
-    i_d, i_q = gridfreq.cig.limit_currents(id_ref, iq_ref, p.i_max)
+    # the converter's rows d_id, d_iq at zero currents: its current
+    # references over t_i, limited and not
+    p, xc = model.cig.params, z[n_x - gridfreq.cig.N_STATES: n_x - 2].tolist() + [0.0, 0.0]
+    v = complex(z[n_x + model.cig_bus], z[n_x + model.n_bus + model.cig_bus])
+    wcoi, kernel = model.coi_speed(z), gridfreq.cig.cig_derivatives
+    i_d, i_q = kernel(xc, v, p, wcoi, model.omega_base)[0][5:]
+    id_ref, iq_ref = kernel(xc, v, dataclasses.replace(p, i_max=math.inf), wcoi,
+                            model.omega_base)[0][5:]
     return held and i_d == id_ref and abs(i_q) < abs(iq_ref)
 
 
@@ -1315,13 +1316,12 @@ def reference_network_balance(model: SystemModel, x: np.ndarray, y: np.ndarray):
     balance: complex numpy arrays over every bus, loads as conj(S / v)."""
     v = y[:model.n_bus] + 1j * y[model.n_bus:]
     wcoi = model.coi_speed(x)
-    _, re, im = model._machine_block(x.tolist(), model.pack_voltages(v).tolist(), wcoi)
+    _, re, im = model._machine_block(x.tolist(), y.tolist(), wcoi)
     inj = np.array(re) + 1j * np.array(im)
     if model.cig:
-        vb = complex(v[model.cig_bus])
         _, inj_c, _ = gridfreq.cig.cig_derivatives(
-            x[model.n_x - gridfreq.cig.N_STATES:].tolist(), vb.real, vb.imag,
-            model.cig.params, model.omega_base, omega_frame=wcoi)
+            x[model.n_x - gridfreq.cig.N_STATES:].tolist(), complex(v[model.cig_bus]),
+            model.cig.params, wcoi, model.omega_base)
         inj[model.cig_bus] += inj_c
     s_load = np.array([complex(b.p_load, b.q_load) for b in model.net.buses])
     ybus = build_ybus(model.net)
@@ -1351,7 +1351,7 @@ def test_network_balance_matches_complex_reference(balance_models, which, dx, vm
     model = models[which]
     x = st.x + np.array(dx)
     v = np.array(vmag) * np.exp(1j * np.array(vang))
-    y = model.pack_voltages(v)
+    y = np.concatenate([v.real, v.imag])
     g = model.residual(x, y)[0][model.n_x:]
     assert np.max(np.abs(g - reference_network_balance(model, x, y))) <= 1e-13
 
@@ -1372,9 +1372,8 @@ def complex_list_residual(model: SystemModel, x: np.ndarray, y: np.ndarray):
     outputs = {}
     if model.cig:
         vb = v[model.cig_bus]
-        d_c, inj_c, (w_est, rho, sig) = gridfreq.cig.cig_derivatives(
-            xl[model.n_x - gridfreq.cig.N_STATES:], vb.real, vb.imag,
-            model.cig.params, model.omega_base, omega_frame=wcoi)
+        d_c, inj_c, (_, _, w_est, rho, sig) = gridfreq.cig.cig_derivatives(
+            xl[model.n_x - gridfreq.cig.N_STATES:], vb, model.cig.params, wcoi, model.omega_base)
         f += d_c
         inj[model.cig_bus] += inj_c
         s = vb * inj_c.conjugate()
@@ -1427,11 +1426,52 @@ def test_residual_is_bitwise_the_complex_list_assembly(pinned_models, which, dx,
     model, st = pinned_models[which]
     x = st.x + np.array(dx[: model.n_x])
     n = model.n_bus
-    y = model.pack_voltages(np.array(vmag[:n]) * np.exp(1j * np.array(vang[:n])))
+    v = np.array(vmag[:n]) * np.exp(1j * np.array(vang[:n]))
+    y = np.concatenate([v.real, v.imag])
     r, outputs = model.residual(x, y)
     r_ref, outputs_ref = complex_list_residual(model, x, y)
     assert np.array_equal(r, r_ref)
     assert outputs == outputs_ref
+
+
+# ---------------------------------------------------------------------------
+# The device kernels under a rotation of the network frame
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def kernel_inputs(case):
+    """kernel name -> (kernel, its states at the set-up of the converter
+    system, its parameters, omega_base): machine 1 and the converter."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    states, _, prm = model._sm_slots[0]
+    return {"sm_kernel": (sm_kernel, st.x[states], prm, model.omega_base),
+            "cig_derivatives": (gridfreq.cig.cig_derivatives,
+                                st.x[model.n_x - gridfreq.cig.N_STATES:], model.cig.params,
+                                model.omega_base)}
+
+
+@pytest.mark.parametrize("name", ["sm_kernel", "cig_derivatives"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dx=hst.lists(hst.floats(-0.05, 0.05), min_size=9, max_size=9),
+       angle=hst.floats(-math.pi, math.pi), phi=hst.floats(-math.pi, math.pi),
+       vmag=hst.floats(0.5, 1.3), vang=hst.floats(-math.pi, math.pi),
+       omega_frame=hst.floats(0.97, 1.03))
+def test_kernels_are_invariant_under_a_frame_rotation(kernel_inputs, name, dx, angle, phi,
+                                                      vmag, vang, omega_frame):
+    """Rotating the bus voltage and the device's angle (delta, theta_pll,
+    each its first state) by one angle phi leaves the derivatives and the
+    outputs unchanged and rotates the injection by phi."""
+    kernel, x0, prm, omega_base = kernel_inputs[name]
+    x = (x0 + np.array(dx[: len(x0)])).tolist()
+    v = cmath.rect(vmag, vang)
+    rows, inj = [], []
+    for turn in (0.0, phi):
+        x[0] = angle + turn
+        xdot, i, *outputs = kernel(x, v * cmath.exp(1j * turn), prm, omega_frame, omega_base)
+        rows.append([*xdot, *(outputs[0] if outputs else ())])
+        inj.append(i)
+    assert rows[1] == pytest.approx(rows[0], rel=1e-12, abs=1e-12)
+    assert inj[1] == pytest.approx(inj[0] * cmath.exp(1j * phi), rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ block it replaced is kept below as the reference for the kernel.
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -18,11 +19,11 @@ from gridfreq.casefile import load_bundled_case
 from gridfreq.dae import SystemModel, build_system
 from gridfreq.machines import (
     N_STATES,
+    STATE_NAMES,
     AVRParams,
     GovParams,
     InitializationError,
     SynMachineParams,
-    SynMachineState,
     coi_weights,
     initialize_sm,
     sm_kernel,
@@ -31,16 +32,19 @@ from gridfreq.machines import (
 
 OMEGA_B = 2.0 * math.pi * 60.0
 
+# one machine's states by name
+MachineState = namedtuple("MachineState", STATE_NAMES)
+
 
 def wscc_unit1() -> SynMachineParams:
     return SynMachineParams(H=4.0, D=0.0, ra=0.0, xd=0.1460, xq=0.0969,
                             xd1=0.0608, xq1=0.0969, td01=8.96, tq01=0.310)
 
 
-def kernel(st: SynMachineState, v: complex, p: SynMachineParams, avr: AVRParams,
+def kernel(st: MachineState, v: complex, p: SynMachineParams, avr: AVRParams,
            gov: GovParams, omega_coi: float = 1.0):
     """(xdot, injection) of one machine, as the simulator evaluates it."""
-    return sm_kernel(st.as_array().tolist(), v, sm_kernel_params(p, avr, gov),
+    return sm_kernel(list(st), v, sm_kernel_params(p, avr, gov),
                      omega_coi, OMEGA_B)
 
 
@@ -65,8 +69,8 @@ def test_parameter_validation():
 def test_stator_currents_satisfy_stator_equations():
     p = SynMachineParams(H=4.0, D=0.0, ra=0.02, xd=0.9, xq=0.86,
                          xd1=0.12, xq1=0.20, td01=6.0, tq01=0.5)
-    st = SynMachineState(delta=0.5, omega=1.0, eq1=1.05, ed1=0.1,
-                         efd=1.2, rf=0.0, vr=0.0, psv=0.0, pm=0.0)
+    st = MachineState(delta=0.5, omega=1.0, eq1=1.05, ed1=0.1,
+                      efd=1.2, rf=0.0, vr=0.0, psv=0.0, pm=0.0)
     v = complex(1.0, 0.1)
     _, inj = kernel(st, v, p, AVRParams(), GovParams())
     i_d, i_q = to_machine_frame(inj, st.delta)
@@ -81,8 +85,8 @@ def test_injection_matches_machine_frame_currents():
     current that drives the transient-EMF derivatives."""
     p = SynMachineParams(H=4.0, D=0.0, ra=0.01, xd=0.9, xq=0.86,
                          xd1=0.12, xq1=0.20, td01=6.0, tq01=0.5)
-    st = SynMachineState(delta=0.3, omega=1.0, eq1=1.1, ed1=0.05,
-                         efd=1.2, rf=0.0, vr=0.0, psv=0.0, pm=0.0)
+    st = MachineState(delta=0.3, omega=1.0, eq1=1.1, ed1=0.05,
+                      efd=1.2, rf=0.0, vr=0.0, psv=0.0, pm=0.0)
     xdot, inj = kernel(st, complex(1.02, 0.05), p, AVRParams(), GovParams())
     i_d, i_q = to_machine_frame(inj, st.delta)
     # d eq'/dt = (-eq' - (xd - xd') id + efd) / Td0';  d ed'/dt = (-ed' + (xq - xq') iq) / Tq0'
@@ -94,8 +98,8 @@ def test_injection_matches_machine_frame_currents():
 def test_injection_power_consistent_with_electrical_power():
     # for ra = 0 the terminal power equals the air-gap power in the swing equation
     p = wscc_unit1()
-    st = SynMachineState(delta=0.4, omega=1.0, eq1=1.1, ed1=0.02,
-                         efd=1.2, rf=0.0, vr=0.0, psv=0.0, pm=0.7)
+    st = MachineState(delta=0.4, omega=1.0, eq1=1.1, ed1=0.02,
+                      efd=1.2, rf=0.0, vr=0.0, psv=0.0, pm=0.7)
     v = complex(1.0, 0.2)
     xdot, inj = kernel(st, v, p, AVRParams(), GovParams())
     pe = st.pm - 2.0 * p.H * xdot[1]  # omega at the COI speed, so D drops out
@@ -145,9 +149,9 @@ def test_governor_droop_steady_state():
     p = wscc_unit1()
     avr = AVRParams(v_ref=1.0)
     dw = 0.01
-    st = SynMachineState(delta=0.0, omega=1.0 + dw, eq1=1.0, ed1=0.0,
-                         efd=1.0, rf=0.0, vr=0.0,
-                         psv=gov.p_ref - dw / gov.droop, pm=0.0)
+    st = MachineState(delta=0.0, omega=1.0 + dw, eq1=1.0, ed1=0.0,
+                      efd=1.0, rf=0.0, vr=0.0,
+                      psv=gov.p_ref - dw / gov.droop, pm=0.0)
     xdot, _ = kernel(st, 1.0 + 0j, p, avr, gov, omega_coi=1.0 + dw)
     assert xdot[7] == pytest.approx(0.0, abs=1e-12)  # psv settled at droop value
 
@@ -155,8 +159,8 @@ def test_governor_droop_steady_state():
 def test_governor_antiwindup_clamps_at_limits():
     gov = GovParams(droop=0.05, p_min=0.0, p_max=1.0, p_ref=1.0)
     p = wscc_unit1()
-    st = SynMachineState(delta=0.0, omega=0.98, eq1=1.0, ed1=0.0,
-                         efd=1.0, rf=0.0, vr=0.0, psv=1.0, pm=1.0)
+    st = MachineState(delta=0.0, omega=0.98, eq1=1.0, ed1=0.0,
+                      efd=1.0, rf=0.0, vr=0.0, psv=1.0, pm=1.0)
     xdot, _ = kernel(st, 1.0 + 0j, p, AVRParams(v_ref=1.0), gov)
     assert xdot[7] == 0.0  # would open further but is on p_max
 
@@ -164,16 +168,16 @@ def test_governor_antiwindup_clamps_at_limits():
 def test_avr_antiwindup_clamps_regulator():
     avr = AVRParams(vr_min=-1.0, vr_max=1.0, v_ref=1.2)
     p = wscc_unit1()
-    st = SynMachineState(delta=0.0, omega=1.0, eq1=1.0, ed1=0.0,
-                         efd=1.0, rf=avr.kf / avr.tf, vr=1.0, psv=0.5, pm=0.5)
+    st = MachineState(delta=0.0, omega=1.0, eq1=1.0, ed1=0.0,
+                      efd=1.0, rf=avr.kf / avr.tf, vr=1.0, psv=0.5, pm=0.5)
     xdot, _ = kernel(st, 1.0 + 0j, p, avr, GovParams(p_ref=0.5))
     assert xdot[6] == 0.0  # vr pinned at vr_max under a raise request
 
 
 def test_swing_equation_accelerates_on_power_surplus():
     p = wscc_unit1()  # ra = 0: the terminal power is the air-gap power
-    st = SynMachineState(delta=0.03, omega=1.0, eq1=1.0, ed1=0.0,
-                         efd=1.0, rf=0.0, vr=0.0, psv=0.8, pm=0.8)
+    st = MachineState(delta=0.03, omega=1.0, eq1=1.0, ed1=0.0,
+                      efd=1.0, rf=0.0, vr=0.0, psv=0.8, pm=0.8)
     v = 1.0 + 0j
     xdot, inj = kernel(st, v, p, AVRParams(v_ref=1.0), GovParams(p_ref=0.8))
     pe = (v * inj.conjugate()).real
@@ -270,7 +274,8 @@ def reference_machine_block(model: SystemModel, x: np.ndarray, v: np.ndarray,
 
 
 def assert_matches_reference(model, x, v, omega_coi):
-    f, re, im = model._machine_block(x.tolist(), model.pack_voltages(v).tolist(), omega_coi)
+    f, re, im = model._machine_block(x.tolist(), np.concatenate([v.real, v.imag]).tolist(),
+                                     omega_coi)
     f_ref, inj_ref = reference_machine_block(model, x, v, omega_coi)
     assert np.max(np.abs(np.array(f) - f_ref)) <= 1e-13
     assert np.max(np.abs(np.array(re) + 1j * np.array(im) - inj_ref)) <= 1e-13

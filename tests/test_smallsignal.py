@@ -336,8 +336,7 @@ def _case_with_new_parameters(source):
         c = case.cigs[0]
         p = c.params
         case.cigs[0] = dataclasses.replace(c, params=dataclasses.replace(
-            p, kp_v=4.0 * p.kp_v, t_i=5.0 * p.t_i,
-            pll=dataclasses.replace(p.pll, kp=4.0 * p.pll.kp)))
+            p, kp_v=4.0 * p.kp_v, t_i=5.0 * p.t_i, kp_pll=4.0 * p.kp_pll))
     return case
 
 
