@@ -126,17 +126,20 @@ def parse_case(text: str) -> Case:
 
 
 def load_bundled_case(name: str = "wscc9") -> Case:
-    """Parse a case bundled with the package (data/<name>.case).
+    """A case bundled with the package (data/<name>.case).
 
-    The text is read once per process; it is parsed on every call, so each
-    call returns a new Case that the caller may change freely.
+    Each bundled case is parsed once per process; every call returns a new
+    Case over a `Network.copy` of the parsed network and new lists of its
+    frozen device records, so the caller may change it freely.
     """
-    return parse_case(_bundled_text(name))
+    case = _bundled_case(name)
+    return Case(network=case.network.copy(), machines=list(case.machines),
+                cigs=list(case.cigs))
 
 
 @functools.cache
-def _bundled_text(name: str) -> str:
-    """The text of data/<name>.case, read once: the package's files do not
-    change while it runs, and a read through `importlib.resources` costs
-    about as much as parsing the text."""
-    return resources.files("gridfreq.data").joinpath(f"{name}.case").read_text()
+def _bundled_case(name: str) -> Case:
+    """data/<name>.case, read and parsed once: the package's files do not
+    change while it runs.  Only `load_bundled_case` reads this Case, and it
+    hands out copies, so the Case is never changed."""
+    return parse_case(resources.files("gridfreq.data").joinpath(f"{name}.case").read_text())

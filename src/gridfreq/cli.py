@@ -22,7 +22,9 @@ current directory.  Each command writes a ``manifest.json`` recording the
 resolved scenario (defaults, file and flags merged, events included: a
 scenario file that reruns it), its SHA-256 digest, so two runs share a
 digest exactly when they ran the same scenario, however it was given, and
-the versions of gridfreq, numpy and Python.  Bad input (a scenario
+the versions of gridfreq, numpy and Python; ``run``, ``eig`` and ``ksweep``
+also record ``phase_s``, ``{"setup": s}``: the seconds taken to load the
+case and build the model.  Bad input (a scenario
 or an event that is not an object or has a field of the wrong type or an
 unknown one; a number that is not an int or a float, or is a bool, NaN
 or infinite, ``k``, ``t_end``, ``h``, ``output_dt`` and the ``t``,
@@ -53,6 +55,7 @@ import platform
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -214,6 +217,15 @@ def _write_manifest(out: Path, command: str, sc: Scenario, extra: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _set_up(sc: Scenario, freq_loop: bool = True):
+    """(model, state, phase_s): `build_system` of the scenario's case and
+    control, and the seconds its set-up took (`load_case` plus
+    `build_system`), as the manifest's {"setup": ...}."""
+    t0 = perf_counter()
+    model, st = build_system(sc.load_case(), sc.control, k=sc.k, freq_loop=freq_loop)
+    return model, st, {"setup": perf_counter() - t0}
+
+
 # ---------------------------------------------------------------------------
 # CSV tables and SVG line plots
 # ---------------------------------------------------------------------------
@@ -290,21 +302,21 @@ def cmd_pf(sc: Scenario, out: Path, tol: float) -> int:
 
 
 def cmd_run(sc: Scenario, out: Path) -> int:
-    case = sc.load_case()
-    model, st = build_system(case, sc.control, k=sc.k)
+    model, st, phase_s = _set_up(sc)
     try:
         ts = simulate(model, st, sc.events, t_end=sc.t_end, h=sc.h,
                       output_dt=sc.output_dt, channels=sc.channels)
     except StepError as exc:
         _write_manifest(out, "run", sc, {"error": str(exc), "t_last": exc.t_last,
-                                         "stats": exc.stats})
+                                         "stats": exc.stats, "phase_s": phase_s})
         raise
     write_csv(out / "timeseries.csv", ["t", *ts.channels], [ts.times, *ts.channels.values()])
     for name, y in ts.channels.items():
         svg = render_svg(ts.times, {name: y}, title=name)
         (out / f"{name}.svg").write_text(svg)
     _write_manifest(out, "run", sc, {"channels": list(ts.channels),
-                                     "n_steps": len(ts.times), "stats": ts.stats})
+                                     "n_steps": len(ts.times), "stats": ts.stats,
+                                     "phase_s": phase_s})
     print(f"wrote {len(ts.times)} output steps, "
           f"{len(ts.channels)} channels to {out}")
     return 0
@@ -312,8 +324,7 @@ def cmd_run(sc: Scenario, out: Path) -> int:
 
 def cmd_eig(sc: Scenario, out: Path, mode_shapes: bool,
             freq_loop: bool = False) -> int:
-    case = sc.load_case()
-    model, st = build_system(case, sc.control, k=sc.k, freq_loop=freq_loop)
+    model, st, phase_s = _set_up(sc, freq_loop)
     modes = eigensolve(linearize(model, st))
     try:
         fmode = identify_frequency_mode(modes)
@@ -334,7 +345,7 @@ def cmd_eig(sc: Scenario, out: Path, mode_shapes: bool,
         "freq_loop": freq_loop,
         "frequency_mode": None if fmode is None else
         [fmode.eigenvalue.real, fmode.eigenvalue.imag],
-        "any_unstable": any_unstable})
+        "any_unstable": any_unstable, "phase_s": phase_s})
     if fmode is not None:
         print(f"frequency-control mode: {fmode.eigenvalue:.4f} "
               f"({fmode.natural_frequency_hz:.4f} Hz)")
@@ -358,8 +369,7 @@ def cmd_ksweep(sc: Scenario, out: Path, k_min: float, k_max: float,
     n = math.floor(min(span, K_GRID_MAX) + 1e-9) + 1
     if n > K_GRID_MAX:
         raise ScenarioError(f"the K grid holds {span + 1:.3g} gains, more than {K_GRID_MAX}")
-    case = sc.load_case()
-    model, st = build_system(case, sc.control, k=sc.k, freq_loop=False)
+    model, st, phase_s = _set_up(sc, freq_loop=False)
     mode = identify_frequency_mode(eigensolve(linearize(model, st)))
     grid = k_min + k_step * np.arange(n)
     rep = k_sweep(model, st, mode, grid)
@@ -370,7 +380,8 @@ def cmd_ksweep(sc: Scenario, out: Path, k_min: float, k_max: float,
     _write_manifest(out, "ksweep", sc, {
         "k_min": k_min, "k_max": k_max, "k_step": k_step,
         "go": rep.go,
-        "frequency_mode": [mode.eigenvalue.real, mode.eigenvalue.imag]})
+        "frequency_mode": [mode.eigenvalue.real, mode.eigenvalue.imag],
+        "phase_s": phase_s})
     lam, top = mode.eigenvalue, max(rep.go.values())
     print(f"frequency mode: lambda = {lam.real:.4f} {lam.imag:+.4f}j "
           f"(f_n = {mode.natural_frequency_hz:.4f} Hz, zeta = {mode.damping_ratio:.3f})")

@@ -234,36 +234,26 @@ def solve_power_flow(net: Network, tol: float = 1e-8) -> PFSolution:
     ybus = net.ybus()
 
     kind = [bus.kind for bus in net.buses]
-    pv = [i for i in range(n) if kind[i] == "pv"]
-    pq = [i for i in range(n) if kind[i] == "pq"]
-    sl = next(i for i in range(n) if kind[i] == "slack")
-    non_slack = [i for i in range(n) if i != sl]
-
-    p_sched = np.array([bus.p_gen - bus.p_load for bus in net.buses])
-    q_sched = np.array([bus.q_gen - bus.q_load for bus in net.buses])
-
-    vm = np.ones(n)
-    va = np.zeros(n)
-    for i in pv + [sl]:
-        vm[i] = net.buses[i].v_set
-
-    def injections(vm: np.ndarray, va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = vm * np.exp(1j * va)
-        s = v * np.conj(ybus @ v)
-        return s.real, s.imag
-
-    # rows [dP non-slack; dQ pq] and columns [d theta non-slack; d |V| pq]
-    # of the full 2n x 2n Jacobian
-    unknowns = non_slack + [n + i for i in pq]
+    sl = kind.index("slack")
+    # [theta; |V|] of every bus from a flat start, the slack and PV buses at v_set
+    x = np.array([0.0] * n + [1.0 if k == "pq" else bus.v_set
+                              for k, bus in zip(kind, net.buses)])
+    va, vm = x[:n], x[n:]
+    # the unknowns [theta non-slack; |V| pq]: so also the rows [P non-slack;
+    # Q pq] of [P; Q], and the rows and columns of the full 2n x 2n Jacobian
+    unknowns = np.array([i for i in range(n) if i != sl]
+                        + [n + i for i in range(n) if kind[i] == "pq"], dtype=np.intp)
     sel = np.ix_(unknowns, unknowns)
+    sched = np.array([bus.p_gen - bus.p_load for bus in net.buses]
+                     + [bus.q_gen - bus.q_load for bus in net.buses])[unknowns]
 
     it = 0
     while True:
-        p_calc, q_calc = injections(vm, va)
-        dp = p_sched[non_slack] - p_calc[non_slack]
-        dq = q_sched[pq] - q_calc[pq]
-        mis = np.concatenate([dp, dq])
-        max_mis = float(np.max(np.abs(mis))) if mis.size else 0.0
+        v = vm * np.exp(1j * va)
+        ivec = ybus @ v
+        s = v * np.conj(ivec)
+        mis = sched - np.concatenate([s.real, s.imag])[unknowns]
+        max_mis = float(np.maximum.reduce(np.abs(mis), initial=0.0))
         if max_mis <= tol:
             break
         if not math.isfinite(max_mis):
@@ -271,31 +261,29 @@ def solve_power_flow(net: Network, tol: float = 1e-8) -> PFSolution:
         if it >= _PF_MAX_ITER:
             raise PowerFlowError(f"no convergence after {_PF_MAX_ITER} iterations, "
                                  f"mismatch {max_mis:.3e}")
-        jac = _pf_jacobian(ybus, vm, va, sel)
+        jac = _pf_jacobian(ybus, v, ivec, vm, sel)
         try:
             dx = np.linalg.solve(jac, mis)
         except np.linalg.LinAlgError:
             raise PowerFlowError(f"singular power-flow Jacobian at iteration {it}") from None
-        va[non_slack] += dx[: len(non_slack)]
-        vm[pq] += dx[len(non_slack):]
+        x[unknowns] += dx
         it += 1
 
-    p_calc, q_calc = injections(vm, va)
-    return PFSolution(v_mag=vm.copy(), v_ang=va.copy(), p_inj=p_calc, q_inj=q_calc,
+    # the last mismatch pass was at the solution
+    return PFSolution(v_mag=vm.copy(), v_ang=va.copy(), p_inj=s.real, q_inj=s.imag,
                       iterations=it, max_mismatch=max_mis)
 
 
-def _pf_jacobian(ybus, vm, va, sel):
-    """Polar power-flow Jacobian: the rows and columns sel (an `np.ix_`
-    pair) of the full [[dP/d theta, dP/d |V|], [dQ/d theta, dQ/d |V|]].
+def _pf_jacobian(ybus, v, ivec, vm, sel):
+    """Polar power-flow Jacobian at the voltages v = vm e^(j theta), whose
+    currents are ivec = ybus v: the rows and columns sel (an `np.ix_` pair)
+    of the full [[dP/d theta, dP/d |V|], [dQ/d theta, dQ/d |V|]].
 
     dS/d theta and dS/d |V| are the standard complex products (MATPOWER's
     dSbus_dV); the real part of the stacked [dS/d theta, dS/d |V|] is the
     first n rows of the full matrix, its imaginary part the last n, so one
     selection takes every block.
     """
-    v = vm * np.exp(1j * va)
-    ivec = ybus @ v
     diag_v = np.diag(v)
     diag_i = np.diag(ivec)
     diag_vnorm = np.diag(v / vm)

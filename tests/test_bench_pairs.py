@@ -78,7 +78,7 @@ def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
     assert costs["us_per_residual_pass"] == pytest.approx(200.0)
     no_steps = bench_pairs.unit_costs(0.016, {"nominal": {"residual_calls_counted": 32}})
     assert no_steps == {"us_per_step": None, "us_per_residual_pass": pytest.approx(500.0),
-                        "residual_us": None, "record_us": None}
+                        "residual_us": None, "record_us": None, "setup_us": None}
     counts = bench_pairs.repetition_counts(stats)
     line = bench_pairs.summary_line("w", {}, {"parent": costs, "change": costs},
                                     {"parent": counts, "change": counts})
@@ -133,6 +133,41 @@ def test_record_us_is_the_mean_of_the_operations_row_times(bench_pairs):
     assert line == ("loadloss: wall_s per step 130 -> 130 us; "
                     "wall_s per residual pass 65 -> 65 us; one residual pass 30.5 -> 30.5 us; "
                     "one record row 32.83 -> 14.57 us; residual passes 12000 -> 12000")
+
+
+def test_setup_us_is_the_mean_of_the_operations_set_up_times(bench_pairs):
+    """The timed cost of one set-up of each operation is averaged over the
+    operations of a repetition, and printed for each side last among the
+    unit costs; a workload with no timed set-up has none."""
+    def stats(setup_us):
+        return {label: {"residual_calls_counted": 24, "setup_us": t}
+                for label, t in zip(("nominal", "point1"), setup_us)}
+
+    parent = bench_pairs.unit_costs(0.01, stats((500.0, 520.0)))
+    change = bench_pairs.unit_costs(0.009, stats((380.0, 390.0)))
+    assert parent["setup_us"] == pytest.approx(510.0)
+    assert change["setup_us"] == pytest.approx(385.0)
+    assert bench_pairs.unit_costs(0.2, {"a": {"residual_calls_counted": 1}})["setup_us"] is None
+    counts = bench_pairs.repetition_counts(stats((0.0, 0.0)))
+    line = bench_pairs.summary_line("smallsig", {}, {"parent": parent, "change": change},
+                                    {"parent": counts, "change": counts})
+    assert line == ("smallsig: wall_s per residual pass 208.3 -> 187.5 us; "
+                    "one set-up 510 -> 385 us; residual passes 48 -> 48")
+
+
+def test_median_stats_take_each_timed_cost_over_the_passes(bench_pairs):
+    """Each timed unit cost of an operation is the median over the passes;
+    the counts are the first pass's, and a cost a pass did not time stays
+    missing."""
+    passes = [{"a": {"steps": 10, "residual_calls_counted": 20, "residual_us": r,
+                     "record_us": 2 * r, "setup_us": 100 * r},
+               "b": {"residual_calls_counted": 4, "setup_us": 50 * r}}
+              for r in (3.0, 1.0, 2.0)]
+    stats = bench_pairs.median_stats(passes)
+    assert stats == {"a": {"steps": 10, "residual_calls_counted": 20, "residual_us": 2.0,
+                           "record_us": 4.0, "setup_us": 200.0},
+                     "b": {"residual_calls_counted": 4, "setup_us": 100.0}}
+    assert passes[0]["a"]["residual_us"] == 3.0   # the passes are left as they were
 
 
 def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
@@ -254,7 +289,7 @@ def test_stats_script_saves_each_set_up_state(bench_pairs, tmp_path):
     """One untimed `smallsig` pass, seed 0, on this checkout: beside the
     outputs, the .npz holds the [x; y] each operation's set-up built, the
     nominal one equal to `build_system` on the bundled case, and the stats
-    hold each operation's timed residual pass and output row."""
+    hold each operation's timed residual pass, output row and set-up."""
     saved = tmp_path / "outputs.npz"
     proc = subprocess.run([sys.executable, "-c", bench_pairs.STATS_SCRIPT, "smallsig", "0",
                            str(saved)], cwd=ROOT, check=True, capture_output=True, text=True)
@@ -263,6 +298,7 @@ def test_stats_script_saves_each_set_up_state(bench_pairs, tmp_path):
     assert labels == ["nominal", "point1", "point2", "point3"]
     assert all(0.0 < stats[label]["residual_us"] < 1e4 for label in labels)
     assert all(0.0 < stats[label]["record_us"] < 1e4 for label in labels)
+    assert all(0.0 < stats[label]["setup_us"] < 1e5 for label in labels)
     with np.load(saved) as outputs:
         arrays = dict(outputs)
     for label in labels:

@@ -1,8 +1,11 @@
 """Tests for the line-oriented case file parser and the bundled case."""
 
+import numpy as np
 import pytest
 
+from gridfreq import casefile
 from gridfreq.casefile import CaseParseError, load_bundled_case, parse_case
+from gridfreq.network import build_ybus
 
 MINIMAL = """
 SYSTEM 100.0 60.0
@@ -108,13 +111,40 @@ def test_bundled_wscc_case():
     assert sum(b.q_load for b in net.buses) == pytest.approx(1.15)
 
 
-def test_bundled_case_calls_are_independent():
-    """The bundled text is read once, but each call parses a new Case:
-    scaling a load on one leaves the next at its base value."""
+def test_bundled_case_calls_are_independent(monkeypatch):
+    """The bundled case is parsed once per process, but each call returns a
+    new Case over a copy of it: edits of one (a load, a branch, a fault
+    shunt, its device lists) leave the next at its base values, and the
+    next builds its own Y."""
+    casefile._bundled_case.cache_clear()
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_case(text)
+
+    monkeypatch.setattr(casefile, "parse_case", counted)
     first = load_bundled_case()
+    second = load_bundled_case()
+    assert second.network.buses == first.network.buses
+    assert second.network.branches == first.network.branches
+    assert second.machines == first.machines and second.cigs == first.cigs
+    x_base = first.network.branches[0].x
     first.network.bus(5).p_load *= 2.0
     first.network.bus(5).q_load = 0.0
+    first.network.branches[0].x *= 2.0
+    first.network.fault_shunts[7] = complex(5.0, 0.0)
+    first.machines.append(first.machines[0])
+    first.cigs.append(first.cigs[0])
+    y_first = first.network.ybus()
     second = load_bundled_case()
+    assert len(parsed) == 1
     assert second.network.bus(5).p_load == 1.25
     assert second.network.bus(5).q_load == 0.50
     assert second.network is not first.network
+    assert second.network.branches[0].x == x_base
+    assert second.network.fault_shunts == {}
+    assert len(second.machines) == 3 and len(second.cigs) == 1
+    assert second.network.ybus() is not y_first
+    np.testing.assert_array_equal(second.network.ybus(), build_ybus(second.network))
+    assert not np.array_equal(second.network.ybus(), y_first)

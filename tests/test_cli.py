@@ -3,6 +3,7 @@ manifests, and exit codes."""
 
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -467,6 +468,17 @@ def test_ksweep_grid_and_ratio(tmp_path, monkeypatch):
     assert data[0.0] == 1.0
     assert (tmp_path / "ksweep.svg").exists()
     assert_versions(read_manifest(tmp_path))
+
+
+@pytest.mark.parametrize("args", [["run", "--t-end", "0.1"], ["eig"],
+                                  ["ksweep", "--k-min", "0.0", "--k-max", "1.0",
+                                   "--k-step", "0.5"]])
+def test_manifest_records_the_set_up_time(tmp_path, monkeypatch, args):
+    """`run`, `eig` and `ksweep` write the seconds of their set-up (case
+    load plus `build_system`) as phase_s.setup."""
+    assert run_cli(args, tmp_path, monkeypatch) == 0
+    setup = read_manifest(tmp_path)["phase_s"]["setup"]
+    assert isinstance(setup, float) and 0.0 <= setup < math.inf
 
 
 def test_ksweep_grid_stops_at_k_max(tmp_path, monkeypatch):

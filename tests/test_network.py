@@ -214,7 +214,9 @@ def test_pf_jacobian_equals_central_differences(point):
         vm, va = pf.v_mag, pf.v_ang
     _, non_slack, pq = _calc_injections(net, vm, va)
     unknowns = non_slack + [n + i for i in pq]
-    jac = _pf_jacobian(build_ybus(net), vm, va, np.ix_(unknowns, unknowns))
+    ybus = build_ybus(net)
+    v = vm * np.exp(1j * va)   # as the mismatch pass of `solve_power_flow`
+    jac = _pf_jacobian(ybus, v, ybus @ v, vm, np.ix_(unknowns, unknowns))
     x = np.concatenate([va, vm])
     fd = np.empty_like(jac)
     for col, j in enumerate(unknowns):

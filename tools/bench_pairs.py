@@ -16,23 +16,25 @@ metric's bound in BENCHMARK.json (the share of pairs the change won, the
 gap of the medians in parent IQRs, and "gain", "worse", "unresolved" or
 "within bound"), which is also printed as one line per workload; the
 document also holds each side's failure fraction, largest deviation from
-bench/reference.json, and solver stats from one untimed pass of every
-operation: `TimeSeries.stats` and the counted `SystemModel.residual`
-calls.  From those counts, `unit_costs` gives each side's median wall_s
+bench/reference.json, and solver stats from untimed passes of every
+operation, three processes per side with the sides interleaved:
+`TimeSeries.stats` and the counted `SystemModel.residual` calls of the
+first.  From those counts, `unit_costs` gives each side's median wall_s
 per accepted step and per residual pass of one repetition (us), with
 `residual_us`, the cost of one `SystemModel.residual` pass alone (the
 minimum over 7 `timeit` blocks at each operation's set-up state, taken in
-the same untimed pass, averaged over the operations), `record_us`, the
-cost of one `dae.record` row of every recordable channel there (timed the
-same way, after one warm call), and
-`repetition_counts` each side's accepted steps, residual passes, Newton
+each untimed pass, averaged over the operations), `record_us`, the cost
+of one `dae.record` row of every recordable channel there (timed the same
+way, after one warm call), and `setup_us`, the cost of one operation's
+set-up (timed the same way), each the median of the three processes;
+`repetition_counts` holds each side's accepted steps, residual passes, Newton
 iterations, Jacobian builds and `lu_factorizations` (the integrator's
 `np.linalg.inv` calls) of one repetition, both also on the printed line.  The
-same pass saves every output of every operation, and the state [x; y]
-its set-up built (`setup_x`, `setup_y`), so a change
-to the set-up path is checked too: `outputs` holds each side's sha-256
-digest of each, and the largest absolute deviation of each output whose
-digests differ, summed up on a second printed line.  The CLI's own tables are checked the same way, once
+first pass saves every output of every operation, and the state [x; y]
+its set-up built (`setup_x`, `setup_y`), so a change to the set-up path is
+checked too: `outputs` holds each side's sha-256 digest of each, and the
+largest absolute deviation of each output whose digests differ, summed up
+on a second printed line.  The CLI's own tables are checked the same way, once
 per side before the timed pairs: `ksweep.csv` of `gridfreq ksweep` and
 `timeseries.csv` of `gridfreq run --scenario demos/scenario_load_loss.json`,
 each written into a temporary `--out`; `cli_tables`, at the top of the
@@ -78,17 +80,18 @@ BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 # with the state its set-up built, as "<label>/setup_x" and "<label>/setup_y".
 # The stats are the program's own counters where it integrates
 # (TimeSeries.stats), plus counted SystemModel.residual calls,
-# "residual_us", one uncounted pass at the set-up state, and "record_us",
+# "residual_us", one uncounted pass at the set-up state, "record_us",
 # one output row of every recordable channel there (`dae.record` through a
-# fresh integrator's `evaluate`, after one warm call that fills its cache):
-# each the minimum over 7 timeit blocks of `number` calls, in us per call.
+# fresh integrator's `evaluate`, after one warm call that fills its cache),
+# and "setup_us", one call of the operation's set-up: each the minimum over
+# 7 timeit blocks of `number` calls (`setups` for the set-up), in us per call.
 STATS_SCRIPT = r"""
 import json, sys, timeit
 import numpy as np
 sys.path[:0] = ["src", "bench"]
 import gridfreq as gf
 import workloads
-calls, number = [0], 1000
+calls, number, setups = [0], 1000, 20
 residual = gf.SystemModel.residual
 def counted(self, x, y):
     calls[0] += 1
@@ -103,6 +106,7 @@ gf.simulate = recorded
 out, arrays = {}, {}
 for op in workloads.make(sys.argv[1], int(sys.argv[2])).ops():
     system = op.setup()
+    builds = timeit.repeat(op.setup, repeat=7, number=setups)
     arrays[f"{op.label}/setup_x"] = system[1].x.copy()
     arrays[f"{op.label}/setup_y"] = system[1].y.copy()
     model, state = system
@@ -118,6 +122,7 @@ for op in workloads.make(sys.argv[1], int(sys.argv[2])).ops():
     st["residual_calls_counted"] = calls[0]
     st["residual_us"] = 1e6 * min(blocks) / number
     st["record_us"] = 1e6 * min(rows) / number
+    st["setup_us"] = 1e6 * min(builds) / setups
     if "steps" in st:
         st["residual_calls_per_step"] = calls[0] / st["steps"]
     out[op.label] = st
@@ -156,6 +161,11 @@ def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     return {"details": json.loads(details)["details"], "result": json.loads(result)}
 
 
+# untimed passes per side, and the unit costs each times
+UNTIMED_PASSES = 3
+TIMED_US = ("residual_us", "record_us", "setup_us")
+
+
 def untimed_pass(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """(solver stats by operation, outputs by "<operation>/<output>") of one
     untimed pass of every operation in checkout (`STATS_SCRIPT`)."""
@@ -164,6 +174,15 @@ def untimed_pass(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
                           cwd=checkout, check=True, capture_output=True, text=True)
     with np.load(saved) as outputs:
         return json.loads(proc.stdout), dict(outputs)
+
+
+def median_stats(passes: list[dict]) -> dict:
+    """The `untimed_pass` stats of the first of passes, with each of
+    `TIMED_US` the median over all of them: one process's timings move by
+    about 10 % on unchanged code."""
+    return {op: {**st, **{k: statistics.median(p[op][k] for p in passes)
+                          for k in TIMED_US if k in st}}
+            for op, st in passes[0].items()}
 
 
 def digest(a: np.ndarray) -> str:
@@ -304,10 +323,11 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
     pass alone at its set-up state (us), None where no operation has one:
     the layer's own cost, beside the share of wall_s each pass carries.
     record_us is the same mean of the time of one output row of every
-    recordable channel at the set-up state.  A change that drops cheap
-    steps, such as those a run holding its initial state at rest no longer
-    takes, raises us_per_step while wall_s falls: read it beside the step
-    count of `repetition_counts`."""
+    recordable channel at the set-up state, and setup_us of the time of
+    one operation's set-up.  A change that drops cheap steps, such as
+    those a run holding its initial state at rest no longer takes, raises
+    us_per_step while wall_s falls: read it beside the step count of
+    `repetition_counts`."""
     steps = sum(st.get("steps", 0) for st in stats.values())
     passes = sum(st["residual_calls_counted"] for st in stats.values())
 
@@ -317,7 +337,7 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
 
     return {"us_per_step": 1e6 * wall_s / steps if steps else None,
             "us_per_residual_pass": 1e6 * wall_s / passes if passes else None,
-            "residual_us": mean("residual_us"), "record_us": mean("record_us")}
+            **{key: mean(key) for key in TIMED_US}}
 
 
 # the solver counts of one repetition, by the `untimed_pass` stats key each sums
@@ -341,8 +361,8 @@ def repetition_counts(stats: dict) -> dict:
 def summary_line(workload: str, metrics: dict, costs: dict, counts: dict) -> str:
     """One line: each metric's verdict, pairs won, medians and gap in parent
     IQRs, then the wall time per step and per residual pass of each side,
-    the time of one residual pass alone and of one output row, and each
-    side's solver counts of one repetition."""
+    the time of one residual pass alone, of one output row and of one
+    set-up, and each side's solver counts of one repetition."""
     parts = []
     for name, m in metrics.items():
         iqrs = m["gap_over_parent_iqr"]
@@ -352,7 +372,8 @@ def summary_line(workload: str, metrics: dict, costs: dict, counts: dict) -> str
     for unit, label in (("us_per_step", "wall_s per step"),
                         ("us_per_residual_pass", "wall_s per residual pass"),
                         ("residual_us", "one residual pass"),
-                        ("record_us", "one record row")):
+                        ("record_us", "one record row"),
+                        ("setup_us", "one set-up")):
         if costs["parent"].get(unit) is not None:
             parts.append(f"{label} {costs['parent'][unit]:.4g} -> "
                          f"{costs['change'][unit]:.4g} us")
@@ -377,9 +398,12 @@ def run_pairs(checkouts: dict[str, Path], workloads: list[str], seed: int,
                 f"{s} {runs[s][-1]['result']['metrics']['wall_s']['value']:.4g} s"
                 for s in order), file=sys.stderr)
         metrics = compare(runs)
-        passes = {s: untimed_pass(checkouts[s], w, seed) for s in runs}
-        stats = {s: passes[s][0] for s in runs}
-        outputs = compare_outputs(passes["parent"][1], passes["change"][1])
+        passes = {s: [] for s in runs}
+        for _ in range(UNTIMED_PASSES):
+            for s in runs:   # the sides interleaved
+                passes[s].append(untimed_pass(checkouts[s], w, seed))
+        stats = {s: median_stats([st for st, _ in passes[s]]) for s in runs}
+        outputs = compare_outputs(passes["parent"][0][1], passes["change"][0][1])
         costs = {s: unit_costs(metrics["wall_s"][s]["median"], stats[s]) for s in runs}
         counts = {s: repetition_counts(stats[s]) for s in runs}
         print(summary_line(w, metrics, costs, counts))
