@@ -1,10 +1,10 @@
 """Semi-explicit DAE assembly and implicit trapezoidal integration.
 
-The differential states x stack every dynamic device (machines first,
-machine-major, then the optional converter); the algebraic vector y
-holds the bus voltages (real parts, then imaginary parts).  The network
-frame rotates at the centre-of-inertia speed, so a post-disturbance
-steady state is a true equilibrium of the DAE.
+The differential states x stack the devices of one table, which the
+residual evaluates in one loop (machines, then the optional converter);
+the algebraic vector y holds the bus voltages (real parts, then imaginary
+parts).  The network frame rotates at the centre-of-inertia speed, so a
+post-disturbance steady state is a true equilibrium of the DAE.
 
 Integration is simultaneous (monolithic) Newton on the coupled
 trapezoidal/algebraic equations.  Newton starts from the polynomial
@@ -44,6 +44,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,11 +109,14 @@ class SystemModel:
     model to change a parameter.  Only `simulate` changes the network,
     on its own copy of the model.
 
-    The layout lives in two tables.  `_devices` has a row (label, state
-    names, kernel read table, frame input, bus index) per device in x order.
-    `channels` maps each recordable name, in default order, to where
-    `record` reads it: ("coi", None), ("x", index), ("v", bus index) or
-    ("output", name of `cig.OUTPUT_NAMES`).
+    The layout lives in two tables.  `_devices` has a row per device in
+    x order: label, state names, states (a slice of x), kernel read table,
+    frame input, bus index, kernel (its module's name and its own), the
+    kernel's constants and the names of its outputs; `residual` evaluates
+    every row in one loop, `_machine_block`.  `channels` maps each
+    recordable name, in default order, to where `record` reads it:
+    ("coi", None), ("x", index), ("v", bus index) or ("output", name of
+    `cig.OUTPUT_NAMES`).
     """
 
     def __init__(self, net: Network, machines: list[MachineSpec],
@@ -126,27 +130,26 @@ class SystemModel:
 
         self.mach_bus = [net.bus_index(m.bus) for m in machines]
         self.cig_bus = net.bus_index(cig.bus) if cig else None
-        self._cig_start = _SM_N * len(machines)   # the converter's first state in x
-
-        # (states, bus, kernel constants) of each machine, as `_machine_block` reads them
-        self._sm_slots = [(slice(_SM_N * i, _SM_N * (i + 1)), b,
-                           smmod.sm_kernel_params(m.params, m.avr, m.gov))
-                          for i, (m, b) in enumerate(zip(machines, self.mach_bus))]
         self.coi_weights = smmod.coi_weights([m.params for m in machines]).tolist()
         self.speed_indices = [i * _SM_N + 1 for i in range(len(machines))]
         self._jac_structure = None   # (pattern, groups, group_of), built on first use
         self._set_network(net)
 
-        self._devices = [(f"sm{k}", smmod.STATE_NAMES, smmod.KERNEL_READS, "omega_coi", b)
-                         for k, b in enumerate(self.mach_bus, 1)]
+        n_sm = _SM_N * len(machines)
+        self._devices = [(f"sm{k}", smmod.STATE_NAMES, slice(_SM_N * (k - 1), _SM_N * k),
+                          smmod.KERNEL_READS, "omega_coi", b, smmod.__name__, "sm_kernel",
+                          smmod.sm_kernel_params(m.params, m.avr, m.gov), ())
+                         for k, (m, b) in enumerate(zip(machines, self.mach_bus), 1)]
+        if cig:
+            self._devices.append(("cig", cigmod.STATE_NAMES, slice(n_sm, n_sm + cigmod.N_STATES),
+                                  cigmod.kernel_reads(cig.params), "omega_frame", self.cig_bus,
+                                  cigmod.__name__, "cig_derivatives", cig.params, cigmod.OUTPUT_NAMES))
+        self._output_names = tuple(name for *_, names in self._devices for name in names)
         self.channels = {"omega_coi": ("coi", None),
                          **{f"omega_sm{k}": ("x", i) for k, i in enumerate(self.speed_indices, 1)},
-                         **{f"v_bus{b.id}": ("v", i) for i, b in enumerate(net.buses)}}
-        if cig:
-            self._devices.append(("cig", cigmod.STATE_NAMES, cigmod.kernel_reads(cig.params),
-                                  "omega_frame", self.cig_bus))
-            self.channels.update((name, ("output", name)) for name in cigmod.OUTPUT_NAMES)
-        self.n_x = sum(len(names) for _, names, *_ in self._devices)
+                         **{f"v_bus{b.id}": ("v", i) for i, b in enumerate(net.buses)},
+                         **{name: ("output", name) for name in self._output_names}}
+        self.n_x = self._devices[-1][2].stop
         self.state_labels = [f"{label}_{s}" for label, names, *_ in self._devices for s in names]
 
     def _set_network(self, net: Network) -> None:
@@ -195,12 +198,10 @@ class SystemModel:
         # each device: the (row, column) pairs of its read table, on its
         # states, the Re/Im pair of its bus and the machine speeds
         speeds = self.speed_indices
-        start = 0
-        for _, names, reads, frame, b in self._devices:
+        for _, names, states, reads, frame, b, *_ in self._devices:
             rows, cols = _read_pairs(names, tuple(reads.items()), frame, len(speeds))
-            at = np.array([*range(start, start + len(names)), n_x + b, n_x + n + b, *speeds])
+            at = np.array([*range(n_x)[states], n_x + b, n_x + n + b, *speeds])
             pattern[at[rows], at[cols]] = True
-            start += len(names)
         self._jac_structure = (pattern, *_colouring(pattern.tobytes(), pattern.shape))
         return self._jac_structure
 
@@ -216,42 +217,37 @@ class SystemModel:
     # -- residuals ---------------------------------------------------------
 
     def _machine_block(self, xl: list[float], yl: list[float], omega_coi: float):
-        """(f, re, im): machine derivatives (machine-major) and the Re and Im parts of
-        the per-bus injections, lists, from the lists xl and yl = [Re v; Im v]."""
+        """(f, re, im, outputs): every device's derivatives in x order, the Re
+        and Im parts of the per-bus injections, lists, and the devices' outputs
+        by name, from the lists xl and yl = [Re v; Im v].  Each kernel is read
+        from its module on every pass, so a patch made after the build runs."""
         n = self.n_bus
         f: list[float] = []
         re, im = [0.0] * n, [0.0] * n
-        kernel, omega_base = smmod.sm_kernel, self.omega_base
-        for states, b, prm in self._sm_slots:
-            d, i = kernel(xl[states], complex(yl[b], yl[n + b]), prm, omega_coi, omega_base)
+        out: list[float] = []
+        omega_base, modules = self.omega_base, sys.modules
+        for _, _, states, _, _, b, module, kernel, prm, _ in self._devices:
+            d, i, o = getattr(modules[module], kernel)(xl[states], complex(yl[b], yl[n + b]),
+                                                       prm, omega_coi, omega_base)
             f += d
             re[b] += i.real
             im[b] += i.imag
-        return f, re, im
+            out += o
+        return f, re, im, dict(zip(self._output_names, out))
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         """Every device and the network evaluated once at (x, y).
 
         Returns ([f; g], outputs): one vector of the state derivatives f
         (its first n_x entries) and the nodal current balance
-        g = I_inj(x, y) - I_load(y) - Ybus V; and the converter's outputs
-        by their `cig.OUTPUT_NAMES`, empty without a converter.  Everything
-        but Ybus V is computed on Python floats, a bus's balance as a
-        (Re, Im) pair: machines, converter, then load.
+        g = I_inj(x, y) - I_load(y) - Ybus V; and the devices' outputs by
+        name (the converter's `cig.OUTPUT_NAMES`), empty without a converter.
+        Everything but Ybus V is computed on Python floats, a bus's balance as
+        a (Re, Im) pair: its devices in x order, then its load.
         """
         n = self.n_bus
         xl, yl = x.tolist(), y.tolist()
-        wcoi = self.coi_speed(xl)
-        f, re, im = self._machine_block(xl, yl, wcoi)
-        outputs: dict[str, float] = {}
-        if self.cig:
-            b = self.cig_bus
-            d_c, i, out = cigmod.cig_derivatives(xl[self._cig_start:], complex(yl[b], yl[n + b]),
-                                                 self.cig.params, wcoi, self.omega_base)
-            f += d_c
-            re[b] += i.real
-            im[b] += i.imag
-            outputs = dict(zip(cigmod.OUTPUT_NAMES, out))
+        f, re, im, outputs = self._machine_block(xl, yl, self.coi_speed(xl))
         for b, s_conj in self._loads:
             i = s_conj / complex(yl[b], -yl[n + b])
             re[b] -= i.real

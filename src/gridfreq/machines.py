@@ -108,12 +108,13 @@ def sm_kernel_params(p: SynMachineParams, avr: AVRParams, gov: GovParams) -> tup
 
 
 def sm_kernel(x, v: complex, prm: tuple, omega_coi: float,
-              omega_base: float) -> tuple[list[float], complex]:
+              omega_base: float) -> tuple[list[float], complex, tuple]:
     """Time derivatives of one machine's 9 states and its stator current.
 
     x holds the states as floats in STATE_NAMES order, v is the bus
     voltage in the network frame and prm is `sm_kernel_params(...)`.
-    Returns (xdot in STATE_NAMES order, network-frame current injection).
+    Returns (xdot in STATE_NAMES order, network-frame current injection,
+    outputs): the return shape of `cig.cig_derivatives`, with no outputs.
     The regulator output vr and the valve position psv are held at their
     limits (anti-windup) while the derivative points outwards.
     """
@@ -151,7 +152,7 @@ def sm_kernel(x, v: complex, prm: tuple, omega_coi: float,
             d_vr,
             d_psv,
             (psv - pm) / t_ch]
-    return xdot, complex(i_d * s + i_q * c, i_q * s - i_d * c)
+    return xdot, complex(i_d * s + i_q * c, i_q * s - i_d * c), ()
 
 
 def coi_weights(params: list[SynMachineParams]) -> np.ndarray:

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -1315,14 +1316,8 @@ def reference_network_balance(model: SystemModel, x: np.ndarray, y: np.ndarray):
     """g as `SystemModel.residual` computed it before the float network
     balance: complex numpy arrays over every bus, loads as conj(S / v)."""
     v = y[:model.n_bus] + 1j * y[model.n_bus:]
-    wcoi = model.coi_speed(x)
-    _, re, im = model._machine_block(x.tolist(), y.tolist(), wcoi)
+    _, re, im, _ = model._machine_block(x.tolist(), y.tolist(), model.coi_speed(x))
     inj = np.array(re) + 1j * np.array(im)
-    if model.cig:
-        _, inj_c, _ = gridfreq.cig.cig_derivatives(
-            x[model.n_x - gridfreq.cig.N_STATES:].tolist(), complex(v[model.cig_bus]),
-            model.cig.params, wcoi, model.omega_base)
-        inj[model.cig_bus] += inj_c
     s_load = np.array([complex(b.p_load, b.q_load) for b in model.net.buses])
     ybus = build_ybus(model.net)
     i_bal = np.array(inj) - np.conj(s_load / v) - ybus @ v
@@ -1359,26 +1354,24 @@ def test_network_balance_matches_complex_reference(balance_models, which, dx, vm
 def complex_list_residual(model: SystemModel, x: np.ndarray, y: np.ndarray):
     """([f; g], outputs) as `SystemModel.residual` assembled them on a list
     of complex bus voltages and complex per-bus injections: each bus adds
-    its machines' currents, then the converter's, then subtracts its load's."""
+    its machines' currents, then the converter's, then subtracts its load's.
+    The devices are read from the model's device table, in x order."""
     n = model.n_bus
     xl, yl = x.tolist(), y.tolist()
     v = list(map(complex, yl[:n], yl[n:]))
     wcoi = model.coi_speed(xl)
     f, inj = [], [0j] * n
-    for states, bus, prm in model._sm_slots:
-        d, i_m = sm_kernel(xl[states], v[bus], prm, wcoi, model.omega_base)
-        f += d
-        inj[bus] += i_m
     outputs = {}
-    if model.cig:
-        vb = v[model.cig_bus]
-        d_c, inj_c, (_, _, w_est, rho, sig) = gridfreq.cig.cig_derivatives(
-            xl[model.n_x - gridfreq.cig.N_STATES:], vb, model.cig.params, wcoi, model.omega_base)
-        f += d_c
-        inj[model.cig_bus] += inj_c
-        s = vb * inj_c.conjugate()
-        outputs = {"omega_est": w_est, "rho_est": rho, "omega_tilde": sig,
-                   "p_cig": s.real, "q_cig": s.imag}
+    for _, _, states, _, _, bus, module, kernel, prm, _ in model._devices:
+        d, i_dev, out = getattr(sys.modules[module], kernel)(xl[states], v[bus], prm, wcoi,
+                                                             model.omega_base)
+        f += d
+        inj[bus] += i_dev
+        if out:
+            _, _, w_est, rho, sig = out
+            s = v[bus] * i_dev.conjugate()
+            outputs = {"omega_est": w_est, "rho_est": rho, "omega_tilde": sig,
+                       "p_cig": s.real, "q_cig": s.imag}
     for i, s_conj in model._loads:
         inj[i] -= s_conj / v[i].conjugate()
     f += [c.real for c in inj]
@@ -1443,7 +1436,7 @@ def kernel_inputs(case):
     """kernel name -> (kernel, its states at the set-up of the converter
     system, its parameters, omega_base): machine 1 and the converter."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
-    states, _, prm = model._sm_slots[0]
+    _, _, states, *_, prm, _ = model._devices[0]
     return {"sm_kernel": (sm_kernel, st.x[states], prm, model.omega_base),
             "cig_derivatives": (gridfreq.cig.cig_derivatives,
                                 st.x[model.n_x - gridfreq.cig.N_STATES:], model.cig.params,
@@ -1467,8 +1460,8 @@ def test_kernels_are_invariant_under_a_frame_rotation(kernel_inputs, name, dx, a
     rows, inj = [], []
     for turn in (0.0, phi):
         x[0] = angle + turn
-        xdot, i, *outputs = kernel(x, v * cmath.exp(1j * turn), prm, omega_frame, omega_base)
-        rows.append([*xdot, *(outputs[0] if outputs else ())])
+        xdot, i, outputs = kernel(x, v * cmath.exp(1j * turn), prm, omega_frame, omega_base)
+        rows.append([*xdot, *outputs])
         inj.append(i)
     assert rows[1] == pytest.approx(rows[0], rel=1e-12, abs=1e-12)
     assert inj[1] == pytest.approx(inj[0] * cmath.exp(1j * phi), rel=1e-12, abs=1e-12)

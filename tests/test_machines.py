@@ -43,9 +43,12 @@ def wscc_unit1() -> SynMachineParams:
 
 def kernel(st: MachineState, v: complex, p: SynMachineParams, avr: AVRParams,
            gov: GovParams, omega_coi: float = 1.0):
-    """(xdot, injection) of one machine, as the simulator evaluates it."""
-    return sm_kernel(list(st), v, sm_kernel_params(p, avr, gov),
-                     omega_coi, OMEGA_B)
+    """(xdot, injection) of one machine, as the simulator evaluates it; the
+    kernel returns no outputs."""
+    xdot, inj, outputs = sm_kernel(list(st), v, sm_kernel_params(p, avr, gov),
+                                   omega_coi, OMEGA_B)
+    assert outputs == ()
+    return xdot, inj
 
 
 def to_machine_frame(inj: complex, delta: float) -> tuple[float, float]:
@@ -274,8 +277,9 @@ def reference_machine_block(model: SystemModel, x: np.ndarray, v: np.ndarray,
 
 
 def assert_matches_reference(model, x, v, omega_coi):
-    f, re, im = model._machine_block(x.tolist(), np.concatenate([v.real, v.imag]).tolist(),
-                                     omega_coi)
+    f, re, im, outputs = model._machine_block(
+        x.tolist(), np.concatenate([v.real, v.imag]).tolist(), omega_coi)
+    assert outputs == {}
     f_ref, inj_ref = reference_machine_block(model, x, v, omega_coi)
     assert np.max(np.abs(np.array(f) - f_ref)) <= 1e-13
     assert np.max(np.abs(np.array(re) + 1j * np.array(im) - inj_ref)) <= 1e-13

@@ -304,6 +304,7 @@ def test_linearize_and_k_sweep_share_one_reduction(wscc, call_counts):
     mode = identify_frequency_mode(eigensolve(linearize(model, st)))
     k_sweep(model, st, mode, np.arange(-10, 61) / 20.0)
     assert call_counts["machines"] == 2 * len(groups) + 1
+    assert call_counts["cig"] == 2 * len(groups) + 1
 
 
 def test_k_sweep_reuses_the_rows_of_a_fresh_linearization(wscc, wscc_mode):
