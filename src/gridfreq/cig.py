@@ -148,8 +148,8 @@ def initialize_cig(v_terminal: complex,
     """Equilibrium CIG state for the scheduled (p_ref, q_ref) dispatch.
 
     Returns (state, params): the state as a float array in STATE_NAMES
-    order, and a copy of params with the voltage reference
-    filled in, so that the voltage PI is balanced.  Raises
+    order, and a copy of params with the voltage reference filled in as
+    a Python float, so that the voltage PI is balanced.  Raises
     InitializationError if the dispatch exceeds the current limit.
     """
     vmag = abs(v_terminal)
@@ -162,4 +162,4 @@ def initialize_cig(v_terminal: complex,
             f"dispatch needs {math.hypot(i_d, i_q):.3f} pu current, limit {params.i_max}")
     state = np.array([cmath.phase(v_terminal), 0.0, math.log(vmag), 1.0, params.q_ref,
                       i_d, i_q])
-    return state, replace(params, v_ref=vmag)
+    return state, replace(params, v_ref=float(vmag))

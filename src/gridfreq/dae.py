@@ -44,6 +44,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -413,9 +414,12 @@ def build_system(case: Case, control: str = "no_cig",
     its frequency-control loop (measurements stay live), as used by the
     small-signal observability analysis.  The case is left as it was: the
     model takes the set points `initialize_sm` and `initialize_cig` return.
+    k other than None or a finite real number is a ValueError.
     """
     if control not in CONTROLS:
         raise ValueError(f"unknown control mode {control!r}")
+    if k is not None and not (isinstance(k, numbers.Real) and math.isfinite(k)):
+        raise ValueError(f"k must be None or a finite real number, got {k!r}")
     # the build extends and re-dispatches the network: it works on a copy
     net = case.network.copy()
     cig_bus = cp = None
@@ -426,7 +430,9 @@ def build_system(case: Case, control: str = "no_cig",
         c, = case.cigs
         if control == "cig_omega":
             k = 0.0
-        cp = replace(c.params, K=c.params.K if k is None else k, freq_loop=freq_loop)
+        # K a Python float, as every device-kernel constant is: see README
+        cp = replace(c.params, K=float(c.params.K if k is None else k),
+                     freq_loop=bool(freq_loop))
         cig_bus = c.bus
         if cp.x_t > 0.0:
             cig_bus = max(b.id for b in net.buses) + 1

@@ -95,16 +95,21 @@ KERNEL_READS = {
 
 
 def sm_kernel_params(p: SynMachineParams, avr: AVRParams, gov: GovParams) -> tuple:
-    """The constants `sm_kernel` reads, set points included, as one flat tuple.
+    """The constants `sm_kernel` reads, set points included, as one flat
+    tuple of Python floats.
 
     `SystemModel` computes it once, when it is built, from the `avr` and
-    `gov` that `initialize_sm` returned.
+    `gov` that `initialize_sm` returned.  It is the one place where the
+    machine's constants are formed, so records that hold numpy scalars
+    are converted here: numpy-scalar arithmetic in every kernel call is
+    slower than float arithmetic, with the same results.
     """
-    return (2.0 * p.H, p.D, p.ra, p.xd1, p.xq1, p.ra * p.ra + p.xd1 * p.xq1,
-            p.xd - p.xd1, p.xq - p.xq1, p.td01, p.tq01,
-            avr.ka, avr.ta, avr.ke, avr.te, avr.kf / avr.tf, avr.ka * avr.kf / avr.tf,
-            avr.tf, avr.vr_min, avr.vr_max, avr.v_ref,
-            gov.droop, gov.t_sv, gov.t_ch, gov.p_min, gov.p_max, gov.p_ref)
+    return tuple(map(float, (
+        2.0 * p.H, p.D, p.ra, p.xd1, p.xq1, p.ra * p.ra + p.xd1 * p.xq1,
+        p.xd - p.xd1, p.xq - p.xq1, p.td01, p.tq01,
+        avr.ka, avr.ta, avr.ke, avr.te, avr.kf / avr.tf, avr.ka * avr.kf / avr.tf,
+        avr.tf, avr.vr_min, avr.vr_max, avr.v_ref,
+        gov.droop, gov.t_sv, gov.t_ch, gov.p_min, gov.p_max, gov.p_ref)))
 
 
 def sm_kernel(x, v: complex, prm: tuple, omega_coi: float,
@@ -170,8 +175,8 @@ def initialize_sm(v_terminal: complex, p_gen: float, q_gen: float,
 
     Returns (state, avr, gov): the state as a float array in STATE_NAMES
     order, and copies of the given avr and gov with the AVR voltage
-    reference and the governor power reference filled in, so that every
-    derivative of the state is zero under them.
+    reference and the governor power reference filled in as Python floats,
+    so that every derivative of the state is zero under them.
     """
     i_net = (complex(p_gen, q_gen) / v_terminal).conjugate()
     delta = cmath.phase(v_terminal + complex(p.ra, p.xq) * i_net)
@@ -193,5 +198,6 @@ def initialize_sm(v_terminal: complex, p_gen: float, q_gen: float,
     if not (gov.p_min <= pe <= gov.p_max):
         raise InitializationError(f"mechanical power {pe:.3f} outside governor limits")
     state = np.array([delta, 1.0, eq1, ed1, efd, rf, vr, pe, pe])
-    return (state, replace(avr, v_ref=abs(v_terminal) + vr / avr.ka),
-            replace(gov, p_ref=pe))
+    # the set points as Python floats: v_terminal and the dispatch may be numpy scalars
+    return (state, replace(avr, v_ref=float(abs(v_terminal) + vr / avr.ka)),
+            replace(gov, p_ref=float(pe)))

@@ -78,7 +78,8 @@ def test_unit_costs_divide_the_median_by_one_repetition(bench_pairs):
     assert costs["us_per_residual_pass"] == pytest.approx(200.0)
     no_steps = bench_pairs.unit_costs(0.016, {"nominal": {"residual_calls_counted": 32}})
     assert no_steps == {"us_per_step": None, "us_per_residual_pass": pytest.approx(500.0),
-                        "residual_us": None, "record_us": None, "setup_us": None}
+                        "residual_us": None, "devices_us": None, "record_us": None,
+                        "setup_us": None}
     counts = bench_pairs.repetition_counts(stats)
     line = bench_pairs.summary_line("w", {}, {"parent": costs, "change": costs},
                                     {"parent": counts, "change": counts})
@@ -133,6 +134,88 @@ def test_record_us_is_the_mean_of_the_operations_row_times(bench_pairs):
     assert line == ("loadloss: wall_s per step 130 -> 130 us; "
                     "wall_s per residual pass 65 -> 65 us; one residual pass 30.5 -> 30.5 us; "
                     "one record row 32.83 -> 14.57 us; residual passes 12000 -> 12000")
+
+
+def test_devices_us_is_the_mean_of_the_operations_device_pass_times(bench_pairs):
+    """The timed cost of one pass of the device kernels at each operation's
+    set-up state is averaged over the operations of a repetition, and
+    printed for each side after the residual pass; a side that has none
+    (a checkout without the device loop) reads n/a."""
+    def stats(devices_us):
+        return {ctl: {"steps": 2000, "residual_calls_counted": 4000, "residual_us": 14.0,
+                      **({} if t is None else {"devices_us": t})}
+                for ctl, t in zip(("no_cig", "cig_omega", "cig_omega_tilde"), devices_us)}
+
+    parent = bench_pairs.unit_costs(0.78, stats((5.5, 8.2, 8.3)))
+    change = bench_pairs.unit_costs(0.72, stats((5.0, 7.2, 7.4)))
+    assert parent["devices_us"] == pytest.approx(7.3333333)
+    assert change["devices_us"] == pytest.approx(6.5333333)
+    old = bench_pairs.unit_costs(0.78, stats((None, None, None)))
+    assert old["devices_us"] is None
+    counts = {"steps": None, "residual_passes": 12000, "newton_iterations": None,
+              "jacobian_builds": None, "lu_factorizations": None}
+    line = bench_pairs.summary_line("loadloss", {}, {"parent": parent, "change": change},
+                                    {"parent": counts, "change": counts})
+    assert line == ("loadloss: wall_s per step 130 -> 120 us; "
+                    "wall_s per residual pass 65 -> 60 us; one residual pass 14 -> 14 us; "
+                    "one device pass 7.333 -> 6.533 us; residual passes 12000 -> 12000")
+    line = bench_pairs.summary_line("loadloss", {}, {"parent": old, "change": change},
+                                    {"parent": counts, "change": counts})
+    assert "; one device pass n/a -> 6.533 us; " in line
+
+
+# a checkout whose package has no device loop of today's signature: the
+# least the stats script runs, one operation at a zero state
+STUB_PACKAGE = """
+import sys
+import numpy as np
+class SystemModel:
+    def residual(self, x, y):
+        return np.concatenate([x, y]), {}
+    def coi_speed(self, x):
+        return 1.0
+%s
+class State:
+    x, y = np.zeros(2), np.zeros(2)
+class TrapezoidalIntegrator:
+    def __init__(self, model):
+        self.evaluate = None
+def record(model, state, channels, evaluate):
+    return {}
+def simulate(*args, **kwargs):
+    raise AssertionError("not called")
+dae = sys.modules[__name__]
+"""
+STUB_WORKLOADS = """
+import types
+import numpy as np
+import gridfreq as gf
+def make(name, seed):
+    op = types.SimpleNamespace(label="nominal", setup=lambda: (gf.SystemModel(), gf.State()),
+                               run=lambda model, state: {"go": np.zeros(1)})
+    return types.SimpleNamespace(ops=lambda: [op])
+"""
+
+
+@pytest.mark.parametrize("block", [
+    "",                                              # no device loop
+    "    def _machine_block(self, x):\n        return [], [], [], {}\n",   # another signature
+])
+def test_stats_script_leaves_out_devices_us_where_the_checkout_has_no_device_loop(
+        bench_pairs, tmp_path, block):
+    """A checkout whose `SystemModel` lacks `_machine_block`, or has one of
+    another signature, gets no devices_us; its other costs are timed."""
+    (tmp_path / "src" / "gridfreq").mkdir(parents=True)
+    (tmp_path / "src" / "gridfreq" / "__init__.py").write_text(STUB_PACKAGE % block)
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "workloads.py").write_text(STUB_WORKLOADS)
+    proc = subprocess.run([sys.executable, "-c", bench_pairs.STATS_SCRIPT, "smallsig", "0",
+                           str(tmp_path / "outputs.npz")], cwd=tmp_path, check=True,
+                          capture_output=True, text=True)
+    stats = json.loads(proc.stdout)["nominal"]
+    assert "devices_us" not in stats
+    assert {"residual_us", "record_us", "setup_us"} <= set(stats)
+    assert bench_pairs.unit_costs(0.01, {"nominal": stats})["devices_us"] is None
 
 
 def test_setup_us_is_the_mean_of_the_operations_set_up_times(bench_pairs):
@@ -289,7 +372,8 @@ def test_stats_script_saves_each_set_up_state(bench_pairs, tmp_path):
     """One untimed `smallsig` pass, seed 0, on this checkout: beside the
     outputs, the .npz holds the [x; y] each operation's set-up built, the
     nominal one equal to `build_system` on the bundled case, and the stats
-    hold each operation's timed residual pass, output row and set-up."""
+    hold each operation's timed residual pass, its device kernels, output
+    row and set-up."""
     saved = tmp_path / "outputs.npz"
     proc = subprocess.run([sys.executable, "-c", bench_pairs.STATS_SCRIPT, "smallsig", "0",
                            str(saved)], cwd=ROOT, check=True, capture_output=True, text=True)
@@ -297,6 +381,8 @@ def test_stats_script_saves_each_set_up_state(bench_pairs, tmp_path):
     labels = list(stats)
     assert labels == ["nominal", "point1", "point2", "point3"]
     assert all(0.0 < stats[label]["residual_us"] < 1e4 for label in labels)
+    assert all(0.0 < stats[label]["devices_us"] < stats[label]["residual_us"]
+               for label in labels)
     assert all(0.0 < stats[label]["record_us"] < 1e4 for label in labels)
     assert all(0.0 < stats[label]["setup_us"] < 1e5 for label in labels)
     with np.load(saved) as outputs:

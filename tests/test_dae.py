@@ -137,6 +137,71 @@ def test_control_mode_validation(case):
         build_system(case, "bogus")
 
 
+@pytest.mark.parametrize("k", [math.inf, math.nan, "1.2"])
+def test_build_system_rejects_a_k_that_is_not_a_finite_number(case, monkeypatch, k):
+    """An infinite or NaN gain would build a model whose first residual is
+    NaN, and a string would fail inside the kernel: each is a ValueError
+    naming k, raised before the power flow runs."""
+    def no_power_flow(net):
+        raise AssertionError("the power flow ran")
+
+    monkeypatch.setattr(gridfreq.dae, "solve_power_flow", no_power_flow)
+    with pytest.raises(ValueError, match="^k must be None or a finite real number, got "):
+        build_system(case, "cig_omega_tilde", k=k)
+
+
+def _scaled_loads_case():
+    """The bundled case with the loads of buses 5, 6 and 8 scaled by numpy
+    factors, as the benchmark's operating points scale them."""
+    case = load_bundled_case()
+    for bus_id, s in zip((5, 6, 8), np.array([0.9, 1.1, 1.05])):
+        bus = case.network.bus(bus_id)
+        bus.p_load *= s
+        bus.q_load *= s
+    return case
+
+
+def _numpy_inertia_case():
+    """The bundled case with machine 1's H a numpy scalar."""
+    case = load_bundled_case()
+    m = case.machines[0]
+    case.machines[0] = dataclasses.replace(
+        m, params=dataclasses.replace(m.params, H=np.float64(m.params.H)))
+    return case
+
+
+def _floats(record) -> dict:
+    """A record's fields by name, freq_loop left out."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+            if f.name != "freq_loop"}
+
+
+@pytest.mark.parametrize("control, k, make_case, freq_loop", [
+    *[(control, None, load_bundled_case, True) for control in CONTROLS],
+    ("cig_omega_tilde", np.float64(1.2), load_bundled_case, True),
+    ("cig_omega_tilde", None, _scaled_loads_case, False),
+    ("cig_omega_tilde", None, _numpy_inertia_case, True),
+], ids=[*CONTROLS, "numpy_k", "numpy_load_scales", "numpy_H"])
+def test_device_kernel_constants_are_python_floats(control, k, make_case, freq_loop):
+    """Every constant a device kernel reads is a Python float (numpy
+    scalars, a float subclass, would make every kernel call do numpy-scalar
+    arithmetic), and freq_loop a bool: each machine's row of `_devices` and
+    its AVR and governor records, set points included, and the converter's
+    row and record, also where the gain, the loads or an inertia the model
+    is built from are numpy scalars."""
+    model, _ = build_system(make_case(), control, k=k, freq_loop=freq_loop)
+    for row in model._devices:
+        constants = row[8]
+        values = constants if isinstance(constants, tuple) else _floats(constants).values()
+        assert {type(v) for v in values} == {float}, row[0]
+    for m in model.machines:
+        assert {type(v) for v in [*_floats(m.avr).values(), *_floats(m.gov).values()]} == {float}
+    if model.cig is not None:
+        assert model._devices[-1][8] is model.cig.params
+        assert {type(v) for v in _floats(model.cig.params).values()} == {float}
+        assert type(model.cig.params.freq_loop) is bool
+
+
 @pytest.mark.parametrize("n_cigs", [0, 2])
 def test_converter_control_needs_one_cig_record(n_cigs):
     """A converter control on a case with no CIG record, or with two, is an

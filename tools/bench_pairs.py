@@ -23,7 +23,10 @@ first.  From those counts, `unit_costs` gives each side's median wall_s
 per accepted step and per residual pass of one repetition (us), with
 `residual_us`, the cost of one `SystemModel.residual` pass alone (the
 minimum over 7 `timeit` blocks at each operation's set-up state, taken in
-each untimed pass, averaged over the operations), `record_us`, the cost
+each untimed pass, averaged over the operations), `devices_us`, the cost
+of one `SystemModel._machine_block` call there, the device kernels of that
+pass (timed the same way; None where a checkout lacks that method or its
+(x list, y list, omega_coi) signature), `record_us`, the cost
 of one `dae.record` row of every recordable channel there (timed the same
 way, after one warm call), and `setup_us`, the cost of one operation's
 set-up (timed the same way), each the median of the three processes;
@@ -80,7 +83,9 @@ BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 # with the state its set-up built, as "<label>/setup_x" and "<label>/setup_y".
 # The stats are the program's own counters where it integrates
 # (TimeSeries.stats), plus counted SystemModel.residual calls,
-# "residual_us", one uncounted pass at the set-up state, "record_us",
+# "residual_us", one uncounted pass at the set-up state, "devices_us", the
+# device loop of that pass alone (left out where the checkout has no
+# `_machine_block(x list, y list, omega_coi)`), "record_us",
 # one output row of every recordable channel there (`dae.record` through a
 # fresh integrator's `evaluate`, after one warm call that fills its cache),
 # and "setup_us", one call of the operation's set-up: each the minimum over
@@ -111,6 +116,14 @@ for op in workloads.make(sys.argv[1], int(sys.argv[2])).ops():
     arrays[f"{op.label}/setup_y"] = system[1].y.copy()
     model, state = system
     blocks = timeit.repeat(lambda: residual(model, state.x, state.y), repeat=7, number=number)
+    xl, yl = state.x.tolist(), state.y.tolist()
+    try:
+        args = (xl, yl, model.coi_speed(xl))
+        model._machine_block(*args)
+    except (AttributeError, TypeError):
+        devices = None
+    else:
+        devices = timeit.repeat(lambda: model._machine_block(*args), repeat=7, number=number)
     evaluate = gf.dae.TrapezoidalIntegrator(model).evaluate
     row = lambda: gf.dae.record(model, state, None, evaluate)
     row()
@@ -121,6 +134,8 @@ for op in workloads.make(sys.argv[1], int(sys.argv[2])).ops():
     st = {str(k): v for k, v in last.items()}
     st["residual_calls_counted"] = calls[0]
     st["residual_us"] = 1e6 * min(blocks) / number
+    if devices:
+        st["devices_us"] = 1e6 * min(devices) / number
     st["record_us"] = 1e6 * min(rows) / number
     st["setup_us"] = 1e6 * min(builds) / setups
     if "steps" in st:
@@ -163,7 +178,7 @@ def bench_run(checkout: Path, workload: str, seed: int) -> dict:
 
 # untimed passes per side, and the unit costs each times
 UNTIMED_PASSES = 3
-TIMED_US = ("residual_us", "record_us", "setup_us")
+TIMED_US = ("residual_us", "devices_us", "record_us", "setup_us")
 
 
 def untimed_pass(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
@@ -322,9 +337,10 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
     residual_us is the mean over the operations of the time of one residual
     pass alone at its set-up state (us), None where no operation has one:
     the layer's own cost, beside the share of wall_s each pass carries.
-    record_us is the same mean of the time of one output row of every
-    recordable channel at the set-up state, and setup_us of the time of
-    one operation's set-up.  A change that drops cheap steps, such as
+    devices_us is the same mean of the time of that pass's device kernels
+    (`SystemModel._machine_block`), record_us of the time of one output row
+    of every recordable channel at the set-up state, and setup_us of the
+    time of one operation's set-up.  A change that drops cheap steps, such as
     those a run holding its initial state at rest no longer takes, raises
     us_per_step while wall_s falls: read it beside the step count of
     `repetition_counts`."""
@@ -361,8 +377,9 @@ def repetition_counts(stats: dict) -> dict:
 def summary_line(workload: str, metrics: dict, costs: dict, counts: dict) -> str:
     """One line: each metric's verdict, pairs won, medians and gap in parent
     IQRs, then the wall time per step and per residual pass of each side,
-    the time of one residual pass alone, of one output row and of one
-    set-up, and each side's solver counts of one repetition."""
+    the time of one residual pass alone, of its device kernels, of one
+    output row and of one set-up, and each side's solver counts of one
+    repetition."""
     parts = []
     for name, m in metrics.items():
         iqrs = m["gap_over_parent_iqr"]
@@ -372,11 +389,13 @@ def summary_line(workload: str, metrics: dict, costs: dict, counts: dict) -> str
     for unit, label in (("us_per_step", "wall_s per step"),
                         ("us_per_residual_pass", "wall_s per residual pass"),
                         ("residual_us", "one residual pass"),
+                        ("devices_us", "one device pass"),
                         ("record_us", "one record row"),
                         ("setup_us", "one set-up")):
-        if costs["parent"].get(unit) is not None:
-            parts.append(f"{label} {costs['parent'][unit]:.4g} -> "
-                         f"{costs['change'][unit]:.4g} us")
+        values = [costs[s].get(unit) for s in ("parent", "change")]
+        if values != [None, None]:   # a cost one side lacks reads n/a
+            parts.append(f"{label} " + " -> ".join(
+                "n/a" if v is None else f"{v:.4g}" for v in values) + " us")
     for name in COUNTS:
         if counts["parent"][name] is not None or counts["change"][name] is not None:
             parts.append(f"{name.replace('_', ' ')} {counts['parent'][name]} -> "
