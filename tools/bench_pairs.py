@@ -134,7 +134,7 @@ for op in workloads.make(sys.argv[1], int(sys.argv[2])).ops():
     st = {str(k): v for k, v in last.items()}
     st["residual_calls_counted"] = calls[0]
     st["residual_us"] = 1e6 * min(blocks) / number
-    if devices:
+    if devices is not None:
         st["devices_us"] = 1e6 * min(devices) / number
     st["record_us"] = 1e6 * min(rows) / number
     st["setup_us"] = 1e6 * min(builds) / setups
