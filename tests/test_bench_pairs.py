@@ -104,7 +104,7 @@ def test_residual_us_is_the_mean_of_the_operations_one_pass_times(bench_pairs):
     assert parent["residual_us"] == pytest.approx(22.5)
     assert change["residual_us"] == pytest.approx(19.75)
     counts = {"steps": None, "residual_passes": 1000, "newton_iterations": None,
-              "jacobian_builds": None, "lu_factorizations": None}
+              "extrapolated_starts": None, "jacobian_builds": None, "lu_factorizations": None}
     line = bench_pairs.summary_line("w", {}, {"parent": parent, "change": change},
                                     {"parent": counts, "change": counts})
     assert line == ("w: wall_s per step 500 -> 450 us; wall_s per residual pass 200 -> 180 us; "
@@ -128,7 +128,7 @@ def test_record_us_is_the_mean_of_the_operations_row_times(bench_pairs):
     assert bench_pairs.unit_costs(0.2, {"a": {"residual_calls_counted": 1,
                                               "residual_us": 30.0}})["record_us"] is None
     counts = {"steps": None, "residual_passes": 12000, "newton_iterations": None,
-              "jacobian_builds": None, "lu_factorizations": None}
+              "extrapolated_starts": None, "jacobian_builds": None, "lu_factorizations": None}
     line = bench_pairs.summary_line("loadloss", {}, {"parent": parent, "change": change},
                                     {"parent": counts, "change": counts})
     assert line == ("loadloss: wall_s per step 130 -> 130 us; "
@@ -153,7 +153,7 @@ def test_devices_us_is_the_mean_of_the_operations_device_pass_times(bench_pairs)
     old = bench_pairs.unit_costs(0.78, stats((None, None, None)))
     assert old["devices_us"] is None
     counts = {"steps": None, "residual_passes": 12000, "newton_iterations": None,
-              "jacobian_builds": None, "lu_factorizations": None}
+              "extrapolated_starts": None, "jacobian_builds": None, "lu_factorizations": None}
     line = bench_pairs.summary_line("loadloss", {}, {"parent": parent, "change": change},
                                     {"parent": counts, "change": counts})
     assert line == ("loadloss: wall_s per step 130 -> 120 us; "
@@ -254,10 +254,12 @@ def test_median_stats_take_each_timed_cost_over_the_passes(bench_pairs):
 
 
 def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
-    """Accepted steps, residual passes, Newton iterations, Jacobian builds
-    and inversions are summed over the operations of one repetition, each
-    side's on the printed line; a workload that does not integrate has no
-    steps, Newton iterations, builds or inversions."""
+    """Accepted steps, residual passes, Newton iterations, extrapolated
+    starts, Jacobian builds and inversions are summed over the operations
+    of one repetition, each side's on the printed line; a workload that
+    does not integrate has no steps, Newton iterations, builds or
+    inversions, and a checkout that keeps no count of extrapolated starts
+    reads None there."""
     def stats(passes, solves, builds, inversions):
         return {ctl: {"steps": 2000, "residual_calls_counted": p, "residual_passes": p,
                       "newton_iterations": n, "jacobian_builds": b, "lu_factorizations": i}
@@ -269,9 +271,11 @@ def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
     change = bench_pairs.repetition_counts(stats((3877, 3856, 3850), (1838, 1817, 1820),
                                                  (4, 4, 3), (8, 8, 6)))
     assert parent == {"steps": 6000, "residual_passes": 12542, "newton_iterations": 6461,
-                      "jacobian_builds": 8, "lu_factorizations": 14}
+                      "extrapolated_starts": None, "jacobian_builds": 8,
+                      "lu_factorizations": 14}
     assert change == {"steps": 6000, "residual_passes": 11583, "newton_iterations": 5475,
-                      "jacobian_builds": 11, "lu_factorizations": 22}
+                      "extrapolated_starts": None, "jacobian_builds": 11,
+                      "lu_factorizations": 22}
     costs = {"us_per_step": None, "us_per_residual_pass": None}
     line = bench_pairs.summary_line("loadloss", {}, {"parent": costs, "change": costs},
                                     {"parent": parent, "change": change})
@@ -280,7 +284,14 @@ def test_repetition_counts_sum_the_solver_counts_of_one_repetition(bench_pairs):
                     "lu factorizations 14 -> 22")
     assert bench_pairs.repetition_counts({"nominal": {"residual_calls_counted": 24}}) == {
         "steps": None, "residual_passes": 24, "newton_iterations": None,
-        "jacobian_builds": None, "lu_factorizations": None}
+        "extrapolated_starts": None, "jacobian_builds": None, "lu_factorizations": None}
+    started = bench_pairs.repetition_counts(
+        {ctl: {**st, "extrapolated_starts": 1798}
+         for ctl, st in stats((2536, 2224, 2227), (2513, 2200, 2203), (2, 2, 2), (4, 4, 4)).items()})
+    assert started["extrapolated_starts"] == 5394
+    line = bench_pairs.summary_line("loadloss", {}, {"parent": costs, "change": costs},
+                                    {"parent": change, "change": started})
+    assert "; newton iterations 5475 -> 6916; extrapolated starts None -> 5394; " in line
 
 
 def test_compare_outputs_digests_each_output_and_measures_those_that_differ(bench_pairs):

@@ -31,7 +31,8 @@ of one `dae.record` row of every recordable channel there (timed the same
 way, after one warm call), and `setup_us`, the cost of one operation's
 set-up (timed the same way), each the median of the three processes;
 `repetition_counts` holds each side's accepted steps, residual passes, Newton
-iterations, Jacobian builds and `lu_factorizations` (the integrator's
+iterations, extrapolated Newton starts (None for a checkout that does not
+count them), Jacobian builds and `lu_factorizations` (the integrator's
 `np.linalg.inv` calls) of one repetition, both also on the printed line.  The
 first pass saves every output of every operation, and the state [x; y]
 its set-up built (`setup_x`, `setup_y`), so a change to the set-up path is
@@ -358,15 +359,17 @@ def unit_costs(wall_s: float, stats: dict) -> dict:
 
 # the solver counts of one repetition, by the `untimed_pass` stats key each sums
 COUNTS = {"steps": "steps", "residual_passes": "residual_calls_counted",
-          "newton_iterations": "newton_iterations", "jacobian_builds": "jacobian_builds",
+          "newton_iterations": "newton_iterations",
+          "extrapolated_starts": "extrapolated_starts", "jacobian_builds": "jacobian_builds",
           "lu_factorizations": "lu_factorizations"}
 
 
 def repetition_counts(stats: dict) -> dict:
-    """The accepted steps, residual passes, Newton iterations, Jacobian
-    builds and inversions (`lu_factorizations`) of one repetition, summed
-    over the `untimed_pass` stats of its operations; None where no
-    operation integrates (no `TimeSeries.stats`)."""
+    """The accepted steps, residual passes, Newton iterations, extrapolated
+    Newton starts, Jacobian builds and inversions (`lu_factorizations`) of
+    one repetition, summed over the `untimed_pass` stats of its operations;
+    None where no operation integrates (no `TimeSeries.stats`) or, for a
+    count a checkout does not keep, where no operation reports it."""
     counts = {}
     for name, key in COUNTS.items():
         values = [st[key] for st in stats.values() if key in st]
