@@ -495,6 +495,25 @@ _HISTORY = 5
 _PREDICTOR_WEIGHTS = {k: np.array([(-1) ** (k - 1 - i) * math.comb(k, i) for i in range(k)],
                                    dtype=float)
                       for k in range(2, _HISTORY + 1)}
+_NO_HISTORY = np.empty(0)   # the step history before a step of its h is accepted
+
+
+@functools.lru_cache(maxsize=16)
+def _start_rows(h: float, k: int) -> np.ndarray:
+    """(5, k) rows w, w - e_k, -h/2 (w + e_k), e_k, h/2 e_k of the start through k
+    points of step h: w = `_PREDICTOR_WEIGHTS[k]`, e_k picks the newest.  Read-only."""
+    w, e = _PREDICTOR_WEIGHTS[k], np.eye(k)[-1]
+    rows = np.array([w, w - e, -0.5 * h * (w + e), e, 0.5 * h * e])
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=16)
+def _step_scale(h: float, n_x: int, n: int) -> np.ndarray:
+    """[-h/2; 1] of length n, its first n_x entries -h/2: the step's row scale.  Read-only."""
+    scale = np.concatenate([np.full(n_x, -0.5 * h), np.ones(n - n_x)])
+    scale.flags.writeable = False
+    return scale
 
 
 # the solves beyond the first that the steps on one Jacobian may take, in
@@ -514,24 +533,24 @@ class TrapezoidalIntegrator:
     one formula for every k (`_PREDICTOR_WEIGHTS`), so a quartic once five
     steps of one h are behind it.  Otherwise it starts from the explicit
     Euler point with y held.  From the polynomial start, while a reduced
-    Jacobian is held, the first update takes no pass: the points' [f; g]
-    are extrapolated with the same weights, and the step residual
-    r~ = [x_p - x0 - h/2 (f0 + f~); g~] formed from them gives
-    z_p - J^-1 r~, counted in `stats["extrapolated_starts"]`.  The Newton
-    noise of the points, which sets the true residual at z_p, enters r~
-    through the same weights: on the 10 s load loss r~ is within a median
+    Jacobian is held, the first update z_p - J^-1 r~ takes no pass
+    (`stats["extrapolated_starts"]`): r~ = [x_p - x0 - h/2 (f0 + f~); g~],
+    [f~; g~] the points' [f; g] extrapolated with the same weights.  The
+    Newton noise of the points, which sets the true residual at z_p, enters
+    r~ through those weights: on the 10 s load loss r~ is within a median
     4.7e-9 (`no_cig`) and 9.0e-10 (`cig_omega_tilde`) of it.  Every
-    accepted point still passes the residual test of the loop.  Two
-    records are kept, each with one reset.  The last point (bytes of
-    [x; y], [f; g], outputs, h, history): an accepted iterate writes it
-    with its history extended, a cache miss of `evaluate` with none; a
-    step from (x, y) of those values reuses its f as f0 and, at that h,
-    its history; `rests` reads its [f; g]; `simulate` records its
-    outputs; `resolve` clears it.  The history is one stacked (k, 2n)
-    array, each row a point [x; y] and its [f; g], oldest first, so the
-    predictor and its [f; g] are one matmul on it.  The inverse of the
-    step Jacobian, for the h of the last step: cleared only where a
-    Jacobian is built, assembled again for another h.
+    accepted point still passes the residual test of the loop.  The history
+    is one stacked (k, 2n) array of rows [x; y; f; g], oldest first: z_p,
+    r~ and the base x0 + h/2 f0 are one matmul on it (`_start_rows`).  An
+    iterate's step residual is its pass's [f; g], kept uncopied, times
+    [-h/2; 1] (`_step_scale`) plus x - base in the x-rows.  Two records are
+    kept, each with one reset.  The last point (bytes of [x; y], [f; g],
+    outputs, h, history): an accepted iterate writes it with its history
+    extended, a cache miss of `evaluate` with none; a step from (x, y) of
+    those values reuses its f as f0 and, at that h, its history; `rests`
+    reads its [f; g]; `simulate` records its outputs; `resolve` clears it.
+    The inverse of the step Jacobian, for the h of the last step: cleared
+    only where a Jacobian is built, assembled again for another h.
 
     A Jacobian build is reduced once (`reduce_algebraic`: G = g_y^-1,
     M = G g_x, A = f_x - f_y M), and the inverse of the step Jacobian
@@ -664,6 +683,7 @@ class TrapezoidalIntegrator:
         with np.errstate(all="ignore"):
             return self._factor(np.concatenate([state.x, state.y]), h, r) is not None
 
+    @np.errstate(all="ignore")
     def _newton(self, state: SystemState, h: float) -> np.ndarray | None:
         """[x; y] at t + h, or None when Newton fails.
 
@@ -676,34 +696,32 @@ class TrapezoidalIntegrator:
         iterate, which is the base of a Jacobian built there.  f0 only enters as
         h f0, so at h = 0 (`resolve`) it is not evaluated, and the step
         history is neither read nor extended.  The start point of each
-        attempt is checked to be finite, and then every update: an iterate
-        is finite when both are.
+        attempt, and then every update, must have z @ z < inf (|z| below
+        about 1e154).  Float errors are ignored in each call: these tests fail.
         """
         m = self.model
         n_x = m.n_x
         x0, y0 = state.x, state.y
-        f0, history = 0.0, ()
+        n = x0.size + y0.size
+        f0, history = 0.0, _NO_HISTORY
         if h:
             rec = self._last
             if rec is None or rec[0] != x0.tobytes() + y0.tobytes():
                 self.evaluate(x0, y0)   # a miss: one pass records (x0, y0)
                 rec = self._last
             # a step of the h that accepted (x0, y0) extends its history
-            f0, history = rec[1][:n_x], rec[4] if rec[3] == h else ()
-        hh = 0.5 * h
-        base = x0 + hh * f0
+            f0, history = rec[1][:n_x], rec[4] if rec[3] == h else _NO_HISTORY
         stats = self.stats
         solves0 = stats["newton_iterations"]
         inv = None
         if len(history) >= 2:
-            # rows [x; y; f; g]: the predictor and its extrapolated [f; g],
-            # sliced (np.split takes about 10 us, most of what the start saves)
-            zr = _PREDICTOR_WEIGHTS[len(history)] @ history
-            z, r = zr[:zr.size // 2], zr[zr.size // 2:]
+            # `_start_rows` on [x; y; f; g], sliced (np.split takes 10 us)
+            p = _start_rows(h, len(history)) @ history
+            z, r = p[0, :n], p[0, n:]
+            base = p[3, :n_x] + p[4, n:n + n_x]
             if self._reduced is not None:
-                # the first update from the extrapolated step residual, which
-                # carries the Newton noise of the points as z does: no pass
-                r[:n_x] = z[:n_x] - base - hh * r[:n_x]
+                # the first update, from r~ written over f~: no pass
+                np.add(p[1, :n_x], p[2, n:n + n_x], out=r[:n_x])
                 inv = self._factor(z, h, r)
                 if inv is None:
                     return None
@@ -711,34 +729,33 @@ class TrapezoidalIntegrator:
                 stats["extrapolated_starts"] += 1
                 z -= inv @ r
         else:
-            z = np.concatenate([x0 + h * f0, y0])
+            base, z = x0 + 0.5 * h * f0, np.concatenate([x0 + h * f0, y0])
+        scale = _step_scale(h, n_x, n)
         for attempt in range(2):
             if attempt:
                 # refresh the Jacobian at the current iterate and retry once
                 self._reduced = inv = None
             attempt0 = stats["newton_iterations"]
-            if not np.logical_and.reduce(np.isfinite(z)):
+            if not z @ z < math.inf:
                 return None
             for it in range(self.max_iter + 1):
                 x = z[:n_x]
                 stats["residual_passes"] += 1
-                r, outputs = m.residual(x, z[n_x:])
+                fg, outputs = m.residual(x, z[n_x:])
                 if inv is None:
                     # inverted before the convergence test, so that a start
                     # accepted at once still builds the Jacobian it lacks
-                    inv = self._factor(z, h, r)
+                    inv = self._factor(z, h, fg)
                     if inv is None:
                         return None
-                fg = r.copy()   # for the cache: r becomes [x - base - hh f; g]
-                rx = np.subtract(x, base, out=r[:n_x])
-                rx -= hh * fg[:n_x]
+                r = fg * scale   # [-h/2 f; g]; fg stays the pass's, for the cache
+                r[:n_x] += x - base
                 worst = float(np.maximum.reduce(np.abs(r)))
                 if worst < self.tol:
                     stats["max_residual"] = max(stats["max_residual"], worst)
                     if h:
-                        point = np.concatenate((z, fg))[None]
-                        history = (np.concatenate((history[1 - _HISTORY:], point))
-                                   if len(history) else point)
+                        history = np.concatenate((history[1 - _HISTORY:].ravel(), z, fg)
+                                                 ).reshape(-1, 2 * n)
                         solves = stats["newton_iterations"]
                         self._accept(solves - solves0, solves - attempt0)
                     self._last = (z.tobytes(), fg, outputs, h, history)
@@ -773,8 +790,7 @@ class TrapezoidalIntegrator:
         """state advanced by h; Newton failures halve the step, up to 4 times."""
         if not 0.0 < h < math.inf:
             raise ValueError(f"step size must be finite and positive, got {h:g}")
-        with np.errstate(all="ignore"):
-            z = self._newton(state, h)
+        z = self._newton(state, h)
         if z is not None:
             self.stats["steps"] += 1
             n_x = self.model.n_x
@@ -802,8 +818,7 @@ class TrapezoidalIntegrator:
         """
         self._last = None
         builds = self.stats["jacobian_builds"]
-        with np.errstate(all="ignore"):
-            z = self._newton(state, 0.0)
+        z = self._newton(state, 0.0)
         if self.stats["jacobian_builds"] == builds:
             self._reduced = None
         if z is None:

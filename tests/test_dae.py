@@ -28,6 +28,8 @@ from gridfreq.dae import (
     SystemState,
     _HISTORY,
     _PREDICTOR_WEIGHTS,
+    _start_rows,
+    _step_scale,
     TrapezoidalIntegrator,
     build_system,
     record,
@@ -898,6 +900,70 @@ def test_a_non_finite_update_is_a_newton_failure(case, monkeypatch):
         s = integ.step(s, 0.01)
     assert integ.stats["step_halvings"] == 1 and integ.stats["steps"] == 2
     assert np.isfinite(s.x).all() and s.t == 0.01
+
+
+@pytest.mark.parametrize("overflow", ["start", "update"])
+def test_newton_owns_its_float_error_state(case, monkeypatch, overflow):
+    """`_newton` called bare, with no float-error scope of the caller's, fails
+    where z @ z of its start point overflows (machine 1's angle at 1e160,
+    |z| above 1e154 though finite) or that of an update does (an inverse of
+    1e200 I), and raises no float warning; the caller's float-error state
+    is as it was.  The start fails before any pass at it: the one pass is
+    the f0 of (x0, y0)."""
+    model, st = build_system(case, "no_cig")
+    integ = TrapezoidalIntegrator(model)
+    x = st.x.copy()
+    if overflow == "start":
+        x[0] = 1e160
+    else:
+        x[0] += 1e-3
+        monkeypatch.setattr(integ, "_factor", lambda z, h, r0: 1e200 * np.eye(z.size))
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert integ._newton(SystemState(x, st.y.copy(), 0.0), 0.01) is None
+    assert np.geterr() == before
+    assert integ.stats["residual_passes"] == (1 if overflow == "start" else 2)
+
+
+@pytest.mark.parametrize("k", range(2, _HISTORY + 1))
+def test_the_fused_start_meets_its_definition(case, monkeypatch, k):
+    """From a random history of k accepted points and a random h, the start
+    `_newton` hands to `_factor` is the predictor w @ z (w the weights of
+    k points) to 1e-14 relative and the extrapolated step residual
+    r~ = [x_p - (x_k + h/2 f_k) - h/2 f~; g~] to 1e-13; the rows of
+    `_start_rows` give base = x_k + h/2 f_k bitwise, and [f; g] times
+    `_step_scale` plus x - base in its x-rows is [x - base - h/2 f; g]
+    bitwise."""
+    model, st = build_system(case, "cig_omega_tilde", k=1.2)
+    n_x, n = model.n_x, st.x.size + st.y.size
+    z0 = np.concatenate([st.x, st.y])
+    rng = np.random.default_rng(k)
+    w = _PREDICTOR_WEIGHTS[k]
+    for _ in range(5):
+        h = float(rng.uniform(1e-3, 0.05))
+        history = np.hstack([z0 + rng.normal(0.0, 1e-2, (k, n)), rng.normal(0.0, 0.1, (k, n))])
+        z_k, fg_k = history[-1, :n], history[-1, n:]
+        integ = TrapezoidalIntegrator(model)
+        integ._reduced = ()   # held: the start takes its update, through `_factor`
+        integ._last = (z_k.tobytes(), fg_k.copy(), {}, h, history)
+        starts = []
+        monkeypatch.setattr(integ, "_factor",
+                            lambda z, h, r0: starts.append((z.copy(), r0.copy())))
+        assert integ._newton(SystemState(z_k[:n_x].copy(), z_k[n_x:].copy(), 0.0), h) is None
+        (z, r), = starts
+        predictor = w @ history
+        assert np.abs(z - predictor[:n]).max() <= 1e-14 * np.abs(predictor[:n]).max()
+        base = z_k[:n_x] + 0.5 * h * fg_k[:n_x]
+        r_ref = np.concatenate([predictor[:n_x] - base - 0.5 * h * predictor[n:n + n_x],
+                                predictor[n + n_x:]])
+        assert np.abs(r - r_ref).max() <= 1e-13
+        p = _start_rows(h, k) @ history
+        assert np.array_equal(p[3, :n_x] + p[4, n:n + n_x], base)
+        x, fg = z[:n_x], rng.normal(0.0, 0.1, n)
+        step_r = fg * _step_scale(h, n_x, n)
+        step_r[:n_x] += x - base
+        assert np.array_equal(step_r, np.concatenate([x - base - 0.5 * h * fg[:n_x], fg[n_x:]]))
 
 
 def test_a_singular_step_jacobian_is_a_step_error(case, monkeypatch):
