@@ -119,28 +119,23 @@ def cig_derivatives(x, v: complex, params: CIGControlParams, omega_frame: float,
     return xdot, inj, (s.real, s.imag, omega_est, rho, signal)
 
 
-def kernel_reads(params: CIGControlParams) -> dict[str, tuple[str, ...]]:
-    """What each row of `cig_derivatives` reads under params: every
-    derivative (by state name) and the injection ("current") against the
-    states by name, the bus voltage "v" and "omega_frame".
-
-    `SystemModel.jacobian_structure` builds the Jacobian's pattern from it,
-    so it is structural: no entry is dropped for a gain that is zero.  The
-    frequency-loop reads follow `freq_loop` as the kernel's outer loops do,
-    and the current limiter reads both references in both current rows.
-    """
-    signal = ("theta_pll", "xi_pll", "z_rho", "v")   # omega_est - K rho_est
-    refs = ("x_v", "v") + ((*signal, "w_wash") if params.freq_loop else ())
-    return {
-        "theta_pll": ("theta_pll", "xi_pll", "v", "omega_frame"),
-        "xi_pll": ("theta_pll", "v"),
-        "z_rho": ("z_rho", "v"),
-        "w_wash": (*signal, "w_wash"),
-        "x_v": ("v",),
-        "i_d": ("i_d", *refs),
-        "i_q": ("i_q", *refs),
-        "current": ("theta_pll", "i_d", "i_q"),
-    }
+# What each row of `cig_derivatives` reads, as `machines.KERNEL_READS`
+# lists `sm_kernel`'s.  It is structural: no entry is dropped for a gain
+# that is zero, the current rows keep the frequency-loop reads when
+# `freq_loop` opens the loop (a superset pattern gives the same Jacobian),
+# and the current limiter reads both references in both current rows.
+_SIGNAL = ("theta_pll", "xi_pll", "z_rho", "v")   # omega_est - K rho_est
+_REFS = ("x_v", "v", *_SIGNAL, "w_wash")
+KERNEL_READS = {
+    "theta_pll": ("theta_pll", "xi_pll", "v", "omega_frame"),
+    "xi_pll": ("theta_pll", "v"),
+    "z_rho": ("z_rho", "v"),
+    "w_wash": (*_SIGNAL, "w_wash"),
+    "x_v": ("v",),
+    "i_d": ("i_d", *_REFS),
+    "i_q": ("i_q", *_REFS),
+    "current": ("theta_pll", "i_d", "i_q"),
+}
 
 
 def initialize_cig(v_terminal: complex,

@@ -116,7 +116,7 @@ class Scenario:
 
     def load_case(self) -> Case:
         p = Path(self.case)
-        if p.suffix == ".case" or p.exists():
+        if p.suffix == ".case" or p.is_file():
             return parse_case(p.read_text())
         return load_bundled_case(self.case)
 

@@ -1,9 +1,9 @@
 """Complex frequency eta = vdot / v = rho + j*omega of a voltage phasor.
 
-A phasor is a `complex` v = v_d + j v_q in a frame rotating at omega_ref.
-omega, the rotation rate of v, is its instantaneous frequency, and rho =
-d/dt ln|v| (zero in steady state) its radial frequency; both are frame
-invariant.  Speeds are in rad/s or per unit, as the caller chooses.
+A phasor is a `complex` v = v_d + j v_q in a rotating frame: omega is its
+rotation rate in that frame (its frequency less the frame speed), and rho
+= d/dt ln|v| (zero in steady state) its frame-invariant radial frequency.
+Speeds are in rad/s or per unit, as the caller chooses.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ class ZeroMagnitudeError(ValueError):
     """rho/omega are undefined for a zero-magnitude phasor."""
 
 
-def eta_of(v: complex, vdot, omega_ref: float = 0.0):
-    """rho + j*omega of the phasor v with derivative vdot, omega including
-    the frame speed omega_ref.  vdot may be a numpy complex array (one entry
-    per state, as `smallsignal.linearize` passes it); each entry equals the
+def eta_of(v: complex, vdot):
+    """rho + j*omega of the phasor v with derivative vdot, omega relative
+    to the frame of v.  vdot may be a numpy complex array (one entry per
+    state, as `smallsignal.linearize` passes it); each entry equals the
     scalar call bitwise."""
     d, q = v.real, v.imag
     v2 = d * d + q * q
@@ -28,7 +28,7 @@ def eta_of(v: complex, vdot, omega_ref: float = 0.0):
         raise ZeroMagnitudeError("rho/omega undefined at |v| = 0")
     # in floats: numpy's fused complex product rounds an entry unlike the scalar call
     rho = (d * vdot.real + q * vdot.imag) / v2
-    omega = (d * vdot.imag - q * vdot.real) / v2 + omega_ref
+    omega = (d * vdot.imag - q * vdot.real) / v2
     return rho + 1j * omega
 
 
@@ -65,7 +65,7 @@ def analytic_example(p: AnalyticExampleParams,
     With s = alpha + j beta and e = k exp(-s t), the signal is v = V - e
     (the v_d, v_q of `AnalyticExampleParams`) and its closed-form
     derivative vdot = s e.  exact = eta_of(v, vdot) is the complex
-    frequency with omega_ref = 0, so its imaginary part holds the local
+    frequency in the COI frame, so its imaginary part holds the local
     deviation omega - omega_COI from the COI frame speed.  approx =
     vdot / V is its first-order small-(k/V) approximation
 

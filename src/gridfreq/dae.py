@@ -30,9 +30,9 @@ that event on.
 
 The Jacobian is differenced from the residual the simulator runs, in
 column groups: `SystemModel.jacobian_structure` knows which rows each
-column of [x; y] can touch (a device's rows read what its kernel's read
-table lists, `machines.KERNEL_READS` or `cig.kernel_reads`; a bus's rows
-read its Y-neighbours), and columns with disjoint rows are perturbed in
+column of [x; y] can touch (a device's rows read what the read table of
+its kernel's module lists, its `KERNEL_READS`; a bus's rows read its
+Y-neighbours), and columns with disjoint rows are perturbed in
 one residual pass (`group_residuals`, which `linearize` differences too):
 every row is exactly that of one pass per column.  The colouring, first-fit
 in smallest-last order, is computed once per distinct pattern in a
@@ -43,7 +43,6 @@ them the residual pass of the Newton iterate it is taken at.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import numbers
@@ -110,16 +109,16 @@ class SystemModel:
 
     The device records in `machines` and `cig` are frozen: build a new
     model to change a parameter.  Only `simulate` changes the network,
-    on its own copy of the model.
+    and it restores it however the run ends.
 
     The layout lives in two tables.  `_devices` has a row per device in
-    x order: label, state names, states (a slice of x), kernel read table,
-    frame input, bus index, kernel (its module's name and its own), the
-    kernel's constants and the names of its outputs; `residual` evaluates
-    every row in one loop, `_machine_block`.  `channels` maps each
-    recordable name, in default order, to where `record` reads it:
-    ("coi", None), ("x", index), ("v", bus index) or ("output", name of
-    `cig.OUTPUT_NAMES`).
+    x order: (label, module name, kernel name, states (a slice of x), bus
+    index, the kernel's constants).  What every device of one kind shares
+    is read from its module: `STATE_NAMES`, `KERNEL_READS` (the kernel's
+    read table) and `OUTPUT_NAMES`.  `residual` evaluates every row in one
+    loop, `_machine_block`.  `channels` maps each recordable name, in
+    default order, to where `record` reads it: ("coi", None), ("x",
+    index), ("v", bus index) or ("output", name of `cig.OUTPUT_NAMES`).
     """
 
     def __init__(self, net: Network, machines: list[MachineSpec],
@@ -139,28 +138,27 @@ class SystemModel:
         self._set_network(net)
 
         n_sm = _SM_N * len(machines)
-        self._devices = [(f"sm{k}", smmod.STATE_NAMES, slice(_SM_N * (k - 1), _SM_N * k),
-                          smmod.KERNEL_READS, "omega_coi", b, smmod.__name__, "sm_kernel",
-                          smmod.sm_kernel_params(m.params, m.avr, m.gov), ())
+        self._devices = [(f"sm{k}", smmod.__name__, "sm_kernel", slice(_SM_N * (k - 1), _SM_N * k),
+                          b, smmod.sm_kernel_params(m.params, m.avr, m.gov))
                          for k, (m, b) in enumerate(zip(machines, self.mach_bus), 1)]
         if cig:
-            self._devices.append(("cig", cigmod.STATE_NAMES, slice(n_sm, n_sm + cigmod.N_STATES),
-                                  cigmod.kernel_reads(cig.params), "omega_frame", self.cig_bus,
-                                  cigmod.__name__, "cig_derivatives", cig.params, cigmod.OUTPUT_NAMES))
-        self._output_names = tuple(name for *_, names in self._devices for name in names)
+            self._devices.append(("cig", cigmod.__name__, "cig_derivatives",
+                                  slice(n_sm, n_sm + cigmod.N_STATES), self.cig_bus, cig.params))
+        kinds = [(label, sys.modules[module]) for label, module, *_ in self._devices]
+        self._output_names = tuple(name for _, kind in kinds for name in kind.OUTPUT_NAMES)
         self.channels = {"omega_coi": ("coi", None),
                          **{f"omega_sm{k}": ("x", i) for k, i in enumerate(self.speed_indices, 1)},
                          **{f"v_bus{b.id}": ("v", i) for i, b in enumerate(net.buses)},
                          **{name: ("output", name) for name in self._output_names}}
-        self.n_x = self._devices[-1][2].stop
-        self.state_labels = [f"{label}_{s}" for label, names, *_ in self._devices for s in names]
+        self.n_x = self._devices[-1][3].stop
+        self.state_labels = [f"{label}_{s}" for label, kind in kinds for s in kind.STATE_NAMES]
 
     def _set_network(self, net: Network) -> None:
         """Take net, Y as the real matrix [[G, -B], [B, G]], which maps
         y = [Re v; Im v] to [Re Yv; Im Yv], and conj(S) of every bus that
-        carries a load.  Called by `__init__`, and by `simulate` on its own
-        copy after events, which change only the loads and Y's diagonal:
-        both lie inside `jacobian_structure`."""
+        carries a load.  Called by `__init__`, and by `simulate` after events,
+        which change only the loads and Y's diagonal (both inside
+        `jacobian_structure`), and to restore the run's first network."""
         self.net = net
         ybus = net.ybus()
         n = self.n_bus
@@ -180,13 +178,12 @@ class SystemModel:
 
         pattern is the bool matrix of the entries that can be nonzero:
         every value a residual row reads.  A device's rows are those of its
-        kernel's read table (`machines.KERNEL_READS`, `cig.kernel_reads`),
-        its current in the balance of its bus; a bus's rows read its
-        Y-neighbours and its own voltage.  groups partitions the columns
-        so that two columns of one group touch disjoint rows; perturbing
-        a whole group in one residual pass then gives each of its
-        columns exactly the residual rows a pass of its own would
-        (Curtis, Powell & Reid, IMA J. Appl. Math. 1974).  group_of is
+        module's read table, `KERNEL_READS`, its current in the balance of
+        its bus; a bus's rows read its Y-neighbours and its own voltage.
+        groups partitions the columns so that two columns of one group
+        touch disjoint rows; perturbing a whole group in one residual pass
+        then gives each of its columns exactly the residual rows a pass of
+        its own would (Curtis, Powell & Reid, IMA J. Appl. Math. 1974).  group_of is
         the same partition by column: group_of[j] is the index in groups
         of the group that holds column j.  Both are `_colouring`'s, shared
         read-only by every model of the same pattern.
@@ -201,8 +198,10 @@ class SystemModel:
         # each device: the (row, column) pairs of its read table, on its
         # states, the Re/Im pair of its bus and the machine speeds
         speeds = self.speed_indices
-        for _, names, states, reads, frame, b, *_ in self._devices:
-            rows, cols = _read_pairs(names, tuple(reads.items()), frame, len(speeds))
+        for _, module, _, states, b, _ in self._devices:
+            kind = sys.modules[module]
+            reads = tuple(kind.KERNEL_READS.items())
+            rows, cols = _read_pairs(kind.STATE_NAMES, reads, len(speeds))
             at = np.array([*range(n_x)[states], n_x + b, n_x + n + b, *speeds])
             pattern[at[rows], at[cols]] = True
         self._jac_structure = (pattern, *_colouring(pattern.tobytes(), pattern.shape))
@@ -229,7 +228,7 @@ class SystemModel:
         re, im = [0.0] * n, [0.0] * n
         out: list[float] = []
         omega_base, modules = self.omega_base, sys.modules
-        for _, _, states, _, _, b, module, kernel, prm, _ in self._devices:
+        for _, module, kernel, states, b, prm in self._devices:
             d, i, o = getattr(modules[module], kernel)(xl[states], complex(yl[b], yl[n + b]),
                                                        prm, omega_coi, omega_base)
             f += d
@@ -279,15 +278,16 @@ class SystemModel:
 
 @functools.lru_cache(maxsize=8)
 def _read_pairs(names: tuple[str, ...], reads: tuple[tuple[str, tuple[str, ...]], ...],
-                frame: str, n_speeds: int) -> tuple[np.ndarray, np.ndarray]:
+                n_speeds: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) index arrays of a device kernel's read table, given as
     its (row, inputs) items.  They index the device's states, then its bus
     (Re, Im), then the n_speeds machine speeds: "current" is the bus's pair
-    of rows, "v" its pair of columns and `frame` the speeds.  Cached, since
-    every model builds its structure once from the same few tables."""
+    of rows, "v" its pair of columns and "omega_frame" (the frame speed)
+    the speeds.  Cached on the table's contents: models build their
+    structure once each from the same few tables."""
     n = len(names)
     at = {name: [k] for k, name in enumerate(names)}
-    at.update({"current": [n, n + 1], "v": [n, n + 1], frame: range(n + 2, n + 2 + n_speeds)})
+    at.update(current=[n, n + 1], v=[n, n + 1], omega_frame=range(n + 2, n + 2 + n_speeds))
     rows, cols = [], []
     for row, inputs in reads:
         read = [c for name in inputs for c in at[name]]
@@ -868,14 +868,12 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
              channels: list[str] | None = None) -> TimeSeries:
     """Integrate over [t0, t_end], applying timed events.
 
-    Events are applied exactly at their times, to a copy of the model:
-    every event of one instant is applied to its network, the algebraic
+    Events are applied exactly at their times, to the model itself: every
+    event of one instant is applied to its network, the algebraic
     variables are re-solved once with the differential states frozen, and
-    integration resumes.  The caller's model is left as it was, however
-    the run ends.  The copy is shallow, so an instance attribute that
-    shadows a `SystemModel` method would be carried into it still bound to
-    the caller's model: such a model raises ValueError, and a run is
-    instrumented by patching the class.
+    integration resumes.  The run's first network is restored however the
+    run ends, so the model is left as it was.  A model runs one simulation
+    at a time; a method patched on the model instance sees the events.
     Steps are exactly h: only a step that ends at an output time, an event
     or t_end is shorter, and a remainder within 1e-6 h of h is taken as h.
     A run whose initial state is at rest (`TrapezoidalIntegrator.rests`:
@@ -892,11 +890,6 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     for name, value in (("h", h), ("output_dt", output_dt), ("t_end - t0", t_end - state0.t)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value:g}")
-    for name in vars(model):
-        if callable(getattr(type(model), name, None)):
-            raise ValueError(f"the model's instance attribute {name!r} shadows the method "
-                             f"of its class, which the run's copy would call on this "
-                             f"model: patch the class instead")
     known = list(model.channels)
     if channels is None:
         channels = known
@@ -909,8 +902,6 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
         if not (state0.t <= ev.time <= t_end):
             raise ValueError(f"event at t={ev.time} outside the horizon")
 
-    # a shallow copy suffices: `_set_network` rebinds every array it derives
-    model = copy.copy(model)
     integ = TrapezoidalIntegrator(model)
     state = state0.copy()
     t0 = state.t
@@ -925,6 +916,7 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     if holding:
         integ.stats["held_s"] = t_hold - t0
 
+    net0 = model.net
     try:
         while state.t < t_end - eps:
             t_stop = min(t0 + n_out * output_dt, t_end)
@@ -958,6 +950,9 @@ def simulate(model: SystemModel, state0: SystemState, events: list[Event],
     except StepError as exc:
         exc.t_last, exc.stats = state.t, integ.stats
         raise
+    finally:
+        if model.net is not net0:
+            model._set_network(net0)
 
     data = {name: np.array([r[name] for r in rows]) for name in channels}
     return TimeSeries(times=np.array(times), channels=data, stats=integ.stats)

@@ -74,15 +74,16 @@ class GovParams:
 # valve position and mechanical power (pu)
 STATE_NAMES = ("delta", "omega", "eq1", "ed1", "efd", "rf", "vr", "psv", "pm")
 N_STATES = len(STATE_NAMES)
+OUTPUT_NAMES = ()   # `sm_kernel` returns no outputs
 
 # What each row of `sm_kernel` reads: every derivative (by state name) and
 # the stator current ("current") against the states by name, the bus
-# voltage "v" and "omega_coi".  `SystemModel.jacobian_structure` builds the
-# Jacobian's pattern from it, so it is structural: no entry is dropped for
-# a parameter that is zero, and a row held at its limit reads a subset.
+# voltage "v" and the frame speed "omega_frame" (omega_coi).  `SystemModel`
+# builds the Jacobian's pattern from it, so it is structural: no entry is
+# dropped for a parameter that is zero, and a row held at its limit reads a subset.
 KERNEL_READS = {
-    "delta": ("omega", "omega_coi"),
-    "omega": ("delta", "omega", "eq1", "ed1", "pm", "v", "omega_coi"),
+    "delta": ("omega", "omega_frame"),
+    "omega": ("delta", "omega", "eq1", "ed1", "pm", "v", "omega_frame"),
     "eq1": ("delta", "eq1", "ed1", "efd", "v"),
     "ed1": ("delta", "eq1", "ed1", "v"),
     "efd": ("efd", "vr"),

@@ -34,7 +34,8 @@ the model has a converter, and records the point it was taken at (model,
 bytes of [x; y]); `eigensolve` links each mode to that `LinearModel`.
 `k_sweep` takes the rows of its mode's linearization and accepts only a
 mode linearized from the same model at bitwise the same [x; y]: a built
-model never changes (`simulate` applies its events to a copy), so those
+model never changes (`simulate` restores its network however the run
+ends), so those
 rows are the model's, and `linearize` checked that point an equilibrium.
 So the sweep takes no residual pass.
 The sweep evaluates go for every gain of the grid, and for rho, in one

@@ -73,8 +73,9 @@ def test_criterion_1_frame_invariance():
         dw = rng.uniform(-5.0, 5.0)
         th = rng.uniform(-math.pi, math.pi)
         rot = cmath.exp(-1j * th)
-        eta_r = eta_of(v * rot, (vdot - 1j * dw * v) * rot, w_ref + dw)
-        eta = eta_of(v, vdot, w_ref)
+        # omega relative to each frame, plus that frame's speed
+        eta_r = eta_of(v * rot, (vdot - 1j * dw * v) * rot) + 1j * (w_ref + dw)
+        eta = eta_of(v, vdot) + 1j * w_ref
         worst = max(worst, abs(eta_r.real - eta.real), abs(eta_r.imag - eta.imag))
     dt = time.perf_counter() - t0
     ok = worst < 1e-10 and dt < 1.0

@@ -178,6 +178,15 @@ def test_scenario_bundled_case_loads():
     assert Scenario(case="wscc9").load_case().network.n_bus == 9
 
 
+def test_a_directory_named_like_the_bundled_case_is_not_read(tmp_path, monkeypatch):
+    """A case name is a path only with the .case suffix or when it names a
+    file: a directory wscc9/ in the working directory leaves the bundled
+    case in use."""
+    (tmp_path / "wscc9").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["eig"], tmp_path / "out", monkeypatch) == 0
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

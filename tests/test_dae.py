@@ -192,14 +192,13 @@ def test_device_kernel_constants_are_python_floats(control, k, make_case, freq_l
     row and record, also where the gain, the loads or an inertia the model
     is built from are numpy scalars."""
     model, _ = build_system(make_case(), control, k=k, freq_loop=freq_loop)
-    for row in model._devices:
-        constants = row[8]
+    for label, *_, constants in model._devices:
         values = constants if isinstance(constants, tuple) else _floats(constants).values()
-        assert {type(v) for v in values} == {float}, row[0]
+        assert {type(v) for v in values} == {float}, label
     for m in model.machines:
         assert {type(v) for v in [*_floats(m.avr).values(), *_floats(m.gov).values()]} == {float}
     if model.cig is not None:
-        assert model._devices[-1][8] is model.cig.params
+        assert model._devices[-1][-1] is model.cig.params
         assert {type(v) for v in _floats(model.cig.params).values()} == {float}
         assert type(model.cig.params.freq_loop) is bool
 
@@ -539,13 +538,13 @@ def kinds_pattern(model: SystemModel) -> np.ndarray:
     pattern = np.zeros((n_x + 2 * n, n_x + 2 * n), dtype=bool)
     pattern[n_x:, n_x:] = (model._y_real != 0.0) | np.tile(np.eye(n, dtype=bool), (2, 2))
     speeds = model.speed_indices
-    kinds = [(gridfreq.machines.STATE_NAMES, gridfreq.machines.KERNEL_READS, "omega_coi",
+    kinds = [(gridfreq.machines.STATE_NAMES, gridfreq.machines.KERNEL_READS,
               [(N_STATES * i, b) for i, b in enumerate(model.mach_bus)])]
     if model.cig:
-        kinds.append((gridfreq.cig.STATE_NAMES, gridfreq.cig.kernel_reads(model.cig.params),
-                      "omega_frame", [(n_x - gridfreq.cig.N_STATES, model.cig_bus)]))
-    for names, reads, frame, slots in kinds:
-        rows, cols = gridfreq.dae._read_pairs(names, tuple(reads.items()), frame, len(speeds))
+        kinds.append((gridfreq.cig.STATE_NAMES, gridfreq.cig.KERNEL_READS,
+                      [(n_x - gridfreq.cig.N_STATES, model.cig_bus)]))
+    for names, reads, slots in kinds:
+        rows, cols = gridfreq.dae._read_pairs(names, tuple(reads.items()), len(speeds))
         at = np.array([[*range(start, start + len(names)), n_x + b, n_x + n + b, *speeds]
                        for start, b in slots])
         pattern[at[:, rows], at[:, cols]] = True
@@ -1443,35 +1442,57 @@ def test_column_groups_partition_the_columns_into_disjoint_row_sets(rows, cols, 
 
 def test_models_of_one_layout_share_one_read_only_colouring(case):
     """The colouring is computed once per pattern: another model of the
-    same layout gets the very groups and group_of, read-only, so that no
-    model can change another's."""
+    same layout, the converter's frequency loop open included (its read
+    table is one constant), gets the very groups and group_of, read-only,
+    so that no model can change another's."""
     first = build_system(case, "cig_omega_tilde", k=1.2)[0].jacobian_structure()
-    second = build_system(case, "cig_omega", k=0.5)[0].jacobian_structure()
-    assert second[0] is not first[0] and np.array_equal(second[0], first[0])
-    assert second[1] is first[1] and second[2] is first[2]
+    for other in (build_system(case, "cig_omega", k=0.5)[0],
+                  build_system(case, "cig_omega_tilde", k=1.2, freq_loop=False)[0]):
+        second = other.jacobian_structure()
+        assert second[0] is not first[0] and np.array_equal(second[0], first[0])
+        assert second[1] is first[1] and second[2] is first[2]
     assert not first[2].flags.writeable
     assert not any(g.flags.writeable for g in first[1])
 
 
-def test_simulate_refuses_a_method_patched_on_the_model(case, monkeypatch):
-    """A wrapper stored on the model instance would be carried into the
-    run's shallow copy still bound to the caller's model, whose network
-    never sees the events: the 50 % load loss would leave omega_coi at
-    1.0.  The run refuses it, naming it; the same wrapper on the class
-    sees the load loss."""
+def network_tables(model: SystemModel):
+    """(network, bytes of Y, loads) of the model: what `_set_network` sets."""
+    return model.net, model._y_real.tobytes(), list(model._loads)
+
+
+def test_a_method_patched_on_the_model_sees_the_run(case):
+    """The run uses the caller's model, so a wrapper stored on the model
+    instance counts every residual pass of the run and sees the 50 % load
+    loss; after the run the model holds its own network, Y and loads."""
     model, st = build_system(case, "no_cig")
-    residual = model.residual
-    model.residual = lambda x, y: residual(x, y)
-    events = [Event(0.1, LoadScale(bus=5, factor=0.5))]
-    with pytest.raises(ValueError, match="'residual'.*patch the class"):
-        simulate(model, st, events, t_end=0.6, h=0.01, channels=["omega_coi"])
-    del model.residual
+    before = network_tables(model)
     passes = []
-    residual = SystemModel.residual
-    monkeypatch.setattr(SystemModel, "residual",
-                        lambda self, x, y: passes.append(1) or residual(self, x, y))
+    residual = model.residual
+    model.residual = lambda x, y: passes.append(1) or residual(x, y)
+    events = [Event(0.1, LoadScale(bus=5, factor=0.5))]
     ts = simulate(model, st, events, t_end=0.6, h=0.01, channels=["omega_coi"])
     assert ts["omega_coi"][-1] > 1.01 and len(passes) == ts.stats["residual_passes"]
+    assert network_tables(model) == before
+    assert model.net is before[0]
+
+
+def test_a_step_error_after_an_event_restores_the_network(case, monkeypatch):
+    """A step that fails after the load loss has been applied ends the run
+    with the StepError of its halvings, and the model holds the network it
+    started with again, its Y and loads bitwise."""
+    model, st = build_system(case, "no_cig")
+    before = network_tables(model)
+    newton = TrapezoidalIntegrator._newton
+    monkeypatch.setattr(TrapezoidalIntegrator, "_newton",
+                        lambda self, state, h: None if h and state.t >= 0.2
+                        else newton(self, state, h))
+    events = [Event(0.1, LoadScale(bus=5, factor=0.5))]
+    with pytest.raises(StepError, match="after 4 halvings") as err:
+        simulate(model, st, events, t_end=0.6, h=0.01, channels=["omega_coi"])
+    assert err.value.t_last == pytest.approx(0.2) and err.value.stats["resolves"] == 1
+    assert network_tables(model) == before
+    assert model.net is before[0]
+    assert np.max(np.abs(model.residual(st.x, st.y)[0])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -1528,7 +1549,7 @@ def complex_list_residual(model: SystemModel, x: np.ndarray, y: np.ndarray):
     wcoi = model.coi_speed(xl)
     f, inj = [], [0j] * n
     outputs = {}
-    for _, _, states, _, _, bus, module, kernel, prm, _ in model._devices:
+    for _, module, kernel, states, bus, prm in model._devices:
         d, i_dev, out = getattr(sys.modules[module], kernel)(xl[states], v[bus], prm, wcoi,
                                                              model.omega_base)
         f += d
@@ -1602,7 +1623,7 @@ def kernel_inputs(case):
     """kernel name -> (kernel, its states at the set-up of the converter
     system, its parameters, omega_base): machine 1 and the converter."""
     model, st = build_system(case, "cig_omega_tilde", k=1.2)
-    _, _, states, *_, prm, _ = model._devices[0]
+    *_, states, _, prm = model._devices[0]
     return {"sm_kernel": (sm_kernel, st.x[states], prm, model.omega_base),
             "cig_derivatives": (gridfreq.cig.cig_derivatives,
                                 st.x[model.n_x - gridfreq.cig.N_STATES:], model.cig.params,
